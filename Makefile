@@ -15,7 +15,7 @@ BENCH_GATE_PAT  := SmokeSweep|AllowedVCs|RouterStep|VCActivity|PacketStore|Input
 BENCH_GATE_PKGS := . ./internal/router ./internal/buffer ./internal/obs ./internal/packet
 BENCH_COUNT     ?= 3
 
-.PHONY: build test race lint bench-check bench-baseline bench-profile ci check-smoke check-full scenario-smoke campaign-smoke campaignd-smoke campaignd-metrics-smoke
+.PHONY: build test race lint bench-check bench-baseline bench-profile bench-contract ci check-smoke check-full scenario-smoke campaign-smoke campaignd-smoke campaignd-metrics-smoke
 
 build:
 	$(GO) build ./...
@@ -44,7 +44,7 @@ bench-check:
 	$(GO) run ./cmd/benchgate -baseline BENCH_baseline.json < bench-gate.out
 	@rm -f bench-gate.out
 
-# CPU and heap profiles of the end-to-end smoke sweeps (the benchmarks the
+# CPU and heap profiles of the end-to-end smoke sweep (the benchmark the
 # gate pins). CI runs this on the bench job and uploads $(PROFILE_DIR) as an
 # artifact, so when the gate flags a layout regression the profile that
 # explains it is already attached to the failing run — no local reproduction
@@ -65,19 +65,22 @@ bench-baseline:
 	$(GO) run ./cmd/benchgate -baseline BENCH_baseline.json -update -tolerance 40 < bench-gate.out
 	@rm -f bench-gate.out
 
-ci: lint test race bench-check check-smoke
+# bench/ is a module of its own that the root `go test ./...` cannot reach;
+# bench/api_test.go is the compile-time list of every program identifier the
+# repository benchmark calls, so a PR that deletes or reshapes a public name
+# fails here instead of silently breaking the harness.
+bench-contract:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+ci: lint test race bench-check bench-contract check-smoke
 
 # The PR-time reproducibility gate: verify every recorded experiment in
 # experiments/manifest.json. Digests of the committed exports and reports are
 # always checked; entries cheap enough to finish under -max-wall are also
 # re-simulated and byte-compared (transient-small and pb-policies-transient
-# today — fig5-small's ~50s re-run is nightly-only, see check-full). The
-# second pass re-runs the same entries with the network sharded 2 ways:
-# sharded and serial simulation are bit-identical by contract, so the sharded
-# re-run must reproduce the recorded artefacts byte for byte too.
+# today — fig5-small's ~50s re-run is nightly-only, see check-full).
 check-smoke:
 	$(GO) run ./cmd/figures check -max-wall 10s all
-	$(GO) run ./cmd/figures check -shards 2 -max-wall 10s all
 
 # The full reproducibility verification (nightly): re-run every manifest
 # entry, however expensive, and byte-compare exports and rendered reports

@@ -13,7 +13,6 @@ import (
 	"flexvc/internal/buffer"
 	"flexvc/internal/config"
 	"flexvc/internal/core"
-	"flexvc/internal/obs"
 	"flexvc/internal/packet"
 	"flexvc/internal/routing"
 	"flexvc/internal/sim"
@@ -389,70 +388,5 @@ func BenchmarkSmokeSweep(b *testing.B) {
 		if len(series) != 2 {
 			b.Fatalf("want 2 series, got %d", len(series))
 		}
-	}
-}
-
-// BenchmarkSmokeSweepSharded is the smoke sweep with the cycle loop sharded
-// two ways (config.Shards = 2). On a 6-router network sharding cannot win —
-// the per-cycle fork/join is pure overhead here — which is exactly what the
-// regression gate pins: the cost of the sharded path (event buffering,
-// ordered merge, slot accounting) must not creep. The worker budget is pinned
-// to 1 so the gated allocation count stays machine-independent: with spare
-// budget tokens the sharded loop opportunistically spawns per-cycle helper
-// goroutines, and how often it wins those tokens depends on core count and
-// scheduling. Results stay bit-identical to the serial sweep either way;
-// TestShardEquivalence holds that line, and BenchmarkShardScaling (ungated)
-// measures the parallel speedup itself.
-func BenchmarkSmokeSweepSharded(b *testing.B) {
-	defer sim.SetWorkerBudget(sim.WorkerBudget())
-	sim.SetWorkerBudget(1)
-	base := config.Tiny()
-	base.WarmupCycles = 200
-	base.MeasureCycles = 800
-	base.Shards = 2
-	variants := []sweep.Variant{
-		{Label: "baseline", Apply: func(c *config.Config) {}},
-		{Label: "flexvc", Apply: func(c *config.Config) { c.Scheme.Policy = core.FlexVC }},
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		series, err := sweep.LoadSweep(base, variants, []float64{0.3, 0.7}, 2, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(series) != 2 {
-			b.Fatalf("want 2 series, got %d", len(series))
-		}
-	}
-}
-
-// BenchmarkShardScaling measures one small-scale PAR replication at shard
-// counts 1, 2 and 4 (not part of the regression gate — the speedup is
-// hardware-dependent; BENCHMARKS.md records measured runs). The serial and
-// sharded runs produce bit-identical results, so the only thing varying
-// across sub-benchmarks is wall-clock. Each sub-benchmark runs metered (a
-// metrics registry rides along — TestMeteredRunMatchesSerial pins that this
-// cannot change results) and reports the phase breakdown of the cycle loop
-// plus, when sharded, the busy-time imbalance ratio, so a single run shows
-// where the wall went and whether the shard plan is balanced.
-func BenchmarkShardScaling(b *testing.B) {
-	for _, shards := range []int{1, 2, 4} {
-		b.Run(map[int]string{1: "serial", 2: "shards2", 4: "shards4"}[shards], func(b *testing.B) {
-			cfg := benchConfig()
-			cfg.Routing = routing.PAR
-			cfg.Scheme = core.Scheme{Policy: core.FlexVC, VCs: core.SingleClass(5, 2), Selection: core.JSQ}
-			cfg.Load = 0.7
-			cfg.Shards = shards
-			cfg.Metrics = obs.NewRegistry()
-			runSim(b, cfg)
-			snap := cfg.Metrics.Snapshot()
-			for _, phase := range []string{"events", "inject", "pb_update", "step", "flush"} {
-				ns := snap.Counters[sim.MetricPhaseWall+`{phase="`+phase+`"}`]
-				b.ReportMetric(float64(ns)/float64(b.N), phase+"-ns/op")
-			}
-			if shards > 1 {
-				b.ReportMetric(snap.Values[sim.MetricShardImbalance], "shard-imbalance")
-			}
-		})
 	}
 }

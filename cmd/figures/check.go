@@ -27,7 +27,6 @@ func checkCmd(args []string) error {
 		workDir    = fs.String("work", "", "keep per-entry scratch results under this directory (default: private temp dir, removed)")
 		maxWall    = fs.Duration("max-wall", 0, "skip the re-run of entries whose approx_wall_s exceeds this (digests still verified); 0 re-runs everything")
 		workers    = fs.Int("workers", 0, "concurrent simulation workers (0 = GOMAXPROCS)")
-		shards     = fs.Int("shards", 0, "network shards per re-run replication: 1 serial, 0 auto, N explicit (recorded artefacts must reproduce byte-identically at any value)")
 		update     = fs.Bool("update", false, "re-pin the manifest digests from the committed artefacts and rewrite the manifest (no re-run)")
 		jsonOut    = fs.Bool("json", false, "emit the structured per-entry results as JSON on stdout")
 		verbose    = fs.Bool("v", false, "stream re-run progress to stderr")
@@ -67,7 +66,7 @@ func checkCmd(args []string) error {
 	if effWorkers <= 0 {
 		effWorkers = runtime.GOMAXPROCS(0)
 	}
-	opts := verify.Options{WorkDir: *workDir, MaxWall: *maxWall, CorruptFresh: *corrupt, Shards: *shards, Workers: effWorkers}
+	opts := verify.Options{WorkDir: *workDir, MaxWall: *maxWall, CorruptFresh: *corrupt, Workers: effWorkers}
 	if *metricsOut != "" {
 		opts.Metrics = obs.NewRegistry()
 	}

@@ -34,11 +34,10 @@
 //	figures check transient-small          # verify one manifest entry
 //	figures check -max-wall 10s all        # digests always; re-run only cheap entries
 //
-// The legacy one-shot mode (simulate and print, nothing recorded) is kept for
-// quick looks:
+// The analytic tables (table1..table4) are computed, not simulated, so nothing
+// is recorded for them; `render` prints them directly:
 //
-//	figures -exp table3
-//	figures -exp fig5 -scale small -seeds 3
+//	figures render -exp table3 -results results/
 package main
 
 import (
@@ -74,6 +73,15 @@ func main() {
 	}
 }
 
+const usage = `usage: figures {list | run | render | check} [flags]
+  list   list the built-in experiments and embedded campaign specs
+  run    simulate into a checkpointed results directory (resumable);
+         -exp runs built-in experiments, -campaign runs a JSON campaign spec
+  render turn recorded results into reports without re-simulating
+  check  re-run the recorded experiments of experiments/manifest.json and
+         byte-compare exports + reports against the committed artefacts;
+         exits non-zero on any mismatch (figures check [id|all])`
+
 func run(args []string) error {
 	if len(args) > 0 {
 		switch args[0] {
@@ -86,17 +94,15 @@ func run(args []string) error {
 		case "check":
 			return checkCmd(args[1:])
 		case "help", "-h", "-help", "--help":
-			fmt.Println("usage: figures {list | run | render | check} [flags]   (or legacy: figures -exp ... )")
-			fmt.Println("  run    simulate into a checkpointed results directory (resumable);")
-			fmt.Println("         -exp runs built-in experiments, -campaign runs a JSON campaign spec")
-			fmt.Println("  render turn recorded results into reports without re-simulating")
-			fmt.Println("  check  re-run the recorded experiments of experiments/manifest.json and")
-			fmt.Println("         byte-compare exports + reports against the committed artefacts;")
-			fmt.Println("         exits non-zero on any mismatch (figures check [id|all])")
+			fmt.Println(usage)
 			return nil
 		}
 	}
-	return legacyCmd(args)
+	fmt.Fprintln(os.Stderr, usage)
+	if len(args) == 0 {
+		return fmt.Errorf("missing sub-command")
+	}
+	return fmt.Errorf("unknown sub-command %q", args[0])
 }
 
 func listCmd() error {
@@ -204,7 +210,6 @@ func runCmd(args []string) error {
 		seeds      = fs.Int("seeds", 0, "independent replications per point (the paper uses 5; campaign specs may set their own default)")
 		parallel   = fs.Int("parallel", 0, "cap on sweep points in flight (0 = unbounded; a memory guard)")
 		workers    = fs.Int("workers", 0, "concurrent simulation workers (0 = GOMAXPROCS)")
-		shards     = fs.Int("shards", 0, "network shards per replication: 1 serial, 0 auto, N explicit (bit-identical at any value)")
 		quick      = fs.Bool("quick", false, "trim sweeps for a fast smoke run")
 		resDir     = fs.String("results", "", "results directory (required): checkpoints + exported results JSON")
 		revision   = fs.String("revision", "", "source revision to stamp into the results (default: git rev-parse)")
@@ -268,7 +273,7 @@ func runCmd(args []string) error {
 	}
 	for _, id := range ids {
 		if spec == nil && reg[id].Analytic {
-			fmt.Fprintf(os.Stderr, "%s: analytic (nothing to simulate or record); render it with `figures -exp %s`\n", id, id)
+			fmt.Fprintf(os.Stderr, "%s: analytic (nothing to simulate or record); print it with `figures render -exp %s -results %s`\n", id, id, *resDir)
 			continue
 		}
 		start := time.Now()
@@ -291,7 +296,6 @@ func runCmd(args []string) error {
 			Seeds:       expSeeds,
 			Parallelism: *parallel,
 			Quick:       *quick,
-			Shards:      *shards,
 			Results:     store,
 			Metrics:     metrics,
 			Progress: func(p sweep.Progress) {
@@ -390,10 +394,15 @@ func renderCmd(args []string) error {
 	rendered := 0
 	for _, id := range ids {
 		if reg[id].Analytic {
-			if !multi {
-				return fmt.Errorf("%s is analytic: regenerate it directly with `figures -exp %s`", id, id)
+			if multi {
+				continue
 			}
-			continue
+			// Computed, not recorded: there is no export to load.
+			rep, err := sweep.Run(id, sweep.Options{})
+			if err != nil {
+				return err
+			}
+			return emit(*out, id, *format, rep.Render(), false)
 		}
 		path := filepath.Join(*resDir, id+".results.json")
 		f, err := results.LoadFile(path)
@@ -458,70 +467,5 @@ func emit(out, id, format, text string, multi bool) error {
 		return err
 	}
 	fmt.Printf("wrote %s\n", path)
-	return nil
-}
-
-// --- legacy one-shot mode --------------------------------------------------
-
-func legacyCmd(args []string) error {
-	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
-	var (
-		list     = fs.Bool("list", false, "list available experiments and exit")
-		exp      = fs.String("exp", "", "experiment to run (table1..table4, fig5..fig11, or 'all')")
-		scale    = fs.String("scale", "small", "system scale: small, medium or paper")
-		seeds    = fs.Int("seeds", 1, "independent replications per point (the paper uses 5)")
-		parallel = fs.Int("parallel", 0, "cap on sweep points in flight (0 = unbounded; a memory guard)")
-		workers  = fs.Int("workers", 0, "concurrent simulation workers (0 = GOMAXPROCS)")
-		shards   = fs.Int("shards", 0, "network shards per replication: 1 serial, 0 auto, N explicit (bit-identical at any value)")
-		quick    = fs.Bool("quick", false, "trim sweeps for a fast smoke run")
-		out      = fs.String("out", "", "directory to write one report file per experiment (default: stdout)")
-	)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-
-	if *list {
-		return listCmd()
-	}
-	if *exp == "" {
-		return fmt.Errorf("missing -exp (use `figures list` to see the available experiments)")
-	}
-
-	if *workers > 0 {
-		sim.SetWorkerBudget(*workers)
-	}
-	opts := sweep.Options{Scale: *scale, Seeds: *seeds, Parallelism: *parallel, Quick: *quick, Shards: *shards}
-	ids := []string{*exp}
-	if *exp == "all" {
-		ids = sweep.IDs()
-	}
-	for _, id := range ids {
-		start := time.Now()
-		rep, err := sweep.Run(id, opts)
-		if err != nil {
-			return fmt.Errorf("%s: %w", id, err)
-		}
-		// Analytic tables carry no measured latencies; every simulated
-		// report cites the histogram error bound.
-		if !sweep.Registry()[id].Analytic {
-			rep.Notes = append(rep.Notes, errorBoundNote())
-		}
-		text := rep.Render() + fmt.Sprintf("\n(generated in %s)\n", time.Since(start).Round(time.Millisecond))
-		if *out == "" {
-			fmt.Println(text)
-			continue
-		}
-		if err := os.MkdirAll(*out, 0o755); err != nil {
-			return err
-		}
-		path := filepath.Join(*out, id+".txt")
-		if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s (%s)\n", path, time.Since(start).Round(time.Millisecond))
-	}
-	if *exp == "all" && *out != "" {
-		fmt.Printf("all %d experiments written to %s\n", len(ids), *out)
-	}
 	return nil
 }

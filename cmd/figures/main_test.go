@@ -257,3 +257,38 @@ func TestCheckCLIUnknownEntry(t *testing.T) {
 		t.Fatalf("unknown entry error should list available ids (err=%v)", err)
 	}
 }
+
+// TestNoSubcommandIsAnError: there is no one-shot mode behind the
+// sub-commands — a bare invocation, or the flag form the removed legacy mode
+// accepted, prints usage and fails.
+func TestNoSubcommandIsAnError(t *testing.T) {
+	for _, args := range [][]string{nil, {"-exp", "fig5", "-quick"}, {"-list"}} {
+		if err := run(args); err == nil {
+			t.Errorf("figures %v succeeded; want a usage error", args)
+		}
+	}
+	if err := run([]string{"help"}); err != nil {
+		t.Errorf("figures help: %v", err)
+	}
+}
+
+// TestRenderAnalyticTable: the analytic tables have no recording to load, so
+// `render` computes and writes them directly.
+func TestRenderAnalyticTable(t *testing.T) {
+	dir := t.TempDir()
+	out := filepath.Join(dir, "table3.txt")
+	if err := run([]string{"render", "-exp", "table3", "-results", dir, "-out", out}); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sweep.Run("table3", sweep.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(b) != want.Render() {
+		t.Errorf("rendered table3 differs from the computed report:\n%s", b)
+	}
+}

@@ -61,10 +61,9 @@ func run(args []string) error {
 		speedup    = fs.Int("speedup", 0, "router speedup override (0 keeps the scale default)")
 		seed       = fs.Int64("seed", 1, "base random seed")
 		workers    = fs.Int("workers", 0, "concurrent replication workers (0 = GOMAXPROCS)")
-		shards     = fs.Int("shards", 0, "network shards per replication: 1 serial, 0 auto, N explicit (bit-identical at any value)")
 		tableMB    = fs.Int("route-table-mb", 0, "memory budget for precomputed route tables in MiB (0 = default, negative disables)")
 		out        = fs.String("out", "", "write the result as machine-readable JSON (internal/results schema) to this file")
-		metricsOut = fs.String("metrics-out", "", "instrument the run and write the metrics snapshot (phase walls, shard balance) to this JSON file")
+		metricsOut = fs.String("metrics-out", "", "instrument the run and write the metrics snapshot (phase walls, cycles, wheel depth) to this JSON file")
 		verbose    = fs.Bool("v", false, "print per-replication results")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -81,7 +80,7 @@ func run(args []string) error {
 		// The spec defines the configuration; flags that would silently be
 		// overwritten by the variant's settings are rejected instead of
 		// ignored. Only -scale, -load, -seed(s), -speedup, -route-table-mb,
-		// -workers, -shards, -out and -v compose with -campaign.
+		// -workers, -out and -v compose with -campaign.
 		haveLoad := false
 		var conflict []string
 		fs.Visit(func(f *flag.Flag) {
@@ -142,7 +141,6 @@ func run(args []string) error {
 	if *speedup > 0 {
 		cfg.Speedup = *speedup
 	}
-	cfg.Shards = *shards
 	if *metricsOut != "" {
 		cfg.Metrics = obs.NewRegistry()
 	}

@@ -16,22 +16,17 @@
 //
 // # Execution model
 //
-// Parallelism exists at three nested layers, each bit-identical to serial
-// execution:
+// One replication is one goroutine running one serial cycle loop
+// (sim.Network.Step is its only body, metered or not). Parallelism exists at
+// two nested layers, each bit-identical to serial execution:
 //
-//   - Shards within a replication: the router-stepping phase of the cycle
-//     loop runs across goroutines, each owning a contiguous block of router
-//     IDs (config.Shards: 1 serial, 0 auto from GOMAXPROCS, N explicit).
-//     Cross-shard effects are buffered per shard and merged in shard order,
-//     reproducing the serial event order exactly. Reach for this when a
-//     single simulation must go faster — few replications of a big network.
 //   - Replications within a process: sim.RunAveraged runs replications
 //     concurrently and sweep.LoadSweep schedules every point of every series
-//     at once, with all work — shard helpers included — draining through one
-//     process-wide worker budget (sim.SetWorkerBudget, default GOMAXPROCS).
-//     Each replication is fully self-contained and results aggregate in
-//     replication order. This is the default: sweeps with many points and
-//     seeds saturate the machine without any knobs.
+//     at once, with all work draining through one process-wide worker budget
+//     (sim.SetWorkerBudget, default GOMAXPROCS). Each replication is fully
+//     self-contained and results aggregate in replication order. This is the
+//     default: sweeps with many points and seeds saturate the machine without
+//     any knobs.
 //   - Worker processes across a campaign: cmd/campaignd divides one campaign
 //     across N processes (or machines sharing a filesystem) through
 //     lease-based claims on the results directory, crash-tolerant with

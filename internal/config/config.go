@@ -155,20 +155,9 @@ type Config struct {
 	RouteTableBytes int
 
 	// --- Execution (not part of the experiment identity) ---
-	// Shards is the number of spatial network shards the cycle loop of a
-	// single replication may step in parallel: 1 runs the serial loop, 0
-	// picks an automatic count from GOMAXPROCS and the network size, and
-	// N >= 2 requests N shards (capped at the number of shardable router
-	// blocks). Sharded and serial runs are bit-identical by construction
-	// (see internal/sim), so this knob only trades cores for latency. It is
-	// excluded from the JSON form on purpose: result fingerprints,
-	// checkpoint identities and exports must not depend on how many cores
-	// executed the run.
-	Shards int `json:"-"`
-
 	// Metrics is the observability registry the run reports into (nil
-	// disables instrumentation entirely; see internal/obs). Like Shards it
-	// is an execution knob, not part of the experiment identity: metrics
+	// disables instrumentation entirely; see internal/obs). It is an
+	// execution knob, not part of the experiment identity: metrics
 	// only observe the run, they never influence simulated state, and the
 	// field is excluded from the JSON form so fingerprints, checkpoint
 	// identities and exports are byte-identical with metrics on or off
@@ -373,9 +362,6 @@ func (c Config) Validate() error {
 	}
 	if c.WarmupCycles < 0 || c.MeasureCycles <= 0 {
 		return fmt.Errorf("config: invalid warmup/measurement windows")
-	}
-	if c.Shards < 0 {
-		return fmt.Errorf("config: shard count must be >= 0 (0 = auto), got %d", c.Shards)
 	}
 	if c.Traffic == TrafficBursty && c.AvgBurstLength < 1 {
 		return fmt.Errorf("config: bursty-un traffic needs AvgBurstLength >= 1 packet, got %g (the paper's Table V uses 5)", c.AvgBurstLength)

@@ -14,7 +14,7 @@
 //     byte-compare metrics-on vs metrics-off exports to lock the contract.
 //
 // Metric names follow the Prometheus convention (`flexvc_<layer>_<what>_<unit>`,
-// labels baked into the name string, e.g. `flexvc_sim_shard_busy_ns_total{shard="3"}`).
+// labels baked into the name string, e.g. `flexvc_sim_phase_wall_ns_total{phase="step"}`).
 // Names are formatted once at registration, never on the hot path.
 package obs
 

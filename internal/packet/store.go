@@ -25,10 +25,8 @@ const NilRef Ref = ^Ref(0)
 // Freed slots recycle through an index free-list (LIFO), so a run at steady
 // state allocates nothing per packet and the arrays grow to the peak
 // in-flight population once (amortised doubling), instead of one heap object
-// per packet. A Store is NOT safe for concurrent mutation — each network
-// instance (one replication) owns exactly one; the sharded cycle loop only
-// reads and writes disjoint slots from different shards (each resident
-// packet belongs to exactly one router).
+// per packet. A Store is NOT safe for concurrent use — each network instance
+// (one replication, one goroutine) owns exactly one.
 //
 // Refs are only valid between Alloc and Free of their slot. The store can
 // reissue a Ref immediately after Free; long-lived caches must therefore key

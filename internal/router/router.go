@@ -88,20 +88,18 @@ func (p Params) Validate() error {
 }
 
 // Env is the interface the router uses to interact with the rest of the
-// simulated network; it is implemented by internal/sim (directly for the
-// serial cycle loop, and by per-shard wrappers that buffer the Schedule*
-// calls for the parallel loop — see internal/sim/shard.go).
+// simulated network; it is implemented by internal/sim's Network.
 //
-// Concurrency contract: Step calls Env methods only. When the network shards
-// the stepping phase, routers of different shards call their own Env
-// concurrently; everything else a Step touches is either private to the
-// router (input queues, PRNG, allocation scratch, VC-plan caches), immutable
-// during a run (topology, route tables, core.Manager, the wiring behind
-// DownstreamInput), or owned by this router as the unique upstream writer
-// and reader of its links' downstream credit counters (Reserve, FreeFor and
-// the congestion probes all act on the prober's own output ports). Credit
-// returns and arrivals mutate shared state only when the buffered events are
-// replayed, which happens in the serial phases of the cycle.
+// Step calls Env methods only. Everything else a Step touches is either
+// private to the router (input queues, PRNG, allocation scratch, VC-plan
+// caches), immutable during a run (topology, route tables, core.Manager, the
+// wiring behind DownstreamInput), or owned by this router as the unique
+// upstream writer and reader of its links' downstream credit counters
+// (Reserve, FreeFor and the congestion probes all act on the prober's own
+// output ports). Credit returns and arrivals reach other routers only when
+// the scheduled events are replayed at the start of a later cycle, so the
+// order routers step in within a cycle matters only through the order of
+// their Schedule* calls.
 type Env interface {
 	// DownstreamInput returns the input buffer at the far end of output
 	// port `port` of router r (nil for terminal ports).
@@ -157,15 +155,14 @@ type Router struct {
 	// pure occupancy bookkeeping, updated incrementally on enqueue and
 	// dequeue — skipping an empty port or VC is exactly what the probing loop
 	// would have concluded, and the sorted order reproduces the full scan's
-	// ascending port order, so results are bit-identical. Ports with more
-	// than 64 VCs (vcMaskOK false; unused in practice) scan all VCs of the
-	// live port. AuditActivity cross-checks list state against a brute-force
-	// scan in tests.
-	liveIn   portList
-	xmit     portList
-	inCount  []int32  // resident input packets per port
-	vcMask   []uint64 // per port: bit v set iff VC v holds >= 1 packet
-	vcMaskOK []bool   // vcMask[p] maintained (port has <= 64 VCs)
+	// ascending port order, so results are bit-identical. The mask is one
+	// word, which is why New rejects ports with more than maxPortVCs VCs.
+	// AuditActivity cross-checks list state against a brute-force scan in
+	// tests.
+	liveIn  portList
+	xmit    portList
+	inCount []int32  // resident input packets per port
+	vcMask  []uint64 // per port: bit v set iff VC v holds >= 1 packet
 
 	inVCRR []int // round-robin pointer over VCs, per input port
 	outRR  []int // round-robin pointer over input ports, per output resource
@@ -206,6 +203,10 @@ type Router struct {
 	grantCount int64
 }
 
+// maxPortVCs is the most VCs one input port may have: the per-port occupancy
+// mask the allocator scans is a single 64-bit word.
+const maxPortVCs = 64
+
 // New builds a router. The environment may be set later with SetEnv (the
 // simulator wires routers and the event system together after construction).
 func New(id packet.RouterID, topo topology.Topology, scheme core.Scheme, alg routing.Algorithm, params Params, seed int64) (*Router, error) {
@@ -241,7 +242,6 @@ func New(id packet.RouterID, topo topology.Topology, scheme core.Scheme, alg rou
 	r.xmit = newPortList(r.numPorts)
 	r.inCount = make([]int32, r.numPorts)
 	r.vcMask = make([]uint64, r.numPorts)
-	r.vcMaskOK = make([]bool, r.numPorts)
 	for p := 0; p < r.numPorts; p++ {
 		if n := r.portVCs(topo.PortKind(id, p)); n > r.vcStride {
 			r.vcStride = n
@@ -259,7 +259,9 @@ func New(id packet.RouterID, topo topology.Topology, scheme core.Scheme, alg rou
 		if kind != topology.Terminal {
 			r.nbrs[p], r.nbrPorts[p] = topo.Neighbor(id, p)
 		}
-		r.vcMaskOK[p] = numVCs <= 64
+		if numVCs > maxPortVCs {
+			return nil, fmt.Errorf("router: %s ports have %d VCs, more than the %d the allocator's occupancy mask holds", kind, numVCs, maxPortVCs)
+		}
 		r.inputs[p] = buffer.NewInputBuffer(params.BufferConfig(kind, numVCs))
 		if kind == topology.Terminal {
 			r.eject[p] = make([]*buffer.OutputBuffer, params.NumClasses)
@@ -327,15 +329,13 @@ func (r *Router) noteEnqueue(port, vc int) {
 	if r.inCount[port]++; r.inCount[port] == 1 {
 		r.liveIn.add(port)
 	}
-	if r.vcMaskOK[port] {
-		r.vcMask[port] |= 1 << uint(vc)
-	}
+	r.vcMask[port] |= 1 << uint(vc)
 }
 
 // noteDequeue updates the activity lists for a packet leaving an input VC.
 // It must run after the buffer dequeue (it re-checks the queue length).
 func (r *Router) noteDequeue(port, vc int) {
-	if r.vcMaskOK[port] && r.inputs[port].QueueLen(vc) == 0 {
+	if r.inputs[port].QueueLen(vc) == 0 {
 		r.vcMask[port] &^= 1 << uint(vc)
 	}
 	if r.inCount[port]--; r.inCount[port] == 0 {
@@ -529,27 +529,15 @@ func (r *Router) proposeFromPort(now int64, p int) (request, bool) {
 	plans := r.plans[p*r.vcStride : p*r.vcStride+nvc]
 	stampable := true
 
-	if r.vcMaskOK[p] {
-		// Visit only occupied VCs, in the same round-robin order the probing
-		// loop used (start at the RR pointer, wrap around): first the set
-		// bits at or above the pointer, then the set bits below it. Empty
-		// VCs contribute nothing in either formulation.
-		start := r.inVCRR[p]
-		mask := r.vcMask[p]
-		for _, span := range [2]uint64{mask &^ (1<<uint(start) - 1), mask & (1<<uint(start) - 1)} {
-			for span != 0 {
-				vc := bits.TrailingZeros64(span)
-				span &^= 1 << uint(vc)
-				if req, ok, st := r.tryVC(now, in, fails, plans, p, vc, nvc); ok {
-					return req, true
-				} else if !st {
-					stampable = false
-				}
-			}
-		}
-	} else {
-		for k := 0; k < nvc; k++ {
-			vc := (r.inVCRR[p] + k) % nvc
+	// Visit only occupied VCs, in round-robin order (start at the RR pointer,
+	// wrap around): first the set bits at or above the pointer, then the set
+	// bits below it. Empty VCs could not propose anyway.
+	start := r.inVCRR[p]
+	mask := r.vcMask[p]
+	for _, span := range [2]uint64{mask &^ (1<<uint(start) - 1), mask & (1<<uint(start) - 1)} {
+		for span != 0 {
+			vc := bits.TrailingZeros64(span)
+			span &^= 1 << uint(vc)
 			if req, ok, st := r.tryVC(now, in, fails, plans, p, vc, nvc); ok {
 				return req, true
 			} else if !st {

@@ -1,6 +1,7 @@
 package router
 
 import (
+	"strings"
 	"testing"
 
 	"flexvc/internal/buffer"
@@ -206,91 +207,35 @@ func TestEjectionByClass(t *testing.T) {
 	}
 }
 
-// TestVCMaskFallbackEquivalence pins the claim that the VC-occupancy-mask
-// proposal pass is bit-identical to the full-VC-scan fallback (used when a
-// port has more than 64 VCs, which no shipped configuration does): two
-// routers built identically — one forced onto the fallback — must produce
-// the same grant count and the same arrival, credit and delivery sequences
-// for the same workload.
-func TestVCMaskFallbackEquivalence(t *testing.T) {
-	build := func() (*Router, *fakeEnv, *topology.Dragonfly, *packet.Store) {
-		topo, err := topology.NewDragonfly(2, 4, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
+// TestNewRejectsPortsBeyondMask: the allocator scans one 64-bit occupancy
+// word per port, so a port kind with more VCs than that must fail at
+// construction, naming the kind and the count; exactly 64 is fine.
+func TestNewRejectsPortsBeyondMask(t *testing.T) {
+	topo, err := topology.NewDragonfly(2, 4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name          string
+		local, global int
+		injection     int
+		want          string // "" = accepted
+	}{
+		{"64 everywhere", 64, 64, 64, ""},
+		{"65 local", 65, 2, 3, "local ports have 65 VCs"},
+		{"65 global", 4, 65, 3, "global ports have 65 VCs"},
+		{"65 injection queues", 4, 2, 65, "terminal ports have 65 VCs"},
+	} {
 		store := packet.NewStore()
-		scheme := core.Scheme{Policy: core.FlexVC, VCs: core.SingleClass(4, 2), Selection: core.JSQ}
-		rt, err := New(0, topo, scheme, routing.NewValiant(topo), testParams(1, store), 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		env := &fakeEnv{topo: topo, downstream: map[int]*buffer.InputBuffer{}}
-		for p := 0; p < topo.Radix(); p++ {
-			if topo.PortKind(0, p) == topology.Terminal {
-				continue
-			}
-			numVCs := scheme.VCs.TotalOf(topo.PortKind(0, p))
-			env.downstream[p] = buffer.NewInputBuffer(buffer.StaticConfig(numVCs, 24))
-		}
-		rt.SetEnv(env)
-		return rt, env, topo, store
-	}
-	masked, envA, topo, storeA := build()
-	fallback, envB, _, storeB := build()
-	for p := range fallback.vcMaskOK {
-		fallback.vcMaskOK[p] = false
-	}
-	if !masked.vcMaskOK[0] {
-		t.Fatal("test router unexpectedly non-maskable; the comparison is vacuous")
-	}
-
-	// Inject a mixed workload: several packets per injection VC toward
-	// different destinations, so allocation contends across VCs and ports.
-	feed := func(rt *Router, store *packet.Store) {
-		id := uint64(1)
-		for vc := 0; vc < testParams(1, store).InjectionQueues; vc++ {
-			for i := 0; i < 3; i++ {
-				dst := topo.NodeAt(topo.RouterInGroup(1+i%2, (i+vc)%4), 0)
-				ref := store.Alloc(id, topo.NodeAt(0, 0), dst, 8, packet.Request, 0)
-				id++
-				hdr := store.Hdr(ref)
-				hdr.SrcRouter = 0
-				hdr.DstRouter = topo.RouterOfNode(dst)
-				if rt.Input(0).Reserve(vc, 8, packet.Minimal) {
-					rt.EnqueueArrival(0, vc, ref, 0, packet.Minimal)
-				}
-			}
-		}
-	}
-	feed(masked, storeA)
-	feed(fallback, storeB)
-
-	for cyc := int64(0); cyc < 200; cyc++ {
-		masked.Step(cyc)
-		fallback.Step(cyc)
-		if err := masked.AuditActivity(); err != nil {
-			t.Fatalf("masked cycle %d: %v", cyc, err)
-		}
-		if err := fallback.AuditActivity(); err != nil {
-			t.Fatalf("fallback cycle %d: %v", cyc, err)
-		}
-	}
-
-	if masked.Grants() != fallback.Grants() {
-		t.Fatalf("grant counts diverge: masked %d, fallback %d", masked.Grants(), fallback.Grants())
-	}
-	if envA.credits != envB.credits || len(envA.deliveries) != len(envB.deliveries) {
-		t.Fatalf("credit/delivery sequences diverge: %d/%d vs %d/%d",
-			envA.credits, len(envA.deliveries), envB.credits, len(envB.deliveries))
-	}
-	if len(envA.arrivals) == 0 || len(envA.arrivals) != len(envB.arrivals) {
-		t.Fatalf("arrival counts diverge (or empty): %d vs %d", len(envA.arrivals), len(envB.arrivals))
-	}
-	for i := range envA.arrivals {
-		a, b := envA.arrivals[i], envB.arrivals[i]
-		if a.delay != b.delay || a.port != b.port || a.vc != b.vc || storeA.Hdr(a.ref).ID != storeB.Hdr(b.ref).ID {
-			t.Fatalf("arrival %d diverges: masked %+v (pkt %d), fallback %+v (pkt %d)",
-				i, a, storeA.Hdr(a.ref).ID, b, storeB.Hdr(b.ref).ID)
+		params := testParams(1, store)
+		params.InjectionQueues = tc.injection
+		scheme := core.Scheme{Policy: core.FlexVC, VCs: core.SingleClass(tc.local, tc.global), Selection: core.JSQ}
+		_, err := New(0, topo, scheme, routing.NewMinimal(topo), params, 7)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
 		}
 	}
 }

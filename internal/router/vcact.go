@@ -70,14 +70,14 @@ func (r *Router) AuditActivity() error {
 		for vc := 0; vc < in.NumVCs(); vc++ {
 			n := in.QueueLen(vc)
 			resident += n
-			if n > 0 && vc < 64 {
+			if n > 0 {
 				mask |= 1 << uint(vc)
 			}
 		}
 		if int(r.inCount[p]) != resident {
 			return fmt.Errorf("router %d port %d: inCount=%d, brute-force resident=%d", r.id, p, r.inCount[p], resident)
 		}
-		if r.vcMaskOK[p] && r.vcMask[p] != mask {
+		if r.vcMask[p] != mask {
 			return fmt.Errorf("router %d port %d: vcMask=%#x, brute-force=%#x", r.id, p, r.vcMask[p], mask)
 		}
 		wantLive := resident > 0

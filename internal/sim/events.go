@@ -43,9 +43,7 @@ type eventWheel struct {
 	horizon int64
 	// count tracks the queued events incrementally (schedule adds, take
 	// subtracts), so the metrics layer can sample the wheel depth without the
-	// O(horizon) scan of pending(). All wheel mutation happens in serial
-	// phases (the sharded loop buffers and flushes serially), so a plain
-	// int64 suffices.
+	// O(horizon) scan of pending().
 	count int64
 }
 

@@ -1,21 +1,16 @@
 package sim
 
 import (
-	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"flexvc/internal/obs"
 )
 
 // Metric names exported by the sim layer (the full inventory is documented in
-// DESIGN.md "Observability"). Names are Prometheus families; per-shard series
-// carry a `shard` label baked into the name at registration time.
+// DESIGN.md "Observability"). Names are Prometheus families.
 const (
 	// MetricPhaseWall is the cycle loop's wall-time breakdown, labeled
-	// phase="events"|"inject"|"pb_update"|"step"|"flush" (flush only exists on
-	// the sharded path).
+	// phase="events"|"inject"|"pb_update"|"step".
 	MetricPhaseWall = "flexvc_sim_phase_wall_ns_total"
 	// MetricCycles counts simulated cycles.
 	MetricCycles = "flexvc_sim_cycles_total"
@@ -25,150 +20,43 @@ const (
 	MetricReplicationWall = "flexvc_sim_replication_wall_ns"
 	// MetricWheelDepthHWM is the event-wheel depth high-water mark.
 	MetricWheelDepthHWM = "flexvc_sim_event_wheel_depth_hwm"
-	// MetricShardBusy is per-shard stepping wall time, labeled shard="i".
-	MetricShardBusy = "flexvc_sim_shard_busy_ns_total"
-	// MetricShardEvents is per-shard buffered-event count, labeled shard="i".
-	MetricShardEvents = "flexvc_sim_shard_events_total"
-	// MetricShardImbalance is the derived busy-time imbalance ratio
-	// max(shard busy)/mean(shard busy); 1.0 is a perfectly balanced plan.
-	MetricShardImbalance = "flexvc_sim_shard_imbalance_ratio"
 )
 
 // simMetrics holds the pre-resolved metric handles the cycle loop updates, so
-// the instrumented path never formats a name or takes the registry lock. It
-// is nil when the configuration carries no registry: the hot path's only cost
-// in that state is one pointer comparison in Step.
+// the metered path never formats a name or takes the registry lock. It is nil
+// when the configuration carries no registry: Step's only cost in that state
+// is a pointer comparison per phase.
 type simMetrics struct {
 	phaseEvents *obs.Counter
 	phaseInject *obs.Counter
 	phasePB     *obs.Counter
 	phaseStep   *obs.Counter
-	phaseFlush  *obs.Counter
 	cycles      *obs.Counter
 	wheelHWM    *obs.Gauge
-	shardBusy   []*obs.Counter
-	shardEvents []*obs.Counter
 }
 
 // newSimMetrics resolves the cycle-loop metric handles against reg, returning
 // nil (instrumentation fully disabled) when reg is nil. Counters are shared
 // by name, so concurrent replications reporting into one registry aggregate
-// naturally; the imbalance Func gauge is (re-)registered over the per-shard
-// counters, last shard plan wins.
-func newSimMetrics(reg *obs.Registry, shards int) *simMetrics {
+// naturally.
+func newSimMetrics(reg *obs.Registry) *simMetrics {
 	if reg == nil {
 		return nil
 	}
-	m := &simMetrics{
+	return &simMetrics{
 		phaseEvents: reg.Counter(MetricPhaseWall + `{phase="events"}`),
 		phaseInject: reg.Counter(MetricPhaseWall + `{phase="inject"}`),
 		phasePB:     reg.Counter(MetricPhaseWall + `{phase="pb_update"}`),
 		phaseStep:   reg.Counter(MetricPhaseWall + `{phase="step"}`),
-		phaseFlush:  reg.Counter(MetricPhaseWall + `{phase="flush"}`),
 		cycles:      reg.Counter(MetricCycles),
 		wheelHWM:    reg.Gauge(MetricWheelDepthHWM),
 	}
-	if shards > 1 {
-		m.shardBusy = make([]*obs.Counter, shards)
-		m.shardEvents = make([]*obs.Counter, shards)
-		for i := 0; i < shards; i++ {
-			m.shardBusy[i] = reg.Counter(fmt.Sprintf(`%s{shard="%d"}`, MetricShardBusy, i))
-			m.shardEvents[i] = reg.Counter(fmt.Sprintf(`%s{shard="%d"}`, MetricShardEvents, i))
-		}
-		busy := m.shardBusy
-		reg.Func(MetricShardImbalance, func() float64 {
-			var max, sum int64
-			for _, c := range busy {
-				v := c.Value()
-				sum += v
-				if v > max {
-					max = v
-				}
-			}
-			if sum == 0 {
-				return 0
-			}
-			return float64(max) * float64(len(busy)) / float64(sum)
-		})
-	}
-	return m
 }
 
-// stepTimed is Step's instrumented twin: the same phase sequence with the
-// wall-clock read between phases and the wheel-depth high-water mark sampled
-// once per cycle. It exists as a separate body so the metrics-off path keeps
-// its exact pre-observability instruction stream.
-func (n *Network) stepTimed() {
-	m := n.metrics
-	t0 := time.Now()
-	n.processEvents()
-	t1 := time.Now()
-	m.phaseEvents.Add(t1.Sub(t0).Nanoseconds())
-	n.inject()
-	t2 := time.Now()
-	m.phaseInject.Add(t2.Sub(t1).Nanoseconds())
-	if n.pb != nil {
-		n.pb.Update(n.now)
-	}
-	t3 := time.Now()
-	m.phasePB.Add(t3.Sub(t2).Nanoseconds())
-	if len(n.shards) > 1 {
-		n.stepShardedTimed(m)
-	} else {
-		n.stepBlock(0, len(n.routers))
-		m.phaseStep.Add(time.Since(t3).Nanoseconds())
-	}
-	m.cycles.Inc()
-	m.wheelHWM.SetMax(n.wheel.count)
-	n.now++
-}
-
-// stepShardedTimed is stepSharded's instrumented twin: the same claim-counter
-// fan-out and ascending-order flush, plus per-shard stepping wall time and
-// buffered-event counts recorded from the goroutine that stepped each shard
-// (the per-shard counters are atomic, so concurrent shards never contend on
-// shared mutable state), and the stepping and flush phases reported
-// separately into the phase breakdown.
-func (n *Network) stepShardedTimed(m *simMetrics) {
-	workers := n.shardSlots
-	if workers > len(n.shards) {
-		workers = len(n.shards)
-	}
-	stepStart := time.Now()
-	runShard := func(i int) {
-		sh := n.shards[i]
-		start := time.Now()
-		n.stepBlock(sh.lo, sh.hi)
-		m.shardBusy[i].Add(time.Since(start).Nanoseconds())
-		m.shardEvents[i].Add(int64(len(sh.pend)))
-	}
-	var next atomic.Int32
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(n.shards) {
-					return
-				}
-				runShard(i)
-			}
-		}()
-	}
-	for {
-		i := int(next.Add(1)) - 1
-		if i >= len(n.shards) {
-			break
-		}
-		runShard(i)
-	}
-	wg.Wait()
-	flushStart := time.Now()
-	m.phaseStep.Add(flushStart.Sub(stepStart).Nanoseconds())
-	for _, sh := range n.shards {
-		sh.flush()
-	}
-	m.phaseFlush.Add(time.Since(flushStart).Nanoseconds())
+// lap adds the wall time elapsed since `since` to a phase counter and returns
+// the new reading, so consecutive phases abut without a second clock read.
+func lap(phase *obs.Counter, since time.Time) time.Time {
+	now := time.Now()
+	phase.Add(now.Sub(since).Nanoseconds())
+	return now
 }

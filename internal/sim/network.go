@@ -61,15 +61,8 @@ type Network struct {
 	// does not arbitrate at every node every cycle. Order is irrelevant:
 	// injection at a node only touches that node's own terminal port.
 	pendingNodes []packet.NodeID
-	// shards, when longer than 1, holds the contiguous router-ID blocks the
-	// stepping phase runs in parallel (see shard.go); empty means the serial
-	// loop. shardSlots bounds the goroutines one Step may use — Run lowers
-	// it to 1 + the extra worker-budget tokens it could borrow.
-	shards     []*shardState
-	shardSlots int
-
-	wheel     eventWheel
-	collector *stats.Collector
+	wheel        eventWheel
+	collector    *stats.Collector
 	// metrics holds the pre-resolved observability handles (nil when
 	// cfg.Metrics is nil — the fully disabled state; see metrics.go).
 	metrics *simMetrics
@@ -84,9 +77,9 @@ type Network struct {
 // first.
 func New(cfg config.Config) (*Network, error) { return newNetwork(cfg, nil) }
 
-// newNetwork builds a network, optionally drawing its packet store, telemetry
-// arena and shard event buffers from a recycled scratch set (see scratch.go).
-// RunOne is the pooled path; New passes nil and allocates fresh.
+// newNetwork builds a network, optionally drawing its packet store and
+// telemetry arena from a recycled scratch set (see scratch.go). RunOne is the
+// pooled path; New passes nil and allocates fresh.
 func newNetwork(cfg config.Config, sc *scratch) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -181,13 +174,7 @@ func newNetwork(cfg config.Config, sc *scratch) (*Network, error) {
 		n.downInput[r] = row
 	}
 
-	// Sharded stepping (config.Shards): repartition the routers into
-	// contiguous blocks and point their environments at per-shard event
-	// buffers. Must come after the downInput wiring above — shard
-	// environments delegate downstream lookups to it.
-	count, align := shardPlan(cfg, topo)
-	n.buildShards(count, align, sc)
-	n.metrics = newSimMetrics(cfg.Metrics, n.Shards())
+	n.metrics = newSimMetrics(cfg.Metrics)
 
 	n.nodes = make([]nodeState, topo.NumNodes())
 	n.activeRouter = make([]bool, topo.NumRouters())

@@ -55,20 +55,3 @@ func acquireWorker() func() {
 	budget <- struct{}{}
 	return func() { <-budget }
 }
-
-// tryAcquireWorker takes a worker token only if one is immediately free,
-// returning the release function and whether a token was taken. The sharded
-// cycle loop uses it to borrow extra cores for intra-replication parallelism
-// without ever blocking: a replication already holds one budget token, so
-// waiting here for a second one could deadlock a fully subscribed budget (and
-// shard parallelism is an opportunistic speedup, never a correctness need —
-// results are bit-identical at any worker count).
-func tryAcquireWorker() (func(), bool) {
-	budget := *workerBudget.Load()
-	select {
-	case budget <- struct{}{}:
-		return func() { <-budget }, true
-	default:
-		return nil, false
-	}
-}

@@ -10,13 +10,8 @@ import (
 )
 
 // Run simulates warm-up plus measurement cycles (or until the deadlock
-// watchdog fires) and returns the run summary. When the network is sharded it
-// borrows extra worker-budget tokens for the duration of the run (see
-// acquireShardSlots), so shard parallelism and the replication-level worker
-// budget share one core accounting.
+// watchdog fires) and returns the run summary.
 func (n *Network) Run() stats.Result {
-	release := n.acquireShardSlots()
-	defer release()
 	total := n.cfg.WarmupCycles + n.cfg.MeasureCycles
 	if n.cfg.Scenario != nil {
 		total = n.cfg.Scenario.TotalCycles()
@@ -34,11 +29,8 @@ func (n *Network) Run() stats.Result {
 }
 
 // RunCycles advances the simulation by exactly `cycles` cycles (useful for
-// tests that inspect intermediate state), on the same shard-slot accounting
-// as Run.
+// tests that inspect intermediate state).
 func (n *Network) RunCycles(cycles int64) {
-	release := n.acquireShardSlots()
-	defer release()
 	for i := int64(0); i < cycles; i++ {
 		n.Step()
 	}
@@ -65,27 +57,23 @@ func (n *Network) watchdog() bool {
 // RunOne builds a network for cfg, runs it and returns its summary. With a
 // metrics registry attached it also accounts the replication (count + wall
 // histogram) — this is the single funnel every execution path (RunReplication,
-// RunAveraged, tests) goes through. The network's packet store, telemetry
-// arena and shard buffers come from the process-wide scratch pool and are
-// recycled when the run finishes: the summary is a deep copy, so nothing it
-// holds aliases the recycled memory.
+// RunAveraged, tests) goes through. The network's packet store and telemetry
+// arena come from the process-wide scratch pool and are recycled when the run
+// finishes: the summary is a deep copy, so nothing it holds aliases the
+// recycled memory.
 func RunOne(cfg config.Config) (stats.Result, error) {
 	sc := acquireScratch()
 	n, err := newNetwork(cfg, sc)
 	if err != nil {
-		sc.reclaim(nil)
+		sc.reclaim()
 		return stats.Result{}, err
 	}
-	var r stats.Result
-	if reg := cfg.Metrics; reg != nil {
-		start := time.Now()
-		r = n.Run()
-		reg.Histogram(MetricReplicationWall).Observe(time.Since(start).Nanoseconds())
-		reg.Counter(MetricReplications).Inc()
-	} else {
-		r = n.Run()
-	}
-	sc.reclaim(n)
+	start := time.Now()
+	r := n.Run()
+	// Nil-safe handles: without a registry both calls are no-ops.
+	cfg.Metrics.Histogram(MetricReplicationWall).Since(start)
+	cfg.Metrics.Counter(MetricReplications).Inc()
+	sc.reclaim()
 	return r, nil
 }
 

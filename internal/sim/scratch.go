@@ -8,11 +8,10 @@ import (
 )
 
 // scratch is the recyclable per-replication memory of one network instance:
-// the SoA packet store, the telemetry arena and the shard event buffers. A
-// campaign runs thousands of replications, each of which used to grow these
-// structures from nothing; the scratch pool keeps them across replications so
-// steady-state sweeps allocate per-run memory once per worker, not once per
-// replication.
+// the SoA packet store and the telemetry arena. A campaign runs thousands of
+// replications, each of which used to grow these structures from nothing; the
+// scratch pool keeps them across replications so steady-state sweeps allocate
+// per-run memory once per worker, not once per replication.
 //
 // The pool is an explicit mutex-guarded free-list rather than a sync.Pool on
 // purpose: sync.Pool drops entries at GC, which would make the allocation
@@ -21,7 +20,6 @@ import (
 type scratch struct {
 	store *packet.Store
 	arena *stats.Arena
-	pend  [][]pendEvent
 }
 
 var (
@@ -44,33 +42,10 @@ func acquireScratch() *scratch {
 	return &scratch{store: packet.NewStore(), arena: stats.NewArena()}
 }
 
-// takePend hands out a recycled shard event buffer (empty, capacity kept), or
-// nil when none is available.
-func (sc *scratch) takePend() []pendEvent {
-	if n := len(sc.pend); n > 0 {
-		p := sc.pend[n-1]
-		sc.pend[n-1] = nil
-		sc.pend = sc.pend[:n-1]
-		return p
-	}
-	return nil
-}
-
-// reclaim harvests the network's recyclable buffers back into the scratch,
-// resets the store and arena, and returns the set to the pool. The caller
-// must be completely done with the network: every Ref, arena-backed slice and
-// shard buffer it handed out is invalidated here.
-func (sc *scratch) reclaim(n *Network) {
-	if n != nil {
-		for _, sh := range n.shards {
-			if cap(sh.pend) > 0 {
-				p := sh.pend[:cap(sh.pend)]
-				clear(p) // drop buffer pointers so the dead network is collectable
-				sc.pend = append(sc.pend, p[:0])
-				sh.pend = nil
-			}
-		}
-	}
+// reclaim resets the store and arena and returns the set to the pool. The
+// caller must be completely done with the network they backed: every Ref and
+// arena-backed slice it handed out is invalidated here.
+func (sc *scratch) reclaim() {
 	sc.store.Reset()
 	sc.arena.Reset()
 	scratchMu.Lock()

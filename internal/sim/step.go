@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"time"
+
 	"flexvc/internal/packet"
 )
 
@@ -47,51 +49,55 @@ func (q *pktFIFO) reset() { q.items = q.items[:0]; q.head = 0 }
 //  2. inject traffic at the NICs
 //  3. refresh the piggybacked congestion state (PB routing only)
 //  4. step every router that holds work (allocation iterations + link
-//     transmission); idle routers are skipped — an empty router's Step is a
-//     no-op that consumes no randomness, so skipping it cannot change results
+//     transmission), in ascending identifier order
 //
-// Phases 1–3 are serial. Phase 4 steps routers in ascending identifier order;
-// with sharding enabled (config.Shards, see shard.go) contiguous router-ID
-// blocks step concurrently. Router steps are mutually conflict-free within a
-// cycle — a router's grants consume credits of the downstream buffers that
-// only it writes and probes, queue state is owner-only, and credit returns
-// ride the event wheel into the next serial phase — so the router order
-// influences results solely through the order events are appended to the
-// wheel (a slot's append order is the order processEvents replays it).
-// The serial loop appends in ascending router-ID order; the sharded loop
-// buffers each shard's events and flushes them in ascending shard order,
-// reproducing the identical wheel order. Sharded and serial runs are
-// therefore bit-identical.
+// Router steps are mutually conflict-free within a cycle — a router's grants
+// consume credits of the downstream buffers that only it writes and probes,
+// queue state is owner-only, and credit returns ride the event wheel into the
+// next cycle — so the router order influences results solely through the
+// order events are appended to the wheel (a slot's append order is the order
+// processEvents replays it).
 //
-// With a metrics registry attached (config.Metrics) the instrumented twin
-// stepTimed runs instead: identical phase sequence, plus wall-clock reads
-// between phases. Metrics only observe — they never feed back into simulated
-// state — so instrumented and plain runs are bit-identical too (locked by
+// This is the only place the phases are sequenced. With a metrics registry
+// attached (config.Metrics) the same body also reads the wall clock between
+// phases; metrics only observe — they never feed back into simulated state —
+// so metered and plain runs are bit-identical (locked by
 // TestMetricsExportInvariant).
 func (n *Network) Step() {
-	if n.metrics != nil {
-		n.stepTimed()
-		return
+	m := n.metrics
+	var t time.Time
+	if m != nil {
+		t = time.Now()
 	}
 	n.processEvents()
+	if m != nil {
+		t = lap(m.phaseEvents, t)
+	}
 	n.inject()
+	if m != nil {
+		t = lap(m.phaseInject, t)
+	}
 	if n.pb != nil {
 		n.pb.Update(n.now)
 	}
-	if len(n.shards) > 1 {
-		n.stepSharded()
-	} else {
-		n.stepBlock(0, len(n.routers))
+	if m != nil {
+		t = lap(m.phasePB, t)
+	}
+	n.stepRouters()
+	if m != nil {
+		lap(m.phaseStep, t)
+		m.cycles.Inc()
+		m.wheelHWM.SetMax(n.wheel.count)
 	}
 	n.now++
 }
 
-// stepBlock steps the busy routers of the ID range [lo, hi) in ascending
-// order. It is the phase-4 body for both the serial loop (the full range) and
-// one shard of the parallel loop.
-func (n *Network) stepBlock(lo, hi int) {
-	for id := lo; id < hi; id++ {
-		if !n.activeRouter[id] {
+// stepRouters steps the busy routers in ascending ID order. Idle routers are
+// skipped: an empty router's Step is a no-op that consumes no randomness, so
+// skipping it cannot change results.
+func (n *Network) stepRouters() {
+	for id, active := range n.activeRouter {
+		if !active {
 			continue
 		}
 		r := n.routers[id]

@@ -15,13 +15,12 @@ import (
 
 // TestMetricsExportInvariant locks the observability zero-impact contract at
 // the export layer: a run with a metrics registry attached must write results
-// exports byte-identical to an uninstrumented run, across both topologies and
-// both the serial and sharded stepping paths. Exports embed every record's
-// config fingerprint, so this also pins that Metrics — like Shards — stays
-// out of the experiment identity.
+// exports byte-identical to an uninstrumented run, across both topologies.
+// Exports embed every record's config fingerprint, so this also pins that
+// Metrics stays out of the experiment identity.
 func TestMetricsExportInvariant(t *testing.T) {
 	if testing.Short() {
-		t.Skip("simulates 2x2x2 small-scale sweeps")
+		t.Skip("simulates 2x2 small-scale sweeps")
 	}
 	variants := []Variant{
 		{Label: "MIN", Apply: func(c *config.Config) { c.Routing = routing.MIN }},
@@ -30,13 +29,13 @@ func TestMetricsExportInvariant(t *testing.T) {
 			c.Scheme.VCs = core.SingleClass(4, 2)
 		}},
 	}
-	export := func(topo config.TopologyKind, shards int, reg *obs.Registry) []byte {
+	export := func(topo config.TopologyKind, reg *obs.Registry) []byte {
 		t.Helper()
 		store, err := results.Open(t.TempDir())
 		if err != nil {
 			t.Fatal(err)
 		}
-		o := Options{Scale: "small", Seeds: 1, Quick: true, Shards: shards, Metrics: reg, Results: store}
+		o := Options{Scale: "small", Seeds: 1, Quick: true, Metrics: reg, Results: store}
 		base, err := o.BaseConfig()
 		if err != nil {
 			t.Fatal(err)
@@ -59,23 +58,29 @@ func TestMetricsExportInvariant(t *testing.T) {
 	}
 
 	for _, topo := range []config.TopologyKind{config.TopoDragonfly, config.TopoFlattenedButterfly} {
-		for _, shards := range []int{1, 2} {
-			want := export(topo, shards, nil)
-			reg := obs.NewRegistry()
-			got := export(topo, shards, reg)
-			if !bytes.Equal(got, want) {
-				t.Errorf("%s shards=%d: metrics-on export differs from metrics-off\n--- off (%d bytes) ---\n%.2000s\n--- on (%d bytes) ---\n%.2000s",
-					topo, shards, len(want), want, len(got), got)
+		want := export(topo, nil)
+		reg := obs.NewRegistry()
+		got := export(topo, reg)
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: metrics-on export differs from metrics-off\n--- off (%d bytes) ---\n%.2000s\n--- on (%d bytes) ---\n%.2000s",
+				topo, len(want), want, len(got), got)
+		}
+		// The comparison only means something if instrumentation was live:
+		// the registry must have seen the run it rode along with.
+		snap := reg.Snapshot()
+		if snap.Counters[MetricReplicationsSimulated] == 0 {
+			t.Errorf("%s: registry recorded no simulated replications — instrumentation was never enabled", topo)
+		}
+		if snap.Counters[sim.MetricCycles] == 0 {
+			t.Errorf("%s: registry recorded no simulated cycles", topo)
+		}
+		for _, phase := range []string{"events", "inject", "pb_update", "step"} {
+			if snap.Counters[sim.MetricPhaseWall+`{phase="`+phase+`"}`] == 0 {
+				t.Errorf("%s: phase %q recorded no wall time", topo, phase)
 			}
-			// The comparison only means something if instrumentation was live:
-			// the registry must have seen the run it rode along with.
-			snap := reg.Snapshot()
-			if snap.Counters[MetricReplicationsSimulated] == 0 {
-				t.Errorf("%s shards=%d: registry recorded no simulated replications — instrumentation was never enabled", topo, shards)
-			}
-			if snap.Counters[sim.MetricCycles] == 0 {
-				t.Errorf("%s shards=%d: registry recorded no simulated cycles", topo, shards)
-			}
+		}
+		if snap.Gauges[sim.MetricWheelDepthHWM] == 0 {
+			t.Errorf("%s: event-wheel depth high-water mark never sampled", topo)
 		}
 	}
 }

@@ -16,59 +16,69 @@ import "strings"
 const paperReferenceCaveat = "Paper columns are approximate digitizations of the published figures " +
 	"(full-scale system, 5 seeds); expect the measured ordering to match and magnitudes to differ at reduced scales."
 
-// paperRef keys are (experiment, section marker, variant prefix): the section
-// marker is matched as a substring of the section title (so "(a)" hits
-// "(a) UN with MIN routing") and the variant prefix as a prefix of the
-// variant label (so "FlexVC 8/4" hits "FlexVC 8/4 @64/256" too).
-type paperRefKey struct {
+// paperRef is one reference value, keyed by (experiment, section marker,
+// variant prefix): the section marker is matched as a substring of the
+// section title (so "(a)" hits "(a) UN with MIN routing") and the variant
+// prefix as a prefix of the variant label (so "FlexVC 8/4" hits
+// "FlexVC 8/4 @64/256" too).
+type paperRef struct {
 	experiment string
 	section    string
 	variant    string
+	relative   float64
 }
 
-var paperRelative = map[paperRefKey]float64{
+var paperRelative = []paperRef{
 	// Figure 5 — oblivious routing, single-class traffic. Improvements of
 	// the saturation throughput over Baseline 2/1 (panels a, b) and Baseline
 	// 4/2 (panel c).
-	{"fig5", "(a)", "DAMQ75 2/1"}: 0.02,
-	{"fig5", "(a)", "FlexVC 2/1"}: 0.03,
-	{"fig5", "(a)", "FlexVC 4/2"}: 0.06,
-	{"fig5", "(a)", "FlexVC 8/4"}: 0.08,
-	{"fig5", "(b)", "DAMQ75 2/1"}: 0.03,
-	{"fig5", "(b)", "FlexVC 2/1"}: 0.05,
-	{"fig5", "(b)", "FlexVC 4/2"}: 0.08,
-	{"fig5", "(b)", "FlexVC 8/4"}: 0.10,
-	{"fig5", "(c)", "DAMQ75 4/2"}: 0.05,
-	{"fig5", "(c)", "FlexVC 4/2"}: 0.10,
-	{"fig5", "(c)", "FlexVC 8/4"}: 0.15,
+	{"fig5", "(a)", "DAMQ75 2/1", 0.02},
+	{"fig5", "(a)", "FlexVC 2/1", 0.03},
+	{"fig5", "(a)", "FlexVC 4/2", 0.06},
+	{"fig5", "(a)", "FlexVC 8/4", 0.08},
+	{"fig5", "(b)", "DAMQ75 2/1", 0.03},
+	{"fig5", "(b)", "FlexVC 2/1", 0.05},
+	{"fig5", "(b)", "FlexVC 4/2", 0.08},
+	{"fig5", "(b)", "FlexVC 8/4", 0.10},
+	{"fig5", "(c)", "DAMQ75 4/2", 0.05},
+	{"fig5", "(c)", "FlexVC 4/2", 0.10},
+	{"fig5", "(c)", "FlexVC 8/4", 0.15},
 
 	// Figure 7 — request-reply traffic, oblivious routing. Reply-favouring
 	// FlexVC splits beat the symmetric baseline.
-	{"fig7", "(a)", "FlexVC 4/2 (2/1+2/1)"}: 0.04,
-	{"fig7", "(a)", "FlexVC 6/4 (2/1+4/3)"}: 0.08,
-	{"fig7", "(c)", "FlexVC 8/4 (4/2+4/2)"}: 0.10,
+	{"fig7", "(a)", "FlexVC 4/2 (2/1+2/1)", 0.04},
+	{"fig7", "(a)", "FlexVC 6/4 (2/1+4/3)", 0.08},
+	{"fig7", "(c)", "FlexVC 8/4 (4/2+4/2)", 0.10},
 
 	// Figure 8 — Piggyback adaptive routing: FlexVC PB with 25% fewer
 	// buffers tracks the baseline PB (≈ 0) and per-port sensing with
 	// minCred slightly beats it under adversarial traffic.
-	{"fig8", "(c)", "PB FlexVC per-VC (6/3)"}:           0.0,
-	{"fig8", "(c)", "PB FlexVC per-port minCred (6/3)"}: 0.03,
+	{"fig8", "(c)", "PB FlexVC per-VC (6/3)", 0.0},
+	{"fig8", "(c)", "PB FlexVC per-port minCred (6/3)", 0.03},
 }
 
 // PaperImprovement returns the paper's approximate relative
 // saturation-throughput improvement for the variant in the given experiment
 // section, if the reference table carries one.
 func PaperImprovement(experiment, section, variant string) (float64, bool) {
-	for k, v := range paperRelative {
-		if k.experiment != experiment {
+	return lookupPaperRef(paperRelative, experiment, section, variant)
+}
+
+// lookupPaperRef returns the entry with the longest variant prefix among
+// those matching, so "FlexVC 4/2 (2/1+2/1)" wins over "FlexVC 4/2" for the
+// label it spells out; the earliest entry wins a tie.
+func lookupPaperRef(table []paperRef, experiment, section, variant string) (float64, bool) {
+	best := -1
+	for i, r := range table {
+		if r.experiment != experiment || !strings.Contains(section, r.section) || !strings.HasPrefix(variant, r.variant) {
 			continue
 		}
-		if !strings.Contains(section, k.section) {
-			continue
-		}
-		if strings.HasPrefix(variant, k.variant) {
-			return v, true
+		if best < 0 || len(r.variant) > len(table[best].variant) {
+			best = i
 		}
 	}
-	return 0, false
+	if best < 0 {
+		return 0, false
+	}
+	return table[best].relative, true
 }

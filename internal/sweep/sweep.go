@@ -76,12 +76,6 @@ type Options struct {
 	// Quick trims the sweep to fewer points and shorter measurement windows
 	// for smoke runs and benchmarks.
 	Quick bool
-	// Shards is the intra-replication shard count applied to every simulated
-	// configuration (config.Config.Shards): 1 serial, 0 auto, N >= 2 explicit.
-	// Sharding is an execution knob — results, checkpoints and exports are
-	// bit-identical at any value — so it composes freely with restored
-	// checkpoints recorded at a different count.
-	Shards int
 	// Results, when non-nil, turns the run into a checkpointed sweep: every
 	// completed replication is persisted into the store as it finishes, and
 	// replications already present (matched by key and config fingerprint)
@@ -103,10 +97,10 @@ type Options struct {
 	Progress func(Progress)
 	// Metrics, when non-nil, receives the run's observability series: it is
 	// stamped into every simulated configuration (config.Config.Metrics, the
-	// sim-layer phase/shard series) and feeds the sweep-layer counters
-	// (replications simulated vs restored, claim wins, poll waits). Like
-	// Shards it is an execution knob with no effect on results — exports are
-	// byte-identical with metrics on or off.
+	// sim-layer phase series) and feeds the sweep-layer counters
+	// (replications simulated vs restored, claim wins, poll waits). It is an
+	// execution knob with no effect on results — exports are byte-identical
+	// with metrics on or off.
 	Metrics *obs.Registry
 
 	// experiment and state are stamped by Run so section sweeps know which
@@ -266,7 +260,6 @@ func (o Options) BaseConfig() (config.Config, error) {
 		cfg.WarmupCycles /= 2
 		cfg.MeasureCycles /= 2
 	}
-	cfg.Shards = o.Shards
 	cfg.Metrics = o.Metrics
 	return cfg, nil
 }

@@ -119,12 +119,6 @@ type Options struct {
 	CorruptFresh string
 	// Progress, when non-nil, streams the re-run's sweep progress events.
 	Progress func(sweep.Progress)
-	// Shards is the intra-replication shard count the re-runs simulate with
-	// (sweep.Options.Shards: 1 serial, 0 auto, N >= 2 explicit). Because
-	// sharding is bit-identical by contract, a check run at any shard count
-	// must still reproduce the recorded artefacts byte for byte — running
-	// the checks with Shards > 1 is itself a verification of that contract.
-	Shards int
 	// Metrics, when non-nil, instruments the re-runs into this registry
 	// (phase walls, checkpoint latencies, …). The byte-identity comparison
 	// is unaffected — instrumentation never touches simulated state — so a
@@ -295,7 +289,6 @@ func rerun(m *Manifest, e Entry, scratch, revision string, ropts Options) (expor
 		Scale:   e.Scale,
 		Seeds:   e.Seeds,
 		Quick:   e.Quick,
-		Shards:  ropts.Shards,
 		Results: store,
 		Metrics: ropts.Metrics,
 		Progress: func(p sweep.Progress) {
