@@ -10,7 +10,8 @@ GO ?= go
 # (allocation counts are deterministic and machine-independent). The
 # committed tolerance is 40%: wide enough to absorb the per-core speed
 # spread between the machine that recorded the baseline and shared CI
-# runners, tight enough to catch a real hot-path slowdown.
+# runners, tight enough to catch a real hot-path slowdown. RouterStep selects
+# RouterStepBusy, RouterStepIdle and RouterStepBlocked.
 BENCH_GATE_PAT  := SmokeSweep|AllowedVCs|RouterStep|VCActivity|PacketStore|InputBufferCycle|Obs
 BENCH_GATE_PKGS := . ./internal/router ./internal/buffer ./internal/obs ./internal/packet
 BENCH_COUNT     ?= 3

@@ -165,6 +165,12 @@ type InputBuffer struct {
 
 	// peak occupancy statistics (phits), for reporting.
 	peakCommitted int
+
+	// wake, when set, is the word of the upstream router's wake set that
+	// ReleaseCredit ORs wakeBit into: the router's switch allocator lets
+	// packets blocked on this buffer's credits sleep until one returns.
+	wake    *uint64
+	wakeBit uint64
 }
 
 // NewInputBuffer builds an input buffer; it panics on an invalid
@@ -181,6 +187,13 @@ func (b *InputBuffer) Config() Config { return b.cfg }
 
 // NumVCs returns the number of virtual channels.
 func (b *InputBuffer) NumVCs() int { return b.cfg.NumVCs }
+
+// SetWake registers the one place a credit return is signalled to: every
+// ReleaseCredit ORs bit into *word. A buffer has a single upstream sender, so
+// a later registration replaces the earlier one; a nil word unregisters. The
+// write crosses from the buffer's owner into its upstream router, which is
+// legal only because one replication is stepped by a single goroutine.
+func (b *InputBuffer) SetWake(word *uint64, bit uint64) { b.wake, b.wakeBit = word, bit }
 
 // FreeFor returns the number of phits that can still be reserved in the given
 // VC (its private space plus, for DAMQs, whatever remains of the shared
@@ -253,6 +266,11 @@ func (b *InputBuffer) ReleaseCredit(vc, size int, kind packet.RouteKind) {
 			panic(fmt.Sprintf("buffer: negative minimal committed space on VC %d", vc))
 		}
 	}
+	// Any return can raise FreeFor of every VC of a DAMQ port (the shared
+	// pool), so the signal is per buffer, not per VC.
+	if b.wake != nil {
+		*b.wake |= b.wakeBit
+	}
 }
 
 // Enqueue places a packet into the given VC. Space must already have been
@@ -273,6 +291,17 @@ func (b *InputBuffer) Head(vc int, now int64) packet.Ref {
 		return e.ref
 	}
 	return packet.NilRef
+}
+
+// Peek returns the head packet of the given VC and the cycle it becomes (or
+// became) visible to the allocator; ok is false for an empty VC.
+func (b *InputBuffer) Peek(vc int) (ref packet.Ref, ready int64, ok bool) {
+	s := &b.vcs[vc]
+	if s.queue.len() == 0 {
+		return packet.NilRef, 0, false
+	}
+	e := s.queue.front()
+	return e.ref, e.ready, true
 }
 
 // Dequeue removes and returns the head packet of the given VC together with

@@ -121,7 +121,7 @@ func BenchmarkVCActivity(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := ports[i&3]
-		rt.noteEnqueue(p, i&1)
+		rt.noteEnqueue(p, i&1, packet.NilRef, 0)
 		rt.noteDequeue(p, i&1)
 	}
 }
@@ -134,5 +134,45 @@ func BenchmarkRouterStepIdle(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rt.Step(int64(i))
+	}
+}
+
+// BenchmarkRouterStepBlocked measures Step on a router every one of whose
+// heads is blocked on exhausted downstream credits — the state routers sit in
+// beyond saturation. The heads sleep, so a Step should cost little more than
+// an idle router's (target: within 2x of RouterStepIdle) and allocate nothing.
+func BenchmarkRouterStepBlocked(b *testing.B) {
+	rt, env, topo, store := buildBenchRouter(b)
+	for _, d := range env.downstream {
+		for vc := 0; d != nil && vc < d.NumVCs(); vc++ {
+			d.Reserve(vc, d.FreeFor(vc), packet.Minimal)
+		}
+	}
+	dst := topo.NodeAt(topo.RouterInGroup(1, 0), 0)
+	heads := 0
+	for p := 0; p < topo.Radix(); p++ {
+		in := rt.Input(p)
+		for vc := 0; vc < in.NumVCs(); vc++ {
+			ref := store.Alloc(uint64(heads), topo.NodeAt(0, 0), dst, 8, packet.Request, 0)
+			hdr := store.Hdr(ref)
+			hdr.SrcRouter, hdr.DstRouter = 0, topo.RouterOfNode(dst)
+			if topo.PortKind(0, p) != topology.Terminal {
+				store.Route(ref).InputVC = int32(vc)
+			}
+			in.Reserve(vc, 8, packet.Minimal)
+			rt.EnqueueArrival(p, vc, ref, 0, packet.Minimal)
+			heads++
+		}
+	}
+	for now := int64(0); now < 8; now++ {
+		rt.Step(now)
+	}
+	if rt.Grants() != 0 || rt.asleep != heads {
+		b.Fatalf("%d grants, %d of %d heads asleep: the router is not fully blocked", rt.Grants(), rt.asleep, heads)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rt.Step(int64(i) + 8)
 	}
 }

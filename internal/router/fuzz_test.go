@@ -7,82 +7,114 @@ import (
 	"flexvc/internal/topology"
 )
 
+// congestingOps is an operation sequence for driveVCActivity that fills the
+// router (40 injections and 40 link arrivals), steps it until ejection
+// channels, output buffers and downstream credits are exhausted and heads
+// sleep, then returns the credits and steps on so they wake.
+func congestingOps() []byte {
+	var ops []byte
+	for i := 0; i < 40; i++ {
+		ops = append(ops, byte(i*4), byte(i*4+1))
+	}
+	for i := 0; i < 30; i++ {
+		ops = append(ops, 2)
+	}
+	return append(ops, 3, 2, 2, 2)
+}
+
 // FuzzVCActivity drives a router through arbitrary interleavings of the three
 // operations that mutate VC occupancy — enqueue (injection and link arrivals),
 // step (dequeues and credit consumption) and downstream credit release — and
-// after every operation asserts the incremental activity lists against the
-// brute-force scan (AuditActivity). This is the differential check backing
-// the activity-list optimisation: the lists must track buffer state exactly,
-// under every interleaving, not just the ones the simulator happens to emit.
+// after every operation asserts the incremental allocator state (activity
+// lists, head tracking, sleep state) against the brute-force scan and
+// re-evaluation of AuditActivity. This is the differential check backing the
+// activity-list and sleep/wake optimisations: the state must track the
+// buffers exactly, and no sleeping head may be grantable, under every
+// interleaving, not just the ones the simulator happens to emit.
 func FuzzVCActivity(f *testing.F) {
 	f.Add([]byte{0, 2, 1, 2, 3, 0, 0, 2, 2, 2, 1, 3, 2, 2})
 	f.Add([]byte{1, 1, 1, 2, 2, 2, 2, 3, 1, 2})
 	f.Add([]byte{0, 4, 8, 12, 2, 2, 2, 2, 2, 2, 3})
-	f.Fuzz(func(t *testing.T, ops []byte) {
-		rt, env, topo, store := buildRouter(t)
-		store.EnablePoison()
+	f.Add(congestingOps())
+	f.Fuzz(func(t *testing.T, ops []byte) { driveVCActivity(t, ops) })
+}
 
-		// The non-terminal input ports a fuzzed arrival may land on.
-		var linkPorts []int
-		for p := 0; p < topo.Radix(); p++ {
-			if topo.PortKind(0, p) != topology.Terminal {
-				linkPorts = append(linkPorts, p)
-			}
+// TestVCActivityReachesSleepAndWake keeps the fuzz target honest: its
+// operations must be able to put heads to sleep and wake them, or the audit
+// would be checking sleep state that is never populated.
+func TestVCActivityReachesSleepAndWake(t *testing.T) {
+	if w := driveVCActivity(t, congestingOps()); w.Sleeps == 0 || w.Wakeups == 0 || w.WakeFailed == 0 {
+		t.Fatalf("the congesting sequence exercised no sleep/wake cycle: %+v", w)
+	}
+}
+
+// driveVCActivity runs one operation sequence, auditing after every
+// operation, and returns the allocator's work counters.
+func driveVCActivity(t *testing.T, ops []byte) Work {
+	rt, env, topo, store := buildRouter(t)
+	store.EnablePoison()
+
+	// The non-terminal input ports a fuzzed arrival may land on.
+	var linkPorts []int
+	for p := 0; p < topo.Radix(); p++ {
+		if topo.PortKind(0, p) != topology.Terminal {
+			linkPorts = append(linkPorts, p)
 		}
-		// Deliveries and departures free no slots here (the fake env retains
-		// the refs), so cap the packet population to keep iterations bounded.
-		const maxPackets = 64
-		var id uint64
-		now := int64(0)
-		enqueue := func(port, vc int) {
-			if id >= maxPackets {
-				return
-			}
-			inb := rt.Input(port)
-			vc %= inb.NumVCs()
-			if !inb.Reserve(vc, 8, packet.Minimal) {
-				return
-			}
-			id++
-			// Alternate local and remote destinations so both the ejection
-			// and the forwarding paths run.
-			dst := topo.NodeAt(0, int(id)%2)
-			if id%3 == 0 {
-				dst = topo.NodeAt(topo.RouterInGroup(1, int(id)%4), 0)
-			}
-			ref := store.Alloc(id, topo.NodeAt(0, 0), dst, 8, packet.Request, now)
-			hdr := store.Hdr(ref)
-			hdr.SrcRouter = 0
-			hdr.DstRouter = topo.RouterOfNode(dst)
-			if port != 0 {
-				store.Route(ref).InputVC = int32(vc)
-			}
-			rt.EnqueueArrival(port, vc, ref, now, packet.Minimal)
+	}
+	// Deliveries and departures free no slots here (the fake env retains
+	// the refs), so cap the packet population to keep iterations bounded.
+	const maxPackets = 64
+	var id uint64
+	now := int64(0)
+	enqueue := func(port, vc int) {
+		if id >= maxPackets {
+			return
 		}
-		for i, op := range ops {
-			arg := int(op) >> 2
-			switch op % 4 {
-			case 0: // inject on the terminal port
-				enqueue(0, arg)
-			case 1: // arrival on a link port
-				if len(linkPorts) > 0 {
-					enqueue(linkPorts[arg%len(linkPorts)], arg/len(linkPorts))
-				}
-			case 2: // advance one cycle
-				rt.Step(now)
-				now++
-			case 3: // downstream drains: return every committed credit
-				for _, d := range env.downstream {
-					for vc := 0; vc < d.NumVCs(); vc++ {
-						if c := d.CommittedOf(vc); c > 0 {
-							d.ReleaseCredit(vc, c, packet.Minimal)
-						}
+		inb := rt.Input(port)
+		vc %= inb.NumVCs()
+		if !inb.Reserve(vc, 8, packet.Minimal) {
+			return
+		}
+		id++
+		// Alternate local and remote destinations so both the ejection
+		// and the forwarding paths run.
+		dst := topo.NodeAt(0, int(id)%2)
+		if id%3 == 0 {
+			dst = topo.NodeAt(topo.RouterInGroup(1, int(id)%4), 0)
+		}
+		ref := store.Alloc(id, topo.NodeAt(0, 0), dst, 8, packet.Request, now)
+		hdr := store.Hdr(ref)
+		hdr.SrcRouter = 0
+		hdr.DstRouter = topo.RouterOfNode(dst)
+		if port != 0 {
+			store.Route(ref).InputVC = int32(vc)
+		}
+		rt.EnqueueArrival(port, vc, ref, now, packet.Minimal)
+	}
+	for i, op := range ops {
+		arg := int(op) >> 2
+		switch op % 4 {
+		case 0: // inject on the terminal port
+			enqueue(0, arg)
+		case 1: // arrival on a link port
+			if len(linkPorts) > 0 {
+				enqueue(linkPorts[arg%len(linkPorts)], arg/len(linkPorts))
+			}
+		case 2: // advance one cycle
+			rt.Step(now)
+			now++
+		case 3: // downstream drains: return every committed credit
+			for _, d := range env.downstream {
+				for vc := 0; vc < d.NumVCs(); vc++ {
+					if c := d.CommittedOf(vc); c > 0 {
+						d.ReleaseCredit(vc, c, packet.Minimal)
 					}
 				}
 			}
-			if err := rt.AuditActivity(); err != nil {
-				t.Fatalf("op %d (byte %d): %v", i, op, err)
-			}
 		}
-	})
+		if err := rt.AuditActivity(); err != nil {
+			t.Fatalf("op %d (byte %d): %v", i, op, err)
+		}
+	}
+	return rt.Work()
 }

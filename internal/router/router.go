@@ -13,6 +13,7 @@ package router
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"math/rand"
 
@@ -92,14 +93,21 @@ func (p Params) Validate() error {
 //
 // Step calls Env methods only. Everything else a Step touches is either
 // private to the router (input queues, PRNG, allocation scratch, VC-plan
-// caches), immutable during a run (topology, route tables, core.Manager, the
-// wiring behind DownstreamInput), or owned by this router as the unique
-// upstream writer and reader of its links' downstream credit counters
-// (Reserve, FreeFor and the congestion probes all act on the prober's own
-// output ports). Credit returns and arrivals reach other routers only when
+// caches, sleep state), immutable during a run (topology, route tables,
+// core.Manager, the wiring behind DownstreamInput), or owned by this router as
+// the unique upstream writer and reader of its links' downstream credit
+// counters (Reserve, FreeFor and the congestion probes all act on the prober's
+// own output ports). Credit returns and arrivals reach other routers only when
 // the scheduled events are replayed at the start of a later cycle, so the
 // order routers step in within a cycle matters only through the order of
 // their Schedule* calls.
+//
+// There is one write that crosses routers outside Step: a ReleaseCredit on a
+// buffer returned by DownstreamInput sets a bit in the wake set of the router
+// that resolved it (buffer.InputBuffer.SetWake), whoever calls it and
+// whenever. The router reads its wake set only at the top of its own Step, so
+// an Env may release credits from an event replay, from inside ScheduleCredit
+// or between steps — but always on the goroutine that steps the routers.
 type Env interface {
 	// DownstreamInput returns the input buffer at the far end of output
 	// port `port` of router r (nil for terminal ports).
@@ -141,6 +149,7 @@ type Router struct {
 	nbrs     []packet.RouterID // neighbor router per port (InvalidRouter for terminal)
 	nbrPorts []int             // input port on the neighbor (-1 for terminal)
 	linkLat  []int64           // link latency per port
+	numVCs   []int             // VCs per input port (so the allocator need not touch the buffer)
 
 	// down lazily caches Env.DownstreamInput per output port (the environment
 	// is wired after construction, so the cache fills on first use).
@@ -173,28 +182,41 @@ type Router struct {
 	// Step of routers with no pending work.
 	pending int
 
-	// failStamp memoises failed proposals: failStamp[port*vcStride+vc]
-	// records now+1 when no request could be built for the head of that VC
-	// at cycle `now`. Within a cycle no buffer space is ever freed (credits
-	// return through events between cycles, output/ejection buffers drain
-	// after the last allocation iteration) and no new head can appear
-	// (arrivals enqueue between cycles), so a failed request stays failed
-	// for the remaining allocation iterations of the cycle and need not be
-	// rebuilt. Heads with an unstable routing decision (uncommitted PAR/PB
-	// packets) are never stamped: their decision re-senses occupancy, which
-	// does change as the cycle's grants land.
-	failStamp []int64
-	// portFail is the port-level analogue: a port none of whose VCs could
-	// propose (all of them stampable) is skipped for the rest of the cycle.
-	portFail []int64
-	// plans caches, per input VC (flat, port*vcStride+vc), the
-	// routing-stable part of the head packet's request (output port, allowed
-	// VC ranges, escape fallback). Occupancy-dependent checks are
-	// re-evaluated every cycle.
-	plans []vcPlan
-	// vcStride is the row stride of failStamp and plans: the maximum VC
-	// count over all input ports.
+	// Per-VC allocator state is indexed by slot = port*vcStride + vc, where
+	// vcStride is the maximum VC count over all input ports.
 	vcStride int
+	// plans caches, per slot, the routing-stable part of the head packet's
+	// request (output port, allowed VC ranges, escape fallback).
+	// Occupancy-dependent checks are re-evaluated from it.
+	plans []vcPlan
+
+	// Head tracking. The head of a VC changes at exactly two places — an
+	// EnqueueArrival into an empty VC and this router's own grant — so what
+	// the allocator needs to know about a head lives in compact router-local
+	// state and a repeat evaluation touches neither the VC ring nor the packet
+	// store. heads[slot] identifies the head of an occupied VC and the cycle
+	// it becomes visible to the allocator; planCur (one VC bit per port) says
+	// plans[slot] was built for the current head and is routing-stable.
+	heads   []headState
+	planCur []uint64
+
+	// Sleep state: the allocator is event-driven. A head whose plan is
+	// routing-stable and whose request failed is put to sleep (a VC bit in
+	// sleepMask[port]) and the proposal pass walks vcMask &^ sleepMask. It can
+	// only succeed after space appears in an output resource it asked for —
+	// its planned output port or ejection channel, or its escape port — and
+	// space appears through two events only: a credit returned to that port's
+	// downstream buffer, or a packet popped from that output/ejection buffer.
+	// Both set the resource's bit (numbered as outKey) in the wake set; Step
+	// folds the set in once, before allocating, waking the heads whose
+	// waits[slot] name a signalled resource. See DESIGN.md "Event-driven
+	// allocation" for why skipping a sleeper is unobservable.
+	sleepMask []uint64
+	woken     []uint64   // per port: woken, not yet re-evaluated (work counters only)
+	waits     []waitKeys // per slot, valid while the head sleeps
+	wake      []uint64   // bitset over output resources signalled since the last fold
+	asleep    int        // sleeping heads, to skip the fold's scan when there are none
+	work      Work
 
 	// vcCand is reusable scratch for selectVC's candidate list.
 	vcCand []core.VCCandidate
@@ -224,6 +246,9 @@ func New(id packet.RouterID, topo topology.Topology, scheme core.Scheme, alg rou
 		numPorts: topo.Radix(),
 		rng:      rand.New(rand.NewSource(seed ^ (int64(id)+1)*0x9E3779B9)),
 	}
+	if r.numOutKeys() > math.MaxInt16 {
+		return nil, fmt.Errorf("router: radix %d with %d classes needs %d output resources, more than the %d the allocator numbers", r.numPorts, params.NumClasses, r.numOutKeys(), math.MaxInt16)
+	}
 	r.inputs = make([]*buffer.InputBuffer, r.numPorts)
 	r.outputs = make([]*buffer.OutputBuffer, r.numPorts)
 	r.eject = make([][]*buffer.OutputBuffer, r.numPorts)
@@ -235,24 +260,30 @@ func New(id packet.RouterID, topo topology.Topology, scheme core.Scheme, alg rou
 	r.linkLat = make([]int64, r.numPorts)
 	r.down = make([]*buffer.InputBuffer, r.numPorts)
 	r.downSet = make([]bool, r.numPorts)
-	r.inVCRR = make([]int, r.numPorts)
-	r.outRR = make([]int, r.numPorts*(1+params.NumClasses))
-	r.portFail = make([]int64, r.numPorts)
+	// The per-port words the proposal pass reads together share one backing
+	// array (and one allocation), as do the per-port ints.
+	n := r.numPorts
+	words := make([]uint64, 4*n+(r.numOutKeys()+63)/64)
+	r.vcMask, r.planCur, r.sleepMask, r.woken, r.wake = words[:n], words[n:2*n], words[2*n:3*n], words[3*n:4*n], words[4*n:]
+	ints := make([]int, 2*n)
+	r.numVCs, r.inVCRR = ints[:n], ints[n:]
+	r.outRR = make([]int, r.numOutKeys())
 	r.liveIn = newPortList(r.numPorts)
 	r.xmit = newPortList(r.numPorts)
 	r.inCount = make([]int32, r.numPorts)
-	r.vcMask = make([]uint64, r.numPorts)
 	for p := 0; p < r.numPorts; p++ {
 		if n := r.portVCs(topo.PortKind(id, p)); n > r.vcStride {
 			r.vcStride = n
 		}
 	}
-	r.failStamp = make([]int64, r.numPorts*r.vcStride)
 	r.plans = make([]vcPlan, r.numPorts*r.vcStride)
+	r.heads = make([]headState, r.numPorts*r.vcStride)
+	r.waits = make([]waitKeys, r.numPorts*r.vcStride)
 	for p := 0; p < r.numPorts; p++ {
 		kind := topo.PortKind(id, p)
 		numVCs := r.portVCs(kind)
 		r.kinds[p] = kind
+		r.numVCs[p] = numVCs
 		r.linkLat[p] = int64(params.LinkLatency(kind))
 		r.nbrs[p] = packet.InvalidRouter
 		r.nbrPorts[p] = -1
@@ -284,24 +315,44 @@ func (r *Router) portVCs(kind topology.PortKind) int {
 	return r.scheme.VCs.TotalOf(kind)
 }
 
-// SetEnv wires the router to its environment and resets the downstream-input
-// cache (tests re-wire routers to fresh environments).
+// SetEnv wires the router to its environment (tests re-wire routers to fresh
+// environments). Everything derived from the old wiring goes: the
+// downstream-input cache and the wake registrations made through it, the
+// cached plans (their VC ranges are clamped to the downstream buffer) and the
+// sleep state (heads slept on the old buffers' occupancy).
 func (r *Router) SetEnv(env Env) {
 	r.env = env
 	for p := range r.downSet {
+		if r.down[p] != nil {
+			r.down[p].SetWake(nil, 0)
+		}
 		r.downSet[p] = false
 		r.down[p] = nil
+		r.planCur[p] = 0
+		r.sleepMask[p] = 0
+		r.woken[p] = 0
+	}
+	r.asleep = 0
+	for i := range r.wake {
+		r.wake[i] = 0
 	}
 }
 
 // downstream returns the input buffer at the far end of an output port,
 // resolving it through the environment once and caching the answer (the
-// wiring is immutable for the lifetime of a network).
+// wiring is immutable for the lifetime of a network). Resolving it also
+// registers the port's wake bit in the buffer, so every credit returned to it
+// — by whatever caller — wakes the heads sleeping on the port. A plan names a
+// port only after planRange resolved it, so no head sleeps on an unregistered
+// buffer.
 func (r *Router) downstream(port int) *buffer.InputBuffer {
 	if r.downSet[port] {
 		return r.down[port]
 	}
 	b := r.env.DownstreamInput(r.id, port)
+	if b != nil {
+		b.SetWake(&r.wake[port>>6], 1<<uint(port&63))
+	}
 	r.down[port] = b
 	r.downSet[port] = true
 	return b
@@ -321,22 +372,32 @@ func (r *Router) Input(port int) *buffer.InputBuffer { return r.inputs[port] }
 func (r *Router) EnqueueArrival(port, vc int, ref packet.Ref, ready int64, kind packet.RouteKind) {
 	r.inputs[port].Enqueue(vc, ref, ready, kind)
 	r.pending++
-	r.noteEnqueue(port, vc)
+	r.noteEnqueue(port, vc, ref, ready)
 }
 
-// noteEnqueue updates the activity lists for a packet entering an input VC.
-func (r *Router) noteEnqueue(port, vc int) {
+// noteEnqueue updates the activity lists for a packet entering an input VC;
+// a packet entering an empty VC is its new head.
+func (r *Router) noteEnqueue(port, vc int, ref packet.Ref, ready int64) {
 	if r.inCount[port]++; r.inCount[port] == 1 {
 		r.liveIn.add(port)
 	}
-	r.vcMask[port] |= 1 << uint(vc)
+	if bit := uint64(1) << uint(vc); r.vcMask[port]&bit == 0 {
+		r.vcMask[port] |= bit
+		r.heads[port*r.vcStride+vc] = headState{ready: ready, ref: ref}
+	}
 }
 
-// noteDequeue updates the activity lists for a packet leaving an input VC.
-// It must run after the buffer dequeue (it re-checks the queue length).
+// noteDequeue updates the activity lists for the head packet leaving an input
+// VC and starts tracking the packet behind it. It must run after the buffer
+// dequeue (it reads the new head). The departing head proposed, so it was
+// awake and its woken bit is already spent.
 func (r *Router) noteDequeue(port, vc int) {
-	if r.inputs[port].QueueLen(vc) == 0 {
-		r.vcMask[port] &^= 1 << uint(vc)
+	bit := uint64(1) << uint(vc)
+	r.planCur[port] &^= bit
+	if ref, ready, ok := r.inputs[port].Peek(vc); ok {
+		r.heads[port*r.vcStride+vc] = headState{ready: ready, ref: ref}
+	} else {
+		r.vcMask[port] &^= bit
 	}
 	if r.inCount[port]--; r.inCount[port] == 0 {
 		r.liveIn.remove(port)
@@ -370,16 +431,91 @@ func (r *Router) ResidentPackets() int {
 // Grants returns the number of switch allocations performed so far.
 func (r *Router) Grants() int64 { return r.grantCount }
 
-// Step advances the router by one cycle: `speedup` allocation iterations
-// followed by link transmission. Steps of distinct routers within one cycle
-// are mutually conflict-free (see the Env concurrency contract), so the
-// network may run them concurrently; cross-router effects are confined to
+// Work counts what the allocator did to VC heads since construction. The
+// counts are exact and repeat for a given configuration and seed, so they
+// show what an allocator change saves beside the (noisy) timings. They are
+// plain fields bumped on the hot path; the simulator sums them into its
+// metrics registry once, when a replication ends.
+type Work struct {
+	// Evals is the number of full head evaluations: a request built, or
+	// found impossible, from the head's plan.
+	Evals int64
+	// Sleeps is the number of failed evaluations that put the head to sleep.
+	Sleeps int64
+	// Wakeups is the number of sleeping heads woken by a credit return or an
+	// output drain; WakeFailed counts those whose next evaluation failed
+	// again (the event freed space, but not enough, or another head took it).
+	Wakeups, WakeFailed int64
+}
+
+// Work returns the allocator's work counters.
+func (r *Router) Work() Work { return r.work }
+
+// Step advances the router by one cycle: the wake events since the last Step
+// are folded in, then `speedup` allocation iterations run, followed by link
+// transmission. Steps of distinct routers within one cycle are mutually
+// conflict-free (see the Env contract); cross-router effects are confined to
 // the Env.Schedule* calls, whose replay order the network controls.
 func (r *Router) Step(now int64) {
+	r.foldWakes()
 	for i := 0; i < r.params.Speedup; i++ {
-		r.allocate(now)
+		if !r.allocate(now) {
+			// Every head asleep: the iteration changed nothing, so the
+			// remaining ones would find the same.
+			break
+		}
 	}
 	r.transmit(now)
+}
+
+// headState is what the allocator tracks about the head packet of a VC.
+type headState struct {
+	ready int64 // cycle the head becomes visible to the allocator
+	ref   packet.Ref
+}
+
+// waitKeys names the one or two output resources (outKey numbering, -1 for
+// none) a sleeping head waits on.
+type waitKeys struct{ a, b int16 }
+
+// signal records a wake event on an output resource.
+func (r *Router) signal(key int) { r.wake[key>>6] |= 1 << uint(key&63) }
+
+// signalled reports whether a wake event is pending on an output resource.
+func (r *Router) signalled(key int16) bool {
+	return key >= 0 && r.wake[key>>6]>>uint(key&63)&1 != 0
+}
+
+// foldWakes wakes every sleeping head that waits on a resource signalled
+// since the last fold and clears the wake set. It runs once per Step, before
+// the first allocation iteration: space freed while a Step is under way (an
+// Env that returns credits inside ScheduleCredit, the drain in transmit) is
+// seen by the next Step, exactly as a polled head would first see it there.
+func (r *Router) foldWakes() {
+	var any uint64
+	for _, w := range r.wake {
+		any |= w
+	}
+	if any == 0 {
+		return
+	}
+	if r.asleep > 0 {
+		for _, lp := range r.liveIn.ports {
+			p := int(lp)
+			for m := r.sleepMask[p]; m != 0; m &= m - 1 {
+				vc := bits.TrailingZeros64(m)
+				if w := r.waits[p*r.vcStride+vc]; r.signalled(w.a) || r.signalled(w.b) {
+					r.sleepMask[p] &^= 1 << uint(vc)
+					r.woken[p] |= 1 << uint(vc)
+					r.asleep--
+					r.work.Wakeups++
+				}
+			}
+		}
+	}
+	for i := range r.wake {
+		r.wake[i] = 0
+	}
 }
 
 // request is one input port's proposal during an allocation iteration. It
@@ -406,13 +542,23 @@ func (r *Router) outKey(req request) int {
 	if !req.terminal {
 		return req.outPort
 	}
-	return r.numPorts + req.outPort*r.params.NumClasses + req.class
+	return r.ejectKey(req.outPort, req.class)
 }
 
-// allocate runs one iteration of the input-first separable allocator.
-func (r *Router) allocate(now int64) {
+// ejectKey is the output-resource number of a terminal port's ejection
+// channel; non-terminal output ports are numbered by their port.
+func (r *Router) ejectKey(port, class int) int {
+	return r.numPorts + port*r.params.NumClasses + class
+}
+
+// numOutKeys is the size of the output-resource numbering.
+func (r *Router) numOutKeys() int { return r.numPorts * (1 + r.params.NumClasses) }
+
+// allocate runs one iteration of the input-first separable allocator and
+// reports whether any head was awake to take part in it.
+func (r *Router) allocate(now int64) bool {
 	if r.alloc.proposals == nil {
-		numKeys := r.numPorts * (1 + r.params.NumClasses)
+		numKeys := r.numOutKeys()
 		r.alloc.proposals = make([]request, 0, r.numPorts)
 		r.alloc.keyWinner = make([]int, numKeys)
 		r.alloc.keyGen = make([]uint64, numKeys)
@@ -425,19 +571,21 @@ func (r *Router) allocate(now int64) {
 
 	// Phase 1 (batched): every live input port contributes at most one
 	// (VC, output) proposal built from its cached plan; ports holding no
-	// packets are absent from the activity list — identical to what probing
-	// them would conclude — and the list's sorted order reproduces the full
-	// scan's ascending port order. Grants only land after this loop, so the
-	// list is not mutated while it is being walked. Phase 2 (fused): each
-	// output resource keeps the proposal closest to its round-robin pointer.
+	// packets are absent from the activity list and ports whose heads all
+	// sleep are passed over — identical to what probing them would conclude —
+	// and the list's sorted order reproduces the full scan's ascending port
+	// order. Grants only land after this loop, so the list is not mutated
+	// while it is being walked. Phase 2 (fused): each output resource keeps
+	// the proposal closest to its round-robin pointer.
 	live := r.liveIn.ports
+	anyAwake := false
 	for i := 0; i < len(live); i++ {
 		p := int(live[i])
-		if r.portFail[p] == now+1 {
-			continue
-		}
-		if req, ok := r.proposeFromPort(now, p); ok {
-			r.propose(st, req)
+		if awake := r.vcMask[p] &^ r.sleepMask[p]; awake != 0 {
+			anyAwake = true
+			if req, ok := r.proposeFromPort(now, p, awake); ok {
+				r.propose(st, req)
+			}
 		}
 	}
 	for _, key := range st.touched {
@@ -445,6 +593,7 @@ func (r *Router) allocate(now int64) {
 		r.outRR[key] = (winner.inPort + 1) % r.numPorts
 		r.grant(now, winner)
 	}
+	return anyAwake
 }
 
 // propose files one input port's request into the arbitration state, keeping
@@ -486,104 +635,107 @@ func (r *Router) rrDistance(key, inPort int) int {
 // port and range. Those only depend on the packet's route state — which, for
 // a packet waiting at the head of a VC, is mutated exclusively by this
 // router's own Route/grant calls — so the plan stays valid until the head
-// changes. Occupancy checks (output buffer space, downstream credits, VC
-// selection) are re-evaluated every cycle from the plan.
+// changes (planCur tracks that). Occupancy checks (output buffer space,
+// downstream credits, VC selection) are re-evaluated from the plan.
 //
 // Plans are only reusable when the routing decision is provably stable:
 // MIN routing, or an adaptive packet that has already committed its decision
-// (Route degenerates to the pure routeToward). An uncommitted PAR/PB packet
-// re-senses congestion every cycle, so its plan is rebuilt on every
-// evaluation, which matches the pre-plan behaviour.
+// (Route degenerates to the pure routeToward). An uncommitted PAR packet
+// re-senses congestion on every evaluation, so its plan is rebuilt every
+// time — and it never sleeps: its decision depends on occupancy that grows
+// with no wake event.
 //
-// Head identity is checked by Ref AND packet ID: the packet store can
-// reissue the same ref for a different packet.
+// The record is kept small (24 bytes, narrow fields: ports fit int16, VC
+// indices int8 since a port has at most maxPortVCs) because evaluating a
+// blocked head is bound by the cache lines it touches, not by arithmetic.
 type vcPlan struct {
 	ref    packet.Ref
-	id     uint64
+	size   int32 // the packet's size in phits
 	stable bool
 
 	deliver bool
-	class   int // ejection class (deliver only)
-	outPort int
+	class   uint8 // ejection class (deliver only)
 	outKind topology.PortKind
-	lo, hi  int // allowed downstream VC range; lo > hi when the plan has none
+	outPort int16
+	lo, hi  int8 // allowed downstream VC range; lo > hi when the plan has none
 
 	// Escape fallback (opportunistic Valiant continuations only).
 	escValid     bool
-	escOutPort   int
 	escOutKind   topology.PortKind
-	escLo, escHi int
+	escOutPort   int16
+	escLo, escHi int8
 }
 
-// proposeFromPort picks the first requestable VC of an input port, starting
-// from its round-robin pointer. When it finds nothing, it records fail
-// stamps so the rest of the cycle skips the re-evaluation — but only for
-// heads whose routing decision is stable: an uncommitted adaptive (PAR/PB)
-// packet re-senses congestion on every allocation iteration, and occupancy
-// grows as the cycle's grants land, so its decision may legitimately change
-// within the cycle.
-func (r *Router) proposeFromPort(now int64, p int) (request, bool) {
-	in := r.inputs[p]
-	nvc := in.NumVCs()
-	fails := r.failStamp[p*r.vcStride : p*r.vcStride+nvc]
-	plans := r.plans[p*r.vcStride : p*r.vcStride+nvc]
-	stampable := true
-
-	// Visit only occupied VCs, in round-robin order (start at the RR pointer,
-	// wrap around): first the set bits at or above the pointer, then the set
-	// bits below it. Empty VCs could not propose anyway.
-	start := r.inVCRR[p]
-	mask := r.vcMask[p]
-	for _, span := range [2]uint64{mask &^ (1<<uint(start) - 1), mask & (1<<uint(start) - 1)} {
-		for span != 0 {
-			vc := bits.TrailingZeros64(span)
-			span &^= 1 << uint(vc)
-			if req, ok, st := r.tryVC(now, in, fails, plans, p, vc, nvc); ok {
+// proposeFromPort picks the first requestable VC of an input port among its
+// awake occupied VCs, in round-robin order: first the set bits at or above the
+// port's pointer, then the set bits below it. Empty VCs could not propose and
+// sleeping heads would fail again.
+func (r *Router) proposeFromPort(now int64, p int, awake uint64) (request, bool) {
+	below := uint64(1)<<uint(r.inVCRR[p]) - 1
+	for _, span := range [2]uint64{awake &^ below, awake & below} {
+		for ; span != 0; span &= span - 1 {
+			if req, ok := r.tryVC(now, p, bits.TrailingZeros64(span)); ok {
 				return req, true
-			} else if !st {
-				stampable = false
 			}
 		}
-	}
-	if stampable {
-		r.portFail[p] = now + 1
 	}
 	return request{}, false
 }
 
-// tryVC evaluates the head of one input VC against its cached plan. It
-// returns the request and ok on success; stampable is false when the head's
-// routing decision is adaptive-uncommitted and may legitimately change within
-// the cycle (such heads block the port-level fail stamp).
-func (r *Router) tryVC(now int64, in *buffer.InputBuffer, fails []int64, plans []vcPlan, p, vc, nvc int) (request, bool, bool) {
-	if fails[vc] == now+1 {
-		// This head already failed earlier this cycle and no space has
-		// been freed since; skip the re-evaluation.
-		return request{}, false, true
+// tryVC evaluates the head of one input VC against its plan, building the
+// plan when the head is new (or its routing decision still open). A failed
+// request of a routing-stable plan puts the head to sleep.
+func (r *Router) tryVC(now int64, p, vc int) (request, bool) {
+	slot := p*r.vcStride + vc
+	head := r.heads[slot]
+	if head.ready > now {
+		// Still inside the router pipeline.
+		return request{}, false
 	}
-	ref := in.Head(vc, now)
-	if ref == packet.NilRef {
-		// Empty or not-yet-ready heads cannot change within the cycle
-		// (arrivals enqueue between cycles and ready times are fixed).
-		return request{}, false, true
+	r.work.Evals++
+	bit := uint64(1) << uint(vc)
+	plan := &r.plans[slot]
+	if r.planCur[p]&bit == 0 {
+		r.buildPlan(p, head.ref, r.store.Hdr(head.ref), plan)
+		if plan.stable {
+			r.planCur[p] |= bit
+		}
 	}
-	plan := &plans[vc]
-	hdr := r.store.Hdr(ref)
-	if plan.ref != ref || plan.id != hdr.ID || !plan.stable {
-		r.buildPlan(p, ref, hdr, plan)
-	}
-	req, ok := r.requestFromPlan(plan, p, vc, ref, int(hdr.Size))
+	wasWoken := r.woken[p]&bit != 0
+	r.woken[p] &^= bit
+	req, ok := r.requestFromPlan(plan, p, vc)
 	if !ok {
 		if plan.stable {
-			fails[vc] = now + 1
-			return request{}, false, true
+			r.sleepMask[p] |= bit
+			r.waits[slot] = r.planWaits(plan)
+			r.asleep++
+			r.work.Sleeps++
+			if wasWoken {
+				r.work.WakeFailed++
+			}
 		}
-		return request{}, false, false
+		return request{}, false
 	}
 	// Advance the pointer past the requesting VC so other VCs get served
 	// in subsequent iterations even if this one keeps winning.
-	r.inVCRR[p] = (vc + 1) % nvc
-	return req, true, true
+	r.inVCRR[p] = (vc + 1) % r.numVCs[p]
+	return req, true
+}
+
+// planWaits names the output resources whose space a plan's request needs:
+// exactly the buffers requestFromPlan consults.
+func (r *Router) planWaits(plan *vcPlan) waitKeys {
+	w := waitKeys{-1, -1}
+	switch {
+	case plan.deliver:
+		w.a = int16(r.ejectKey(int(plan.outPort), int(plan.class)))
+	case plan.lo <= plan.hi:
+		w.a = plan.outPort
+	}
+	if plan.escValid {
+		w.b = plan.escOutPort
+	}
+	return w
 }
 
 // buildPlan resolves routing and VC management for the head packet of an
@@ -597,7 +749,7 @@ func (r *Router) buildPlan(p int, ref packet.Ref, hdr *packet.Header, plan *vcPl
 	dec := r.alg.Route(r.id, hdr, rt, r.rng)
 	*plan = vcPlan{
 		ref:    ref,
-		id:     hdr.ID,
+		size:   int32(hdr.Size),
 		stable: rt.AdaptiveDecided || r.alg.Kind() == routing.MIN,
 	}
 	if dec.Deliver {
@@ -606,18 +758,18 @@ func (r *Router) buildPlan(p int, ref packet.Ref, hdr *packet.Header, plan *vcPl
 			class = r.params.NumClasses - 1
 		}
 		plan.deliver = true
-		plan.outPort = r.topo.TerminalPort(r.id, hdr.Dst)
-		plan.class = class
+		plan.outPort = int16(r.topo.TerminalPort(r.id, hdr.Dst))
+		plan.class = uint8(class)
 		return
 	}
 	var safe bool
-	plan.outPort = dec.OutPort
+	plan.outPort = int16(dec.OutPort)
 	plan.outKind, plan.lo, plan.hi, safe = r.planRange(p, hdr, rt, dec.OutPort, false)
 	if !safe && rt.Kind == packet.Nonminimal && rt.Phase == packet.PhaseToIntermediate {
 		escPort := r.topo.NextMinimalPort(r.id, hdr.DstRouter)
 		if escPort >= 0 && escPort != dec.OutPort {
 			plan.escOutKind, plan.escLo, plan.escHi, _ = r.planRange(p, hdr, rt, escPort, true)
-			plan.escOutPort = escPort
+			plan.escOutPort = int16(escPort)
 			plan.escValid = plan.escLo <= plan.escHi
 		}
 	}
@@ -628,7 +780,7 @@ func (r *Router) buildPlan(p int, ref packet.Ref, hdr *packet.Header, plan *vcPl
 // escape (minimal) continuation rather than the planned one. It returns
 // lo > hi when the continuation is invalid or has no allowed VCs; safe
 // reports whether the continuation was classified as a safe hop.
-func (r *Router) planRange(p int, hdr *packet.Header, rt *packet.RouteState, outPort int, revert bool) (kind topology.PortKind, lo, hi int, safe bool) {
+func (r *Router) planRange(p int, hdr *packet.Header, rt *packet.RouteState, outPort int, revert bool) (kind topology.PortKind, lo, hi int8, safe bool) {
 	if outPort < 0 {
 		return topology.Terminal, 1, 0, false
 	}
@@ -659,34 +811,37 @@ func (r *Router) planRange(p int, hdr *packet.Header, rt *packet.RouteState, out
 	if down == nil {
 		return kind, 1, 0, vcRange.Safe
 	}
-	hi = vcRange.Hi
-	if hi >= down.NumVCs() {
-		hi = down.NumVCs() - 1
+	top := vcRange.Hi
+	if top >= down.NumVCs() {
+		top = down.NumVCs() - 1
 	}
-	return kind, vcRange.Lo, hi, vcRange.Safe
+	return kind, int8(vcRange.Lo), int8(top), vcRange.Safe
 }
 
-// requestFromPlan performs the per-cycle, occupancy-dependent half of
-// request building: ejection/output buffer admission and VC selection over
-// the plan's allowed range, falling back to the escape plan when the planned
-// continuation has no room.
-func (r *Router) requestFromPlan(plan *vcPlan, p, vc int, ref packet.Ref, size int) (request, bool) {
+// requestFromPlan performs the occupancy-dependent half of request building:
+// ejection/output buffer admission and VC selection over the plan's allowed
+// range, falling back to the escape plan when the planned continuation has no
+// room. A failure draws no randomness (Select draws only among eligible VCs)
+// and changes no state.
+func (r *Router) requestFromPlan(plan *vcPlan, p, vc int) (request, bool) {
+	ref, size := plan.ref, int(plan.size)
 	if plan.deliver {
-		if !r.eject[plan.outPort][plan.class].CanAccept(size) {
+		out, class := int(plan.outPort), int(plan.class)
+		if !r.eject[out][class].CanAccept(size) {
 			return request{}, false
 		}
-		return request{inPort: p, inVC: vc, ref: ref, size: int32(size), outPort: plan.outPort, destVC: 0,
-			terminal: true, class: plan.class, outKind: topology.Terminal}, true
+		return request{inPort: p, inVC: vc, ref: ref, size: plan.size, outPort: out, destVC: 0,
+			terminal: true, class: class, outKind: topology.Terminal}, true
 	}
-	if plan.lo <= plan.hi && r.outputs[plan.outPort].CanAccept(size) {
-		if destVC, ok := r.selectVC(plan.outPort, plan.lo, plan.hi, size); ok {
-			return request{inPort: p, inVC: vc, ref: ref, size: int32(size), outPort: plan.outPort,
+	if out := int(plan.outPort); plan.lo <= plan.hi && r.outputs[out].CanAccept(size) {
+		if destVC, ok := r.selectVC(out, int(plan.lo), int(plan.hi), size); ok {
+			return request{inPort: p, inVC: vc, ref: ref, size: plan.size, outPort: out,
 				destVC: destVC, outKind: plan.outKind}, true
 		}
 	}
-	if plan.escValid && r.outputs[plan.escOutPort].CanAccept(size) {
-		if destVC, ok := r.selectVC(plan.escOutPort, plan.escLo, plan.escHi, size); ok {
-			return request{inPort: p, inVC: vc, ref: ref, size: int32(size), outPort: plan.escOutPort,
+	if out := int(plan.escOutPort); plan.escValid && r.outputs[out].CanAccept(size) {
+		if destVC, ok := r.selectVC(out, int(plan.escLo), int(plan.escHi), size); ok {
+			return request{inPort: p, inVC: vc, ref: ref, size: plan.size, outPort: out,
 				destVC: destVC, outKind: plan.escOutKind, revert: true}, true
 		}
 	}
@@ -798,6 +953,7 @@ func (r *Router) transmitLink(now int64, p int) {
 		return
 	}
 	r.outputs[p].Pop()
+	r.signal(p)
 	r.pending--
 	r.linkBusy[p] = now + int64(size)
 	r.env.ScheduleArrival(r.linkLat[p]+int64(size), r.nbrs[p], r.nbrPorts[p], destVC, ref, kind)
@@ -812,6 +968,7 @@ func (r *Router) transmitEject(now int64, p, c int) {
 		return
 	}
 	r.eject[p][c].Pop()
+	r.signal(r.ejectKey(p, c))
 	r.pending--
 	r.ejBusy[p][c] = now + int64(size)
 	r.env.ScheduleDelivery(int64(r.params.InjectionLatency+size), ref)

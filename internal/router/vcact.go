@@ -1,6 +1,10 @@
 package router
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+	"math/rand"
+)
 
 // portList is a dense, ascending-sorted set of port indices with O(log n)
 // lookup and O(n) shift on update (cheap at router radix, ≤ ~36 ports).
@@ -55,12 +59,23 @@ func (l *portList) search(p int) int {
 	return lo
 }
 
-// AuditActivity cross-checks the router's incremental activity lists against
-// a brute-force scan of every input VC and output/ejection buffer. It is the
-// invariant the lists must uphold for activity-driven stepping to be
-// equivalent to probing everything; tests and the fuzz target call it after
-// every mutation (the simulator never does — it is O(ports × VCs)).
+// AuditActivity cross-checks the router's incremental allocator state against
+// a brute-force scan: the activity lists against every input VC and
+// output/ejection buffer, and the head tracking and sleep state against the
+// VC rings, the packet store and a from-scratch re-evaluation (auditHeads).
+// It is the invariant that makes activity- and event-driven stepping
+// equivalent to probing everything every iteration; tests and the fuzz target
+// call it after every mutation (the simulator never does — it is
+// O(ports × VCs) with a routing computation per planned head).
 func (r *Router) AuditActivity() error {
+	if err := r.auditLists(); err != nil {
+		return err
+	}
+	return r.auditHeads()
+}
+
+// auditLists checks the live-port lists and occupancy masks.
+func (r *Router) auditLists() error {
 	livePrev := int32(-1)
 	li := 0
 	for p := 0; p < r.numPorts; p++ {
@@ -122,6 +137,82 @@ func (r *Router) AuditActivity() error {
 	}
 	if xi != len(r.xmit.ports) {
 		return fmt.Errorf("router %d: xmit list %v has %d extra entries", r.id, r.xmit.ports, len(r.xmit.ports)-xi)
+	}
+	return nil
+}
+
+// drawCounter is a rand.Source that counts how often it is asked for
+// randomness; the audit re-evaluates sleeping heads over it.
+type drawCounter struct{ draws int }
+
+func (d *drawCounter) Int63() int64 { d.draws++; return 0 }
+func (d *drawCounter) Seed(int64)   {}
+
+// auditHeads checks head tracking and sleep state. For every occupied VC the
+// tracked head must be the ring's; a plan marked current must be
+// routing-stable and equal to a plan built afresh from the store. Every
+// sleeping head must have a current plan, must record exactly the resources
+// that plan's request consults and — unless a wake event on one of them is
+// still waiting to be folded in — must fail again when re-evaluated, drawing
+// no randomness: that is what makes skipping it unobservable.
+func (r *Router) auditHeads() error {
+	rng, draws := r.rng, &drawCounter{}
+	r.rng = rand.New(draws)
+	defer func() { r.rng = rng }()
+
+	asleep := 0
+	for p := 0; p < r.numPorts; p++ {
+		in := r.inputs[p]
+		if r.numVCs[p] != in.NumVCs() {
+			return fmt.Errorf("router %d port %d: numVCs=%d, buffer has %d", r.id, p, r.numVCs[p], in.NumVCs())
+		}
+		if extra := r.planCur[p] &^ r.vcMask[p]; extra != 0 {
+			return fmt.Errorf("router %d port %d: planCur=%#x marks empty VCs (vcMask=%#x)", r.id, p, r.planCur[p], r.vcMask[p])
+		}
+		if extra := r.sleepMask[p] &^ r.planCur[p]; extra != 0 {
+			return fmt.Errorf("router %d port %d: sleepMask=%#x marks heads without a current plan (planCur=%#x)", r.id, p, r.sleepMask[p], r.planCur[p])
+		}
+		if both := r.woken[p] & r.sleepMask[p]; both != 0 {
+			return fmt.Errorf("router %d port %d: VCs %#x both asleep and woken", r.id, p, both)
+		}
+		asleep += bits.OnesCount64(r.sleepMask[p])
+		for vc := 0; vc < in.NumVCs(); vc++ {
+			ref, ready, ok := in.Peek(vc)
+			if !ok {
+				continue
+			}
+			slot, bit := p*r.vcStride+vc, uint64(1)<<uint(vc)
+			if h := r.heads[slot]; h.ref != ref || h.ready != ready {
+				return fmt.Errorf("router %d port %d VC %d: tracked head (ref %d, ready %d), ring holds (ref %d, ready %d)", r.id, p, vc, h.ref, h.ready, ref, ready)
+			}
+			if r.planCur[p]&bit == 0 {
+				continue
+			}
+			var fresh vcPlan
+			r.buildPlan(p, ref, r.store.Hdr(ref), &fresh)
+			if !fresh.stable || fresh != r.plans[slot] {
+				return fmt.Errorf("router %d port %d VC %d: plan marked current is %+v, rebuilt %+v", r.id, p, vc, r.plans[slot], fresh)
+			}
+			if r.sleepMask[p]&bit == 0 {
+				continue
+			}
+			w := r.waits[slot]
+			if want := r.planWaits(&fresh); w != want {
+				return fmt.Errorf("router %d port %d VC %d: sleeps on resources %v, its plan consults %v", r.id, p, vc, w, want)
+			}
+			if r.signalled(w.a) || r.signalled(w.b) {
+				continue
+			}
+			if req, ok := r.requestFromPlan(&fresh, p, vc); ok {
+				return fmt.Errorf("router %d port %d VC %d: sleeping head could be granted (%+v) with no wake event pending", r.id, p, vc, req)
+			}
+		}
+	}
+	if draws.draws != 0 {
+		return fmt.Errorf("router %d: re-evaluating stable heads drew randomness %d times", r.id, draws.draws)
+	}
+	if asleep != r.asleep {
+		return fmt.Errorf("router %d: asleep=%d, sleepMask holds %d heads", r.id, r.asleep, asleep)
 	}
 	return nil
 }

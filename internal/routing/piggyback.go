@@ -57,12 +57,11 @@ type PBManager struct {
 	cfg   PBConfig
 
 	numClasses int
-	// computed and visible are indexed [class][router*H + globalPortIndex].
-	computed [][]bool
-	visible  [][]bool
-	lastPub  int64
+	// visible is indexed [class][router*H + globalPortIndex].
+	visible [][]bool
+	lastPub int64
 	// occ is reusable scratch for the per-router occupancy snapshot taken
-	// every cycle in Update.
+	// in Update.
 	occ []int
 }
 
@@ -74,11 +73,9 @@ func NewPBManager(topo *topology.Dragonfly, probe Probe, cfg PBConfig, numClasse
 	}
 	n := topo.NumRouters() * topo.H
 	m := &PBManager{topo: topo, probe: probe, cfg: cfg, numClasses: numClasses, lastPub: -1}
-	m.computed = make([][]bool, numClasses)
 	m.visible = make([][]bool, numClasses)
 	m.occ = make([]int, topo.H)
 	for c := 0; c < numClasses; c++ {
-		m.computed[c] = make([]bool, n)
 		m.visible[c] = make([]bool, n)
 	}
 	return m
@@ -93,9 +90,15 @@ func (m *PBManager) senseVC(class packet.Class) int {
 	return m.cfg.ClassVC[class]
 }
 
-// Update recomputes the saturation bits and publishes them when the update
-// interval has elapsed. The simulator calls it once per cycle.
+// Update publishes the saturation bits of the current occupancies when the
+// update interval has elapsed; the simulator calls it once per cycle. The
+// bits are a pure function of the occupancies at the publishing cycle, so
+// nothing is computed on the cycles in between.
 func (m *PBManager) Update(now int64) {
+	if m.cfg.UpdateInterval > 0 && m.lastPub >= 0 && now-m.lastPub < m.cfg.UpdateInterval {
+		return
+	}
+	m.lastPub = now
 	h := m.topo.H
 	first := m.topo.FirstGlobalPort()
 	for c := 0; c < m.numClasses; c++ {
@@ -112,15 +115,9 @@ func (m *PBManager) Update(now int64) {
 			for g := 0; g < h; g++ {
 				sat := occ[g] >= m.cfg.MinSaturationPhits &&
 					occ[g]*m.cfg.SaturationDen*h > m.cfg.SaturationNum*sum
-				m.computed[c][r*h+g] = sat
+				m.visible[c][r*h+g] = sat
 			}
 		}
-	}
-	if m.cfg.UpdateInterval <= 0 || m.lastPub < 0 || now-m.lastPub >= m.cfg.UpdateInterval {
-		for c := 0; c < m.numClasses; c++ {
-			copy(m.visible[c], m.computed[c])
-		}
-		m.lastPub = now
 	}
 }
 

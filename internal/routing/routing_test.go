@@ -242,6 +242,97 @@ func TestPBManagerPublicationDelay(t *testing.T) {
 	}
 }
 
+// traceProbe replays a recorded occupancy trace: occ[cycle][router][global
+// port index], shifted per sensed VC so the two message classes disagree.
+type traceProbe struct {
+	occ   [][][]int
+	first int // first global port
+	cycle int
+}
+
+func (p *traceProbe) OutputOccupancy(r packet.RouterID, port int, vc int, minOnly bool) int {
+	return p.occ[p.cycle][r][port-p.first] + 5*vc
+}
+func (p *traceProbe) OutputCapacity(packet.RouterID, int, int) int { return 64 }
+
+// TestPBManagerPublishesPerCycleState pins that computing the saturation bits
+// only on publishing cycles is unobservable: over a recorded occupancy trace
+// the visible bits must equal, every cycle, those of a reference that
+// recomputes every router's bits every cycle and copies them out when the
+// interval has elapsed (what Update used to do).
+func TestPBManagerPublishesPerCycleState(t *testing.T) {
+	topo := testDF(t)
+	h, routers, first := topo.H, topo.NumRouters(), topo.FirstGlobalPort()
+	const cycles, classes = 200, 2
+	rng := rand.New(rand.NewSource(11))
+	trace := make([][][]int, cycles)
+	for c := range trace {
+		trace[c] = make([][]int, routers)
+		for r := range trace[c] {
+			trace[c][r] = make([]int, h)
+			for g := range trace[c][r] {
+				// Mostly balanced around 24 phits with occasional spikes, so
+				// bits flip often and the noise floor (8) is crossed both ways.
+				trace[c][r][g] = rng.Intn(32)
+				if rng.Intn(4) == 0 {
+					trace[c][r][g] += 40
+				}
+			}
+		}
+	}
+	for _, interval := range []int64{0, 1, 10} {
+		probe := &traceProbe{occ: trace, first: first}
+		cfg := DefaultPBConfig(8, interval)
+		cfg.ClassVC = [packet.NumClasses]int{0, 1}
+		m := NewPBManager(topo, probe, cfg, classes)
+
+		computed := make([]bool, classes*routers*h)
+		visible := make([]bool, len(computed))
+		lastPub := int64(-1)
+		flips := 0
+		for now := int64(0); now < cycles; now++ {
+			probe.cycle = int(now)
+			m.Update(now)
+
+			for c := 0; c < classes; c++ {
+				for r := 0; r < routers; r++ {
+					sum := 0
+					for g := 0; g < h; g++ {
+						sum += probe.OutputOccupancy(packet.RouterID(r), first+g, cfg.ClassVC[c], false)
+					}
+					for g := 0; g < h; g++ {
+						occ := probe.OutputOccupancy(packet.RouterID(r), first+g, cfg.ClassVC[c], false)
+						computed[(c*routers+r)*h+g] = occ >= cfg.MinSaturationPhits &&
+							occ*cfg.SaturationDen*h > cfg.SaturationNum*sum
+					}
+				}
+			}
+			if interval <= 0 || lastPub < 0 || now-lastPub >= interval {
+				for i := range computed {
+					if visible[i] != computed[i] {
+						flips++
+					}
+				}
+				copy(visible, computed)
+				lastPub = now
+			}
+
+			for c := 0; c < classes; c++ {
+				for r := 0; r < routers; r++ {
+					for g := 0; g < h; g++ {
+						if got, want := m.Saturated(packet.Class(c), packet.RouterID(r), g), visible[(c*routers+r)*h+g]; got != want {
+							t.Fatalf("interval %d cycle %d class %d router %d port %d: visible=%v, per-cycle reference=%v", interval, now, c, r, g, got, want)
+						}
+					}
+				}
+			}
+		}
+		if flips < cycles/int(max(interval, 1)) {
+			t.Fatalf("interval %d: only %d bits ever changed; the trace does not exercise the rule", interval, flips)
+		}
+	}
+}
+
 // TestPiggybackDecision checks that PB diverts exactly when the minimal
 // global link is marked saturated or the local comparison favours Valiant.
 func TestPiggybackDecision(t *testing.T) {

@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"flexvc/internal/config"
+	"flexvc/internal/core"
+	"flexvc/internal/routing"
 )
 
 // warmNetwork builds a Small network at the given load and advances it past
@@ -87,4 +89,35 @@ func BenchmarkRunAveraged(b *testing.B) {
 			b.Fatal("no traffic delivered")
 		}
 	}
+}
+
+// BenchmarkReplicationPBSat runs the replication the repository benchmark
+// gates as medium-pb-sat-1core (bench/workloads/medium-pb-sat.campaign.json:
+// PB, per-port sensing, FlexVC-minCred 4/2+2/1, reactive ADV at 0.35, 400+1200
+// cycles) under `go test`, so it can be profiled with -cpuprofile. It reports
+// the allocator's work counters per replication beside the time; they are
+// simulated-domain counts and repeat exactly.
+func BenchmarkReplicationPBSat(b *testing.B) {
+	cfg := config.Medium()
+	cfg.Traffic = config.TrafficAdversarial
+	cfg.Routing = routing.PB
+	cfg.Sensing = routing.SensePerPort
+	cfg.Reactive = true
+	cfg.Scheme = core.Scheme{Policy: core.FlexVC, VCs: core.TwoClass(4, 2, 2, 1), Selection: core.JSQ, MinCred: true}
+	cfg.Load = 0.35
+	cfg.WarmupCycles, cfg.MeasureCycles = 400, 1200
+	var n *Network
+	for i := 0; i < b.N; i++ {
+		var err error
+		if n, err = New(cfg); err != nil {
+			b.Fatal(err)
+		}
+		n.RunCycles(cfg.WarmupCycles + cfg.MeasureCycles)
+	}
+	w, grants := n.allocatorWork()
+	b.ReportMetric(float64(w.Evals), "evals/op")
+	b.ReportMetric(float64(w.Sleeps), "sleeps/op")
+	b.ReportMetric(float64(w.Wakeups), "wakeups/op")
+	b.ReportMetric(float64(w.WakeFailed), "wake-failed/op")
+	b.ReportMetric(float64(grants), "grants/op")
 }

@@ -7,6 +7,7 @@ import (
 	"flexvc/internal/config"
 	"flexvc/internal/core"
 	"flexvc/internal/routing"
+	"flexvc/internal/stats"
 )
 
 // TestDeadlockFreedomStress drives every VC-management / routing combination
@@ -78,10 +79,7 @@ func TestDeadlockFreedomStress(t *testing.T) {
 			cfg.WarmupCycles = 1000
 			cfg.MeasureCycles = 4000
 			c.mut(&cfg)
-			res, err := RunOne(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			res := runAudited(t, cfg)
 			if res.Deadlock {
 				t.Fatalf("deadlock detected: %+v", res)
 			}
@@ -91,6 +89,31 @@ func TestDeadlockFreedomStress(t *testing.T) {
 			t.Logf("%v", res)
 		})
 	}
+}
+
+// runAudited is Network.Run with every router's allocator state audited
+// against its buffers every 64 cycles (router.AuditActivity: activity lists,
+// head tracking, and that no sleeping head could be granted).
+func runAudited(t *testing.T, cfg config.Config) stats.Result {
+	t.Helper()
+	n, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for total := cfg.WarmupCycles + cfg.MeasureCycles; n.now < total; {
+		n.Step()
+		if n.now%64 == 0 {
+			for _, r := range n.routers {
+				if err := r.AuditActivity(); err != nil {
+					t.Fatalf("cycle %d: %v", n.now, err)
+				}
+			}
+		}
+		if n.watchdog() {
+			break
+		}
+	}
+	return n.collector.Summarize(cfg.Load, n.now, n.deadlock)
 }
 
 // TestDeterminism checks that two runs with the same seed produce identical

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"flexvc/internal/obs"
+	"flexvc/internal/router"
 )
 
 // Metric names exported by the sim layer (the full inventory is documented in
@@ -20,6 +21,12 @@ const (
 	MetricReplicationWall = "flexvc_sim_replication_wall_ns"
 	// MetricWheelDepthHWM is the event-wheel depth high-water mark.
 	MetricWheelDepthHWM = "flexvc_sim_event_wheel_depth_hwm"
+	// MetricAllocatorWork is what the routers' switch allocators did to VC
+	// heads, summed over routers, labeled
+	// kind="evals"|"sleeps"|"wakeups"|"wake_failed"|"grants" (router.Work).
+	// The counts are simulated-domain: exact and repeatable for a
+	// configuration and seed.
+	MetricAllocatorWork = "flexvc_router_allocator_work_total"
 )
 
 // simMetrics holds the pre-resolved metric handles the cycle loop updates, so
@@ -59,4 +66,33 @@ func lap(phase *obs.Counter, since time.Time) time.Time {
 	now := time.Now()
 	phase.Add(now.Sub(since).Nanoseconds())
 	return now
+}
+
+// allocatorWork sums the routers' plain work counters and grants.
+func (n *Network) allocatorWork() (w router.Work, grants int64) {
+	for _, r := range n.routers {
+		x := r.Work()
+		w.Evals += x.Evals
+		w.Sleeps += x.Sleeps
+		w.Wakeups += x.Wakeups
+		w.WakeFailed += x.WakeFailed
+		grants += r.Grants()
+	}
+	return w, grants
+}
+
+// publishAllocatorWork adds the allocator work to the registry. RunOne calls
+// it once, when the replication has ended: the allocator's hot path never
+// sees the registry.
+func (n *Network) publishAllocatorWork() {
+	reg := n.cfg.Metrics
+	if reg == nil {
+		return
+	}
+	w, grants := n.allocatorWork()
+	for kind, v := range map[string]int64{
+		"evals": w.Evals, "sleeps": w.Sleeps, "wakeups": w.Wakeups, "wake_failed": w.WakeFailed, "grants": grants,
+	} {
+		reg.Counter(MetricAllocatorWork + `{kind="` + kind + `"}`).Add(v)
+	}
 }

@@ -77,6 +77,28 @@ func TestMeteredRunMatchesSerial(t *testing.T) {
 	if snap.Gauges[MetricWheelDepthHWM] == 0 {
 		t.Error("event-wheel depth high-water mark never sampled")
 	}
+	// The allocator's work counters are simulated-domain counts: summed once
+	// at replication end, internally consistent, and equal run to run.
+	work := func(s *obs.Snapshot, kind string) int64 {
+		return s.Counters[MetricAllocatorWork+`{kind="`+kind+`"}`]
+	}
+	evals, sleeps, wakeups, failed, grants := work(snap, "evals"), work(snap, "sleeps"), work(snap, "wakeups"), work(snap, "wake_failed"), work(snap, "grants")
+	if grants == 0 || sleeps == 0 || wakeups == 0 || failed == 0 {
+		t.Errorf("allocator work not published: evals %d sleeps %d wakeups %d wake_failed %d grants %d", evals, sleeps, wakeups, failed, grants)
+	}
+	if evals < grants+sleeps || wakeups > sleeps || failed > wakeups {
+		t.Errorf("allocator work inconsistent: evals %d sleeps %d wakeups %d wake_failed %d grants %d", evals, sleeps, wakeups, failed, grants)
+	}
+	again := cfg
+	again.Metrics = obs.NewRegistry()
+	if _, err := RunOne(again); err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []string{"evals", "sleeps", "wakeups", "wake_failed", "grants"} {
+		if a, b := work(snap, kind), work(again.Metrics.Snapshot(), kind); a != b {
+			t.Errorf("allocator work %q does not repeat: %d then %d", kind, a, b)
+		}
+	}
 	if snap.Histograms[MetricReplicationWall].Count != 1 || snap.Counters[MetricReplications] != 1 {
 		t.Errorf("replication accounting: wall histogram count %d, replications %d, want 1 and 1",
 			snap.Histograms[MetricReplicationWall].Count, snap.Counters[MetricReplications])

@@ -70,9 +70,10 @@ func RunOne(cfg config.Config) (stats.Result, error) {
 	}
 	start := time.Now()
 	r := n.Run()
-	// Nil-safe handles: without a registry both calls are no-ops.
+	// Nil-safe handles: without a registry these are no-ops.
 	cfg.Metrics.Histogram(MetricReplicationWall).Since(start)
 	cfg.Metrics.Counter(MetricReplications).Inc()
+	n.publishAllocatorWork()
 	sc.reclaim()
 	return r, nil
 }

@@ -74,6 +74,9 @@ func TestMetricsExportInvariant(t *testing.T) {
 		if snap.Counters[sim.MetricCycles] == 0 {
 			t.Errorf("%s: registry recorded no simulated cycles", topo)
 		}
+		if snap.Counters[sim.MetricAllocatorWork+`{kind="evals"}`] == 0 {
+			t.Errorf("%s: registry recorded no allocator work", topo)
+		}
 		for _, phase := range []string{"events", "inject", "pb_update", "step"} {
 			if snap.Counters[sim.MetricPhaseWall+`{phase="`+phase+`"}`] == 0 {
 				t.Errorf("%s: phase %q recorded no wall time", topo, phase)

@@ -552,6 +552,13 @@ func (ck *ckpt) claimReplication(j job, key results.Key, fp string, s int) (stat
 			ck.metrics.pollWait.Add(wait.Nanoseconds())
 			continue
 		}
+		// The worker this one lost to earlier may have recorded the key and
+		// released its lease between the check above and this claim; without
+		// a second look the key would be simulated twice.
+		if rec, ok := ck.store.RefreshKey(key, fp); ok {
+			lease.Release()
+			return rec.Result, true, nil
+		}
 		ck.metrics.claimsWon.Inc()
 		r, err := ck.simulate(j, fp, s)
 		lease.Release()
