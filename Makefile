@@ -11,7 +11,7 @@ GO ?= go
 # committed tolerance is 40%: wide enough to absorb the per-core speed
 # spread between the machine that recorded the baseline and shared CI
 # runners, tight enough to catch a real hot-path slowdown. RouterStep selects
-# RouterStepBusy, RouterStepIdle and RouterStepBlocked.
+# RouterStepBusy, RouterStepIdle, RouterStepBlocked and RouterStepPipeline.
 BENCH_GATE_PAT  := SmokeSweep|AllowedVCs|RouterStep|VCActivity|PacketStore|InputBufferCycle|Obs
 BENCH_GATE_PKGS := . ./internal/router ./internal/buffer ./internal/obs ./internal/packet
 BENCH_COUNT     ?= 3

@@ -91,3 +91,12 @@ func (o *OutputBuffer) Committed() int { return o.committed }
 
 // Peak returns the highest occupancy observed in phits.
 func (o *OutputBuffer) Peak() int { return o.peak }
+
+// HeadReady returns the cycle the head packet may start leaving on the link;
+// ok is false for an empty buffer.
+func (o *OutputBuffer) HeadReady() (ready int64, ok bool) {
+	if o.queue.len() == 0 {
+		return 0, false
+	}
+	return o.queue.front().ready, true
+}

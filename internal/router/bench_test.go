@@ -1,6 +1,7 @@
 package router
 
 import (
+	"math"
 	"testing"
 
 	"flexvc/internal/buffer"
@@ -102,11 +103,14 @@ func BenchmarkRouterStepBusy(b *testing.B) {
 	}
 }
 
-// BenchmarkVCActivity measures the incremental activity-list update on the
+// BenchmarkVCActivity measures the incremental activity bookkeeping on the
 // enqueue/dequeue path: port membership churn in the sorted live-port list
-// (binary insert and remove) plus the per-port VC occupancy mask. This is the
-// bookkeeping the simulator pays per packet movement in exchange for the
-// proposal pass iterating live VCs only; the gate pins it allocation-free.
+// (binary insert and remove), the per-port VC occupancy mask, and the pipeline
+// timer a new head is held by until the next Step releases it. This is what
+// the simulator pays per packet movement in exchange for the proposal pass
+// iterating awake heads only; the gate pins it allocation-free. It goes
+// through the real buffers: a head noted without one would leave its timer
+// behind.
 func BenchmarkVCActivity(b *testing.B) {
 	rt, _, topo, _ := buildBenchRouter(b)
 	// Churn across several ports so inserts and removes hit different
@@ -120,9 +124,14 @@ func BenchmarkVCActivity(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p := ports[i&3]
-		rt.noteEnqueue(p, i&1, packet.NilRef, 0)
-		rt.noteDequeue(p, i&1)
+		p, vc, now := ports[i&3], i&1, int64(i)
+		in := rt.Input(p)
+		in.Reserve(vc, 8, packet.Minimal)
+		rt.EnqueueArrival(p, vc, packet.NilRef, now, packet.Minimal)
+		rt.releaseTimers(now)
+		in.Dequeue(vc)
+		rt.noteDequeue(now, p, vc)
+		in.ReleaseCredit(vc, 8, packet.Minimal)
 	}
 }
 
@@ -174,5 +183,33 @@ func BenchmarkRouterStepBlocked(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rt.Step(int64(i) + 8)
+	}
+}
+
+// BenchmarkRouterStepPipeline measures Step on a router every one of whose
+// heads is still inside the router pipeline — where, below saturation, most
+// heads are most of the time. They wait on their timers, so a Step should
+// cost little more than an idle router's (target: within 2x of
+// RouterStepIdle) and allocate nothing.
+func BenchmarkRouterStepPipeline(b *testing.B) {
+	rt, _, topo, store := buildBenchRouter(b)
+	dst := topo.NodeAt(topo.RouterInGroup(1, 0), 0)
+	heads := 0
+	for p := 0; p < topo.Radix(); p++ {
+		in := rt.Input(p)
+		for vc := 0; vc < in.NumVCs(); vc++ {
+			ref := store.Alloc(uint64(heads), topo.NodeAt(0, 0), dst, 8, packet.Request, 0)
+			in.Reserve(vc, 8, packet.Minimal)
+			rt.EnqueueArrival(p, vc, ref, math.MaxInt32, packet.Minimal)
+			heads++
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rt.Step(int64(i))
+	}
+	if rt.Work().Evals != 0 || len(rt.timers) != heads {
+		b.Fatalf("%d evaluations, %d of %d heads on a timer: the router is not waiting on time alone", rt.Work().Evals, len(rt.timers), heads)
 	}
 }

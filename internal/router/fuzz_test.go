@@ -23,10 +23,11 @@ func congestingOps() []byte {
 }
 
 // FuzzVCActivity drives a router through arbitrary interleavings of the three
-// operations that mutate VC occupancy — enqueue (injection and link arrivals),
-// step (dequeues and credit consumption) and downstream credit release — and
-// after every operation asserts the incremental allocator state (activity
-// lists, head tracking, sleep state) against the brute-force scan and
+// operations that mutate VC occupancy — enqueue (injection and link arrivals,
+// ready at once or a few cycles on), step (dequeues and credit consumption)
+// and downstream credit release — and after every operation asserts the
+// incremental allocator state (activity lists, head tracking, sleep state,
+// pipeline timers, transmission due cycles) against the brute-force scan and
 // re-evaluation of AuditActivity. This is the differential check backing the
 // activity-list and sleep/wake optimisations: the state must track the
 // buffers exactly, and no sleeping head may be grantable, under every
@@ -43,8 +44,14 @@ func FuzzVCActivity(f *testing.F) {
 // operations must be able to put heads to sleep and wake them, or the audit
 // would be checking sleep state that is never populated.
 func TestVCActivityReachesSleepAndWake(t *testing.T) {
-	if w := driveVCActivity(t, congestingOps()); w.Sleeps == 0 || w.Wakeups == 0 || w.WakeFailed == 0 {
+	w := driveVCActivity(t, congestingOps())
+	if w.Sleeps == 0 || w.Wakeups == 0 || w.WakeFailed == 0 {
 		t.Fatalf("the congesting sequence exercised no sleep/wake cycle: %+v", w)
+	}
+	// Timers released for heads enqueued ahead of their ready cycle, and ports
+	// serviced for fewer packets than polling them every cycle would visit.
+	if w.TimerWakeups == 0 || w.Sends == 0 || w.XmitVisits > w.Sends {
+		t.Fatalf("the congesting sequence exercised no timers or transmissions: %+v", w)
 	}
 }
 
@@ -66,7 +73,9 @@ func driveVCActivity(t *testing.T, ops []byte) Work {
 	const maxPackets = 64
 	var id uint64
 	now := int64(0)
-	enqueue := func(port, vc int) {
+	// A packet enters up to three cycles ahead of its ready cycle, so heads
+	// wait on pipeline timers as well as on space.
+	enqueue := func(port, vc int, pipeline int64) {
 		if id >= maxPackets {
 			return
 		}
@@ -89,16 +98,17 @@ func driveVCActivity(t *testing.T, ops []byte) Work {
 		if port != 0 {
 			store.Route(ref).InputVC = int32(vc)
 		}
-		rt.EnqueueArrival(port, vc, ref, now, packet.Minimal)
+		rt.EnqueueArrival(port, vc, ref, now+pipeline, packet.Minimal)
 	}
 	for i, op := range ops {
 		arg := int(op) >> 2
+		pipeline := int64(arg >> 4)
 		switch op % 4 {
 		case 0: // inject on the terminal port
-			enqueue(0, arg)
+			enqueue(0, arg, pipeline)
 		case 1: // arrival on a link port
 			if len(linkPorts) > 0 {
-				enqueue(linkPorts[arg%len(linkPorts)], arg/len(linkPorts))
+				enqueue(linkPorts[arg%len(linkPorts)], arg/len(linkPorts), pipeline)
 			}
 		case 2: // advance one cycle
 			rt.Step(now)

@@ -1,6 +1,7 @@
 package router
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -260,13 +261,17 @@ type sleepRig struct {
 }
 
 func newSleepRig(t *testing.T, scheme core.Scheme, alg func(*topology.Dragonfly) routing.Algorithm, damq bool) *sleepRig {
+	return newSleepRigClasses(t, scheme, alg, damq, 1)
+}
+
+func newSleepRigClasses(t *testing.T, scheme core.Scheme, alg func(*topology.Dragonfly) routing.Algorithm, damq bool, classes int) *sleepRig {
 	t.Helper()
 	topo, err := topology.NewDragonfly(2, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	g := &sleepRig{t: t, topo: topo, store: packet.NewStore()}
-	g.rt, err = New(0, topo, scheme, alg(topo), testParams(1, g.store), 7)
+	g.rt, err = New(0, topo, scheme, alg(topo), testParams(classes, g.store), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,18 +295,25 @@ func (g *sleepRig) newEnv(cfg func(numVCs int) buffer.Config) *fakeEnv {
 	return env
 }
 
-// inject places an 8-phit packet for dstRouter into injection VC vc and
-// returns it.
+// inject places an 8-phit packet for dstRouter into injection VC vc, visible
+// to the allocator at once, and returns it.
 func (g *sleepRig) inject(vc int, dstRouter packet.RouterID) packet.Ref {
 	g.t.Helper()
+	return g.injectReady(vc, g.topo.NodeAt(dstRouter, 0), packet.Request, g.now)
+}
+
+// injectReady places an 8-phit packet of the given class for node dst into
+// injection VC vc, leaving the router pipeline at cycle ready.
+func (g *sleepRig) injectReady(vc int, dst packet.NodeID, class packet.Class, ready int64) packet.Ref {
+	g.t.Helper()
 	g.ids++
-	ref := g.store.Alloc(g.ids, g.topo.NodeAt(0, 0), g.topo.NodeAt(dstRouter, 0), 8, packet.Request, g.now)
+	ref := g.store.Alloc(g.ids, g.topo.NodeAt(0, 0), dst, 8, class, g.now)
 	hdr := g.store.Hdr(ref)
-	hdr.SrcRouter, hdr.DstRouter = 0, dstRouter
+	hdr.SrcRouter, hdr.DstRouter = 0, g.topo.RouterOfNode(dst)
 	if !g.rt.Input(0).Reserve(vc, 8, packet.Minimal) {
 		g.t.Fatal("injection buffer full")
 	}
-	g.rt.EnqueueArrival(0, vc, ref, g.now, packet.Minimal)
+	g.rt.EnqueueArrival(0, vc, ref, ready, packet.Minimal)
 	return ref
 }
 
@@ -345,7 +357,7 @@ func TestBlockedHeadSleepsUntilDirectCredit(t *testing.T) {
 	if g.rt.Grants() != 1 || g.rt.asleep != 1 {
 		t.Fatalf("grants=%d asleep=%d, want 1 and 1", g.rt.Grants(), g.rt.asleep)
 	}
-	g.wantWork("blocked", Work{Evals: 3, Sleeps: 2, Wakeups: 1, WakeFailed: 1})
+	g.wantWork("blocked", Work{Evals: 3, Sleeps: 2, Wakeups: 1, WakeFailed: 1, TimerWakeups: 1, XmitVisits: 1, Sends: 1})
 	if got := g.rt.waits[0]; got != (waitKeys{int16(port), -1}) {
 		t.Fatalf("sleeps on %v, want the planned port %d only", got, port)
 	}
@@ -360,7 +372,7 @@ func TestBlockedHeadSleepsUntilDirectCredit(t *testing.T) {
 	if g.rt.Grants() != 2 || g.rt.asleep != 0 {
 		t.Fatalf("after the credit: grants=%d asleep=%d, want 2 and 0", g.rt.Grants(), g.rt.asleep)
 	}
-	g.wantWork("woken", Work{Evals: 4, Sleeps: 2, Wakeups: 2, WakeFailed: 1})
+	g.wantWork("woken", Work{Evals: 4, Sleeps: 2, Wakeups: 2, WakeFailed: 1, TimerWakeups: 1, XmitVisits: 1, Sends: 1})
 }
 
 // TestOutputDrainWakesSleeper: with credits to spare, a head blocked on a full
@@ -416,7 +428,7 @@ func TestDAMQCreditOnOtherVCWakesSleeper(t *testing.T) {
 	if g.rt.Grants() != 1 || down.CommittedOf(0) != 8 {
 		t.Fatalf("grants=%d, VC 0 committed %d: the credit on VC 1 did not wake the head", g.rt.Grants(), down.CommittedOf(0))
 	}
-	g.wantWork("woken", Work{Evals: 2, Sleeps: 1, Wakeups: 1})
+	g.wantWork("woken", Work{Evals: 2, Sleeps: 1, Wakeups: 1, TimerWakeups: 1})
 }
 
 // TestSleeperWakesOnEscapePortAndReverts: an opportunistic Valiant head blocked
@@ -499,5 +511,176 @@ func TestSetEnvClearsSleepStateAndRewires(t *testing.T) {
 	g.step(1)
 	if g.rt.Grants() != 3 || g.rt.asleep != 0 {
 		t.Fatalf("after a credit on the new buffer: grants=%d asleep=%d, want 3 and 0", g.rt.Grants(), g.rt.asleep)
+	}
+}
+
+// roomy is a scheme with VCs to spare, so nothing in the timer tests blocks on
+// credits.
+var roomy = core.Scheme{Policy: core.FlexVC, VCs: core.SingleClass(8, 8), Selection: core.JSQ}
+
+func minimal(d *topology.Dragonfly) routing.Algorithm { return routing.NewMinimal(d) }
+
+// TestHeadReadyNowGrantedInSameStep: a head enqueued between two Steps with
+// ready equal to the coming cycle is held by a timer like any other new head,
+// and the fold at the top of that Step releases it in time to be granted —
+// the pattern of the benchmark kernels, which refill and step at one cycle.
+func TestHeadReadyNowGrantedInSameStep(t *testing.T) {
+	g := newSleepRig(t, roomy, minimal, false)
+	g.step(3)
+	g.inject(0, g.topo.RouterInGroup(1, 0))
+	if g.rt.pipeMask[0] != 1 || len(g.rt.timers) != 1 || g.rt.awake != 0 {
+		t.Fatalf("new head: pipeMask=%#x, %d timers, %d awake; want it held by one timer", g.rt.pipeMask[0], len(g.rt.timers), g.rt.awake)
+	}
+	g.step(1)
+	if g.rt.Grants() != 1 {
+		t.Fatalf("grants=%d after the Step at the head's ready cycle, want 1", g.rt.Grants())
+	}
+	g.wantWork("granted", Work{Evals: 1, TimerWakeups: 1})
+}
+
+// TestReadySuccessorProposesInSecondIteration: when a grant uncovers a packet
+// that is already past the pipeline, it must propose in the next allocation
+// iteration of the same Step — deferring it to a timer would lose the
+// iteration. One that is still inside the pipeline waits for its cycle.
+func TestReadySuccessorProposesInSecondIteration(t *testing.T) {
+	g := newSleepRig(t, roomy, minimal, false)
+	dst := g.topo.NodeAt(g.topo.RouterInGroup(1, 0), 0)
+	g.injectReady(0, dst, packet.Request, 0)
+	g.injectReady(0, dst, packet.Request, 0)
+	g.injectReady(0, dst, packet.Request, 2)
+	g.step(1)
+	// Speedup 2: the head in the first iteration, the packet behind it in the
+	// second, with no timer in between.
+	if g.rt.Grants() != 2 {
+		t.Fatalf("grants=%d in the first Step, want both ready packets", g.rt.Grants())
+	}
+	g.wantWork("two iterations", Work{Evals: 2, TimerWakeups: 1})
+	if g.rt.pipeMask[0] != 1 || g.rt.awake != 0 {
+		t.Fatalf("pipeMask=%#x awake=%d: the third packet is not waiting on its timer", g.rt.pipeMask[0], g.rt.awake)
+	}
+	g.step(1)
+	if g.rt.Grants() != 2 {
+		t.Fatalf("grants=%d at cycle 1: a head inside the pipeline was granted", g.rt.Grants())
+	}
+	g.step(1)
+	if g.rt.Grants() != 3 {
+		t.Fatalf("grants=%d at cycle 2, want the third packet granted at its ready cycle", g.rt.Grants())
+	}
+	g.wantWork("third", Work{Evals: 3, TimerWakeups: 2, XmitVisits: 0, Sends: 0})
+}
+
+// TestSetEnvKeepsPipelineTimers: re-wiring forgets what was derived from the
+// old environment, not the router's own resident packets — a head inside the
+// pipeline stays there, on its timer.
+func TestSetEnvKeepsPipelineTimers(t *testing.T) {
+	g := newSleepRig(t, roomy, minimal, false)
+	g.injectReady(0, g.topo.NodeAt(g.topo.RouterInGroup(1, 0), 0), packet.Request, 3)
+	g.step(1)
+	g.rt.SetEnv(g.newEnv(func(numVCs int) buffer.Config { return buffer.StaticConfig(numVCs, 8) }))
+	if err := g.rt.AuditActivity(); err != nil {
+		t.Fatal(err)
+	}
+	if g.rt.pipeMask[0] != 1 || len(g.rt.timers) != 1 {
+		t.Fatalf("SetEnv left pipeMask=%#x and %d timers, want the head still held", g.rt.pipeMask[0], len(g.rt.timers))
+	}
+	g.step(2)
+	if g.rt.Grants() != 0 {
+		t.Fatalf("grants=%d before the head's ready cycle", g.rt.Grants())
+	}
+	g.step(1)
+	if g.rt.Grants() != 1 {
+		t.Fatalf("grants=%d at the head's ready cycle, want 1", g.rt.Grants())
+	}
+}
+
+// TestEjectionClassesComeDueSeparately: a terminal port has one ejection
+// channel per class and a single due cycle, the earliest over them. A reply
+// must leave while the request channel is still serialising, and the request
+// queued behind must leave when that channel falls idle.
+func TestEjectionClassesComeDueSeparately(t *testing.T) {
+	scheme := core.Scheme{Policy: core.FlexVC, VCs: core.TwoClass(4, 2, 2, 1), Selection: core.JSQ}
+	g := newSleepRigClasses(t, scheme, minimal, false, 2)
+	local := g.topo.NodeAt(0, 1)
+	port := g.topo.TerminalPort(0, local)
+	r1 := g.injectReady(0, local, packet.Request, 0)
+	r2 := g.injectReady(0, local, packet.Request, 0)
+	p1 := g.injectReady(1, local, packet.Reply, 3)
+	// Both requests cross the switch at cycle 0 (4 cycles at speedup 2) and
+	// the first takes the request channel for 8 cycles from cycle 4; the reply
+	// crosses at cycle 3 and is ready at 7.
+	sentAt := map[packet.Ref]int64{}
+	dues := map[int64]int64{}
+	for g.now < 20 {
+		before := len(g.env.deliveries)
+		g.step(1)
+		for _, ref := range g.env.deliveries[before:] {
+			sentAt[ref] = g.now - 1
+		}
+		dues[g.now-1] = g.rt.xmitDue[port]
+	}
+	if sentAt[r1] != 4 || sentAt[p1] != 7 || sentAt[r2] != 12 || len(g.env.deliveries) != 3 {
+		t.Fatalf("sent request 1 at %d, reply at %d, request 2 at %d (%d deliveries); want 4, 7, 12", sentAt[r1], sentAt[p1], sentAt[r2], len(g.env.deliveries))
+	}
+	// After each send the port is due at the earlier of its two channels.
+	if dues[0] != 4 || dues[4] != 7 || dues[7] != 12 || dues[12] != never {
+		t.Fatalf("due cycle after cycles 0, 4, 7, 12: %d, %d, %d, %d; want 4, 7, 12, never", dues[0], dues[4], dues[7], dues[12])
+	}
+	if w := g.rt.Work(); w.XmitVisits != 3 || w.Sends != 3 {
+		t.Fatalf("%d port visits for %d sends, want 3 and 3", w.XmitVisits, w.Sends)
+	}
+}
+
+// TestLazySourceIsTheSeededSource: a router's PRNG is built on the first draw
+// and from then on is, draw for draw and whatever mix of methods asks, the
+// source math/rand would have seeded up front.
+func TestLazySourceIsTheSeededSource(t *testing.T) {
+	const seed = 0x5eed
+	lazy := &lazySource{seed: seed}
+	got, want := rand.New(lazy), rand.New(rand.NewSource(seed))
+	if lazy.src != nil {
+		t.Fatal("the source was seeded before any draw")
+	}
+	for i := 0; i < 2000; i++ {
+		var a, b any
+		switch i % 5 {
+		case 0:
+			a, b = got.Int63(), want.Int63()
+		case 1:
+			a, b = got.Uint64(), want.Uint64()
+		case 2:
+			a, b = got.Intn(7), want.Intn(7)
+		case 3:
+			a, b = got.Float64(), want.Float64()
+		case 4:
+			a, b = got.Int31n(1000), want.Int31n(1000)
+		}
+		if a != b {
+			t.Fatalf("draw %d: %v, the eagerly seeded source gives %v", i, a, b)
+		}
+	}
+	got.Seed(seed + 1)
+	if lazy.src != nil {
+		t.Fatal("re-seeding built the source")
+	}
+	if a, b := got.Int63(), rand.New(rand.NewSource(seed+1)).Int63(); a != b {
+		t.Fatalf("after re-seeding: %d, want %d", a, b)
+	}
+}
+
+// TestDeterministicRouterNeverSeeds: MIN routing with JSQ selection asks for
+// no randomness, so such a router never pays for a PRNG.
+func TestDeterministicRouterNeverSeeds(t *testing.T) {
+	g := newSleepRig(t, roomy, minimal, false)
+	lazy := &lazySource{seed: 1}
+	g.rt.rng = rand.New(lazy)
+	for i := 0; i < 6; i++ {
+		g.inject(i%2, g.topo.RouterInGroup(1+i%3, 0))
+		g.step(3)
+	}
+	if g.rt.Grants() == 0 {
+		t.Fatal("nothing was granted; the check is vacuous")
+	}
+	if lazy.src != nil {
+		t.Fatal("a MIN/JSQ router drew randomness and seeded its PRNG")
 	}
 }

@@ -60,18 +60,22 @@ func (l *portList) search(p int) int {
 }
 
 // AuditActivity cross-checks the router's incremental allocator state against
-// a brute-force scan: the activity lists against every input VC and
-// output/ejection buffer, and the head tracking and sleep state against the
-// VC rings, the packet store and a from-scratch re-evaluation (auditHeads).
-// It is the invariant that makes activity- and event-driven stepping
-// equivalent to probing everything every iteration; tests and the fuzz target
-// call it after every mutation (the simulator never does — it is
+// a brute-force scan: the activity lists and transmission due cycles against
+// every input VC and output/ejection buffer, the head tracking and sleep state
+// against the VC rings, the packet store and a from-scratch re-evaluation
+// (auditHeads), and the pipeline timers against the tracked heads
+// (auditTimers). It is the invariant that makes activity- and event-driven
+// stepping equivalent to probing everything every iteration; tests and the
+// fuzz target call it after every mutation (the simulator never does — it is
 // O(ports × VCs) with a routing computation per planned head).
 func (r *Router) AuditActivity() error {
 	if err := r.auditLists(); err != nil {
 		return err
 	}
-	return r.auditHeads()
+	if err := r.auditHeads(); err != nil {
+		return err
+	}
+	return r.auditTimers()
 }
 
 // auditLists checks the live-port lists and occupancy masks.
@@ -113,9 +117,11 @@ func (r *Router) auditLists() error {
 	if li != len(r.liveIn.ports) {
 		return fmt.Errorf("router %d: liveIn list %v has %d extra entries", r.id, r.liveIn.ports, len(r.liveIn.ports)-li)
 	}
-	// The xmit list may conservatively hold ports that already drained (they
-	// are pruned lazily by the next transmit pass), but it must be sorted,
-	// consistent with its membership flags, and cover every staged packet.
+	// The xmit list holds exactly the ports with staged packets, sorted and
+	// consistent with its membership flags. Every port's due cycle is what its
+	// staging buffers and channel say now (never, without staged packets) and
+	// the router-level minimum does not overshoot any of them: a port that is
+	// not serviced could not have sent.
 	xi := 0
 	for p := 0; p < r.numPorts; p++ {
 		staged := 0
@@ -125,8 +131,14 @@ func (r *Router) auditLists() error {
 		for _, e := range r.eject[p] {
 			staged += e.Len()
 		}
-		if staged > 0 && !r.xmit.in[p] {
-			return fmt.Errorf("router %d port %d: %d staged packets but not in xmit list", r.id, p, staged)
+		if r.xmit.in[p] != (staged > 0) {
+			return fmt.Errorf("router %d port %d: %d staged packets, xmit membership %v", r.id, p, staged, r.xmit.in[p])
+		}
+		if want := r.portDue(p); r.xmitDue[p] != want || (want == never) != (staged == 0) {
+			return fmt.Errorf("router %d port %d: due cycle %d, its %d staged packets say %d", r.id, p, r.xmitDue[p], staged, want)
+		}
+		if r.xmitDue[p] < r.xmitMin {
+			return fmt.Errorf("router %d port %d: due at cycle %d, before the router minimum %d", r.id, p, r.xmitDue[p], r.xmitMin)
 		}
 		if r.xmit.in[p] {
 			if xi >= len(r.xmit.ports) || r.xmit.ports[xi] != int32(p) {
@@ -160,9 +172,10 @@ func (r *Router) auditHeads() error {
 	r.rng = rand.New(draws)
 	defer func() { r.rng = rng }()
 
-	asleep := 0
+	asleep, awake := 0, 0
 	for p := 0; p < r.numPorts; p++ {
 		in := r.inputs[p]
+		awake += bits.OnesCount64(r.vcMask[p] &^ (r.sleepMask[p] | r.pipeMask[p]))
 		if r.numVCs[p] != in.NumVCs() {
 			return fmt.Errorf("router %d port %d: numVCs=%d, buffer has %d", r.id, p, r.numVCs[p], in.NumVCs())
 		}
@@ -174,6 +187,14 @@ func (r *Router) auditHeads() error {
 		}
 		if both := r.woken[p] & r.sleepMask[p]; both != 0 {
 			return fmt.Errorf("router %d port %d: VCs %#x both asleep and woken", r.id, p, both)
+		}
+		// A head inside the pipeline has never been evaluated: it has no
+		// plan, so (by the check above) it cannot be asleep either.
+		if extra := r.pipeMask[p] &^ r.vcMask[p]; extra != 0 {
+			return fmt.Errorf("router %d port %d: pipeMask=%#x marks empty VCs (vcMask=%#x)", r.id, p, r.pipeMask[p], r.vcMask[p])
+		}
+		if both := r.pipeMask[p] & (r.planCur[p] | r.woken[p]); both != 0 {
+			return fmt.Errorf("router %d port %d: VCs %#x inside the pipeline yet planned or woken", r.id, p, both)
 		}
 		asleep += bits.OnesCount64(r.sleepMask[p])
 		for vc := 0; vc < in.NumVCs(); vc++ {
@@ -213,6 +234,35 @@ func (r *Router) auditHeads() error {
 	}
 	if asleep != r.asleep {
 		return fmt.Errorf("router %d: asleep=%d, sleepMask holds %d heads", r.id, r.asleep, asleep)
+	}
+	if awake != r.awake {
+		return fmt.Errorf("router %d: awake=%d, the masks leave %d heads awake", r.id, r.awake, awake)
+	}
+	return nil
+}
+
+// auditTimers checks the pipeline timers: exactly one per head marked
+// in-pipeline, set for that head's ready cycle.
+func (r *Router) auditTimers() error {
+	seen := make([]uint64, r.numPorts)
+	for _, key := range r.timers {
+		ready, p, vc := splitTimerKey(key)
+		bit := uint64(1) << uint(vc)
+		if p >= r.numPorts || r.pipeMask[p]&bit == 0 {
+			return fmt.Errorf("router %d: timer at cycle %d for VC %d of port %d, whose head is not inside the pipeline", r.id, ready, vc, p)
+		}
+		if seen[p]&bit != 0 {
+			return fmt.Errorf("router %d port %d VC %d: two timers for one head", r.id, p, vc)
+		}
+		seen[p] |= bit
+		if h := r.heads[p*r.vcStride+vc]; h.ready != ready {
+			return fmt.Errorf("router %d port %d VC %d: timer at cycle %d, head ready at %d", r.id, p, vc, ready, h.ready)
+		}
+	}
+	for p := range seen {
+		if seen[p] != r.pipeMask[p] {
+			return fmt.Errorf("router %d port %d: pipeMask=%#x, timers cover %#x", r.id, p, r.pipeMask[p], seen[p])
+		}
 	}
 	return nil
 }

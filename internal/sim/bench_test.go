@@ -68,6 +68,36 @@ func BenchmarkInject(b *testing.B) {
 	}
 }
 
+// BenchmarkInjectLowLoad is the NIC model at the load where the generators
+// dominate it: UN at 0.02 on the Medium network (1 056 nodes, one packet per
+// node every 400 cycles). It times the generator schedule alone — per cycle, a
+// glance at the heap and the few nodes that are due — and discards the packets
+// instead of injecting them, so the routers stay empty however long it runs.
+func BenchmarkInjectLowLoad(b *testing.B) {
+	cfg := config.Medium()
+	cfg.Load = 0.02
+	n, err := New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n.generate()
+		n.now++
+		for _, node := range n.pendingNodes {
+			ns := &n.nodes[node]
+			for !ns.requests.empty() {
+				n.store.Free(ns.requests.pop())
+			}
+			ns.queued = false
+		}
+		n.pendingNodes = n.pendingNodes[:0]
+	}
+	b.ReportMetric(float64(n.lookaheads)/float64(b.N), "lookaheads/cycle")
+	b.ReportMetric(float64(n.generated)/float64(b.N), "emissions/cycle")
+}
+
 // BenchmarkRunAveraged measures a full multi-replication point (the unit of
 // work of every sweep): build, warm up, measure and summarise, for several
 // independent seeds.
@@ -120,4 +150,9 @@ func BenchmarkReplicationPBSat(b *testing.B) {
 	b.ReportMetric(float64(w.Wakeups), "wakeups/op")
 	b.ReportMetric(float64(w.WakeFailed), "wake-failed/op")
 	b.ReportMetric(float64(grants), "grants/op")
+	b.ReportMetric(float64(w.TimerWakeups), "timer-wakeups/op")
+	b.ReportMetric(float64(w.XmitVisits), "xmit-visits/op")
+	b.ReportMetric(float64(w.Sends), "sends/op")
+	b.ReportMetric(float64(n.lookaheads), "lookaheads/op")
+	b.ReportMetric(float64(n.generated), "emissions/op")
 }

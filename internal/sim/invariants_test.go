@@ -201,6 +201,7 @@ func TestDrainAfterLoadStops(t *testing.T) {
 		t.Fatal(err)
 	}
 	n.gen = silent.gen
+	n.armGenerators(n.now)
 	for i := range n.nodes {
 		n.nodes[i].requests.reset()
 		n.nodes[i].replies.reset()

@@ -21,12 +21,16 @@ const (
 	MetricReplicationWall = "flexvc_sim_replication_wall_ns"
 	// MetricWheelDepthHWM is the event-wheel depth high-water mark.
 	MetricWheelDepthHWM = "flexvc_sim_event_wheel_depth_hwm"
-	// MetricAllocatorWork is what the routers' switch allocators did to VC
-	// heads, summed over routers, labeled
-	// kind="evals"|"sleeps"|"wakeups"|"wake_failed"|"grants" (router.Work).
-	// The counts are simulated-domain: exact and repeatable for a
-	// configuration and seed.
+	// MetricAllocatorWork is what the routers did to VC heads and staged
+	// packets, summed over routers, labeled kind="evals"|"sleeps"|"wakeups"|
+	// "wake_failed"|"grants"|"timer_wakeups"|"xmit_visits"|"sends"
+	// (router.Work). The counts are simulated-domain: exact and repeatable
+	// for a configuration and seed.
 	MetricAllocatorWork = "flexvc_router_allocator_work_total"
+	// MetricGeneratorWork is what the NIC model asked of the traffic
+	// generators, labeled kind="lookaheads"|"emissions": look-ahead calls
+	// and packets built. Simulated-domain, like the allocator work.
+	MetricGeneratorWork = "flexvc_sim_generator_work_total"
 )
 
 // simMetrics holds the pre-resolved metric handles the cycle loop updates, so
@@ -76,23 +80,38 @@ func (n *Network) allocatorWork() (w router.Work, grants int64) {
 		w.Sleeps += x.Sleeps
 		w.Wakeups += x.Wakeups
 		w.WakeFailed += x.WakeFailed
+		w.TimerWakeups += x.TimerWakeups
+		w.XmitVisits += x.XmitVisits
+		w.Sends += x.Sends
 		grants += r.Grants()
 	}
 	return w, grants
 }
 
-// publishAllocatorWork adds the allocator work to the registry. RunOne calls
-// it once, when the replication has ended: the allocator's hot path never
-// sees the registry.
-func (n *Network) publishAllocatorWork() {
+// publishWork adds the replication's exact work counts — the routers' and the
+// generator schedule's — to the registry. RunOne calls it once, when the
+// replication has ended: no hot path ever sees the registry.
+func (n *Network) publishWork() {
 	reg := n.cfg.Metrics
 	if reg == nil {
 		return
 	}
 	w, grants := n.allocatorWork()
-	for kind, v := range map[string]int64{
-		"evals": w.Evals, "sleeps": w.Sleeps, "wakeups": w.Wakeups, "wake_failed": w.WakeFailed, "grants": grants,
+	for _, c := range []struct {
+		series string
+		v      int64
+	}{
+		{MetricAllocatorWork + `{kind="evals"}`, w.Evals},
+		{MetricAllocatorWork + `{kind="sleeps"}`, w.Sleeps},
+		{MetricAllocatorWork + `{kind="wakeups"}`, w.Wakeups},
+		{MetricAllocatorWork + `{kind="wake_failed"}`, w.WakeFailed},
+		{MetricAllocatorWork + `{kind="grants"}`, grants},
+		{MetricAllocatorWork + `{kind="timer_wakeups"}`, w.TimerWakeups},
+		{MetricAllocatorWork + `{kind="xmit_visits"}`, w.XmitVisits},
+		{MetricAllocatorWork + `{kind="sends"}`, w.Sends},
+		{MetricGeneratorWork + `{kind="lookaheads"}`, n.lookaheads},
+		{MetricGeneratorWork + `{kind="emissions"}`, n.generated},
 	} {
-		reg.Counter(MetricAllocatorWork + `{kind="` + kind + `"}`).Add(v)
+		reg.Counter(c.series).Add(c.v)
 	}
 }

@@ -89,14 +89,38 @@ func TestMeteredRunMatchesSerial(t *testing.T) {
 	if evals < grants+sleeps || wakeups > sleeps || failed > wakeups {
 		t.Errorf("allocator work inconsistent: evals %d sleeps %d wakeups %d wake_failed %d grants %d", evals, sleeps, wakeups, failed, grants)
 	}
+	// So are the time-driven counts: heads left the pipeline on timers, a
+	// serviced port sends at least one packet, only granted packets are sent,
+	// and the generators are asked for fewer look-aheads than there are
+	// node-cycles.
+	timers, visits, sends := work(snap, "timer_wakeups"), work(snap, "xmit_visits"), work(snap, "sends")
+	gen := func(s *obs.Snapshot, kind string) int64 {
+		return s.Counters[MetricGeneratorWork+`{kind="`+kind+`"}`]
+	}
+	lookaheads, emissions := gen(snap, "lookaheads"), gen(snap, "emissions")
+	if timers == 0 || visits == 0 || visits > sends || sends > grants {
+		t.Errorf("router time-driven work inconsistent: timer_wakeups %d xmit_visits %d sends %d grants %d", timers, visits, sends, grants)
+	}
+	topo, err := cfg.BuildTopology()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if emissions == 0 || lookaheads < emissions || lookaheads >= want.SimulatedCycles*int64(topo.NumNodes()) {
+		t.Errorf("generator work inconsistent: lookaheads %d emissions %d over %d cycles", lookaheads, emissions, want.SimulatedCycles)
+	}
 	again := cfg
 	again.Metrics = obs.NewRegistry()
 	if _, err := RunOne(again); err != nil {
 		t.Fatal(err)
 	}
-	for _, kind := range []string{"evals", "sleeps", "wakeups", "wake_failed", "grants"} {
+	for _, kind := range []string{"evals", "sleeps", "wakeups", "wake_failed", "grants", "timer_wakeups", "xmit_visits", "sends"} {
 		if a, b := work(snap, kind), work(again.Metrics.Snapshot(), kind); a != b {
 			t.Errorf("allocator work %q does not repeat: %d then %d", kind, a, b)
+		}
+	}
+	for _, kind := range []string{"lookaheads", "emissions"} {
+		if a, b := gen(snap, kind), gen(again.Metrics.Snapshot(), kind); a != b {
+			t.Errorf("generator work %q does not repeat: %d then %d", kind, a, b)
 		}
 	}
 	if snap.Histograms[MetricReplicationWall].Count != 1 || snap.Counters[MetricReplications] != 1 {

@@ -11,6 +11,7 @@ import (
 	"flexvc/internal/buffer"
 	"flexvc/internal/config"
 	"flexvc/internal/core"
+	"flexvc/internal/minheap"
 	"flexvc/internal/packet"
 	"flexvc/internal/router"
 	"flexvc/internal/routing"
@@ -61,8 +62,11 @@ type Network struct {
 	// does not arbitrate at every node every cycle. Order is irrelevant:
 	// injection at a node only touches that node's own terminal port.
 	pendingNodes []packet.NodeID
-	wheel        eventWheel
-	collector    *stats.Collector
+	// genDue schedules the traffic generators: one key per node, the next
+	// cycle its source emits or its look-ahead resumes (see inject).
+	genDue    minheap.Heap
+	wheel     eventWheel
+	collector *stats.Collector
 	// metrics holds the pre-resolved observability handles (nil when
 	// cfg.Metrics is nil — the fully disabled state; see metrics.go).
 	metrics *simMetrics
@@ -71,6 +75,9 @@ type Network struct {
 	inFlight  int64
 	deadlock  bool
 	generated int64
+	// lookaheads counts generator look-ahead calls (an exact, repeatable
+	// count, published with the allocator work when a replication ends).
+	lookaheads int64
 }
 
 // New builds a network from a configuration. The configuration is validated
@@ -176,7 +183,12 @@ func newNetwork(cfg config.Config, sc *scratch) (*Network, error) {
 
 	n.metrics = newSimMetrics(cfg.Metrics)
 
+	if topo.NumNodes() > 1<<genNodeBits {
+		return nil, fmt.Errorf("sim: %d nodes, more than the %d the generator schedule numbers", topo.NumNodes(), 1<<genNodeBits)
+	}
 	n.nodes = make([]nodeState, topo.NumNodes())
+	n.genDue = make(minheap.Heap, 0, topo.NumNodes())
+	n.armGenerators(0)
 	n.activeRouter = make([]bool, topo.NumRouters())
 	n.pendingNodes = make([]packet.NodeID, 0, topo.NumNodes())
 	maxDelay := int64(cfg.GlobalLatency + cfg.PacketSize + cfg.RouterPipeline + cfg.LocalLatency + 8)

@@ -73,7 +73,7 @@ func RunOne(cfg config.Config) (stats.Result, error) {
 	// Nil-safe handles: without a registry these are no-ops.
 	cfg.Metrics.Histogram(MetricReplicationWall).Since(start)
 	cfg.Metrics.Counter(MetricReplications).Inc()
-	n.publishAllocatorWork()
+	n.publishWork()
 	sc.reclaim()
 	return r, nil
 }

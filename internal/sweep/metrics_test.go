@@ -74,8 +74,17 @@ func TestMetricsExportInvariant(t *testing.T) {
 		if snap.Counters[sim.MetricCycles] == 0 {
 			t.Errorf("%s: registry recorded no simulated cycles", topo)
 		}
-		if snap.Counters[sim.MetricAllocatorWork+`{kind="evals"}`] == 0 {
-			t.Errorf("%s: registry recorded no allocator work", topo)
+		for _, series := range []string{
+			sim.MetricAllocatorWork + `{kind="evals"}`,
+			sim.MetricAllocatorWork + `{kind="timer_wakeups"}`,
+			sim.MetricAllocatorWork + `{kind="xmit_visits"}`,
+			sim.MetricAllocatorWork + `{kind="sends"}`,
+			sim.MetricGeneratorWork + `{kind="lookaheads"}`,
+			sim.MetricGeneratorWork + `{kind="emissions"}`,
+		} {
+			if snap.Counters[series] == 0 {
+				t.Errorf("%s: registry recorded no %s", topo, series)
+			}
 		}
 		for _, phase := range []string{"events", "inject", "pb_update", "step"} {
 			if snap.Counters[sim.MetricPhaseWall+`{phase="`+phase+`"}`] == 0 {

@@ -15,21 +15,9 @@ type Bernoulli struct {
 	params Params
 	dest   destinationFn
 	rate   float64
-	ramp   rampCache
 
 	rngs []*rand.Rand
 	ids  idAllocator
-}
-
-// rampCache memoizes a ramped phase's per-cycle generation parameter: the
-// value depends only on the cycle, while Generate runs once per node per
-// cycle, so recomputing the interpolation per call would put float divisions
-// on the hot path for nothing. Generators are per-replication (never shared
-// across goroutines), so the cache needs no synchronisation.
-type rampCache struct {
-	now int64
-	val float64
-	ok  bool
 }
 
 // NewBernoulli builds a Bernoulli source with the given destination function.
@@ -45,23 +33,36 @@ func NewBernoulli(name string, params Params, dest destinationFn) *Bernoulli {
 // Name implements Generator.
 func (g *Bernoulli) Name() string { return g.name }
 
-// Generate implements Generator.
-func (g *Bernoulli) Generate(now int64, node packet.NodeID) packet.Ref {
+// NextEmission implements Generator: one draw per cycle until one falls under
+// the cycle's generation probability.
+func (g *Bernoulli) NextEmission(node packet.NodeID, from, limit int64) (int64, bool) {
 	rng := g.rngs[node]
-	rate := g.rate
-	if g.params.Ramped() {
-		if !g.ramp.ok || g.ramp.now != now {
-			g.ramp.val, g.ramp.now, g.ramp.ok = g.params.rateAt(now), now, true
+	rate, ramped := g.rate, g.params.Ramped()
+	for c := from; c < limit; c++ {
+		if ramped {
+			rate = g.params.rateAt(c)
 		}
-		rate = g.ramp.val
+		if rng.Float64() < rate {
+			return c, true
+		}
 	}
-	if rng.Float64() >= rate {
-		return packet.NilRef
-	}
-	dst := g.dest(rng, node)
+	return 0, false
+}
+
+// Emit implements Generator: the destination is the node stream's next draw.
+func (g *Bernoulli) Emit(now int64, node packet.NodeID) packet.Ref {
+	dst := g.dest(g.rngs[node], node)
 	ref := g.params.Store.Alloc(g.ids.alloc(), node, dst, g.params.PacketSize, packet.Request, now)
 	fillEndpoints(g.params.Topo, g.params.Store.Hdr(ref))
 	return ref
+}
+
+// Generate implements Generator.
+func (g *Bernoulli) Generate(now int64, node packet.NodeID) packet.Ref {
+	if _, ok := g.NextEmission(node, now, now+1); !ok {
+		return packet.NilRef
+	}
+	return g.Emit(now, node)
 }
 
 // Delivered implements Generator (no reaction for open-loop patterns).
@@ -84,7 +85,6 @@ type Bursty struct {
 	// the per-packet probability of ending it (1/avgBurstLength).
 	pOffToOn float64
 	pEnd     float64
-	ramp     rampCache
 
 	rngs  []*rand.Rand
 	state []burstState
@@ -141,38 +141,58 @@ func burstyOffToOn(load, burst float64, packetSize int) float64 {
 // Name implements Generator.
 func (g *Bursty) Name() string { return NameBursty }
 
-// Generate implements Generator.
-func (g *Bursty) Generate(now int64, node packet.NodeID) packet.Ref {
+// NextEmission implements Generator. An OFF node draws once per cycle for the
+// start of a burst (and, when one starts, for its destination); an ON node
+// draws nothing until its pacing lets the next packet start, so the cycles in
+// between are skipped outright.
+func (g *Bursty) NextEmission(node packet.NodeID, from, limit int64) (int64, bool) {
 	rng := g.rngs[node]
 	st := &g.state[node]
-	if !st.on {
-		pOn := g.pOffToOn
-		if g.params.Ramped() {
-			// Load ramps modulate how often bursts start; burst shape
-			// (length, 1 phit/cycle pacing) is load-independent.
-			if !g.ramp.ok || g.ramp.now != now {
-				g.ramp.val = burstyOffToOn(g.params.LoadAt(now), g.params.AvgBurstLength, g.params.PacketSize)
-				g.ramp.now, g.ramp.ok = now, true
+	ramped := g.params.Ramped()
+	for c := from; c < limit; {
+		if !st.on {
+			pOn := g.pOffToOn
+			if ramped {
+				// Load ramps modulate how often bursts start; burst shape
+				// (length, 1 phit/cycle pacing) is load-independent.
+				pOn = burstyOffToOn(g.params.LoadAt(c), g.params.AvgBurstLength, g.params.PacketSize)
 			}
-			pOn = g.ramp.val
+			if rng.Float64() >= pOn {
+				c++
+				continue
+			}
+			st.on = true
+			st.dst = g.dest(rng, node)
+			st.nextStart = c
 		}
-		if rng.Float64() >= pOn {
-			return packet.NilRef
+		if c < st.nextStart {
+			c = st.nextStart
+			continue
 		}
-		st.on = true
-		st.dst = g.dest(rng, node)
-		st.nextStart = now
+		return c, true
 	}
-	if now < st.nextStart {
-		return packet.NilRef
-	}
+	return 0, false
+}
+
+// Emit implements Generator: the burst's next packet, and the draw that may
+// end the burst with it.
+func (g *Bursty) Emit(now int64, node packet.NodeID) packet.Ref {
+	st := &g.state[node]
 	ref := g.params.Store.Alloc(g.ids.alloc(), node, st.dst, g.params.PacketSize, packet.Request, now)
 	fillEndpoints(g.params.Topo, g.params.Store.Hdr(ref))
 	st.nextStart = now + int64(g.params.PacketSize)
-	if rng.Float64() < g.pEnd {
+	if g.rngs[node].Float64() < g.pEnd {
 		st.on = false
 	}
 	return ref
+}
+
+// Generate implements Generator.
+func (g *Bursty) Generate(now int64, node packet.NodeID) packet.Ref {
+	if _, ok := g.NextEmission(node, now, now+1); !ok {
+		return packet.NilRef
+	}
+	return g.Emit(now, node)
 }
 
 // Delivered implements Generator.
@@ -206,7 +226,15 @@ func NewReactive(base Generator, params Params) *Reactive {
 // Name implements Generator.
 func (g *Reactive) Name() string { return g.base.Name() + "+reply" }
 
-// Generate implements Generator: new requests come from the base pattern.
+// NextEmission implements Generator: new requests come from the base pattern.
+func (g *Reactive) NextEmission(node packet.NodeID, from, limit int64) (int64, bool) {
+	return g.base.NextEmission(node, from, limit)
+}
+
+// Emit implements Generator.
+func (g *Reactive) Emit(now int64, node packet.NodeID) packet.Ref { return g.base.Emit(now, node) }
+
+// Generate implements Generator.
 func (g *Reactive) Generate(now int64, node packet.NodeID) packet.Ref {
 	return g.base.Generate(now, node)
 }
@@ -231,14 +259,21 @@ func (g *Reactive) Delivered(now int64, ref packet.Ref) {
 // replyIDBit keeps reply IDs disjoint from request IDs.
 const replyIDBit = uint64(1) << 63
 
-// PendingReplies implements Generator: it pops one owed reply for the node.
+// PendingReplies implements Generator: it pops one owed reply for the node. A
+// drained queue is rewound rather than advanced, so its backing array serves
+// the next reply (the simulator pops each reply as soon as it is owed: the
+// queue is almost always one deep).
 func (g *Reactive) PendingReplies(node packet.NodeID) packet.Ref {
 	q := g.pending[node]
 	if len(q) == 0 {
 		return packet.NilRef
 	}
 	p := q[0]
-	g.pending[node] = q[1:]
+	if len(q) == 1 {
+		g.pending[node] = q[:0]
+	} else {
+		g.pending[node] = q[1:]
+	}
 	return p
 }
 

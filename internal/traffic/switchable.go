@@ -46,7 +46,6 @@ type PhaseSpec struct {
 type Switchable struct {
 	phases []switchPhase
 	store  *packet.Store
-	cur    int
 	ids    idAllocator
 }
 
@@ -117,23 +116,56 @@ func (s *Switchable) Name() string {
 	return "phased[" + strings.Join(names, ",") + "]"
 }
 
-// Generate implements Generator: it delegates to the phase covering `now`.
-// Packet IDs are re-allocated from one shared counter so they stay unique
-// across phases.
-func (s *Switchable) Generate(now int64, node packet.NodeID) packet.Ref {
-	for s.cur+1 < len(s.phases) && now >= s.phases[s.cur].until {
-		s.cur++
+// NextEmission implements Generator. A window that crosses phase boundaries
+// is cut at each: a phase's generator is run over its own cycles only, exactly
+// the cycles polling would have offered it, and the next phase takes over at
+// the boundary with its own, untouched stream.
+func (s *Switchable) NextEmission(node packet.NodeID, from, limit int64) (int64, bool) {
+	for i := s.phaseAt(from); ; i++ {
+		end := limit
+		if i+1 < len(s.phases) && s.phases[i].until < limit {
+			end = s.phases[i].until
+		}
+		if c, ok := s.phases[i].gen.NextEmission(node, from, end); ok {
+			return c, true
+		}
+		if end == limit {
+			return 0, false
+		}
+		from = end
 	}
-	ref := s.phases[s.cur].gen.Generate(now, node)
-	if ref != packet.NilRef {
-		s.store.Hdr(ref).ID = s.ids.alloc()
+}
+
+// phaseAt returns the phase covering cycle now; the last phase covers
+// everything after it.
+func (s *Switchable) phaseAt(now int64) int {
+	i := 0
+	for i+1 < len(s.phases) && now >= s.phases[i].until {
+		i++
 	}
+	return i
+}
+
+// Emit implements Generator: it delegates to the phase covering `now`. Packet
+// IDs are re-allocated from one shared counter so they stay unique across
+// phases.
+func (s *Switchable) Emit(now int64, node packet.NodeID) packet.Ref {
+	ref := s.phases[s.phaseAt(now)].gen.Emit(now, node)
+	s.store.Hdr(ref).ID = s.ids.alloc()
 	return ref
+}
+
+// Generate implements Generator.
+func (s *Switchable) Generate(now int64, node packet.NodeID) packet.Ref {
+	if _, ok := s.NextEmission(node, now, now+1); !ok {
+		return packet.NilRef
+	}
+	return s.Emit(now, node)
 }
 
 // Delivered implements Generator (all base phases are open-loop no-ops).
 func (s *Switchable) Delivered(now int64, ref packet.Ref) {
-	s.phases[s.cur].gen.Delivered(now, ref)
+	s.phases[s.phaseAt(now)].gen.Delivered(now, ref)
 }
 
 // PendingReplies implements Generator.

@@ -19,12 +19,30 @@ import (
 
 // Generator produces the packets a node offers to the network. Packets live
 // in the Params.Store arena; generators hand out Refs, never pointers.
+//
+// A node's source is a function of its own PRNG stream and the cycle alone, so
+// it can be run ahead of the simulated clock: NextEmission finds the next cycle
+// the node emits a packet, consuming exactly the draws polling the node every
+// cycle would, and Emit — called when the clock reaches that cycle — builds
+// the packet. Everything packets share (IDs, store slots) is touched by Emit
+// only, so the packet stream depends on the (cycle, node) order of the Emit
+// calls and on nothing the look-ahead did.
 type Generator interface {
 	// Name identifies the pattern.
 	Name() string
-	// Generate is called once per node per cycle and returns a freshly
-	// allocated packet or NilRef. The returned packet has its endpoints,
-	// size, class and generation time filled in.
+	// NextEmission runs one node's source over the cycles [from, limit) and
+	// stops at the first one in which the node emits, which it returns with
+	// ok. The caller must then call Emit for that cycle and resume the node
+	// at the cycle after it. Without an emission (ok false) every cycle of the
+	// window has been consumed and the node resumes at limit — not past it:
+	// cycle limit itself has not been drawn for.
+	NextEmission(node packet.NodeID, from, limit int64) (cycle int64, ok bool)
+	// Emit builds the packet NextEmission announced for cycle now: a freshly
+	// allocated packet with its endpoints, size, class and generation time
+	// filled in. Calls must come in ascending (cycle, node) order.
+	Emit(now int64, node packet.NodeID) packet.Ref
+	// Generate polls one node for one cycle: the one-cycle window of
+	// NextEmission and Emit. It returns the new packet or NilRef.
 	Generate(now int64, node packet.NodeID) packet.Ref
 	// Delivered notifies the generator that a packet reached its
 	// destination (reactive patterns respond by scheduling a reply).
