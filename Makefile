@@ -16,7 +16,7 @@ BENCH_GATE_PAT  := SmokeSweep|AllowedVCs|RouterStep|VCActivity|PacketStore|Input
 BENCH_GATE_PKGS := . ./internal/router ./internal/buffer ./internal/obs ./internal/packet
 BENCH_COUNT     ?= 3
 
-.PHONY: build test race lint bench-check bench-baseline bench-profile bench-contract ci check-smoke check-full scenario-smoke campaign-smoke campaignd-smoke campaignd-metrics-smoke
+.PHONY: build test race lint bench-check bench-baseline bench-profile bench-contract ci check-smoke check-full scenario-smoke campaign-smoke specs-smoke campaignd-smoke campaignd-metrics-smoke
 
 build:
 	$(GO) build ./...
@@ -73,13 +73,15 @@ bench-baseline:
 bench-contract:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-ci: lint test race bench-check bench-contract check-smoke
+ci: lint test race bench-check bench-contract check-smoke specs-smoke
 
 # The PR-time reproducibility gate: verify every recorded experiment in
 # experiments/manifest.json. Digests of the committed exports and reports are
 # always checked; entries cheap enough to finish under -max-wall are also
 # re-simulated and byte-compared (transient-small and pb-policies-transient
-# today — fig5-small's ~50s re-run is nightly-only, see check-full).
+# today — fig5-small's ~50s re-run is nightly-only, see check-full). Every
+# entry's key space (results keys + config fingerprints) is compared with its
+# spec either way, without simulating.
 check-smoke:
 	$(GO) run ./cmd/figures check -max-wall 10s all
 
@@ -111,6 +113,21 @@ RESULTS_DIR_CAMPAIGN ?= results/campaign-smoke
 campaign-smoke:
 	$(GO) run ./cmd/figures run -campaign smoke -quick -results $(RESULTS_DIR_CAMPAIGN)
 	$(GO) run ./cmd/figures render -campaign smoke -results $(RESULTS_DIR_CAMPAIGN) -out $(RESULTS_DIR_CAMPAIGN)/smoke.md
+
+# Every embedded spec — the paper's figures, transient and smoke — run end to
+# end at tiny scale in quick mode and rendered, so a spec that stops
+# compiling, validating or rendering fails on the PR that breaks it: 345 tiny
+# replications, about 1.5s wall on two cores once the binary is built. The
+# results directory starts empty so every replication is simulated.
+RESULTS_DIR_SPECS ?= results/specs-smoke
+specs-smoke:
+	rm -rf $(RESULTS_DIR_SPECS)
+	$(GO) build -o $(RESULTS_DIR_SPECS)/figures ./cmd/figures
+	set -e; for spec in $$($(RESULTS_DIR_SPECS)/figures list | awk '/^campaign specs/ {on=1; next} on {print $$1}'); do \
+		$(RESULTS_DIR_SPECS)/figures run -campaign $$spec -scale tiny -quick -results $(RESULTS_DIR_SPECS)/$$spec >/dev/null; \
+		$(RESULTS_DIR_SPECS)/figures render -exp $$spec -results $(RESULTS_DIR_SPECS)/$$spec -out $(RESULTS_DIR_SPECS)/$$spec.md >/dev/null; \
+		echo "specs-smoke: $$spec ok"; \
+	done
 
 # The sharded-campaign gate: run the embedded smoke spec once single-process
 # and once across two campaignd worker processes with the chaos hook armed

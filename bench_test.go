@@ -305,20 +305,6 @@ func BenchmarkAllowedVCs(b *testing.B) {
 	}
 }
 
-// BenchmarkQuickTableExperiment runs a full analytic experiment through the
-// sweep registry (no simulation), checking the harness overhead.
-func BenchmarkQuickTableExperiment(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rep, err := sweep.Run("table4", sweep.DefaultOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rep.Render()) == 0 {
-			b.Fatal("empty report")
-		}
-	}
-}
-
 // --- End-to-end sweep benchmarks ---------------------------------------------
 //
 // These exercise the whole harness stack (sweep scheduler -> RunAveraged ->
@@ -357,7 +343,7 @@ func BenchmarkSweepQuickE2E(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		series, err := sweep.LoadSweep(base, variants, loads, seeds, 0)
+		series, err := sweep.LoadSweep(base, variants, loads, seeds)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -381,7 +367,7 @@ func BenchmarkSmokeSweep(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		series, err := sweep.LoadSweep(base, variants, []float64{0.3, 0.7}, 2, 0)
+		series, err := sweep.LoadSweep(base, variants, []float64{0.3, 0.7}, 2)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,22 +1,20 @@
 // Command figures regenerates the tables and figures of the FlexVC paper's
 // evaluation section (Tables I-IV, Figures 5-11).
 //
-// It has two halves, connected by machine-readable results files
-// (internal/results): `run` simulates into a results directory, checkpointing
-// every completed replication so an interrupted sweep resumes where it
-// stopped, and `render` turns the recorded results into reports — including
-// the paper-vs-measured tables of EXPERIMENTS.md — without re-simulating.
-//
-// Beyond the built-in experiments, `run` and `render` accept declarative
-// campaign specs (internal/campaign): a JSON file — or the name of an
-// embedded spec, see `figures list` — describing base settings, variant axes,
-// loads, seeds, scale and optional scenarios. Campaign runs checkpoint,
-// resume, export and render exactly like built-in figures.
+// Every simulated experiment is a campaign spec (internal/campaign): a JSON
+// file, or the name of an embedded spec — fig5 to fig11 and transient are the
+// paper's figures, see `figures list`. The command has two halves, connected
+// by machine-readable results files (internal/results): `run` simulates a
+// spec into a results directory, checkpointing every completed replication
+// so an interrupted sweep resumes where it stopped, and `render` turns the
+// recorded results into reports — including the paper-vs-measured tables of
+// EXPERIMENTS.md — without re-simulating. `-quick` means the same for every
+// spec: halved warm-up and measurement windows and three loads per section.
 //
 // A third mode, `check`, is the reproducibility gate: it reads the
 // experiments manifest (experiments/manifest.json), re-runs each recorded
-// experiment or campaign into a scratch results directory, and byte-compares
-// the fresh export and rendered report against the committed artefacts
+// campaign into a scratch results directory, and byte-compares the fresh
+// export and rendered report against the committed artefacts
 // (internal/verify). Any divergence — a corrupted recording, a simulator
 // behaviour change, a renderer change — exits non-zero with the first
 // diverging line.
@@ -24,15 +22,16 @@
 // Examples:
 //
 //	figures list
-//	figures run -exp fig5 -scale small -seeds 5 -results results/
-//	figures run -exp all -scale medium -seeds 5 -results results/   # resumable
+//	figures run -campaign fig5 -seeds 5 -results results/
+//	figures run -campaign fig7 -scale medium -seeds 5 -results results/   # resumable
 //	figures run -campaign experiments/pb-policies-transient/campaign.json -results results/
 //	figures render -exp fig5 -results results/ -out fig5.md
 //	figures render -campaign pb-policies-transient -results results/
+//	figures render -exp all -results results/ -out reports/
 //	figures render -exp fig5 -results results/ -format text
 //	figures check all                      # verify every recorded experiment
 //	figures check transient-small          # verify one manifest entry
-//	figures check -max-wall 10s all        # digests always; re-run only cheap entries
+//	figures check -max-wall 10s all        # digests and key spaces always; re-run only cheap entries
 //
 // The analytic tables (table1..table4) are computed, not simulated, so nothing
 // is recorded for them; `render` prints them directly:
@@ -51,6 +50,7 @@ import (
 	"time"
 
 	"flexvc/internal/campaign"
+	"flexvc/internal/core"
 	"flexvc/internal/obs"
 	"flexvc/internal/results"
 	"flexvc/internal/sim"
@@ -74,13 +74,29 @@ func main() {
 }
 
 const usage = `usage: figures {list | run | render | check} [flags]
-  list   list the built-in experiments and embedded campaign specs
-  run    simulate into a checkpointed results directory (resumable);
-         -exp runs built-in experiments, -campaign runs a JSON campaign spec
-  render turn recorded results into reports without re-simulating
-  check  re-run the recorded experiments of experiments/manifest.json and
+  list   list the analytic tables and the embedded campaign specs
+  run    simulate a campaign spec (-campaign <name|spec.json>) into a
+         checkpointed results directory (resumable)
+  render turn recorded results into reports without re-simulating, or print
+         an analytic table
+  check  re-run the recorded campaigns of experiments/manifest.json and
          byte-compare exports + reports against the committed artefacts;
          exits non-zero on any mismatch (figures check [id|all])`
+
+// analyticTables are the paper's route-classification tables: computed
+// combinatorially on demand, never simulated or recorded.
+var analyticTables = map[string]func() core.Table{
+	"table1": core.TableI,
+	"table2": core.TableII,
+	"table3": core.TableIII,
+	"table4": core.TableIV,
+}
+
+// analyticReport computes one analytic table as a report.
+func analyticReport(id string) *sweep.Report {
+	t := analyticTables[id]()
+	return &sweep.Report{ID: id, Title: t.Title, Sections: []sweep.Section{{Title: t.Title, Body: t.Render()}}}
+}
 
 func run(args []string) error {
 	if len(args) > 0 {
@@ -106,13 +122,14 @@ func run(args []string) error {
 }
 
 func listCmd() error {
-	reg := sweep.Registry()
-	for _, id := range sweep.IDs() {
-		kind := "simulated"
-		if reg[id].Analytic {
-			kind = "analytic"
-		}
-		fmt.Printf("  %-8s %-9s %s\n", id, kind, reg[id].Title)
+	fmt.Println("analytic tables (print with `figures render -exp <id>`):")
+	ids := make([]string, 0, len(analyticTables))
+	for id := range analyticTables {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	for _, id := range ids {
+		fmt.Printf("  %-9s %s\n", id, analyticTables[id]().Title)
 	}
 	fmt.Println("campaign specs (run with `figures run -campaign <name|spec.json>`):")
 	for _, name := range campaign.BuiltinNames() {
@@ -120,43 +137,17 @@ func listCmd() error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("  %-8s %-9s %s\n", name, "campaign", c.ReportTitle())
+		fmt.Printf("  %-9s %s\n", name, c.ReportTitle())
 	}
 	return nil
 }
 
-// expandIDs resolves the -exp flag value ("fig5", "fig5,fig7" or "all").
-func expandIDs(exp string) ([]string, error) {
+// expandIDs resolves the render -exp flag value ("fig5", "fig5,table3" or
+// "all"). Named ids pass through unchecked — a missing results file surfaces
+// the error — and "all" means every export recorded in the directory, sorted.
+func expandIDs(exp, resDir string) ([]string, error) {
 	if exp == "" {
-		return nil, fmt.Errorf("missing -exp (use `figures list` to see the available experiments)")
-	}
-	if exp == "all" {
-		return sweep.IDs(), nil
-	}
-	ids := strings.Split(exp, ",")
-	reg := sweep.Registry()
-	seen := map[string]bool{}
-	for _, id := range ids {
-		if _, ok := reg[id]; !ok {
-			return nil, fmt.Errorf("unknown experiment %q (use `figures list`)", id)
-		}
-		if seen[id] {
-			return nil, fmt.Errorf("experiment %q listed twice in -exp", id)
-		}
-		seen[id] = true
-	}
-	return ids, nil
-}
-
-// expandRenderIDs resolves the -exp flag for `figures render`. Unlike the run
-// path, ids need not be registry experiments — campaign results render from
-// their exports alone — so named ids pass through unchecked (a missing
-// results file surfaces the error), and "all" renders everything recorded in
-// the directory plus any registry experiment (so missing built-in files keep
-// their skip-silently semantics).
-func expandRenderIDs(exp, resDir string) ([]string, error) {
-	if exp == "" {
-		return nil, fmt.Errorf("missing -exp (use `figures list` to see the available experiments)")
+		return nil, fmt.Errorf("missing -exp (use `figures list` to see the analytic tables and campaign specs)")
 	}
 	if exp != "all" {
 		ids := strings.Split(exp, ",")
@@ -169,21 +160,13 @@ func expandRenderIDs(exp, resDir string) ([]string, error) {
 		}
 		return ids, nil
 	}
-	ids := sweep.IDs()
-	have := map[string]bool{}
-	for _, id := range ids {
-		have[id] = true
-	}
 	matches, err := filepath.Glob(filepath.Join(resDir, "*.results.json"))
 	if err != nil {
 		return nil, err
 	}
-	for _, m := range matches {
-		id := strings.TrimSuffix(filepath.Base(m), ".results.json")
-		if !have[id] {
-			have[id] = true
-			ids = append(ids, id)
-		}
+	ids := make([]string, len(matches))
+	for i, m := range matches {
+		ids[i] = strings.TrimSuffix(filepath.Base(m), ".results.json")
 	}
 	sort.Strings(ids)
 	return ids, nil
@@ -204,13 +187,11 @@ func gitRevision() string {
 func runCmd(args []string) error {
 	fs := flag.NewFlagSet("figures run", flag.ContinueOnError)
 	var (
-		exp        = fs.String("exp", "", "experiments to run: comma-separated IDs or 'all'")
-		campaignF  = fs.String("campaign", "", "campaign spec to run: a JSON file or an embedded spec name (see `figures list`)")
-		scale      = fs.String("scale", "", "system scale: small, medium or paper (campaign specs may set their own default)")
-		seeds      = fs.Int("seeds", 0, "independent replications per point (the paper uses 5; campaign specs may set their own default)")
-		parallel   = fs.Int("parallel", 0, "cap on sweep points in flight (0 = unbounded; a memory guard)")
+		campaignF  = fs.String("campaign", "", "campaign spec to run (required): a JSON file or an embedded spec name (see `figures list`)")
+		scale      = fs.String("scale", "", "system scale: tiny, small, medium or paper (default: the spec's scale, else small)")
+		seeds      = fs.Int("seeds", 0, "independent replications per point (the paper uses 5; default: the spec's seeds, else 1)")
 		workers    = fs.Int("workers", 0, "concurrent simulation workers (0 = GOMAXPROCS)")
-		quick      = fs.Bool("quick", false, "trim sweeps for a fast smoke run")
+		quick      = fs.Bool("quick", false, "smoke run: halve the warm-up and measurement windows and run three loads per section")
 		resDir     = fs.String("results", "", "results directory (required): checkpoints + exported results JSON")
 		revision   = fs.String("revision", "", "source revision to stamp into the results (default: git rev-parse)")
 		manAdd     = fs.Bool("manifest-add", false, "after recording, render report.md next to the export and register a digest-pinned entry in -manifest (entry id = the results directory name)")
@@ -224,20 +205,14 @@ func runCmd(args []string) error {
 	if *resDir == "" {
 		return fmt.Errorf("run: missing -results directory")
 	}
-	if (*exp == "") == (*campaignF == "") {
-		return fmt.Errorf("run: need exactly one of -exp or -campaign")
+	if *campaignF == "" {
+		return fmt.Errorf("run: missing -campaign (a spec file or an embedded spec name; see `figures list`)")
 	}
-	var spec *campaign.Campaign
-	var ids []string
-	var err error
-	if *campaignF != "" {
-		if spec, err = campaign.Resolve(*campaignF); err != nil {
-			return err
-		}
-		ids = []string{spec.Name}
-	} else if ids, err = expandIDs(*exp); err != nil {
+	spec, err := campaign.Resolve(*campaignF)
+	if err != nil {
 		return err
 	}
+	id := spec.Name
 	store, err := results.Open(*resDir)
 	if err != nil {
 		return err
@@ -261,89 +236,52 @@ func runCmd(args []string) error {
 		fmt.Fprintf(os.Stderr, "resuming: %d replications already recorded in %s\n", prior, *resDir)
 	}
 
-	reg := sweep.Registry()
-	if *manAdd {
-		// A manifest entry pins one recording: one id, one export, one report.
-		if len(ids) != 1 {
-			return fmt.Errorf("run: -manifest-add registers exactly one recorded experiment per entry; run %d experiments separately", len(ids))
-		}
-		if spec == nil && reg[ids[0]].Analytic {
-			return fmt.Errorf("run: %s is analytic — nothing is recorded, so there is nothing to register", ids[0])
-		}
+	start := time.Now()
+	var lastPrint time.Time
+	var final sweep.Progress
+	opts := sweep.Options{
+		Scale:   *scale,
+		Seeds:   *seeds,
+		Quick:   *quick,
+		Results: store,
+		Metrics: metrics,
+		Progress: func(p sweep.Progress) {
+			final = p
+			if p.Summary {
+				fmt.Fprintf(os.Stderr, "%s summary: %d replications (%d restored, %d simulated) in %s, %.1f records/s\n",
+					id, p.Done, p.Skipped, p.Done-p.Skipped,
+					p.Elapsed.Round(time.Millisecond), p.RecordsPerSec)
+				return
+			}
+			if p.Done != p.Total && time.Since(lastPrint) < time.Second {
+				return
+			}
+			lastPrint = time.Now()
+			fmt.Fprintf(os.Stderr, "%s [%s] %d/%d replications (%d restored) elapsed %s eta %s\n",
+				id, p.Section, p.Done, p.Total, p.Skipped,
+				p.Elapsed.Round(time.Second), p.ETA.Round(time.Second))
+		},
 	}
-	for _, id := range ids {
-		if spec == nil && reg[id].Analytic {
-			fmt.Fprintf(os.Stderr, "%s: analytic (nothing to simulate or record); print it with `figures render -exp %s -results %s`\n", id, id, *resDir)
-			continue
+	if _, err := campaign.Run(spec, opts); err != nil {
+		return fmt.Errorf("%s: %w", id, err)
+	}
+	path, err := store.WriteExport(id, spec.ReportTitle())
+	if err != nil {
+		return fmt.Errorf("%s: exporting results: %w", id, err)
+	}
+	fmt.Printf("%s: %d replications (%d restored from checkpoints) in %s -> %s\n",
+		id, final.Done, final.Skipped, time.Since(start).Round(time.Millisecond), path)
+	if *manAdd {
+		entryID := filepath.Base(filepath.Clean(*resDir))
+		var snap *obs.Snapshot
+		if metrics != nil {
+			snap = metrics.Snapshot()
 		}
-		start := time.Now()
-		var lastPrint time.Time
-		var final sweep.Progress
-		// Defaults match the pre-campaign flag defaults; campaign specs may
-		// carry their own scale/seeds, which campaign.Run applies when the
-		// flags are unset.
-		expScale, expSeeds := *scale, *seeds
-		if spec == nil {
-			if expScale == "" {
-				expScale = "small"
-			}
-			if expSeeds <= 0 {
-				expSeeds = 1
-			}
+		if err := manifestAppend(*manifestF, entryID, *campaignF, path, *scale, *seeds, *quick, store.WallTotal(), snap, *notes); err != nil {
+			return fmt.Errorf("%s: -manifest-add: %w", id, err)
 		}
-		opts := sweep.Options{
-			Scale:       expScale,
-			Seeds:       expSeeds,
-			Parallelism: *parallel,
-			Quick:       *quick,
-			Results:     store,
-			Metrics:     metrics,
-			Progress: func(p sweep.Progress) {
-				final = p
-				if p.Summary {
-					fmt.Fprintf(os.Stderr, "%s summary: %d replications (%d restored, %d simulated) in %s, %.1f records/s\n",
-						id, p.Done, p.Skipped, p.Done-p.Skipped,
-						p.Elapsed.Round(time.Millisecond), p.RecordsPerSec)
-					return
-				}
-				if p.Done != p.Total && time.Since(lastPrint) < time.Second {
-					return
-				}
-				lastPrint = time.Now()
-				fmt.Fprintf(os.Stderr, "%s [%s] %d/%d replications (%d restored) elapsed %s eta %s\n",
-					id, p.Section, p.Done, p.Total, p.Skipped,
-					p.Elapsed.Round(time.Second), p.ETA.Round(time.Second))
-			},
-		}
-		title := ""
-		if spec != nil {
-			title = spec.ReportTitle()
-			_, err = campaign.Run(spec, opts)
-		} else {
-			title = reg[id].Title
-			_, err = sweep.Run(id, opts)
-		}
-		if err != nil {
-			return fmt.Errorf("%s: %w", id, err)
-		}
-		path, err := store.WriteExport(id, title)
-		if err != nil {
-			return fmt.Errorf("%s: exporting results: %w", id, err)
-		}
-		fmt.Printf("%s: %d replications (%d restored from checkpoints) in %s -> %s\n",
-			id, final.Done, final.Skipped, time.Since(start).Round(time.Millisecond), path)
-		if *manAdd {
-			entryID := filepath.Base(filepath.Clean(*resDir))
-			var snap *obs.Snapshot
-			if metrics != nil {
-				snap = metrics.Snapshot()
-			}
-			if err := manifestAppend(*manifestF, entryID, spec, *campaignF, id, path, expScale, expSeeds, *quick, store.WallTotal(), snap, *notes); err != nil {
-				return fmt.Errorf("%s: -manifest-add: %w", id, err)
-			}
-		} else {
-			manifestHint(*manifestF, path)
-		}
+	} else {
+		manifestHint(*manifestF, path)
 	}
 	if metrics != nil {
 		if err := obs.WriteSnapshotFile(metrics, *metricsOut); err != nil {
@@ -361,7 +299,7 @@ func runCmd(args []string) error {
 func renderCmd(args []string) error {
 	fs := flag.NewFlagSet("figures render", flag.ContinueOnError)
 	var (
-		exp       = fs.String("exp", "", "experiments to render: comma-separated IDs (built-in or campaign names) or 'all'")
+		exp       = fs.String("exp", "", "experiments to render: comma-separated ids (analytic tables or recorded campaign names) or 'all' (every export in -results)")
 		campaignF = fs.String("campaign", "", "campaign spec whose recorded results to render (a JSON file or embedded spec name)")
 		resDir    = fs.String("results", "", "results directory holding <exp>.results.json exports")
 		out       = fs.String("out", "", "output file (single experiment) or directory (with -exp all); default stdout")
@@ -385,24 +323,19 @@ func renderCmd(args []string) error {
 		ids = []string{spec.Name}
 	} else {
 		var err error
-		if ids, err = expandRenderIDs(*exp, *resDir); err != nil {
+		if ids, err = expandIDs(*exp, *resDir); err != nil {
 			return err
 		}
 	}
-	reg := sweep.Registry()
 	multi := len(ids) > 1
 	rendered := 0
 	for _, id := range ids {
-		if reg[id].Analytic {
+		if _, ok := analyticTables[id]; ok {
 			if multi {
 				continue
 			}
 			// Computed, not recorded: there is no export to load.
-			rep, err := sweep.Run(id, sweep.Options{})
-			if err != nil {
-				return err
-			}
-			return emit(*out, id, *format, rep.Render(), false)
+			return emit(*out, id, *format, analyticReport(id).Render(), false)
 		}
 		path := filepath.Join(*resDir, id+".results.json")
 		f, err := results.LoadFile(path)

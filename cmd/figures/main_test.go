@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -87,66 +88,46 @@ func recordedTree(t *testing.T) (manifestPath, exportPath, reportPath string) {
 	return manifestPath, exportPath, reportPath
 }
 
+// TestExpandIDs locks the render id list: the user's order, no duplicates,
+// no empty flag, and names passed through unchecked (a missing export is the
+// error, not the id).
 func TestExpandIDs(t *testing.T) {
-	all, err := expandIDs("all")
-	if err != nil || len(all) != len(sweep.IDs()) {
-		t.Fatalf("expandIDs(all) = %v, %v", all, err)
-	}
-	if _, err := expandIDs(""); err == nil {
+	dir := t.TempDir()
+	if _, err := expandIDs("", dir); err == nil {
 		t.Error("empty -exp accepted")
 	}
-	if _, err := expandIDs("fig99"); err == nil || !strings.Contains(err.Error(), "fig99") {
-		t.Errorf("unknown experiment: err %v should name it", err)
-	}
-	if _, err := expandIDs("fig5,fig7,fig5"); err == nil || !strings.Contains(err.Error(), "twice") {
+	if _, err := expandIDs("fig5,fig7,fig5", dir); err == nil || !strings.Contains(err.Error(), "twice") {
 		t.Errorf("duplicate id accepted (err=%v)", err)
 	}
-	got, err := expandIDs("fig7,fig5")
-	if err != nil || len(got) != 2 || got[0] != "fig7" || got[1] != "fig5" {
+	got, err := expandIDs("fig7,table3,custom", dir)
+	if err != nil || strings.Join(got, ",") != "fig7,table3,custom" {
 		t.Errorf("expandIDs should keep the user's order: %v, %v", got, err)
 	}
 }
 
-// TestExpandRenderIDsAll locks discovery semantics: union of the registry and
-// the directory's exports, sorted (deterministic), with directory exports that
-// shadow a registry id counted once.
+// TestExpandRenderIDsAll locks discovery semantics: "all" is every export in
+// the results directory, sorted (deterministic), and nothing else.
 func TestExpandRenderIDsAll(t *testing.T) {
 	dir := t.TempDir()
-	for _, name := range []string{"zcustom.results.json", "acustom.results.json", "fig5.results.json"} {
+	for _, name := range []string{"zcustom.results.json", "acustom.results.json", "fig5.results.json", "notes.md"} {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte("{}"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	ids, err := expandRenderIDs("all", dir)
+	ids, err := expandIDs("all", dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := append([]string{"acustom", "zcustom"}, sweep.IDs()...)
-	counts := map[string]int{}
-	for _, id := range ids {
-		counts[id]++
-	}
-	for _, id := range want {
-		if counts[id] != 1 {
-			t.Errorf("id %q appears %d times, want once", id, counts[id])
-		}
-	}
-	if len(ids) != len(want) {
-		t.Errorf("discovered %d ids, want %d (%v)", len(ids), len(want), ids)
-	}
-	for i := 1; i < len(ids); i++ {
-		if ids[i-1] >= ids[i] {
-			t.Fatalf("discovery order not sorted: %v", ids)
-		}
+	if got := strings.Join(ids, ","); got != "acustom,fig5,zcustom" {
+		t.Errorf("discovered %s, want acustom,fig5,zcustom", got)
 	}
 	// A second pass must agree exactly — discovery is deterministic.
-	again, err := expandRenderIDs("all", dir)
+	again, err := expandIDs("all", dir)
 	if err != nil || strings.Join(ids, ",") != strings.Join(again, ",") {
 		t.Errorf("discovery not stable: %v vs %v (err %v)", ids, again, err)
 	}
-
-	if _, err := expandRenderIDs("smoke,smoke", dir); err == nil || !strings.Contains(err.Error(), "twice") {
-		t.Errorf("duplicate render id accepted (err=%v)", err)
+	if ids, err := expandIDs("all", t.TempDir()); err != nil || len(ids) != 0 {
+		t.Errorf("empty directory discovered %v (err %v)", ids, err)
 	}
 }
 
@@ -284,11 +265,64 @@ func TestRenderAnalyticTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := sweep.Run("table3", sweep.Options{})
+	if want := analyticReport("table3").Render(); string(b) != want {
+		t.Errorf("rendered table3 differs from the computed report:\n%s", b)
+	}
+}
+
+// TestTableExperiments: every analytic table computes a non-empty report
+// naming the routing classes it classifies.
+func TestTableExperiments(t *testing.T) {
+	for id := range analyticTables {
+		text := analyticReport(id).Render()
+		if !strings.Contains(text, "MIN") || !strings.Contains(text, "VAL") {
+			t.Errorf("%s report looks empty:\n%s", id, text)
+		}
+	}
+}
+
+// TestGoldenTable4 locks down the rendered report of Table IV, the analytic
+// table combining FlexVC with protocol-deadlock avoidance in a Dragonfly.
+func TestGoldenTable4(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "table4.golden"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(b) != want.Render() {
-		t.Errorf("rendered table3 differs from the computed report:\n%s", b)
+	if got := analyticReport("table4").Render(); got != string(want) {
+		t.Errorf("table4 differs from testdata/table4.golden:\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	}
+}
+
+// TestListCoversEveryPaperArtefact: `figures list` serves every table and
+// figure of the paper's evaluation — Tables I-IV computed, Figures 5-11 and
+// the transient experiment as embedded campaign specs — and `run` takes no
+// other kind of experiment.
+func TestListCoversEveryPaperArtefact(t *testing.T) {
+	for _, id := range []string{"table1", "table2", "table3", "table4"} {
+		if _, ok := analyticTables[id]; !ok {
+			t.Errorf("missing analytic table %q", id)
+		}
+	}
+	if len(analyticTables) != 4 {
+		t.Errorf("%d analytic tables, want 4", len(analyticTables))
+	}
+	specs := campaign.BuiltinNames()
+	for _, id := range []string{"fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "transient"} {
+		if !slices.Contains(specs, id) {
+			t.Errorf("missing embedded spec %q (have %v)", id, specs)
+		}
+	}
+	if err := listCmd(); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for _, args := range [][]string{
+		{"run", "-results", dir},
+		{"run", "-exp", "fig5", "-results", dir},
+		{"run", "-campaign", "table3", "-results", dir},
+	} {
+		if err := run(args); err == nil {
+			t.Errorf("figures %v succeeded; only a campaign spec runs", args)
+		}
 	}
 }

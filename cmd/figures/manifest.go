@@ -8,7 +8,6 @@ import (
 	"strings"
 	"time"
 
-	"flexvc/internal/campaign"
 	"flexvc/internal/obs"
 	"flexvc/internal/results"
 	"flexvc/internal/sim"
@@ -23,13 +22,15 @@ import (
 // entry), and manifestHint nags when a recording lands under the manifest
 // directory without one.
 
-// manifestAppend registers a freshly recorded experiment in the experiments
+// manifestAppend registers a freshly recorded campaign in the experiments
 // manifest: it renders report.md next to the export, pins sha256 digests of
 // both artefacts, appends a new entry and rewrites the manifest file. The
 // entry id is the results directory's base name (the layout convention the
 // manifest documents), and the registration fails if that id is already
 // taken — updating an existing recording is `figures check -update`'s job.
-func manifestAppend(manifestPath, id string, spec *campaign.Campaign, campaignArg, experiment, exportPath, scale string, seeds int, quick bool, simWall time.Duration, metrics *obs.Snapshot, notes string) error {
+// scale and seeds are the run's flags: zero values leave the entry following
+// the spec's defaults.
+func manifestAppend(manifestPath, id, campaignArg, exportPath, scale string, seeds int, quick bool, simWall time.Duration, metrics *obs.Snapshot, notes string) error {
 	m, err := verify.LoadManifest(manifestPath)
 	if err != nil {
 		if !os.IsNotExist(err) {
@@ -70,6 +71,9 @@ func manifestAppend(manifestPath, id string, spec *campaign.Campaign, campaignAr
 
 	e := verify.Entry{
 		ID:    id,
+		Kind:  "campaign",
+		Scale: scale,
+		Seeds: seeds,
 		Quick: quick,
 		// ApproxWallS budgets the re-run against `figures check -max-wall`;
 		// the store's summed per-replication wall time approximates the
@@ -86,18 +90,8 @@ func manifestAppend(manifestPath, id string, spec *campaign.Campaign, campaignAr
 	if w, ok := metricsApproxWall(metrics); ok {
 		e.ApproxWallS = w
 	}
-	if spec != nil {
-		e.Kind = "campaign"
-		if e.Campaign, err = campaignRef(m.Dir(), campaignArg); err != nil {
-			return err
-		}
-		// Campaign entries leave scale/seeds zero to follow the spec's
-		// defaults; pin them only when flags overrode those defaults.
-		e.Scale, e.Seeds = scale, seeds
-	} else {
-		e.Kind = "experiment"
-		e.Experiment = experiment
-		e.Scale, e.Seeds = scale, seeds
+	if e.Campaign, err = campaignRef(m.Dir(), campaignArg); err != nil {
+		return err
 	}
 	e.Export.Path = exportRel
 	if e.Export.SHA256, err = results.DigestFile(exportPath); err != nil {

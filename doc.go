@@ -11,8 +11,10 @@
 // phased workloads), a declarative scenario engine for transient experiments
 // (internal/scenario: JSON-loadable phase sequences, windowed telemetry,
 // adaptation-lag analysis) and an experiment harness that regenerates every
-// table and figure of the evaluation section plus the transient family
-// (internal/sweep, cmd/figures).
+// table and figure of the evaluation section plus the transient family. Every
+// simulated experiment is a JSON campaign spec (internal/campaign; Figures
+// 5-11 and the transient experiment are the embedded specs) run by the
+// checkpointed sweep layer (internal/sweep) through cmd/figures.
 //
 // # Execution model
 //
@@ -48,13 +50,15 @@
 // window. BENCHMARKS.md records the per-layer and end-to-end numbers and how
 // to reproduce them.
 //
-// Experiments run at three scales — "small" (36-router Dragonfly, seconds),
-// "medium" (264 routers) and "paper" (the full 2,064-router system of
-// Table V, hours) — selected via sweep.Options.Scale or the -scale flag of
-// cmd/figures and cmd/flexvcsim.
+// Experiments run at four scales — "tiny" (6 routers, tests), "small"
+// (36-router Dragonfly, seconds), "medium" (264 routers) and "paper" (the
+// full 2,064-router system of Table V, hours) — selected by a spec's "scale",
+// sweep.Options.Scale or the -scale flag of cmd/figures and cmd/flexvcsim.
+// The fig6, fig11 and transient specs write small-scale buffer capacities and
+// scenario phases as concrete values, so other scales need their own spec.
 //
 // See README.md for a tour, DESIGN.md for the system inventory and
 // EXPERIMENTS.md for paper-versus-measured results. The benchmarks in
-// bench_test.go exercise one experiment per paper table/figure plus the
-// ablations called out in DESIGN.md.
+// bench_test.go exercise the analytic tables, per-figure simulation kernels
+// and the ablations called out in DESIGN.md.
 package flexvc

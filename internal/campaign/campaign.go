@@ -4,9 +4,15 @@
 // VC arrangement, selection function, routing, traffic, buffer organisation,
 // …), offered-load sweep points, seeds, a scale, and optionally a phased
 // scenario — that compiles into the sweep layer's variant lists and runs
-// through the existing checkpointed runner. A campaign therefore resumes,
-// exports results JSON and renders exactly like the built-in figures; a new
-// workload comparison is a spec file, not a new Go runner.
+// through its checkpointed runner, so a campaign resumes, exports results
+// JSON and renders from its export.
+//
+// A spec is the only way to define a simulated experiment. The paper's
+// Figures 5-11 and the transient experiment are the embedded specs under
+// specs/; fig6, fig11 and transient write their per-VC buffer capacities and
+// scenario phases as concrete small-scale values (tiny shares small's
+// buffers), so another scale needs its own spec file. A new workload
+// comparison is a spec file, not Go code.
 //
 // # Spec layout
 //
@@ -25,10 +31,12 @@
 //
 // Compilation is pure: the same spec always yields the same section order,
 // variant order and labels, and every setting maps onto config.Config fields
-// that are covered by the results store's config fingerprint. Campaign runs
-// therefore checkpoint, resume and export bit-identically to an equivalent
-// hand-coded experiment — TestFig5CampaignByteIdentical proves this for the
-// embedded fig5 spec against the Go-coded fig5 runner.
+// that are covered by the results store's config fingerprint, so Keys can list
+// every record a run will write without simulating. The embedded figure specs
+// were ported from Go-coded runners that no longer exist;
+// testdata/spec-keys.golden holds those runners' section titles, variant
+// labels, loads and config fingerprints, and TestCampaignKeyStability holds
+// the specs to them.
 package campaign
 
 import (

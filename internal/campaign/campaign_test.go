@@ -9,6 +9,7 @@ import (
 	"flexvc/internal/config"
 	"flexvc/internal/core"
 	"flexvc/internal/routing"
+	"flexvc/internal/sweep"
 )
 
 // TestBadSpecCorpus runs every malformed spec under testdata through Parse
@@ -182,8 +183,10 @@ func TestScenarioSectionDefaults(t *testing.T) {
 	}
 }
 
-// TestBuiltinSpecs ensures every embedded spec parses, validates and has a
-// self-consistent name.
+// TestBuiltinSpecs ensures every embedded spec parses, has a self-consistent
+// name, and compiles at every scale into point configurations that pass
+// config.Validate — so `figures run -campaign <name> -scale <any>` never
+// fails on a spec the repository ships.
 func TestBuiltinSpecs(t *testing.T) {
 	names := BuiltinNames()
 	if len(names) == 0 {
@@ -197,6 +200,11 @@ func TestBuiltinSpecs(t *testing.T) {
 		}
 		if c.Name != name {
 			t.Errorf("embedded spec %s declares name %q; file name and spec name must agree", name, c.Name)
+		}
+		for _, scale := range config.ScaleNames() {
+			if _, err := Keys(c, sweep.Options{Scale: scale, Seeds: 1}); err != nil {
+				t.Errorf("%s at scale %s: %v", name, scale, err)
+			}
 		}
 	}
 	if _, err := Builtin("no-such-spec"); err == nil {

@@ -3,34 +3,23 @@ package campaign
 import (
 	"fmt"
 
+	"flexvc/internal/config"
+	"flexvc/internal/results"
 	"flexvc/internal/sweep"
 )
 
 // Run executes the campaign through the sweep layer: sections run serially
-// through the checkpointed section runner (so campaign runs resume from a
-// results store exactly like built-in experiments) and the rendered report
-// has the same shape as a built-in figure's, including windowed-telemetry and
-// adaptation-lag tables for scenario sections.
+// through the checkpointed section runner (so runs resume from a results
+// store) and the rendered report carries one table per section, including
+// windowed-telemetry and adaptation-lag tables for scenario sections.
 //
 // The options' scale and seed count win over the spec's defaults when set, so
-// command-line overrides behave the same for campaigns as for built-in
-// experiments.
+// command-line overrides apply to every spec alike.
 func Run(c *Campaign, opts sweep.Options) (*sweep.Report, error) {
-	sections, err := c.Compile()
+	sections, base, opts, err := c.prepare(opts)
 	if err != nil {
 		return nil, err
 	}
-	if opts.Scale == "" && c.Scale != "" {
-		opts.Scale = c.Scale
-	}
-	if opts.Seeds <= 0 && c.Seeds > 0 {
-		opts.Seeds = c.Seeds
-	}
-	base, err := opts.BaseConfig()
-	if err != nil {
-		return nil, err
-	}
-
 	runner := opts.NewRunner(c.Name)
 	rep := &sweep.Report{ID: c.Name, Title: c.ReportTitle()}
 	for _, sec := range sections {
@@ -54,4 +43,45 @@ func Run(c *Campaign, opts sweep.Options) (*sweep.Report, error) {
 	}
 	rep.Notes = append(rep.Notes, fmt.Sprintf("campaign %s, scale=%s (%s)", c.Name, scale, base.Describe()))
 	return rep, nil
+}
+
+// Keys returns, without simulating, every record Run would write under the
+// same options, in export order: results keys, section and variant indices
+// and config fingerprints, Result left zero. It costs milliseconds, so it is
+// how a recorded export's key space is checked against its spec without
+// re-running it.
+func Keys(c *Campaign, opts sweep.Options) ([]results.Record, error) {
+	sections, base, opts, err := c.prepare(opts)
+	if err != nil {
+		return nil, err
+	}
+	runner := opts.NewRunner(c.Name)
+	var keys []results.Record
+	for _, sec := range sections {
+		b := base
+		b.Scenario = sec.Scenario
+		recs, err := runner.PlanSection(sec.Title, b, sec.Variants, runner.EffectiveLoads(sec.Loads))
+		if err != nil {
+			return nil, fmt.Errorf("campaign %s: section %q: %w", c.Name, sec.Title, err)
+		}
+		keys = append(keys, recs...)
+	}
+	return keys, nil
+}
+
+// prepare compiles the spec, fills the options' unset scale and seed count
+// from the spec's defaults and returns the run's base configuration.
+func (c *Campaign) prepare(opts sweep.Options) ([]CompiledSection, config.Config, sweep.Options, error) {
+	sections, err := c.Compile()
+	if err != nil {
+		return nil, config.Config{}, opts, err
+	}
+	if opts.Scale == "" && c.Scale != "" {
+		opts.Scale = c.Scale
+	}
+	if opts.Seeds <= 0 && c.Seeds > 0 {
+		opts.Seeds = c.Seeds
+	}
+	base, err := opts.BaseConfig()
+	return sections, base, opts, err
 }

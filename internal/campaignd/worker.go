@@ -23,7 +23,7 @@ type WorkerConfig struct {
 	ResultsDir string
 	// Owner tags this worker's leases and progress events ("w0", "w1", …).
 	Owner string
-	// Scale, Seeds, Quick and Loads override the spec's defaults exactly as
+	// Scale, Seeds and Quick override the spec's defaults exactly as
 	// the figures CLI flags do; they must be identical across the workers of
 	// one run (the coordinator guarantees this).
 	Scale string

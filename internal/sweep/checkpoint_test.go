@@ -28,19 +28,12 @@ func checkpointTestSweep(dir string, progress func(Progress)) ([]Series, *result
 	base.WarmupCycles = 300
 	base.MeasureCycles = 3000
 	variants := []Variant{
-		baselineVariant("baseline 2/1", core.SingleClass(2, 1)),
-		flexVariant("flexvc 2/1", core.SingleClass(2, 1)),
-		flexVariant("flexvc 4/2", core.SingleClass(4, 2)),
+		schemeVariant("baseline 2/1", core.Baseline, core.SingleClass(2, 1)),
+		schemeVariant("flexvc 2/1", core.FlexVC, core.SingleClass(2, 1)),
+		schemeVariant("flexvc 4/2", core.FlexVC, core.SingleClass(4, 2)),
 	}
-	o := Options{
-		Scale:      "tiny",
-		Seeds:      2,
-		Results:    store,
-		Progress:   progress,
-		experiment: "ckpt-test",
-		state:      newRunState(),
-	}
-	series, err := o.runSection("tiny UN/MIN panel", base, variants, []float64{0.2, 0.4, 0.6, 0.8, 1.0})
+	runner := Options{Scale: "tiny", Seeds: 2, Results: store, Progress: progress}.NewRunner("ckpt-test")
+	series, err := runner.RunSection("tiny UN/MIN panel", base, variants, []float64{0.2, 0.4, 0.6, 0.8, 1.0})
 	return series, store, err
 }
 
@@ -72,11 +65,11 @@ func TestCheckpointedMatchesPlainSweep(t *testing.T) {
 	base.WarmupCycles = 300
 	base.MeasureCycles = 3000
 	variants := []Variant{
-		baselineVariant("baseline 2/1", core.SingleClass(2, 1)),
-		flexVariant("flexvc 2/1", core.SingleClass(2, 1)),
-		flexVariant("flexvc 4/2", core.SingleClass(4, 2)),
+		schemeVariant("baseline 2/1", core.Baseline, core.SingleClass(2, 1)),
+		schemeVariant("flexvc 2/1", core.FlexVC, core.SingleClass(2, 1)),
+		schemeVariant("flexvc 4/2", core.FlexVC, core.SingleClass(4, 2)),
 	}
-	plain, err := LoadSweep(base, variants, []float64{0.2, 0.4, 0.6, 0.8, 1.0}, 2, 0)
+	plain, err := LoadSweep(base, variants, []float64{0.2, 0.4, 0.6, 0.8, 1.0}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,12 +101,12 @@ func TestCheckpointResumeSkipsCompletedWork(t *testing.T) {
 	base.WarmupCycles = 300
 	base.MeasureCycles = 3000
 	variants := []Variant{
-		baselineVariant("baseline 2/1", core.SingleClass(2, 1)),
-		flexVariant("flexvc 2/1", core.SingleClass(2, 1)),
-		flexVariant("flexvc 4/2", core.SingleClass(4, 2)),
+		schemeVariant("baseline 2/1", core.Baseline, core.SingleClass(2, 1)),
+		schemeVariant("flexvc 2/1", core.FlexVC, core.SingleClass(2, 1)),
+		schemeVariant("flexvc 4/2", core.FlexVC, core.SingleClass(4, 2)),
 	}
-	o := Options{Scale: "tiny", Seeds: 2, Results: store, experiment: "ckpt-test", state: newRunState()}
-	if _, err := o.runSection("tiny UN/MIN panel", base, variants, []float64{0.2, 0.4}); err != nil {
+	runner := Options{Scale: "tiny", Seeds: 2, Results: store}.NewRunner("ckpt-test")
+	if _, err := runner.RunSection("tiny UN/MIN panel", base, variants, []float64{0.2, 0.4}); err != nil {
 		t.Fatal(err)
 	}
 	partial := store.Len()

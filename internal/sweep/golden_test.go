@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"flexvc/internal/buffer"
 	"flexvc/internal/config"
 	"flexvc/internal/core"
 )
@@ -32,16 +33,6 @@ func checkGolden(t *testing.T, name, got string) {
 	if got != string(want) {
 		t.Errorf("output differs from %s (run go test ./internal/sweep -update after verifying the change):\n--- got ---\n%s\n--- want ---\n%s", path, got, want)
 	}
-}
-
-// TestGoldenTable4 locks down the rendered report of Table IV, the analytic
-// table combining FlexVC with protocol-deadlock avoidance in a Dragonfly.
-func TestGoldenTable4(t *testing.T) {
-	rep, err := Run("table4", DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "table4.golden", rep.Render())
 }
 
 // TestGoldenQuickSweep locks down a complete simulated load sweep at the
@@ -81,8 +72,17 @@ func goldenSweepSeries() ([]Series, error) {
 	base.WarmupCycles = 200
 	base.MeasureCycles = 1000
 	variants := []Variant{
-		baselineVariant("baseline 2/1", core.SingleClass(2, 1)),
-		flexVariant("flexvc 2/1", core.SingleClass(2, 1)),
+		schemeVariant("baseline 2/1", core.Baseline, core.SingleClass(2, 1)),
+		schemeVariant("flexvc 2/1", core.FlexVC, core.SingleClass(2, 1)),
 	}
-	return LoadSweep(base, variants, []float64{0.2, 0.5, 0.8}, 2, 0)
+	return LoadSweep(base, variants, []float64{0.2, 0.5, 0.8}, 2)
+}
+
+// schemeVariant runs a VC-management policy over statically partitioned
+// buffers with JSQ selection.
+func schemeVariant(label string, policy core.Policy, vcs core.VCConfig) Variant {
+	return Variant{Label: label, Apply: func(c *config.Config) {
+		c.BufferOrg = buffer.Static
+		c.Scheme = core.Scheme{Policy: policy, VCs: vcs, Selection: core.JSQ}
+	}}
 }

@@ -10,9 +10,40 @@ import (
 	"flexvc/internal/stats"
 )
 
-// This file rebuilds reports from exported results files (internal/results)
-// so `figures render` can regenerate every table — including the
-// paper-vs-measured summaries in EXPERIMENTS.md — without re-simulating.
+// Report is the rendered outcome of one experiment (one paper table or
+// figure), possibly made of several sections (e.g. Figure 5 has UN,
+// BURSTY-UN and ADV panels).
+type Report struct {
+	ID       string
+	Title    string
+	Sections []Section
+	Notes    []string
+}
+
+// Section is one panel of a report.
+type Section struct {
+	Title  string
+	Body   string
+	Series []Series
+}
+
+// Render returns the full text report.
+func (r *Report) Render() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "==== %s: %s ====\n", r.ID, r.Title)
+	for _, s := range r.Sections {
+		fmt.Fprintf(&b, "\n-- %s --\n%s", s.Title, s.Body)
+	}
+	for _, n := range r.Notes {
+		fmt.Fprintf(&b, "\nnote: %s\n", n)
+	}
+	return b.String()
+}
+
+// The rest of this file rebuilds reports from exported results files
+// (internal/results) so `figures render` can regenerate every table —
+// including the paper-vs-measured summaries in EXPERIMENTS.md — without
+// re-simulating.
 
 // rebuiltSection is one section of an experiment reassembled from records.
 type rebuiltSection struct {
@@ -133,13 +164,7 @@ func ReportFromResults(f *results.File) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	title := f.Title
-	if title == "" {
-		if exp, ok := Registry()[f.Experiment]; ok {
-			title = exp.Title
-		}
-	}
-	rep := &Report{ID: f.Experiment, Title: title}
+	rep := &Report{ID: f.Experiment, Title: exportTitle(f)}
 	for _, sec := range sections {
 		// Transient sections carry windowed telemetry; render it exactly as
 		// the live run does so rebuilt and live reports stay identical.
@@ -166,14 +191,8 @@ func RenderResultsMarkdown(f *results.File) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	title := f.Title
-	if title == "" {
-		if exp, ok := Registry()[f.Experiment]; ok {
-			title = exp.Title
-		}
-	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "## %s: %s\n\n", f.Experiment, title)
+	fmt.Fprintf(&b, "## %s: %s\n\n", f.Experiment, exportTitle(f))
 	// The revision is deliberately omitted here (it lives in the results
 	// file): the nightly drift gate diffs this rendering against a committed
 	// report, and only simulation-output drift should trip it.
@@ -376,6 +395,15 @@ func percentilesAtMax(s Series) (p50, p95, p99 float64) {
 		return r.Hist.Quantile(0.50), r.Hist.Quantile(0.95), r.Hist.Quantile(0.99)
 	}
 	return r.P50, r.P95, r.P99
+}
+
+// exportTitle is the export's title; untitled (schema v1) exports fall back
+// to their experiment id.
+func exportTitle(f *results.File) string {
+	if f.Title == "" {
+		return f.Experiment
+	}
+	return f.Title
 }
 
 func orUnknown(s string) string {

@@ -1,13 +1,16 @@
-// Package sweep is the experiment harness of the reproduction: it runs load
-// sweeps and saturation-throughput searches over simulator configurations and
-// regenerates every table and figure of the FlexVC paper's evaluation
-// (Tables I-IV, Figures 5-11) as text reports.
+// Package sweep is the execution layer under every simulated experiment: it
+// runs the sections of one experiment — labelled variants swept over offered
+// loads, several replications per point — through the process-wide worker
+// budget, checkpoints every replication into a results store so interrupted
+// runs resume, and renders series and recorded results as text and markdown
+// reports.
 //
-// Experiments can run at three scales: "small" (the default, a 36-router
-// Dragonfly that finishes in seconds to minutes), "medium" (264 routers) and
-// "paper" (the full 2,064-router system of Table V, hours of CPU time). The
-// shape of the results — which mechanism wins, by roughly what factor, where
-// saturation sets in — is preserved across scales; see EXPERIMENTS.md.
+// The package defines no experiments. A simulated experiment is a campaign
+// spec (internal/campaign), which compiles into the Variant lists a
+// SectionRunner executes; the paper's Figures 5-11 are the embedded specs.
+// Scales are config.AtScale's: "tiny", "small" (the default, a 36-router
+// Dragonfly), "medium" (264 routers) and "paper" (the 2,064-router system of
+// Table V); see EXPERIMENTS.md for how results carry across them.
 package sweep
 
 import (
@@ -48,17 +51,6 @@ func (s Series) MaxAccepted() float64 {
 	return best
 }
 
-// AcceptedAt returns the accepted load at the given offered load (or 0 when
-// the point was not simulated).
-func (s Series) AcceptedAt(load float64) float64 {
-	for _, p := range s.Points {
-		if p.Load == load {
-			return p.Result.AcceptedLoad
-		}
-	}
-	return 0
-}
-
 // Options controls how experiments are executed.
 type Options struct {
 	// Scale selects the system size: "small", "medium" or "paper".
@@ -66,15 +58,10 @@ type Options struct {
 	// Seeds is the number of independent replications per point (the paper
 	// uses 5).
 	Seeds int
-	// Loads overrides the offered-load sweep points (phits/node/cycle).
-	Loads []float64
-	// Parallelism, when positive, caps how many sweep points may be in
-	// flight at once (a memory guard for huge sweeps). CPU concurrency is
-	// governed by the process-wide worker budget (sim.SetWorkerBudget)
-	// either way; 0 leaves points unbounded.
-	Parallelism int
-	// Quick trims the sweep to fewer points and shorter measurement windows
-	// for smoke runs and benchmarks.
+	// Quick halves the warm-up and measurement windows and trims every
+	// section's load sweep to three points (first, middle, last) for smoke
+	// runs. Scenario sections keep their phases: those are cycle counts of
+	// their own.
 	Quick bool
 	// Results, when non-nil, turns the run into a checkpointed sweep: every
 	// completed replication is persisted into the store as it finishes, and
@@ -103,8 +90,8 @@ type Options struct {
 	// with metrics on or off.
 	Metrics *obs.Registry
 
-	// experiment and state are stamped by Run so section sweeps know which
-	// experiment they belong to and share progress accounting.
+	// experiment and state are stamped by NewRunner so section sweeps know
+	// which experiment they belong to and share progress accounting.
 	experiment string
 	state      *runState
 }
@@ -245,11 +232,6 @@ func (st *runState) finish(experiment string, progress func(Progress)) {
 	progress(ev)
 }
 
-// DefaultOptions returns the options used by the command-line harness.
-func DefaultOptions() Options {
-	return Options{Scale: "small", Seeds: 1}
-}
-
 // BaseConfig returns the simulator configuration for the chosen scale.
 func (o Options) BaseConfig() (config.Config, error) {
 	cfg, err := config.AtScale(o.Scale)
@@ -264,11 +246,9 @@ func (o Options) BaseConfig() (config.Config, error) {
 	return cfg, nil
 }
 
-// loads returns the offered-load sweep points.
+// loads returns the offered-load sweep points: the section's own, trimmed to
+// three in quick mode.
 func (o Options) loads(defaults []float64) []float64 {
-	if len(o.Loads) > 0 {
-		return o.Loads
-	}
 	if o.Quick && len(defaults) > 3 {
 		return []float64{defaults[0], defaults[len(defaults)/2], defaults[len(defaults)-1]}
 	}
@@ -282,22 +262,14 @@ func (o Options) seeds() int {
 	return o.Seeds
 }
 
-func (o Options) parallelism() int {
-	if o.Parallelism < 0 {
-		return 0
-	}
-	return o.Parallelism
-}
-
 // Variant names one configuration of an experiment and how to derive it from
 // the base configuration.
 //
 // Label is the variant's stable identity: it keys checkpoints in the results
 // store and replications in exported results files, so it must be an explicit
-// literal (or assembled from the pinned results-key vocabulary, e.g.
-// selectionKeyName) — never the output of an enum's fmt.Stringer, whose
-// renaming would silently orphan every recorded checkpoint.
-// TestResultsKeyStability locks the built-in experiments' labels down.
+// literal — never the output of an enum's fmt.Stringer, whose renaming would
+// silently orphan every recorded checkpoint. Campaign specs write labels as
+// JSON strings; TestCampaignKeyStability locks the embedded specs' down.
 type Variant struct {
 	Label string
 	Apply func(*config.Config)
@@ -371,25 +343,19 @@ func newSweepMetrics(reg *obs.Registry) sweepMetrics {
 // Every point of every series is scheduled at once and all replications drain
 // through the process-wide worker budget shared with sim.RunAveraged (see
 // sim.SetWorkerBudget), so one global limit governs CPU use no matter how
-// many series or sweeps are in flight — not a per-series fan-out. The
-// optional parallelism argument (> 0) additionally caps how many points may
-// be in flight at once, which bounds peak memory on huge sweeps; 0 or less
-// leaves points unbounded, governed purely by the worker budget.
+// many series or sweeps are in flight — not a per-series fan-out. A point
+// waiting for a worker token holds only its job: the token is taken before
+// the replication allocates its network.
 //
 // Results are deterministic regardless of scheduling: each point writes only
 // its own slot and every replication owns its configuration and RNG streams.
-func LoadSweep(base config.Config, variants []Variant, loads []float64, seeds, parallelism int) ([]Series, error) {
-	return runSweep(base, variants, loads, seeds, parallelism, nil)
+func LoadSweep(base config.Config, variants []Variant, loads []float64, seeds int) ([]Series, error) {
+	return runSweep(base, variants, loads, seeds, nil)
 }
 
-// runSweep is the scheduling core behind LoadSweep and the checkpointed
-// section runner. With ck == nil it behaves exactly like the plain sweep;
-// with a checkpoint context it resolves every replication individually
-// against the results store and persists fresh ones as they finish. Both
-// paths aggregate per-replication results in replication order, so their
-// outputs are bit-identical (sim.RunAveraged is defined as exactly that
-// aggregation).
-func runSweep(base config.Config, variants []Variant, loads []float64, seeds, parallelism int, ck *ckpt) ([]Series, error) {
+// expand lays out the series of a sweep and the (variant, load) jobs that
+// fill them, validating every point configuration before anything runs.
+func expand(base config.Config, variants []Variant, loads []float64, seeds int) ([]Series, []job, error) {
 	series := make([]Series, len(variants))
 	jobs := make([]job, 0, len(variants)*len(loads))
 	for si, v := range variants {
@@ -400,27 +366,34 @@ func runSweep(base config.Config, variants []Variant, loads []float64, seeds, pa
 			v.Apply(&cfg)
 			cfg.Load = load
 			if err := cfg.Validate(); err != nil {
-				return nil, fmt.Errorf("sweep: variant %q at load %.2f: %w", v.Label, load, err)
+				return nil, nil, fmt.Errorf("sweep: variant %q at load %.2f: %w", v.Label, load, err)
 			}
 			series[si].Points[pi].Load = load
 			jobs = append(jobs, job{series: si, point: pi, label: v.Label, cfg: cfg, seeds: seeds})
 		}
 	}
+	return series, jobs, nil
+}
+
+// runSweep is the scheduling core behind LoadSweep and the checkpointed
+// section runner. With ck == nil it behaves exactly like the plain sweep;
+// with a checkpoint context it resolves every replication individually
+// against the results store and persists fresh ones as they finish. Both
+// paths aggregate per-replication results in replication order, so their
+// outputs are bit-identical (sim.RunAveraged is defined as exactly that
+// aggregation).
+func runSweep(base config.Config, variants []Variant, loads []float64, seeds int, ck *ckpt) ([]Series, error) {
+	series, jobs, err := expand(base, variants, loads, seeds)
+	if err != nil {
+		return nil, err
+	}
 
 	errs := make([]error, len(jobs))
 	var wg sync.WaitGroup
-	var sem chan struct{}
-	if parallelism > 0 {
-		sem = make(chan struct{}, parallelism)
-	}
 	for ji := range jobs {
 		wg.Add(1)
 		go func(ji int) {
 			defer wg.Done()
-			if sem != nil {
-				sem <- struct{}{}
-				defer func() { <-sem }()
-			}
 			j := jobs[ji]
 			var agg stats.Result
 			var err error
@@ -505,26 +478,32 @@ func (ck *ckpt) simulate(j job, fp string, s int) (stats.Result, error) {
 		return stats.Result{}, err
 	}
 	if ck.store != nil {
-		rec := results.Record{
-			Schema:       results.SchemaVersion,
-			Experiment:   ck.experiment,
-			Section:      ck.section,
-			SectionIndex: ck.sectionIndex,
-			Variant:      j.label,
-			VariantIndex: j.series,
-			PointIndex:   j.point,
-			Scale:        ck.scale,
-			Load:         j.cfg.Load,
-			Seed:         s,
-			SimSeed:      sim.ReplicationSeed(j.cfg.Seed, s),
-			Fingerprint:  fp,
-			Result:       r,
-		}
+		rec := ck.record(j, fp, s)
+		rec.Result = r
 		if err := ck.store.Put(rec, wall); err != nil {
 			return stats.Result{}, err
 		}
 	}
 	return r, nil
+}
+
+// record returns the results record of replication s of job j, its Result
+// not yet filled in.
+func (ck *ckpt) record(j job, fp string, s int) results.Record {
+	return results.Record{
+		Schema:       results.SchemaVersion,
+		Experiment:   ck.experiment,
+		Section:      ck.section,
+		SectionIndex: ck.sectionIndex,
+		Variant:      j.label,
+		VariantIndex: j.series,
+		PointIndex:   j.point,
+		Scale:        ck.scale,
+		Load:         j.cfg.Load,
+		Seed:         s,
+		SimSeed:      sim.ReplicationSeed(j.cfg.Seed, s),
+		Fingerprint:  fp,
+	}
 }
 
 // claimReplication resolves one missing replication under the shard-claim
@@ -566,53 +545,14 @@ func (ck *ckpt) claimReplication(j job, key results.Key, fp string, s int) (stat
 	}
 }
 
-// runSection runs one section (panel) of the current experiment, wiring the
-// checkpoint store and progress reporting in when the options carry them.
-// Experiment runners must route every simulated sweep through this method so
-// that each section receives a stable ordinal and checkpoint key space.
-func (o Options) runSection(title string, base config.Config, variants []Variant, loads []float64) ([]Series, error) {
-	if o.Results == nil && o.Progress == nil {
-		return runSweep(base, variants, loads, o.seeds(), o.parallelism(), nil)
-	}
-	st := o.state
-	if st == nil {
-		st = newRunState()
-	}
-	claims := o.Claims
-	if o.Results == nil {
-		// Claims shard work through the store's lease files; without a store
-		// there is nothing to claim against.
-		claims = nil
-	}
-	ck := &ckpt{
-		store:        o.Results,
-		claims:       claims,
-		experiment:   o.experiment,
-		section:      title,
-		sectionIndex: st.nextSection(len(variants) * len(loads) * o.seeds()),
-		scale:        o.scaleName(),
-		progress:     o.Progress,
-		state:        st,
-		metrics:      newSweepMetrics(o.Metrics),
-	}
-	return runSweep(base, variants, loads, o.seeds(), o.parallelism(), ck)
-}
-
-// runMaxSection is runSection at full offered load (the bar-chart figures).
-func (o Options) runMaxSection(title string, base config.Config, variants []Variant) ([]Series, error) {
-	return o.runSection(title, base, variants, []float64{1.0})
-}
-
-// SectionRunner runs the sections of one externally defined experiment (a
-// campaign, see internal/campaign) through exactly the machinery the built-in
-// experiments use: the same scheduling, the same checkpoint key space and the
-// same progress accounting. Records land in the options' results store under
-// the experiment id the runner was created with.
+// SectionRunner runs the sections of one experiment (a campaign, see
+// internal/campaign): every section through the same scheduling, checkpoint
+// key space and progress accounting. Records land in the options' results
+// store under the experiment id the runner was created with.
 type SectionRunner struct{ opts Options }
 
-// NewRunner returns a section runner for an externally defined experiment.
-// The id plays the role a registry ID plays for built-in experiments: it keys
-// every checkpoint and names the results export.
+// NewRunner returns a section runner for the experiment with the given id,
+// which keys every checkpoint and names the results export.
 func (o Options) NewRunner(id string) *SectionRunner {
 	o.experiment = id
 	o.state = newRunState()
@@ -620,49 +560,76 @@ func (o Options) NewRunner(id string) *SectionRunner {
 }
 
 // RunSection sweeps the variants over the loads as the experiment's next
-// section (panel). Sections must be run serially in a stable order: a
+// section (panel), wiring the checkpoint store and progress reporting in when
+// the options carry them. Sections must be run serially in a stable order: a
 // section's ordinal in the results schema is its call position, which is what
 // keeps exports deterministic across resumes.
 func (r *SectionRunner) RunSection(title string, base config.Config, variants []Variant, loads []float64) ([]Series, error) {
-	return r.opts.runSection(title, base, variants, loads)
+	seeds := r.opts.seeds()
+	if r.opts.Results == nil && r.opts.Progress == nil {
+		return runSweep(base, variants, loads, seeds, nil)
+	}
+	return runSweep(base, variants, loads, seeds, r.checkpoint(title, len(variants)*len(loads)*seeds))
+}
+
+// PlanSection returns, without simulating, the records RunSection would write
+// for the same arguments — every results key with its config fingerprint,
+// Result left zero — and takes the section ordinal RunSection would have.
+// Point configurations are validated exactly as RunSection validates them.
+func (r *SectionRunner) PlanSection(title string, base config.Config, variants []Variant, loads []float64) ([]results.Record, error) {
+	seeds := r.opts.seeds()
+	_, jobs, err := expand(base, variants, loads, seeds)
+	if err != nil {
+		return nil, err
+	}
+	ck := r.checkpoint(title, len(jobs)*seeds)
+	recs := make([]results.Record, 0, len(jobs)*seeds)
+	for _, j := range jobs {
+		fp := results.Fingerprint(j.cfg)
+		for s := 0; s < seeds; s++ {
+			recs = append(recs, ck.record(j, fp, s))
+		}
+	}
+	return recs, nil
+}
+
+// checkpoint returns the checkpointing context of the experiment's next
+// section, which holds count replications.
+func (r *SectionRunner) checkpoint(title string, count int) *ckpt {
+	o := r.opts
+	claims := o.Claims
+	if o.Results == nil {
+		// Claims shard work through the store's lease files; without a store
+		// there is nothing to claim against.
+		claims = nil
+	}
+	scale := o.Scale
+	if scale == "" {
+		scale = "small"
+	}
+	return &ckpt{
+		store:        o.Results,
+		claims:       claims,
+		experiment:   o.experiment,
+		section:      title,
+		sectionIndex: o.state.nextSection(count),
+		scale:        scale,
+		progress:     o.Progress,
+		state:        o.state,
+		metrics:      newSweepMetrics(o.Metrics),
+	}
 }
 
 // Finish emits the run's final summary Progress event (totals + aggregate
 // records/s). Call it once, after the last RunSection.
 func (r *SectionRunner) Finish() {
-	if r.opts.state != nil {
-		r.opts.state.finish(r.opts.experiment, r.opts.Progress)
-	}
+	r.opts.state.finish(r.opts.experiment, r.opts.Progress)
 }
 
-// EffectiveLoads applies the option-level load override and quick-mode
-// trimming to a section's default loads, exactly as the built-in experiments
-// do.
+// EffectiveLoads applies quick-mode trimming to a section's loads.
 func (r *SectionRunner) EffectiveLoads(defaults []float64) []float64 {
 	return r.opts.loads(defaults)
 }
-
-// scaleName returns the scale's canonical name ("" means small).
-func (o Options) scaleName() string {
-	if o.Scale == "" {
-		return "small"
-	}
-	return o.Scale
-}
-
-// MaxThroughput runs every variant at full offered load and returns the
-// accepted throughput per variant (the paper's Figures 6 and 11).
-func MaxThroughput(base config.Config, variants []Variant, seeds, parallelism int) ([]Series, error) {
-	return LoadSweep(base, variants, []float64{1.0}, seeds, parallelism)
-}
-
-// DefaultLoads is the standard offered-load sweep of the latency/throughput
-// figures.
-var DefaultLoads = []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0}
-
-// AdversarialLoads is the reduced sweep used for adversarial traffic, whose
-// saturation point sits below 0.5.
-var AdversarialLoads = []float64{0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5}
 
 // RenderSeries renders a set of series as a fixed-width text table with one
 // row per offered load and, per series, the accepted load and average latency.
@@ -714,32 +681,6 @@ func RenderSeries(title string, series []Series) string {
 			}
 		}
 		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-// RenderMaxThroughput renders saturation-throughput bars (one value per
-// series) with the relative improvement over the first series, mirroring the
-// layout of Figures 6 and 11.
-func RenderMaxThroughput(title string, series []Series) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", title)
-	var baseline float64
-	for i, s := range series {
-		v := s.MaxAccepted()
-		if i == 0 {
-			baseline = v
-		}
-		rel := 1.0
-		if baseline > 0 {
-			rel = v / baseline
-		}
-		flag := ""
-		if len(s.Points) > 0 && s.Points[len(s.Points)-1].Result.Deadlock {
-			flag = " (deadlock)"
-		}
-		fmt.Fprintf(&b, "  %-34s %6.3f phits/node/cycle  %+6.1f%% vs %s%s\n",
-			truncate(s.Label, 34), v, 100*(rel-1), series[0].Label, flag)
 	}
 	return b.String()
 }

@@ -1,48 +1,15 @@
 package sweep
 
 import (
+	"io/fs"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"flexvc/internal/config"
 	"flexvc/internal/core"
 )
-
-func TestRegistryCoversEveryPaperArtefact(t *testing.T) {
-	want := []string{
-		"table1", "table2", "table3", "table4",
-		"fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
-		"transient",
-	}
-	reg := Registry()
-	if len(reg) != len(want) {
-		t.Fatalf("registry has %d experiments, want %d", len(reg), len(want))
-	}
-	for _, id := range want {
-		if _, ok := reg[id]; !ok {
-			t.Errorf("missing experiment %q", id)
-		}
-	}
-	if len(IDs()) != len(want) {
-		t.Error("IDs() incomplete")
-	}
-	if _, err := Run("nope", DefaultOptions()); err == nil {
-		t.Error("unknown experiment should fail")
-	}
-}
-
-func TestTableExperiments(t *testing.T) {
-	for _, id := range []string{"table1", "table2", "table3", "table4"} {
-		rep, err := Run(id, DefaultOptions())
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		text := rep.Render()
-		if !strings.Contains(text, "MIN") || !strings.Contains(text, "VAL") {
-			t.Errorf("%s report looks empty:\n%s", id, text)
-		}
-	}
-}
 
 func TestOptionsBaseConfig(t *testing.T) {
 	for _, scale := range []string{"small", "medium", "paper", ""} {
@@ -59,13 +26,19 @@ func TestOptionsBaseConfig(t *testing.T) {
 	if _, err := (Options{Scale: "bogus"}).BaseConfig(); err == nil {
 		t.Error("unknown scale should fail")
 	}
-	quick := Options{Quick: true}
-	if got := quick.loads(DefaultLoads); len(got) != 3 {
+	loads := []float64{0.1, 0.2, 0.3, 0.4, 0.5}
+	if got := (Options{Quick: true}).loads(loads); len(got) != 3 || got[0] != 0.1 || got[1] != 0.3 || got[2] != 0.5 {
 		t.Errorf("quick load trimming broken: %v", got)
 	}
-	full := Options{Loads: []float64{0.5}}
-	if got := full.loads(DefaultLoads); len(got) != 1 || got[0] != 0.5 {
-		t.Errorf("load override broken: %v", got)
+	if got := (Options{}).loads(loads); len(got) != len(loads) {
+		t.Errorf("full run trimmed its loads: %v", got)
+	}
+	quick, err := (Options{Quick: true}).BaseConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if small := config.Small(); quick.WarmupCycles != small.WarmupCycles/2 || quick.MeasureCycles != small.MeasureCycles/2 {
+		t.Errorf("quick windows %d/%d, want half of %d/%d", quick.WarmupCycles, quick.MeasureCycles, small.WarmupCycles, small.MeasureCycles)
 	}
 }
 
@@ -78,7 +51,7 @@ func TestLoadSweepTiny(t *testing.T) {
 		{Label: "baseline", Apply: func(c *config.Config) {}},
 		{Label: "flexvc", Apply: func(c *config.Config) { c.Scheme.Policy = core.FlexVC }},
 	}
-	series, err := LoadSweep(base, variants, []float64{0.2, 0.6}, 1, 2)
+	series, err := LoadSweep(base, variants, []float64{0.2, 0.6}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,15 +64,12 @@ func TestLoadSweepTiny(t *testing.T) {
 				t.Errorf("%s at load %.1f delivered nothing", s.Label, p.Load)
 			}
 		}
-		if s.MaxAccepted() <= 0 || s.AcceptedAt(0.2) <= 0 {
+		if s.MaxAccepted() <= 0 {
 			t.Errorf("%s accessors broken", s.Label)
 		}
 	}
 	if out := RenderSeries("test", series); !strings.Contains(out, "baseline") {
 		t.Error("series rendering broken")
-	}
-	if out := RenderMaxThroughput("test", series); !strings.Contains(out, "flexvc") {
-		t.Error("max-throughput rendering broken")
 	}
 }
 
@@ -107,7 +77,36 @@ func TestLoadSweepTiny(t *testing.T) {
 func TestLoadSweepRejectsInvalidVariant(t *testing.T) {
 	base := config.Tiny()
 	bad := []Variant{{Label: "broken", Apply: func(c *config.Config) { c.PacketSize = 0 }}}
-	if _, err := LoadSweep(base, bad, []float64{0.5}, 1, 1); err == nil {
+	if _, err := LoadSweep(base, bad, []float64{0.5}, 1); err == nil {
 		t.Error("invalid variant should surface an error")
+	}
+}
+
+// TestOneExperimentPath keeps the deleted Go-coded experiment registry and
+// its knobs from growing back: a simulated experiment is a campaign spec, so
+// no non-test source under internal/ or cmd/ may name the registry, its
+// runners or the point-parallelism cap.
+func TestOneExperimentPath(t *testing.T) {
+	// Spelled in halves so this file stays clean under the same grep.
+	words := []string{"sweep.Regi" + "stry", "sweep.Ru" + "n(", "sweep.I" + "Ds", "MaxThrou" + "ghput", "Paralle" + "lism"}
+	for _, root := range []string{"../../internal", "../../cmd"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			src, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			for _, word := range words {
+				if strings.Contains(string(src), word) {
+					t.Errorf("%s mentions %q", path, word)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }

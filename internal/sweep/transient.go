@@ -5,87 +5,15 @@ import (
 	"math"
 	"strings"
 
-	"flexvc/internal/config"
-	"flexvc/internal/core"
-	"flexvc/internal/routing"
 	"flexvc/internal/scenario"
 	"flexvc/internal/stats"
 )
 
-// The transient experiment family: instead of sweeping offered load at
-// steady state, a phased scenario switches the traffic pattern mid-run and
-// the windowed telemetry (stats.TimeSeries) shows how each routing mode
-// reacts. The paper evaluates FlexVC only at steady state; this experiment
-// measures what adaptive (PB) routing is actually for — how quickly it
-// re-diverts traffic after a UN→ADV shift — against the static MIN and VAL
-// references.
-
-// transientLoad is the offered load of every phase of the canonical
-// transient scenario: above MIN's ADV saturation (so the static minimal mode
-// visibly collapses and PB must divert) yet within VAL's capacity under both
-// UN and ADV (~0.33 at small scale with 4/2 VCs; see experiments/fig5-small),
-// so the static references run unsaturated through every phase.
-const transientLoad = 0.3
-
-// transientScenario derives the canonical UN→ADV→UN scenario from the
-// scale's measurement window: three equal phases of about MeasureCycles
-// each, sixteen telemetry windows per phase. The phase length is re-aligned
-// to the floored window so the derived scenario always validates (phase
-// boundaries must land on window boundaries) no matter what MeasureCycles a
-// scale or quick factor yields.
-func transientScenario(base config.Config) *scenario.Scenario {
-	seg := base.MeasureCycles
-	window := seg / 16
-	if window < 1 {
-		window = 1
-	}
-	seg -= seg % window
-	return scenario.UNToADV(transientLoad, seg, seg, seg, window)
-}
-
-// transientVariants compares the three routing modes on the same 4/2 VC set
-// (the smallest that supports Valiant paths on the Dragonfly, so the
-// comparison is iso-resource).
-func transientVariants() []Variant {
-	vcs := single(4, 2)
-	mode := func(label string, alg routing.Kind) Variant {
-		return Variant{Label: label, Apply: func(c *config.Config) {
-			c.Routing = alg
-			c.Sensing = routing.SensePerVC
-			c.Scheme = core.Scheme{Policy: core.Baseline, VCs: vcs, Selection: core.JSQ}
-		}}
-	}
-	return []Variant{
-		mode("MIN 4/2", routing.MIN),
-		mode("VAL 4/2", routing.VAL),
-		mode("PB per-VC 4/2", routing.PB),
-	}
-}
-
-func runTransient(opts Options) (*Report, error) {
-	base, err := opts.BaseConfig()
-	if err != nil {
-		return nil, err
-	}
-	sc := transientScenario(base)
-	base.Scenario = sc
-	rep := &Report{ID: "transient", Title: "Transient response to a UN -> ADV -> UN traffic shift (windowed telemetry)"}
-	title := "UN -> ADV -> UN transient"
-	series, err := opts.runSection(title, base, transientVariants(), []float64{sc.MaxLoad()})
-	if err != nil {
-		return nil, err
-	}
-	rep.Sections = append(rep.Sections, Section{
-		Title:  title,
-		Body:   RenderSeries(title, series) + RenderTransientText(series),
-		Series: series,
-	})
-	rep.Notes = append(rep.Notes,
-		"scenario "+sc.Describe(),
-		fmt.Sprintf("adaptation lag: cycles from a phase switch until the settled minimal-fraction midpoint is crossed (shift threshold %.2f); PB should collapse after UN->ADV while MIN and VAL stay flat", scenario.LagShiftThreshold),
-		fmt.Sprintf("scale=%s (%s)", opts.scaleName(), base.Describe()))
-	return rep, nil
-}
+// Rendering for transient sections: a section whose experiment runs a phased
+// scenario (campaign specs with a "scenario", e.g. the embedded transient
+// spec) records one point per variant carrying windowed telemetry
+// (stats.TimeSeries). These renderers turn that telemetry into per-window
+// tables and the adaptation-lag summary of internal/scenario.
 
 // transientSeriesOf extracts the windowed telemetry of a rendered series:
 // its single point's time series, or nil when the series is not a transient

@@ -1,29 +1,36 @@
-package sweep
+package sweep_test
 
 import (
 	"strings"
 	"testing"
 
+	"flexvc/internal/campaign"
 	"flexvc/internal/results"
+	"flexvc/internal/sweep"
 )
 
-// TestTransientExperimentCheckpointed runs the transient experiment through
-// the checkpointed runner twice: the first run simulates and records, the
-// second must restore every replication, and the rendered report — live,
-// rebuilt from results, and markdown — must carry the windowed telemetry and
-// the adaptation-lag summary.
+// TestTransientExperimentCheckpointed runs the transient experiment (the
+// embedded campaign spec; the external test package may import the campaign
+// layer above sweep) through the checkpointed runner twice: the first run
+// simulates and records, the second must restore every replication, and the
+// rendered report — live, rebuilt from results, and markdown — must carry the
+// windowed telemetry and the adaptation-lag summary.
 func TestTransientExperimentCheckpointed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates three routing modes")
+	}
+	spec, err := campaign.Builtin("transient")
+	if err != nil {
+		t.Fatal(err)
 	}
 	store, err := results.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{Scale: "small", Seeds: 1, Quick: true, Results: store}
-	var last Progress
-	opts.Progress = func(p Progress) { last = p }
-	rep, err := Run("transient", opts)
+	opts := sweep.Options{Seeds: 1, Quick: true, Results: store}
+	var last sweep.Progress
+	opts.Progress = func(p sweep.Progress) { last = p }
+	rep, err := campaign.Run(spec, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,8 +45,7 @@ func TestTransientExperimentCheckpointed(t *testing.T) {
 	}
 
 	// Resume: everything must come from the store, bit-identically.
-	opts.state = nil
-	rep2, err := Run("transient", opts)
+	rep2, err := campaign.Run(spec, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +57,7 @@ func TestTransientExperimentCheckpointed(t *testing.T) {
 	}
 
 	// Export and re-render without simulating.
-	path, err := store.WriteExport("transient", "transient test")
+	path, err := store.WriteExport(spec.Name, spec.ReportTitle())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,14 +65,14 @@ func TestTransientExperimentCheckpointed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rebuilt, err := ReportFromResults(f)
+	rebuilt, err := sweep.ReportFromResults(f)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rebuilt.Sections[0].Body != body {
 		t.Errorf("rebuilt body differs from live rendering:\n--- rebuilt ---\n%s\n--- live ---\n%s", rebuilt.Sections[0].Body, body)
 	}
-	md, err := RenderResultsMarkdown(f)
+	md, err := sweep.RenderResultsMarkdown(f)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,17 +1,21 @@
 // Package verify turns reproducibility itself into data: a manifest under
-// experiments/ describes every recorded experiment or campaign — what to
-// re-run, at which scale and seed count, and the exact sha256 digests of the
-// committed export and rendered report — and Check re-runs each entry through
-// the existing checkpointed runner into a scratch results directory and
-// byte-compares what comes out against what is committed.
+// experiments/ describes every recorded campaign — which spec to re-run, at
+// which scale and seed count, and the exact sha256 digests of the committed
+// export and rendered report — and Check re-runs each entry through the
+// checkpointed runner into a scratch results directory and byte-compares what
+// comes out against what is committed.
 //
-// The byte-identity contract this package enforces has two layers:
+// The byte-identity contract this package enforces has three layers:
 //
 //  1. Integrity: the committed artefacts still hash to the digests pinned in
 //     the manifest. A mismatch means the recorded files were corrupted or
 //     edited without updating the manifest (`figures check -update` refreshes
 //     the digests deliberately).
-//  2. Reproducibility: a fresh simulation of the entry — same spec, same
+//  2. Key space: the spec, compiled at the entry's scale and seeds without
+//     simulating, lists exactly the recorded export's replications — same
+//     results keys, same config fingerprints. It costs milliseconds, so it
+//     also guards entries whose re-run -max-wall skips.
+//  3. Reproducibility: a fresh simulation of the entry — same spec, same
 //     scale, same seeds — exports byte-for-byte the committed results file,
 //     and rendering those results reproduces the committed report. The
 //     results layer is built for exactly this (deterministic exports, wall
@@ -32,7 +36,8 @@ import (
 	"path/filepath"
 	"strings"
 
-	"flexvc/internal/sweep"
+	"flexvc/internal/campaign"
+	"flexvc/internal/config"
 )
 
 // ManifestSchema is the version of the experiments-manifest JSON schema.
@@ -49,21 +54,18 @@ type Manifest struct {
 	dir string
 }
 
-// Entry describes one recorded experiment or campaign.
+// Entry describes one recorded campaign.
 type Entry struct {
 	// ID is the entry's stable identity (by convention the directory name
 	// under experiments/); `figures check <id>` selects it.
 	ID string `json:"id"`
-	// Kind is "experiment" (a built-in sweep-registry experiment) or
-	// "campaign" (a declarative spec).
+	// Kind is "campaign", the one kind of recorded experiment.
 	Kind string `json:"kind"`
-	// Experiment is the sweep-registry id to re-run (kind "experiment").
-	Experiment string `json:"experiment,omitempty"`
-	// Campaign locates the campaign spec (kind "campaign"): a path relative
-	// to the manifest directory, or the name of an embedded spec.
+	// Campaign locates the campaign spec: a path relative to the manifest
+	// directory (it contains a '/' or a '.'), or the name of an embedded spec.
 	Campaign string `json:"campaign,omitempty"`
-	// Scale and Seeds pin the run parameters. Experiment entries must set
-	// both; campaign entries may leave them zero to use the spec's defaults.
+	// Scale and Seeds pin the run parameters; zero values use the spec's
+	// defaults.
 	Scale string `json:"scale,omitempty"`
 	Seeds int    `json:"seeds,omitempty"`
 	// Quick records whether the artefacts were produced with quick-mode
@@ -144,9 +146,10 @@ func (m *Manifest) Entry(id string) (Entry, bool) {
 }
 
 // Validate checks the manifest for structural consistency: schema version,
-// unique slug ids, a runnable target per entry, and well-formed artefact
-// references. It is file-system independent — missing artefacts surface as
-// FAIL results at check time, not here.
+// unique slug ids, a runnable target per entry (an embedded spec that exists,
+// or a spec path; a known scale; non-negative seeds), and well-formed artefact
+// references. It is file-system independent — missing artefacts and spec
+// files surface as FAIL results at check time, not here.
 func (m *Manifest) Validate() error {
 	if m.Schema != ManifestSchema {
 		return fmt.Errorf("verify: manifest schema v%d, this build reads v%d", m.Schema, ManifestSchema)
@@ -154,7 +157,6 @@ func (m *Manifest) Validate() error {
 	if len(m.Entries) == 0 {
 		return fmt.Errorf("verify: manifest has no entries")
 	}
-	reg := sweep.Registry()
 	seen := map[string]bool{}
 	for i, e := range m.Entries {
 		ctx := fmt.Sprintf("verify: manifest entry %d (%q)", i, e.ID)
@@ -165,27 +167,24 @@ func (m *Manifest) Validate() error {
 			return fmt.Errorf("%s: duplicate id", ctx)
 		}
 		seen[e.ID] = true
-		switch e.Kind {
-		case "experiment":
-			if e.Experiment == "" || e.Campaign != "" {
-				return fmt.Errorf("%s: kind experiment needs `experiment` set and `campaign` empty", ctx)
+		if e.Kind != "campaign" {
+			return fmt.Errorf("%s: kind %q, want \"campaign\" (every recorded experiment is a campaign spec)", ctx, e.Kind)
+		}
+		if e.Campaign == "" {
+			return fmt.Errorf("%s: kind campaign needs `campaign` set", ctx)
+		}
+		if !isSpecPath(e.Campaign) {
+			if _, err := campaign.Builtin(e.Campaign); err != nil {
+				return fmt.Errorf("%s: %w", ctx, err)
 			}
-			exp, ok := reg[e.Experiment]
-			if !ok {
-				return fmt.Errorf("%s: unknown experiment %q (see `figures list`)", ctx, e.Experiment)
+		}
+		if e.Scale != "" {
+			if _, err := config.AtScale(e.Scale); err != nil {
+				return fmt.Errorf("%s: %w", ctx, err)
 			}
-			if exp.Analytic {
-				return fmt.Errorf("%s: experiment %q is analytic — nothing is recorded, so there is nothing to verify", ctx, e.Experiment)
-			}
-			if e.Scale == "" || e.Seeds < 1 {
-				return fmt.Errorf("%s: experiment entries must pin scale and seeds (got scale=%q seeds=%d)", ctx, e.Scale, e.Seeds)
-			}
-		case "campaign":
-			if e.Campaign == "" || e.Experiment != "" {
-				return fmt.Errorf("%s: kind campaign needs `campaign` set and `experiment` empty", ctx)
-			}
-		default:
-			return fmt.Errorf("%s: kind %q, want \"experiment\" or \"campaign\"", ctx, e.Kind)
+		}
+		if e.Seeds < 0 {
+			return fmt.Errorf("%s: seeds must be non-negative (0 uses the spec's default), got %d", ctx, e.Seeds)
 		}
 		if err := e.Export.validate(ctx + ": export"); err != nil {
 			return err
@@ -211,6 +210,12 @@ func (f FileRef) validate(ctx string) error {
 		return fmt.Errorf("%s: sha256 %q must be 64 lowercase hex digits (or empty until `figures check -update` pins it)", ctx, f.SHA256)
 	}
 	return nil
+}
+
+// isSpecPath reports whether a campaign reference names a spec file rather
+// than an embedded spec: embedded names are slugs, with no '/' or '.'.
+func isSpecPath(ref string) bool {
+	return strings.ContainsAny(ref, "/\\.")
 }
 
 func slugOK(id string) bool {

@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -274,5 +275,69 @@ func TestCheckRerunErrorFails(t *testing.T) {
 	r := checkOne(t, m, Options{})
 	if r.Status != Fail || !strings.Contains(r.Summary(), "re-run failed") {
 		t.Fatalf("unresolvable campaign: %s", r.Summary())
+	}
+}
+
+// TestManifestEntriesMatchRecordedKeys compiles every entry of the committed
+// experiments manifest at its pinned scale and seeds, without simulating, and
+// requires the key and fingerprint set to equal the committed export's
+// records. It runs in milliseconds, so it guards the entries whose re-run is
+// too slow for PR-time checks (fig5-small, transient-medium). Changing one
+// setting of a recorded spec must fail it.
+func TestManifestEntriesMatchRecordedKeys(t *testing.T) {
+	m, err := LoadManifest("../../experiments/manifest.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range m.Entries {
+		t.Run(e.ID, func(t *testing.T) {
+			spec, err := m.resolveCampaign(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := results.LoadFile(m.path(e.Export))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var res Result
+			if checkKeys(e, spec, f, &res); len(res.Mismatches) > 0 {
+				t.Fatal(res.Mismatches[0])
+			}
+
+			// The negative path: one changed setting moves the fingerprints
+			// of every replication it touches.
+			threshold := 99
+			if spec.Base == nil {
+				spec.Base = &campaign.Settings{}
+			}
+			spec.Base.RoutingThreshold = &threshold
+			res = Result{}
+			if checkKeys(e, spec, f, &res); len(res.Mismatches) == 0 || !strings.Contains(res.Mismatches[0].Reason, "fingerprint") {
+				t.Fatalf("a changed setting still matches the recorded keys: %+v", res.Mismatches)
+			}
+		})
+	}
+}
+
+// TestCheckCatchesChangedSpec: a spec edit that moves the key space fails the
+// entry without a re-run, even when -max-wall would have skipped it.
+func TestCheckCatchesChangedSpec(t *testing.T) {
+	dir, m := recordSmokeTree(t)
+	spec, err := campaign.Builtin("smoke")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Sections[0].Title = "renamed"
+	b, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "smoke-rec", "campaign.json"), b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m.Entries[0].Campaign = "smoke-rec/campaign.json"
+	r := checkOne(t, m, Options{MaxWall: time.Millisecond})
+	if r.Status != Fail || r.Replications != 0 || !strings.Contains(r.Summary(), `"renamed"`) {
+		t.Fatalf("changed spec: %s", r.Summary())
 	}
 }

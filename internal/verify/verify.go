@@ -102,8 +102,9 @@ type Options struct {
 	// temporary directory, removed afterwards.
 	WorkDir string
 	// MaxWall, when positive, skips the re-run of entries whose estimated
-	// wall exceeds it; their digests are still verified. This is what lets PR
-	// CI check the cheap entries end to end without paying for the big ones.
+	// wall exceeds it; their digests and key spaces are still verified. This
+	// is what lets PR CI check the cheap entries end to end without paying
+	// for the big ones.
 	MaxWall time.Duration
 	// Workers is the concurrent replication-worker count the wall estimate
 	// assumes: an entry's recorded ApproxWallS (measured serial) is divided
@@ -207,7 +208,18 @@ func checkEntry(m *Manifest, e Entry, scratch string, opts Options) Result {
 		return done()
 	}
 
-	// Layer 2 — reproducibility: re-simulate into a scratch results
+	// Layer 2 — key space: the spec must compile to exactly the recorded
+	// replications. No simulation, so skipped re-runs get it too.
+	spec, err := m.resolveCampaign(e)
+	if err != nil {
+		res.Mismatches = append(res.Mismatches, Mismatch{Artifact: e.Export.Path, Reason: fmt.Sprintf("re-run failed: %v", err)})
+		return done()
+	}
+	if checkKeys(e, spec, expected, &res); len(res.Mismatches) > 0 {
+		return done()
+	}
+
+	// Layer 3 — reproducibility: re-simulate into a scratch results
 	// directory and demand byte-identical artefacts.
 	if opts.MaxWall > 0 {
 		est := e.ApproxWallS
@@ -217,15 +229,15 @@ func checkEntry(m *Manifest, e Entry, scratch string, opts Options) Result {
 		if est > opts.MaxWall.Seconds() {
 			res.Status = Skip
 			if opts.Workers > 1 {
-				res.Detail = fmt.Sprintf("re-run skipped: approx wall %.0fs (~%.0fs at %d workers) exceeds -max-wall %s (recorded digests verified)",
+				res.Detail = fmt.Sprintf("re-run skipped: approx wall %.0fs (~%.0fs at %d workers) exceeds -max-wall %s (recorded digests and key space verified)",
 					e.ApproxWallS, est, opts.Workers, opts.MaxWall)
 			} else {
-				res.Detail = fmt.Sprintf("re-run skipped: approx wall %.0fs exceeds -max-wall %s (recorded digests verified)", e.ApproxWallS, opts.MaxWall)
+				res.Detail = fmt.Sprintf("re-run skipped: approx wall %.0fs exceeds -max-wall %s (recorded digests and key space verified)", e.ApproxWallS, opts.MaxWall)
 			}
 			return done()
 		}
 	}
-	gotExport, gotReport, reps, err := rerun(m, e, scratch, expected.Revision, opts)
+	gotExport, gotReport, reps, err := rerun(e, spec, scratch, expected.Revision, opts)
 	if err != nil {
 		res.Mismatches = append(res.Mismatches, Mismatch{Artifact: e.Export.Path, Reason: fmt.Sprintf("re-run failed: %v", err)})
 		return done()
@@ -264,12 +276,52 @@ func readPinned(m *Manifest, ref FileRef, res *Result) ([]byte, bool) {
 	return b, true
 }
 
+// runOptions are the sweep options an entry pins: everything that decides
+// which replications run and how they are configured.
+func runOptions(e Entry) sweep.Options {
+	return sweep.Options{Scale: e.Scale, Seeds: e.Seeds, Quick: e.Quick}
+}
+
+// checkKeys compares the recorded export's replications with the ones the
+// entry's campaign compiles to, appending a mismatch naming the first record
+// that differs in any results-key field or config fingerprint.
+func checkKeys(e Entry, spec *campaign.Campaign, recorded *results.File, res *Result) {
+	keys, err := campaign.Keys(spec, runOptions(e))
+	if err != nil {
+		res.Mismatches = append(res.Mismatches, Mismatch{Artifact: e.Export.Path, Reason: fmt.Sprintf("re-run failed: %v", err)})
+		return
+	}
+	for i := 0; i < len(keys) || i < len(recorded.Records); i++ {
+		want, got := "<none>", "<none>"
+		if i < len(recorded.Records) {
+			want = keyOf(recorded.Records[i])
+		}
+		if i < len(keys) {
+			got = keyOf(keys[i])
+		}
+		if want != got {
+			res.Mismatches = append(res.Mismatches, Mismatch{
+				Artifact: e.Export.Path,
+				Reason: fmt.Sprintf("the campaign compiles to %d replications, the export records %d; first difference at record %d: recorded %s, compiled %s",
+					len(keys), len(recorded.Records), i, want, got),
+			})
+			return
+		}
+	}
+}
+
+// keyOf renders every field of a record that identifies its replication.
+func keyOf(r results.Record) string {
+	return fmt.Sprintf("{%s [%d] %q [%d] %q point %d load %g seed %d sim-seed %d scale %s fingerprint %s}",
+		r.Experiment, r.SectionIndex, r.Section, r.VariantIndex, r.Variant, r.PointIndex, r.Load, r.Seed, r.SimSeed, r.Scale, r.Fingerprint)
+}
+
 // rerun re-simulates the entry into the scratch directory and returns the
 // fresh export and rendered report bytes. The recorded export's revision is
 // pinned into the scratch store first: the revision header is provenance of
 // the recording, not a simulation outcome, and it is the only field that
 // would legitimately differ between the recording machine and this one.
-func rerun(m *Manifest, e Entry, scratch, revision string, ropts Options) (export, report []byte, reps int, err error) {
+func rerun(e Entry, spec *campaign.Campaign, scratch, revision string, ropts Options) (export, report []byte, reps int, err error) {
 	progress := ropts.Progress
 	if err := os.MkdirAll(scratch, 0o755); err != nil {
 		return nil, nil, 0, err
@@ -285,35 +337,19 @@ func rerun(m *Manifest, e Entry, scratch, revision string, ropts Options) (expor
 		store.SetMetrics(ropts.Metrics)
 	}
 	var final sweep.Progress
-	opts := sweep.Options{
-		Scale:   e.Scale,
-		Seeds:   e.Seeds,
-		Quick:   e.Quick,
-		Results: store,
-		Metrics: ropts.Metrics,
-		Progress: func(p sweep.Progress) {
-			final = p
-			if progress != nil {
-				progress(p)
-			}
-		},
-	}
-	exportID, title := e.Experiment, ""
-	if e.Kind == "campaign" {
-		spec, cerr := m.resolveCampaign(e)
-		if cerr != nil {
-			return nil, nil, 0, cerr
+	opts := runOptions(e)
+	opts.Results = store
+	opts.Metrics = ropts.Metrics
+	opts.Progress = func(p sweep.Progress) {
+		final = p
+		if progress != nil {
+			progress(p)
 		}
-		exportID, title = spec.Name, spec.ReportTitle()
-		_, err = campaign.Run(spec, opts)
-	} else {
-		title = sweep.Registry()[e.Experiment].Title
-		_, err = sweep.Run(e.Experiment, opts)
 	}
-	if err != nil {
+	if _, err := campaign.Run(spec, opts); err != nil {
 		return nil, nil, 0, err
 	}
-	path, err := store.WriteExport(exportID, title)
+	path, err := store.WriteExport(spec.Name, spec.ReportTitle())
 	if err != nil {
 		return nil, nil, 0, err
 	}
@@ -332,15 +368,13 @@ func rerun(m *Manifest, e Entry, scratch, revision string, ropts Options) (expor
 	return export, []byte(text), final.Done, nil
 }
 
-// resolveCampaign locates an entry's campaign spec: a path relative to the
-// manifest directory when such a file exists, otherwise an embedded spec name
-// (campaign.Resolve's usual fallback).
+// resolveCampaign loads an entry's campaign spec: a file relative to the
+// manifest directory, or an embedded spec.
 func (m *Manifest) resolveCampaign(e Entry) (*campaign.Campaign, error) {
-	p := filepath.Join(m.dir, filepath.FromSlash(e.Campaign))
-	if fi, err := os.Stat(p); err == nil && fi.Mode().IsRegular() {
-		return campaign.Load(p)
+	if isSpecPath(e.Campaign) {
+		return campaign.Load(filepath.Join(m.dir, filepath.FromSlash(e.Campaign)))
 	}
-	return campaign.Resolve(e.Campaign)
+	return campaign.Builtin(e.Campaign)
 }
 
 // compare byte-compares one artefact and appends a line-level mismatch on

@@ -11,7 +11,7 @@ func mkManifest() *Manifest {
 		Schema: ManifestSchema,
 		Entries: []Entry{
 			{
-				ID: "fig5-small", Kind: "experiment", Experiment: "fig5", Scale: "small", Seeds: 2,
+				ID: "fig5-small", Kind: "campaign", Campaign: "fig5", Scale: "small", Seeds: 2,
 				Export: FileRef{Path: "fig5-small/fig5.results.json", SHA256: strings.Repeat("ab", 32)},
 				Report: FileRef{Path: "fig5-small/report.md", SHA256: strings.Repeat("cd", 32)},
 			},
@@ -31,6 +31,12 @@ func TestManifestValidation(t *testing.T) {
 	if err := mkManifest().Validate(); err != nil {
 		t.Fatalf("valid manifest rejected: %v", err)
 	}
+	// Campaign entries may leave scale and seeds to the spec's defaults.
+	m := mkManifest()
+	m.Entries[0].Scale, m.Entries[0].Seeds = "", 0
+	if err := m.Validate(); err != nil {
+		t.Fatalf("entry following its spec's scale and seeds rejected: %v", err)
+	}
 	cases := []struct {
 		name    string
 		mutate  func(*Manifest)
@@ -41,12 +47,11 @@ func TestManifestValidation(t *testing.T) {
 		{"bad id", func(m *Manifest) { m.Entries[0].ID = "Fig5 Small" }, "lowercase slug"},
 		{"duplicate id", func(m *Manifest) { m.Entries[1].ID = m.Entries[0].ID }, "duplicate id"},
 		{"bad kind", func(m *Manifest) { m.Entries[0].Kind = "sweep" }, `kind "sweep"`},
-		{"experiment entry without experiment", func(m *Manifest) { m.Entries[0].Experiment = "" }, "needs `experiment` set"},
-		{"experiment entry with campaign too", func(m *Manifest) { m.Entries[0].Campaign = "x.json" }, "`campaign` empty"},
-		{"unknown experiment", func(m *Manifest) { m.Entries[0].Experiment = "fig99" }, `unknown experiment "fig99"`},
-		{"analytic experiment", func(m *Manifest) { m.Entries[0].Experiment = "table1" }, "analytic"},
-		{"experiment without scale", func(m *Manifest) { m.Entries[0].Scale = "" }, "pin scale and seeds"},
-		{"experiment without seeds", func(m *Manifest) { m.Entries[0].Seeds = 0 }, "pin scale and seeds"},
+		{"legacy experiment kind", func(m *Manifest) { m.Entries[0].Kind = "experiment" }, `kind "experiment", want "campaign"`},
+		{"unknown experiment", func(m *Manifest) { m.Entries[0].Campaign = "fig99" }, `"fig99" (have: fig10`},
+		{"analytic experiment", func(m *Manifest) { m.Entries[0].Campaign = "table1" }, `no embedded spec "table1"`},
+		{"unknown scale", func(m *Manifest) { m.Entries[0].Scale = "huge" }, `entry 0 ("fig5-small"): unknown scale "huge"`},
+		{"negative seeds", func(m *Manifest) { m.Entries[1].Seeds = -3 }, `entry 1 ("pb"): seeds must be non-negative`},
 		{"campaign entry without campaign", func(m *Manifest) { m.Entries[1].Campaign = "" }, "needs `campaign` set"},
 		{"missing artefact path", func(m *Manifest) { m.Entries[0].Export.Path = "" }, "missing path"},
 		{"absolute artefact path", func(m *Manifest) { m.Entries[0].Report.Path = "/etc/passwd" }, "relative to the manifest"},
