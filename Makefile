@@ -3,20 +3,7 @@
 
 GO ?= go
 
-# Benchmarks gated by the regression gate (cmd/benchgate): the end-to-end
-# smoke sweep plus the cheapest hot-path microbenchmarks. ns/op is compared
-# against BENCH_baseline.json with the tolerance recorded there, taking the
-# best of BENCH_COUNT repetitions; any allocs/op increase fails outright
-# (allocation counts are deterministic and machine-independent). The
-# committed tolerance is 40%: wide enough to absorb the per-core speed
-# spread between the machine that recorded the baseline and shared CI
-# runners, tight enough to catch a real hot-path slowdown. RouterStep selects
-# RouterStepBusy, RouterStepIdle, RouterStepBlocked and RouterStepPipeline.
-BENCH_GATE_PAT  := SmokeSweep|AllowedVCs|RouterStep|VCActivity|PacketStore|InputBufferCycle|Obs
-BENCH_GATE_PKGS := . ./internal/router ./internal/buffer ./internal/obs ./internal/packet
-BENCH_COUNT     ?= 3
-
-.PHONY: build test race lint bench-check bench-baseline bench-profile bench-contract ci check-smoke check-full scenario-smoke campaign-smoke specs-smoke campaignd-smoke campaignd-metrics-smoke
+.PHONY: build test race lint bench-profile bench-contract ci check-smoke check-full scenario-smoke campaign-smoke specs-smoke campaignd-smoke campaignd-metrics-smoke
 
 build:
 	$(GO) build ./...
@@ -34,37 +21,18 @@ lint:
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
 		else echo "staticcheck not installed; skipping (CI runs it)"; fi
 
-# Fail on benchmark regressions against the committed baseline. The bench
-# output goes through a file, not a pipe, so a go-test failure fails the
-# target even after the gated result lines were printed (sh has no pipefail).
-# Caveat: ns/op baselines are hardware-specific — after a runner-class change
-# (or when the gate flags every benchmark at once on an untouched tree),
-# refresh the baseline on the hardware CI actually uses.
-bench-check:
-	$(GO) test -run xxx -bench '$(BENCH_GATE_PAT)' -benchmem -count $(BENCH_COUNT) $(BENCH_GATE_PKGS) > bench-gate.out
-	$(GO) run ./cmd/benchgate -baseline BENCH_baseline.json < bench-gate.out
-	@rm -f bench-gate.out
-
-# CPU and heap profiles of the end-to-end smoke sweep (the benchmark the
-# gate pins). CI runs this on the bench job and uploads $(PROFILE_DIR) as an
-# artifact, so when the gate flags a layout regression the profile that
-# explains it is already attached to the failing run — no local reproduction
-# needed. The test binary is kept next to the profiles because `go tool
-# pprof` resolves symbols against it.
+# CPU and heap profiles of the saturated medium replication the repository
+# benchmark gates as medium-pb-sat-1core (BenchmarkReplicationPBSat), for
+# finding where a replication's time goes. A developer target: time claims go
+# through bench/run.sh, not through this. The test binary is kept next to the
+# profiles because `go tool pprof` resolves symbols against it.
 PROFILE_DIR ?= bench-profiles
 bench-profile:
 	mkdir -p $(PROFILE_DIR)
-	$(GO) test -run xxx -bench 'SmokeSweep' -benchmem \
-		-cpuprofile $(PROFILE_DIR)/smoke-cpu.pprof \
-		-memprofile $(PROFILE_DIR)/smoke-mem.pprof \
-		-o $(PROFILE_DIR)/flexvc.test . | tee $(PROFILE_DIR)/smoke-bench.txt
-
-# Intentionally refresh the baseline (commit the result together with the
-# change that justifies it). Uses more repetitions for a steadier floor.
-bench-baseline:
-	$(GO) test -run xxx -bench '$(BENCH_GATE_PAT)' -benchmem -count 5 $(BENCH_GATE_PKGS) > bench-gate.out
-	$(GO) run ./cmd/benchgate -baseline BENCH_baseline.json -update -tolerance 40 < bench-gate.out
-	@rm -f bench-gate.out
+	$(GO) test -run xxx -bench 'ReplicationPBSat' -benchtime 3x -benchmem \
+		-cpuprofile $(PROFILE_DIR)/pbsat-cpu.pprof \
+		-memprofile $(PROFILE_DIR)/pbsat-mem.pprof \
+		-o $(PROFILE_DIR)/sim.test ./internal/sim | tee $(PROFILE_DIR)/pbsat-bench.txt
 
 # bench/ is a module of its own that the root `go test ./...` cannot reach;
 # bench/api_test.go is the compile-time list of every program identifier the
@@ -73,7 +41,7 @@ bench-baseline:
 bench-contract:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-ci: lint test race bench-check bench-contract check-smoke specs-smoke
+ci: lint test race bench-contract check-smoke specs-smoke
 
 # The PR-time reproducibility gate: verify every recorded experiment in
 # experiments/manifest.json. Digests of the committed exports and reports are

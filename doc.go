@@ -58,7 +58,7 @@
 // scenario phases as concrete values, so other scales need their own spec.
 //
 // See README.md for a tour, DESIGN.md for the system inventory and
-// EXPERIMENTS.md for paper-versus-measured results. The benchmarks in
-// bench_test.go exercise the analytic tables, per-figure simulation kernels
-// and the ablations called out in DESIGN.md.
+// EXPERIMENTS.md for paper-versus-measured results. Performance is measured
+// by the repository benchmark under bench/ (BENCHMARKS.md has the record);
+// allocation counts are pinned by the tests named *Allocs beside the code.
 package flexvc

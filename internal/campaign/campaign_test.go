@@ -8,6 +8,7 @@ import (
 	"flexvc/internal/buffer"
 	"flexvc/internal/config"
 	"flexvc/internal/core"
+	"flexvc/internal/results"
 	"flexvc/internal/routing"
 	"flexvc/internal/sweep"
 )
@@ -209,6 +210,54 @@ func TestBuiltinSpecs(t *testing.T) {
 	}
 	if _, err := Builtin("no-such-spec"); err == nil {
 		t.Error("unknown embedded spec did not error")
+	}
+}
+
+// TestRunValidatesBeforeSimulating: a spec that parses but cannot run — a
+// later section routing VAL on a baseline VC set too small for it, a variant
+// with more VCs on a port than a router holds — fails Run before the first
+// replication is simulated, so the results store holds no record.
+func TestRunValidatesBeforeSimulating(t *testing.T) {
+	for _, tc := range []struct {
+		name, spec, want string
+	}{
+		{"later invalid section", `{
+		  "name": "twosec", "loads": [0.2],
+		  "sections": [
+		    {"title": "ok", "base": {"traffic": "un", "routing": "min"},
+		     "variants": [{"label": "Baseline 2/1", "set": {"policy": "baseline", "vcs": "2/1"}}]},
+		    {"title": "bad", "base": {"traffic": "un", "routing": "val"},
+		     "variants": [{"label": "Baseline 2/1", "set": {"policy": "baseline", "vcs": "2/1"}}]}
+		  ]
+		}`, "cannot support val routing"},
+		{"too many VCs on a port", `{
+		  "name": "wide", "loads": [0.2],
+		  "sections": [
+		    {"title": "UN", "base": {"traffic": "un", "routing": "min"},
+		     "variants": [
+		       {"label": "Baseline 2/1", "set": {"policy": "baseline", "vcs": "2/1"}},
+		       {"label": "FlexVC 66/1", "set": {"policy": "flexvc", "vcs": "66/1"}}
+		     ]}
+		  ]
+		}`, "more than the 64"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := Parse([]byte(tc.spec))
+			if err != nil {
+				t.Fatal(err)
+			}
+			store, err := results.Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = Run(c, sweep.Options{Scale: "tiny", Quick: true, Results: store})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Run error = %v, want one mentioning %q", err, tc.want)
+			}
+			if n := store.Len(); n != 0 {
+				t.Errorf("the store holds %d records; Run simulated before it validated", n)
+			}
+		})
 	}
 }
 

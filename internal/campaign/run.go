@@ -14,8 +14,13 @@ import (
 // windowed-telemetry and adaptation-lag tables for scenario sections.
 //
 // The options' scale and seed count win over the spec's defaults when set, so
-// command-line overrides apply to every spec alike.
+// command-line overrides apply to every spec alike. Every section is planned
+// (and each point configuration validated) before the first one simulates, so
+// a spec that cannot run fails without writing a record.
 func Run(c *Campaign, opts sweep.Options) (*sweep.Report, error) {
+	if _, err := Keys(c, opts); err != nil {
+		return nil, err
+	}
 	sections, base, opts, err := c.prepare(opts)
 	if err != nil {
 		return nil, err

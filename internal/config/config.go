@@ -7,6 +7,7 @@ import (
 	"flexvc/internal/buffer"
 	"flexvc/internal/core"
 	"flexvc/internal/obs"
+	"flexvc/internal/router"
 	"flexvc/internal/routing"
 	"flexvc/internal/scenario"
 	"flexvc/internal/topology"
@@ -388,6 +389,15 @@ func (c Config) Validate() error {
 	}
 	if err := c.Scheme.VCs.Validate(topo.Diameter(), c.Reactive); err != nil {
 		return err
+	}
+	for _, kind := range []topology.PortKind{topology.Terminal, topology.Local, topology.Global} {
+		vcs := c.InjectionQueues
+		if kind != topology.Terminal {
+			vcs = c.Scheme.VCs.TotalOf(kind)
+		}
+		if vcs > router.MaxPortVCs {
+			return fmt.Errorf("config: %s ports have %d VCs, more than the %d a router port holds", kind, vcs, router.MaxPortVCs)
+		}
 	}
 	if c.Routing.Nonminimal() && c.Scheme.Policy == core.Baseline {
 		// The baseline must hold the full Valiant reference path in its

@@ -1,6 +1,7 @@
 package config
 
 import (
+	"strings"
 	"testing"
 
 	"flexvc/internal/buffer"
@@ -69,6 +70,39 @@ func TestValidationRejectsBadConfigs(t *testing.T) {
 	cfg.Scheme = core.Scheme{Policy: core.FlexVC, VCs: core.SingleClass(3, 2), Selection: core.JSQ}
 	if err := cfg.Validate(); err != nil {
 		t.Errorf("FlexVC 3/2 with VAL should validate: %v", err)
+	}
+}
+
+// TestValidatePortVCLimit: a port kind with more VCs than a router port holds
+// fails validation, naming the kind, instead of failing later in router.New.
+// Classes add up on a port.
+func TestValidatePortVCLimit(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mut    func(*Config)
+		reject string // the port kind the error names; "" if valid
+	}{
+		{"local at the limit", func(c *Config) { c.Scheme.VCs = core.SingleClass(64, 1) }, ""},
+		{"local beyond", func(c *Config) { c.Scheme.VCs = core.SingleClass(66, 1) }, "local"},
+		{"global beyond", func(c *Config) { c.Scheme.VCs = core.SingleClass(2, 65) }, "global"},
+		{"classes add up", func(c *Config) {
+			c.Reactive = true
+			c.Scheme.VCs = core.TwoClass(33, 1, 32, 1)
+		}, "local"},
+		{"injection at the limit", func(c *Config) { c.InjectionQueues = 64 }, ""},
+		{"injection beyond", func(c *Config) { c.InjectionQueues = 65 }, "terminal"},
+	} {
+		cfg := Small()
+		tc.mut(&cfg)
+		err := cfg.Validate()
+		switch {
+		case tc.reject == "" && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.reject != "" && err == nil:
+			t.Errorf("%s: validated, want an error", tc.name)
+		case tc.reject != "" && !strings.Contains(err.Error(), tc.reject+" ports"):
+			t.Errorf("%s: error %q does not name %s ports", tc.name, err, tc.reject)
+		}
 	}
 }
 

@@ -5,10 +5,11 @@ import (
 	"time"
 )
 
-// The disabled-path benchmarks are gated in BENCH_baseline.json: the whole
-// point of the nil-registry design is that instrumented hot paths cost one
-// pointer compare and zero allocations when metrics are off, and these
-// benches fail the bench gate if a refactor regresses that.
+// The whole point of the nil-registry design is that instrumented hot paths
+// cost one pointer compare and zero allocations when metrics are off. The
+// benchmarks time those paths, disabled and enabled; TestObsAllocs pins every
+// one of them at zero allocations, so a refactor that regresses it fails
+// `go test`.
 
 func BenchmarkObsCounterDisabled(b *testing.B) {
 	var r *Registry
@@ -50,5 +51,29 @@ func BenchmarkObsGaugeSetMaxEnabled(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		g.SetMax(int64(i & 1023))
+	}
+}
+
+// TestObsAllocs pins the five benchmarked paths at zero allocations per call.
+func TestObsAllocs(t *testing.T) {
+	var off *Registry
+	on := NewRegistry()
+	cOff, hOff := off.Counter("c_total"), off.Histogram("h_ns")
+	cOn, hOn, g := on.Counter("c_total"), on.Histogram("h_ns"), on.Gauge("hwm")
+	var start time.Time
+	i := int64(0)
+	for _, p := range []struct {
+		name string
+		op   func()
+	}{
+		{"CounterDisabled", func() { cOff.Add(1) }},
+		{"HistogramDisabled", func() { hOff.Since(start) }},
+		{"CounterEnabled", func() { cOn.Add(1) }},
+		{"HistogramEnabled", func() { hOn.Observe(i); i++ }},
+		{"GaugeSetMaxEnabled", func() { g.SetMax(i & 1023); i++ }},
+	} {
+		if allocs := testing.AllocsPerRun(1000, p.op); allocs != 0 {
+			t.Errorf("%s: %v allocations per call, want 0", p.name, allocs)
+		}
 	}
 }

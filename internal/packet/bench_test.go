@@ -2,29 +2,50 @@ package packet
 
 import "testing"
 
-// BenchmarkPacketStore measures the steady-state packet lifecycle on the SoA
-// store: free one slot, recycle it through Alloc, and touch the header, route
-// and timestamp arrays the way the simulator's hot path does. At steady state
-// (the in-flight ring is warmed before the timer starts) every allocation is
-// an index recycle, so the gate pins allocs/op at zero — the whole point of
-// the arena layout.
-func BenchmarkPacketStore(b *testing.B) {
+// packetRing is the in-flight population recycle cycles through: 64 live
+// packets, allocated before anything is measured.
+func packetRing() (*Store, *[64]Ref) {
 	st := NewStore()
 	var ring [64]Ref
 	for i := range ring {
 		ring[i] = st.Alloc(uint64(i), 0, 1, 8, Request, 0)
 	}
+	return st, &ring
+}
+
+// recycle frees one slot of the ring, recycles it through Alloc, and touches
+// the header, route and timestamp arrays the way the simulator's hot path
+// does.
+func recycle(st *Store, ring *[64]Ref, i int) {
+	j := i & 63
+	st.Free(ring[j])
+	ref := st.Alloc(uint64(i), 0, 1, 8, Request, int64(i))
+	hdr := st.Hdr(ref)
+	hdr.SrcRouter = 0
+	hdr.DstRouter = 1
+	st.Times(ref).Inject = int64(i)
+	st.Route(ref).Hops++
+	ring[j] = ref
+}
+
+// BenchmarkPacketStore measures the steady-state packet lifecycle on the SoA
+// store.
+func BenchmarkPacketStore(b *testing.B) {
+	st, ring := packetRing()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		j := i & 63
-		st.Free(ring[j])
-		ref := st.Alloc(uint64(i), 0, 1, 8, Request, int64(i))
-		hdr := st.Hdr(ref)
-		hdr.SrcRouter = 0
-		hdr.DstRouter = 1
-		st.Times(ref).Inject = int64(i)
-		st.Route(ref).Hops++
-		ring[j] = ref
+		recycle(st, ring, i)
+	}
+}
+
+// TestPacketStoreAllocs pins the packet lifecycle at zero allocations: at
+// steady state every Alloc is an index recycle — the whole point of the arena
+// layout.
+func TestPacketStoreAllocs(t *testing.T) {
+	st, ring := packetRing()
+	i := 0
+	if allocs := testing.AllocsPerRun(1000, func() { recycle(st, ring, i); i++ }); allocs != 0 {
+		t.Errorf("%v allocations per packet, want 0", allocs)
 	}
 }

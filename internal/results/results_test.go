@@ -204,6 +204,13 @@ func TestLoadFileValidates(t *testing.T) {
 	if _, err := LoadFile(path); err == nil {
 		t.Fatal("wrong-schema export accepted")
 	}
+	torn := filepath.Join(t.TempDir(), "torn.results.json")
+	if err := os.WriteFile(torn, []byte(`{"schema":2,"records":[`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadFile(torn); err == nil {
+		t.Fatal("torn export accepted")
+	}
 	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -264,34 +271,6 @@ func TestExportRestrictsToActiveKeys(t *testing.T) {
 	}
 	if f := s3.Export("fig5", "t"); len(f.Records) != 3 {
 		t.Fatalf("passive export should include everything: %d records", len(f.Records))
-	}
-}
-
-func TestMerge(t *testing.T) {
-	a, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	shared := mkRecord("(a) UN", 0, 0, 0, 0, 0.5)
-	onlyB := mkRecord("(a) UN", 0, 0, 1, 0, 0.8)
-	for _, put := range []struct {
-		s   *Store
-		rec Record
-	}{{a, shared}, {b, shared}, {b, onlyB}} {
-		if err := put.s.Put(put.rec, time.Second); err != nil {
-			t.Fatal(err)
-		}
-	}
-	added, err := a.Merge(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if added != 1 || a.Len() != 2 {
-		t.Fatalf("merge added %d records (store holds %d), want 1 (holding 2)", added, a.Len())
 	}
 }
 

@@ -387,31 +387,3 @@ func (s *Store) WriteExport(experiment, title string) (string, error) {
 	// An export marks the end of a run; bring the manifest current too.
 	return path, s.Flush()
 }
-
-// Merge imports every record of other that this store does not already hold
-// (matched by key; an existing record wins regardless of fingerprint, so
-// merge never silently replaces data). It returns how many were added.
-func (s *Store) Merge(other *Store) (int, error) {
-	other.mu.Lock()
-	incoming := make([]storedRecord, 0, len(other.recs))
-	for _, sr := range other.recs {
-		incoming = append(incoming, sr)
-	}
-	other.mu.Unlock()
-	sort.Slice(incoming, func(i, j int) bool { return incoming[i].file < incoming[j].file })
-
-	added := 0
-	for _, sr := range incoming {
-		s.mu.Lock()
-		_, exists := s.recs[sr.rec.Key()]
-		s.mu.Unlock()
-		if exists {
-			continue
-		}
-		if err := s.Put(sr.rec, time.Duration(sr.wallMS*float64(time.Millisecond))); err != nil {
-			return added, err
-		}
-		added++
-	}
-	return added, s.Flush()
-}

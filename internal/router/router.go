@@ -168,7 +168,7 @@ type Router struct {
 	// dequeue — skipping an empty port or VC is exactly what the probing loop
 	// would have concluded, and the sorted order reproduces the full scan's
 	// ascending port order, so results are bit-identical. The mask is one
-	// word, which is why New rejects ports with more than maxPortVCs VCs.
+	// word, which is why New rejects ports with more than MaxPortVCs VCs.
 	// AuditActivity cross-checks list state against a brute-force scan in
 	// tests.
 	liveIn  portList
@@ -255,9 +255,10 @@ type Router struct {
 	grantCount int64
 }
 
-// maxPortVCs is the most VCs one input port may have: the per-port occupancy
-// mask the allocator scans is a single 64-bit word.
-const maxPortVCs = 64
+// MaxPortVCs is the most VCs one input port may have: the per-port occupancy
+// mask the allocator scans is a single 64-bit word. config.Validate checks
+// the same limit, so a configuration beyond it fails before any simulation.
+const MaxPortVCs = 64
 
 // New builds a router. The environment may be set later with SetEnv (the
 // simulator wires routers and the event system together after construction).
@@ -325,8 +326,8 @@ func New(id packet.RouterID, topo topology.Topology, scheme core.Scheme, alg rou
 		if kind != topology.Terminal {
 			r.nbrs[p], r.nbrPorts[p] = topo.Neighbor(id, p)
 		}
-		if numVCs > maxPortVCs {
-			return nil, fmt.Errorf("router: %s ports have %d VCs, more than the %d the allocator's occupancy mask holds", kind, numVCs, maxPortVCs)
+		if numVCs > MaxPortVCs {
+			return nil, fmt.Errorf("router: %s ports have %d VCs, more than the %d the allocator's occupancy mask holds", kind, numVCs, MaxPortVCs)
 		}
 		r.inputs[p] = buffer.NewInputBuffer(params.BufferConfig(kind, numVCs))
 		if kind == topology.Terminal {
@@ -450,7 +451,7 @@ func (r *Router) noteDequeue(now int64, port, vc int) {
 	}
 }
 
-// A timer key is (ready, port, vc): the VC in the low timerVCBits (maxPortVCs
+// A timer key is (ready, port, vc): the VC in the low timerVCBits (MaxPortVCs
 // VCs), the port in timerPortBits above it (New bounds the output-resource
 // numbering, and with it the radix, below that) and the ready cycle on top, so
 // the heap releases timers in time order.
@@ -731,7 +732,7 @@ func (r *Router) rrDistance(key, inPort int) int {
 // with no wake event.
 //
 // The record is kept small (24 bytes, narrow fields: ports fit int16, VC
-// indices int8 since a port has at most maxPortVCs) because evaluating a
+// indices int8 since a port has at most MaxPortVCs) because evaluating a
 // blocked head is bound by the cache lines it touches, not by arithmetic.
 type vcPlan struct {
 	ref    packet.Ref

@@ -15,8 +15,8 @@ import (
 //
 // The pool is an explicit mutex-guarded free-list rather than a sync.Pool on
 // purpose: sync.Pool drops entries at GC, which would make the allocation
-// profile of a benchmarked sweep depend on GC timing — the bench gate pins
-// allocs/op exactly.
+// profile of a sweep depend on GC timing — TestSmokeSweepAllocs
+// (internal/sweep) pins a sweep's allocation count.
 type scratch struct {
 	store *packet.Store
 	arena *stats.Arena
