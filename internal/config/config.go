@@ -2,6 +2,7 @@ package config
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"flexvc/internal/buffer"
@@ -12,6 +13,14 @@ import (
 	"flexvc/internal/scenario"
 	"flexvc/internal/topology"
 	"flexvc/internal/traffic"
+)
+
+// MaxPacketSize (phits) and MaxRadix (ports per router) are the largest
+// packet and router a configuration may ask for: the simulator's event
+// records carry packet sizes and port numbers as int16.
+const (
+	MaxPacketSize = math.MaxInt16
+	MaxRadix      = math.MaxInt16
 )
 
 // TopologyKind selects the simulated network.
@@ -352,6 +361,9 @@ func (c Config) Validate() error {
 	if c.PacketSize <= 0 {
 		return fmt.Errorf("config: packet size must be positive")
 	}
+	if c.PacketSize > MaxPacketSize {
+		return fmt.Errorf("config: packet size %d phits exceeds the maximum %d", c.PacketSize, MaxPacketSize)
+	}
 	if c.Load < 0 || c.Load > 1.0001 {
 		return fmt.Errorf("config: load %.3f outside [0,1]", c.Load)
 	}
@@ -386,6 +398,9 @@ func (c Config) Validate() error {
 	topo, err := c.BuildTopology()
 	if err != nil {
 		return err
+	}
+	if topo.Radix() > MaxRadix {
+		return fmt.Errorf("config: router radix %d exceeds the maximum %d", topo.Radix(), MaxRadix)
 	}
 	if err := c.Scheme.VCs.Validate(topo.Diameter(), c.Reactive); err != nil {
 		return err

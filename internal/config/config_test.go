@@ -36,36 +36,52 @@ func TestPresetsValidate(t *testing.T) {
 
 func TestValidationRejectsBadConfigs(t *testing.T) {
 	cases := []struct {
-		name string
-		mut  func(*Config)
+		name  string
+		mut   func(*Config)
+		field string // the field the error must name; "" if not checked
 	}{
-		{"zero packet size", func(c *Config) { c.PacketSize = 0 }},
-		{"negative load", func(c *Config) { c.Load = -0.1 }},
-		{"excess load", func(c *Config) { c.Load = 1.5 }},
-		{"zero speedup", func(c *Config) { c.Speedup = 0 }},
-		{"no injection queues", func(c *Config) { c.InjectionQueues = 0 }},
-		{"no measurement window", func(c *Config) { c.MeasureCycles = 0 }},
-		{"unknown topology", func(c *Config) { c.Topology = "torus" }},
-		{"VCs too small for MIN", func(c *Config) { c.Scheme.VCs = core.SingleClass(1, 1) }},
+		{"zero packet size", func(c *Config) { c.PacketSize = 0 }, ""},
+		{"packet size past int16", func(c *Config) { c.PacketSize = MaxPacketSize + 1 }, "packet size"},
+		{"radix past int16", func(c *Config) { c.P = MaxRadix }, "radix"},
+		{"fbfly radix past int16", func(c *Config) {
+			c.Topology, c.K, c.P = TopoFlattenedButterfly, 2, MaxRadix
+		}, "radix"},
+		{"negative load", func(c *Config) { c.Load = -0.1 }, ""},
+		{"excess load", func(c *Config) { c.Load = 1.5 }, ""},
+		{"zero speedup", func(c *Config) { c.Speedup = 0 }, ""},
+		{"no injection queues", func(c *Config) { c.InjectionQueues = 0 }, ""},
+		{"no measurement window", func(c *Config) { c.MeasureCycles = 0 }, ""},
+		{"unknown topology", func(c *Config) { c.Topology = "torus" }, ""},
+		{"VCs too small for MIN", func(c *Config) { c.Scheme.VCs = core.SingleClass(1, 1) }, ""},
 		{"baseline VAL without VCs", func(c *Config) {
 			c.Routing = routing.VAL
 			c.Scheme = core.Scheme{Policy: core.Baseline, VCs: core.SingleClass(2, 1), Selection: core.JSQ}
-		}},
+		}, ""},
 		{"FlexVC VAL with forbidden VCs", func(c *Config) {
 			c.Routing = routing.VAL
 			c.Scheme = core.Scheme{Policy: core.FlexVC, VCs: core.SingleClass(2, 2), Selection: core.JSQ}
-		}},
-		{"reply VCs without reactive", func(c *Config) { c.Scheme.VCs = core.TwoClass(2, 1, 2, 1) }},
+		}, ""},
+		{"reply VCs without reactive", func(c *Config) { c.Scheme.VCs = core.TwoClass(2, 1, 2, 1) }, ""},
 	}
 	for _, tc := range cases {
 		cfg := Small()
 		tc.mut(&cfg)
-		if err := cfg.Validate(); err == nil {
+		err := cfg.Validate()
+		switch {
+		case err == nil:
 			t.Errorf("%s: expected validation error", tc.name)
+		case !strings.Contains(err.Error(), tc.field):
+			t.Errorf("%s: error %q does not name the %s", tc.name, err, tc.field)
 		}
 	}
-	// FlexVC with 3/2 supports opportunistic Valiant and must be accepted.
+	// The largest packet the event records carry is accepted.
 	cfg := Small()
+	cfg.PacketSize = MaxPacketSize
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("packet size %d should validate: %v", MaxPacketSize, err)
+	}
+	// FlexVC with 3/2 supports opportunistic Valiant and must be accepted.
+	cfg = Small()
 	cfg.Routing = routing.VAL
 	cfg.Scheme = core.Scheme{Policy: core.FlexVC, VCs: core.SingleClass(3, 2), Selection: core.JSQ}
 	if err := cfg.Validate(); err != nil {

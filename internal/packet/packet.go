@@ -8,7 +8,7 @@
 // link serialisation time and buffer occupancy.
 //
 // Packet state lives in a structure-of-arrays Store (see store.go): a packet
-// is a dense 4-byte Ref into parallel flat arrays (header, route state,
+// is a dense 4-byte Ref into parallel paged arrays (header, route state,
 // timestamps, reply link), not a heap object. Queues, event buffers and
 // allocator plans hold Refs; the router hot path reads the arrays directly.
 package packet
@@ -91,7 +91,7 @@ const (
 // Header is the immutable per-packet record: filled once at allocation (plus
 // the endpoint routers, resolved right after) and read-only for the packet's
 // lifetime. It packs into 32 bytes so two headers share a cache line in the
-// store's flat array.
+// store's header array.
 type Header struct {
 	// ID is a unique, monotonically increasing identifier. The store may
 	// reissue a Ref for a new packet; the ID distinguishes the generations

@@ -1,6 +1,7 @@
 package packet
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -99,6 +100,60 @@ func TestStoreReset(t *testing.T) {
 	if ref != 0 {
 		t.Fatalf("post-Reset alloc should restart at slot 0, got %d", ref)
 	}
+}
+
+// TestStorePagesNeverMove: accessor pointers taken before an Alloc that opens
+// a new page still address the same packet afterwards.
+func TestStorePagesNeverMove(t *testing.T) {
+	s := NewStore()
+	var last Ref
+	for i := 0; i < pageSize; i++ {
+		last = s.Alloc(uint64(i), 0, 1, 8, Request, int64(i))
+	}
+	hdr, route, times := s.Hdr(last), s.Route(last), s.Times(last)
+	next := s.Alloc(pageSize, 2, 3, 8, Reply, 7)
+	if next>>pageBits == last>>pageBits {
+		t.Fatalf("refs %d and %d share a page; the test needs a page boundary", last, next)
+	}
+	route.Hops = 5
+	if hdr.ID != pageSize-1 || times.Gen != pageSize-1 || s.Route(last).Hops != 5 {
+		t.Fatalf("pointers taken before the new page no longer address packet %d: %+v %+v", last, *hdr, *times)
+	}
+	if s.Hdr(next).ID != pageSize || s.Hdr(next).Src != 2 {
+		t.Fatal("the new page's first packet is broken")
+	}
+}
+
+// TestStorePoisonAcrossPages: poison mode panics on dead refs on both sides
+// of a page boundary, and on refs past the last slot handed out.
+func TestStorePoisonAcrossPages(t *testing.T) {
+	s := NewStore()
+	s.EnablePoison()
+	refs := make([]Ref, pageSize+2)
+	for i := range refs {
+		refs[i] = s.Alloc(uint64(i), 0, 1, 8, Request, 0)
+	}
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: no panic", what)
+			}
+		}()
+		f()
+	}
+	for _, ref := range []Ref{pageSize - 1, pageSize} {
+		s.Free(ref)
+		mustPanic(fmt.Sprintf("Hdr of freed ref %d", ref), func() { s.Hdr(ref) })
+		mustPanic(fmt.Sprintf("double free of ref %d", ref), func() { s.Free(ref) })
+	}
+	mustPanic("Route past the last slot", func() { s.Route(pageSize + 2) })
+	// The live neighbours on either side stay readable.
+	if s.Hdr(pageSize-2).ID != pageSize-2 || s.Hdr(pageSize+1).ID != pageSize+1 {
+		t.Fatal("live neighbours of the freed refs broken")
+	}
+	s.Reset()
+	mustPanic("Hdr after Reset", func() { s.Hdr(0) })
 }
 
 func TestRouteStateReset(t *testing.T) {

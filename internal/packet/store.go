@@ -5,15 +5,14 @@ import "fmt"
 // Ref is a dense index into a Store — the simulator's 4-byte handle to a
 // packet. Queues, rings, event buffers and allocator plans hold Refs instead
 // of pointers: entries shrink, the packet graph holds no GC-visible pointers,
-// and resolving a Ref is one bounds-checked array index into flat storage.
+// and resolving a Ref is a page lookup plus one array index.
 type Ref uint32
 
 // NilRef is the "no packet" sentinel.
 const NilRef Ref = ^Ref(0)
 
 // Store is the structure-of-arrays packet arena of one simulated network. A
-// packet is a slot shared by four parallel flat arrays, split by access
-// pattern:
+// packet is a slot shared by four parallel arrays, split by access pattern:
 //
 //   - hdr: the immutable header (endpoints, size, class, ID) — hot reads in
 //     the router stepping phase;
@@ -22,38 +21,64 @@ const NilRef Ref = ^Ref(0)
 //   - times: lifecycle timestamps — written thrice, read at delivery;
 //   - replyTo: the request a reply retains (reactive traffic only).
 //
-// Freed slots recycle through an index free-list (LIFO), so a run at steady
-// state allocates nothing per packet and the arrays grow to the peak
-// in-flight population once (amortised doubling), instead of one heap object
-// per packet. A Store is NOT safe for concurrent use — each network instance
-// (one replication, one goroutine) owns exactly one.
+// The arrays are cut into fixed pages of pageSize slots; a Ref splits into a
+// page number and an offset by shift and mask. Growth allocates one new page
+// and never copies, so a saturated run's store costs what its peak population
+// occupies, not the sum of every regrown array on the way there. Freed slots
+// recycle LIFO through a free-list threaded through their replyTo entries, so
+// a run at steady state allocates nothing per packet. A Store is NOT safe for
+// concurrent use — each network instance (one replication, one goroutine)
+// owns exactly one.
 //
 // Refs are only valid between Alloc and Free of their slot. The store can
 // reissue a Ref immediately after Free; long-lived caches must therefore key
-// on (Ref, ID) — see router's plan cache. Pointers returned by Hdr, Route
-// and Times are invalidated by the next Alloc (the arrays may grow); they
-// must not be retained across allocation points.
+// on (Ref, ID) — see router's plan cache. Pointers returned by Hdr, Route and
+// Times stay valid until the slot is freed or the store is Reset: pages never
+// move.
 type Store struct {
-	hdr     []Header
-	route   []RouteState
-	times   []Times
-	replyTo []Ref
-
-	free []Ref
+	pages []*page
+	// slots is the number of slots ever handed out since the last Reset;
+	// slots beyond it in the last page are untouched.
+	slots int
+	// freeHead is the most recently freed slot (meaningful while nfree > 0);
+	// each free slot's replyTo entry links to the next one.
+	freeHead Ref
+	nfree    int
 
 	// news and reuses count fresh slots and recycled ones, for tests and
 	// capacity diagnostics.
 	news, reuses int64
 
-	// live, when non-nil (poison mode), tracks slot liveness so every
-	// accessor can detect a use-after-free instead of silently reading
-	// recycled state. Enabled only by tests — the nil check is the hot
-	// path's whole cost when disabled.
-	live []bool
+	// poison, when set, makes every accessor check slot liveness, so a
+	// use-after-free panics instead of silently reading recycled state.
+	// Enabled only by tests — the flag check is the hot path's whole cost
+	// when disabled.
+	poison bool
 }
 
-// NewStore returns an empty store.
-func NewStore() *Store { return &Store{} }
+// pageBits sets the page size: 1024 slots, 89 KiB per page.
+const (
+	pageBits = 10
+	pageSize = 1 << pageBits
+	pageMask = pageSize - 1
+)
+
+// page is one fixed block of slots, holding a slice of each SoA array.
+type page struct {
+	hdr     [pageSize]Header
+	route   [pageSize]RouteState
+	times   [pageSize]Times
+	replyTo [pageSize]Ref
+	// live is maintained in poison mode only.
+	live [pageSize]bool
+}
+
+// NewStore returns an empty store whose page table has room for 64 pages
+// (65 536 slots) before it regrows.
+func NewStore() *Store { return &Store{pages: make([]*page, 0, 64)} }
+
+// at returns the page holding ref and ref's offset in it.
+func (s *Store) at(ref Ref) (*page, Ref) { return s.pages[ref>>pageBits], ref & pageMask }
 
 // Alloc takes a slot (recycling a freed index when available), initialises
 // the header and timestamps, and resets the routing state. The endpoint
@@ -61,31 +86,31 @@ func NewStore() *Store { return &Store{} }
 // right after.
 func (s *Store) Alloc(id uint64, src, dst NodeID, size int, class Class, genTime int64) Ref {
 	var ref Ref
-	if n := len(s.free); n > 0 {
-		ref = s.free[n-1]
-		s.free = s.free[:n-1]
+	if s.nfree > 0 {
+		ref = s.freeHead
+		p, i := s.at(ref)
+		s.freeHead = p.replyTo[i]
+		s.nfree--
 		s.reuses++
 	} else {
-		ref = Ref(len(s.hdr))
-		s.hdr = append(s.hdr, Header{})
-		s.route = append(s.route, RouteState{})
-		s.times = append(s.times, Times{})
-		s.replyTo = append(s.replyTo, NilRef)
-		if s.live != nil {
-			s.live = append(s.live, false)
+		ref = Ref(s.slots)
+		if s.slots>>pageBits == len(s.pages) {
+			s.pages = append(s.pages, new(page))
 		}
+		s.slots++
 		s.news++
 	}
-	s.hdr[ref] = Header{
+	p, i := s.at(ref)
+	p.hdr[i] = Header{
 		ID: id, Src: src, Dst: dst,
 		SrcRouter: InvalidRouter, DstRouter: InvalidRouter,
 		Size: int32(size), Class: class,
 	}
-	s.times[ref] = Times{Gen: genTime}
-	s.route[ref].Reset()
-	s.replyTo[ref] = NilRef
-	if s.live != nil {
-		s.live[ref] = true
+	p.times[i] = Times{Gen: genTime}
+	p.route[i].Reset()
+	p.replyTo[i] = NilRef
+	if s.poison {
+		p.live[i] = true
 	}
 	return ref
 }
@@ -98,60 +123,67 @@ func (s *Store) Free(ref Ref) {
 	if ref == NilRef {
 		return
 	}
-	if s.live != nil {
+	p, i := s.at(ref)
+	if s.poison {
 		s.check(ref)
-		s.live[ref] = false
+		p.live[i] = false
 		// Poison the slot: impossible values that fail fast if consumed.
-		s.hdr[ref] = Header{ID: ^uint64(0), Src: InvalidNode, Dst: InvalidNode,
+		p.hdr[i] = Header{ID: ^uint64(0), Src: InvalidNode, Dst: InvalidNode,
 			SrcRouter: InvalidRouter, DstRouter: InvalidRouter, Size: -1}
-		s.route[ref] = RouteState{Intermediate: InvalidRouter, InputVC: -2, Hops: -1}
-		s.times[ref] = Times{Gen: -1, Inject: -1, Recv: -1}
+		p.route[i] = RouteState{Intermediate: InvalidRouter, InputVC: -2, Hops: -1}
+		p.times[i] = Times{Gen: -1, Inject: -1, Recv: -1}
 	}
-	s.replyTo[ref] = NilRef
-	s.free = append(s.free, ref)
+	p.replyTo[i] = s.freeHead
+	s.freeHead = ref
+	s.nfree++
 }
 
-// Hdr returns the header of a live packet. The pointer is invalidated by the
-// next Alloc.
+// Hdr returns the header of a live packet. The pointer stays valid until the
+// slot is freed or the store is Reset.
 func (s *Store) Hdr(ref Ref) *Header {
-	if s.live != nil {
+	if s.poison {
 		s.check(ref)
 	}
-	return &s.hdr[ref]
+	p, i := s.at(ref)
+	return &p.hdr[i]
 }
 
-// Route returns the mutable routing state of a live packet. The pointer is
-// invalidated by the next Alloc.
+// Route returns the mutable routing state of a live packet. The pointer stays
+// valid until the slot is freed or the store is Reset.
 func (s *Store) Route(ref Ref) *RouteState {
-	if s.live != nil {
+	if s.poison {
 		s.check(ref)
 	}
-	return &s.route[ref]
+	p, i := s.at(ref)
+	return &p.route[i]
 }
 
-// Times returns the lifecycle timestamps of a live packet. The pointer is
-// invalidated by the next Alloc.
+// Times returns the lifecycle timestamps of a live packet. The pointer stays
+// valid until the slot is freed or the store is Reset.
 func (s *Store) Times(ref Ref) *Times {
-	if s.live != nil {
+	if s.poison {
 		s.check(ref)
 	}
-	return &s.times[ref]
+	p, i := s.at(ref)
+	return &p.times[i]
 }
 
 // ReplyTo returns the request this reply retains, or NilRef.
 func (s *Store) ReplyTo(ref Ref) Ref {
-	if s.live != nil {
+	if s.poison {
 		s.check(ref)
 	}
-	return s.replyTo[ref]
+	p, i := s.at(ref)
+	return p.replyTo[i]
 }
 
 // SetReplyTo links a reply to the request it retains.
 func (s *Store) SetReplyTo(ref, req Ref) {
-	if s.live != nil {
+	if s.poison {
 		s.check(ref)
 	}
-	s.replyTo[ref] = req
+	p, i := s.at(ref)
+	p.replyTo[i] = req
 }
 
 // Latency returns the end-to-end packet latency in cycles, valid once the
@@ -170,45 +202,41 @@ func (s *Store) NetworkLatency(ref Ref) int64 {
 
 // Slots returns the number of slots the store has ever grown to (live +
 // free), i.e. the peak in-flight population so far.
-func (s *Store) Slots() int { return len(s.hdr) }
+func (s *Store) Slots() int { return s.slots }
 
 // InUse returns the number of live (allocated, unfreed) slots.
-func (s *Store) InUse() int { return len(s.hdr) - len(s.free) }
+func (s *Store) InUse() int { return s.slots - s.nfree }
 
 // Stats reports (fresh slots, recycled allocations) since the store was
 // created or last Reset.
 func (s *Store) Stats() (news, reuses int64) { return s.news, s.reuses }
 
-// Reset forgets every packet but keeps the arrays' capacity, so a recycled
-// store (see sim's per-replication scratch pool) starts its next replication
-// with zero per-packet allocations. Counters restart too.
+// Reset forgets every packet but keeps the pages, so a recycled store (see
+// sim's per-replication scratch pool) starts its next replication with zero
+// per-packet allocations. Counters restart too.
 func (s *Store) Reset() {
-	s.hdr = s.hdr[:0]
-	s.route = s.route[:0]
-	s.times = s.times[:0]
-	s.replyTo = s.replyTo[:0]
-	s.free = s.free[:0]
+	s.slots, s.nfree = 0, 0
 	s.news, s.reuses = 0, 0
-	if s.live != nil {
-		s.live = s.live[:0]
-	}
 }
 
 // EnablePoison turns on use-after-free detection: every accessor panics on a
 // freed or out-of-range Ref, and Free scrambles the slot. Meant for tests;
 // it must be called before the first Alloc.
 func (s *Store) EnablePoison() {
-	if len(s.hdr) != 0 {
+	if s.slots != 0 {
 		panic("packet: EnablePoison after Alloc")
 	}
-	s.live = make([]bool, 0, 64)
+	s.poison = true
 }
 
 // check panics on a dangling Ref (poison mode only).
 func (s *Store) check(ref Ref) {
-	if int(ref) >= len(s.live) || !s.live[ref] {
-		panic(fmt.Sprintf("packet: use of dead ref %d (slots=%d)", ref, len(s.hdr)))
+	if int(ref) < s.slots {
+		if p, i := s.at(ref); p.live[i] {
+			return
+		}
 	}
+	panic(fmt.Sprintf("packet: use of dead ref %d (slots=%d)", ref, s.slots))
 }
 
 // Describe formats a packet for debugging.
@@ -216,7 +244,8 @@ func (s *Store) Describe(ref Ref) string {
 	if ref == NilRef {
 		return "pkt{nil}"
 	}
-	h, r := &s.hdr[ref], &s.route[ref]
+	p, i := s.at(ref)
+	h, r := &p.hdr[i], &p.route[i]
 	return fmt.Sprintf("pkt{ref=%d id=%d %s %s %d->%d size=%d hops=%d}",
 		ref, h.ID, h.Class, r.Kind, h.Src, h.Dst, h.Size, r.Hops)
 }

@@ -4,7 +4,9 @@ import (
 	"fmt"
 
 	"flexvc/internal/buffer"
+	"flexvc/internal/config"
 	"flexvc/internal/packet"
+	"flexvc/internal/router"
 )
 
 // eventKind tags the entries of the event wheel.
@@ -18,23 +20,25 @@ const (
 
 // event is one scheduled action: a packet arriving at an input VC, a credit
 // returning to an input buffer, or a packet being consumed at its destination
-// node. Packets travel as store refs (arrival + delivery).
+// node. Packets travel as store refs (arrival + delivery). The record packs
+// into 24 bytes: ports, VCs and sizes are int16, which the bounds below and
+// config.Validate guarantee.
 type event struct {
-	kind eventKind
-
-	// arrival
-	router packet.RouterID
-	port   int
-	vc     int
-	ref    packet.Ref
-
-	// credit
-	buf  *buffer.InputBuffer
-	size int
-
-	// routing kind recorded when the space was reserved (arrival + credit).
+	buf    *buffer.InputBuffer // credit
+	router packet.RouterID     // arrival
+	ref    packet.Ref          // arrival, delivery
+	port   int16               // arrival
+	vc     int16               // arrival, credit
+	size   int16               // credit
+	kind   eventKind
+	// rkind is the routing kind recorded when the space was reserved
+	// (arrival, credit).
 	rkind packet.RouteKind
 }
+
+// This fails to compile if a bound config.Validate enforces outgrows the
+// int16 event field that carries it.
+var _ = [...]int16{config.MaxRadix, config.MaxPacketSize, router.MaxPortVCs}
 
 // eventWheel is a calendar queue for constant-bounded delays: slot i holds the
 // events due at cycle i (mod the wheel size).
@@ -95,12 +99,12 @@ func (n *Network) DownstreamInput(r packet.RouterID, port int) *buffer.InputBuff
 
 // ScheduleArrival implements router.Env.
 func (n *Network) ScheduleArrival(delay int64, to packet.RouterID, port, vc int, ref packet.Ref, kind packet.RouteKind) {
-	n.wheel.schedule(n.now, delay, event{kind: evArrival, router: to, port: port, vc: vc, ref: ref, rkind: kind})
+	n.wheel.schedule(n.now, delay, event{kind: evArrival, router: to, port: int16(port), vc: int16(vc), ref: ref, rkind: kind})
 }
 
 // ScheduleCredit implements router.Env.
 func (n *Network) ScheduleCredit(delay int64, buf *buffer.InputBuffer, vc, size int, kind packet.RouteKind) {
-	n.wheel.schedule(n.now, delay, event{kind: evCredit, buf: buf, vc: vc, size: size, rkind: kind})
+	n.wheel.schedule(n.now, delay, event{kind: evCredit, buf: buf, vc: int16(vc), size: int16(size), rkind: kind})
 }
 
 // ScheduleDelivery implements router.Env.

@@ -130,10 +130,10 @@ func (n *Network) processEvents() {
 			// The packet becomes visible to the allocator once the router
 			// pipeline latency has elapsed.
 			ready := n.now + int64(n.cfg.RouterPipeline)
-			n.routers[ev.router].EnqueueArrival(ev.port, ev.vc, ev.ref, ready, ev.rkind)
+			n.routers[ev.router].EnqueueArrival(int(ev.port), int(ev.vc), ev.ref, ready, ev.rkind)
 			n.markRouterActive(ev.router)
 		case evCredit:
-			ev.buf.ReleaseCredit(ev.vc, ev.size, ev.rkind)
+			ev.buf.ReleaseCredit(int(ev.vc), int(ev.size), ev.rkind)
 		case evDelivery:
 			n.deliver(ev.ref)
 		}
@@ -147,23 +147,18 @@ func (n *Network) deliver(ref packet.Ref) {
 	n.store.Times(ref).Recv = n.now
 	n.inFlight--
 	n.collector.Delivered(n.store, ref, n.now)
-	// Copy the fields needed after the generator callback: a reactive
-	// generator allocates the reply there, which may grow the store and
-	// invalidate header pointers.
-	hdr := n.store.Hdr(ref)
-	class, dst := hdr.Class, hdr.Dst
 	n.gen.Delivered(n.now, ref)
 	if !n.cfg.Reactive {
 		n.store.Free(ref)
 		return
 	}
-	if class == packet.Request {
+	if hdr := n.store.Hdr(ref); hdr.Class == packet.Request {
 		// Move the owed reply to the NIC immediately instead of polling every
 		// node every cycle. The delivered request stays alive: its reply
 		// references it through ReplyTo until the reply itself is delivered.
-		if reply := n.gen.PendingReplies(dst); reply != packet.NilRef {
-			n.nodes[dst].replies.push(reply)
-			n.queueNode(dst)
+		if reply := n.gen.PendingReplies(hdr.Dst); reply != packet.NilRef {
+			n.nodes[hdr.Dst].replies.push(reply)
+			n.queueNode(hdr.Dst)
 		}
 		return
 	}

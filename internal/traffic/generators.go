@@ -244,9 +244,7 @@ func (g *Reactive) Generate(now int64, node packet.NodeID) packet.Ref {
 func (g *Reactive) Delivered(now int64, ref packet.Ref) {
 	g.base.Delivered(now, ref)
 	store := g.params.Store
-	// Copy the request's endpoints before allocating: Alloc may grow the
-	// arrays and invalidate the header pointer.
-	h := *store.Hdr(ref)
+	h := store.Hdr(ref)
 	if h.Class != packet.Request {
 		return
 	}
