@@ -51,13 +51,18 @@ type eventWheel struct {
 	count int64
 }
 
-// init sizes the wheel for delays up to maxDelay cycles.
-func (w *eventWheel) init(maxDelay int64) {
+// init sizes the wheel for delays up to maxDelay cycles. It adopts reuse —
+// empty slots recycled from an earlier wheel — when the horizon matches.
+func (w *eventWheel) init(maxDelay int64, reuse [][]event) {
 	if maxDelay < 1 {
 		maxDelay = 1
 	}
 	w.horizon = maxDelay + 2
-	w.slots = make([][]event, w.horizon)
+	if int64(len(reuse)) == w.horizon {
+		w.slots = reuse
+	} else {
+		w.slots = make([][]event, w.horizon)
+	}
 }
 
 // schedule inserts an event `delay` cycles after `now`. Delays must be in

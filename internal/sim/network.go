@@ -84,9 +84,10 @@ type Network struct {
 // first.
 func New(cfg config.Config) (*Network, error) { return newNetwork(cfg, nil) }
 
-// newNetwork builds a network, optionally drawing its packet store and
-// telemetry arena from a recycled scratch set (see scratch.go). RunOne is the
-// pooled path; New passes nil and allocates fresh.
+// newNetwork builds a network, optionally drawing its packet store, telemetry
+// arena, PRNG streams, NIC queues and wheel slots from a recycled scratch set
+// (see scratch.go). RunOne is the pooled path; New passes nil and allocates
+// fresh.
 func newNetwork(cfg config.Config, sc *scratch) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -123,6 +124,9 @@ func newNetwork(cfg config.Config, sc *scratch) (*Network, error) {
 		HotspotFraction: cfg.HotspotFraction,
 		HotspotGroup:    cfg.HotspotGroup,
 		Store:           n.store,
+	}
+	if sc != nil {
+		tp.Sources = &sc.sources
 	}
 	var gen traffic.Generator
 	if cfg.Scenario != nil {
@@ -186,13 +190,24 @@ func newNetwork(cfg config.Config, sc *scratch) (*Network, error) {
 	if topo.NumNodes() > 1<<genNodeBits {
 		return nil, fmt.Errorf("sim: %d nodes, more than the %d the generator schedule numbers", topo.NumNodes(), 1<<genNodeBits)
 	}
-	n.nodes = make([]nodeState, topo.NumNodes())
+	if sc != nil && len(sc.nodes) == topo.NumNodes() {
+		n.nodes = sc.nodes
+	} else {
+		n.nodes = make([]nodeState, topo.NumNodes())
+	}
 	n.genDue = make(minheap.Heap, 0, topo.NumNodes())
 	n.armGenerators(0)
 	n.activeRouter = make([]bool, topo.NumRouters())
 	n.pendingNodes = make([]packet.NodeID, 0, topo.NumNodes())
 	maxDelay := int64(cfg.GlobalLatency + cfg.PacketSize + cfg.RouterPipeline + cfg.LocalLatency + 8)
-	n.wheel.init(maxDelay)
+	var slots [][]event
+	if sc != nil {
+		slots = sc.slots
+	}
+	n.wheel.init(maxDelay, slots)
+	if sc != nil {
+		sc.nodes, sc.slots = n.nodes, n.wheel.slots
+	}
 
 	measureStart := cfg.WarmupCycles
 	measureEnd := cfg.WarmupCycles + cfg.MeasureCycles

@@ -57,10 +57,10 @@ func (n *Network) watchdog() bool {
 // RunOne builds a network for cfg, runs it and returns its summary. With a
 // metrics registry attached it also accounts the replication (count + wall
 // histogram) — this is the single funnel every execution path (RunReplication,
-// RunAveraged, tests) goes through. The network's packet store and telemetry
-// arena come from the process-wide scratch pool and are recycled when the run
-// finishes: the summary is a deep copy, so nothing it holds aliases the
-// recycled memory.
+// RunAveraged, tests) goes through. The network's recyclable memory comes from
+// the scratch pool and is recycled when the run finishes if a hold is open
+// (see HoldScratch): the summary is a deep copy, so nothing it holds aliases
+// the recycled memory.
 func RunOne(cfg config.Config) (stats.Result, error) {
 	sc := acquireScratch()
 	n, err := newNetwork(cfg, sc)
@@ -109,11 +109,13 @@ func RunReplication(cfg config.Config, s int) (stats.Result, time.Duration, erro
 // Replications execute concurrently on the process-wide worker budget (see
 // SetWorkerBudget). Each replication is fully self-contained and results are
 // aggregated in replication order, so the output is bit-identical to running
-// the same replications sequentially.
+// the same replications sequentially. The replications share one scratch
+// hold, so each recycles the memory of the ones before it.
 func RunAveraged(cfg config.Config, seeds int) (stats.Result, []stats.Result, error) {
 	if seeds < 1 {
 		return stats.Result{}, nil, fmt.Errorf("sim: need at least one replication")
 	}
+	defer HoldScratch()()
 	results := make([]stats.Result, seeds)
 	if seeds == 1 {
 		// Run in place (still bounded by the worker budget so concurrent

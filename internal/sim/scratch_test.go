@@ -1,0 +1,172 @@
+package sim
+
+import (
+	"encoding/json"
+	"runtime"
+	"sync"
+	"testing"
+	"weak"
+
+	"flexvc/internal/buffer"
+	"flexvc/internal/config"
+	"flexvc/internal/routing"
+	"flexvc/internal/scenario"
+)
+
+// poolLen returns the number of scratch sets on the free list.
+func poolLen() int {
+	scratchMu.Lock()
+	defer scratchMu.Unlock()
+	return len(scratchFree)
+}
+
+// saturatedSmall is a short saturated UN replication: it grows the NIC queues
+// and wheel slots to their saturation depth.
+func saturatedSmall() config.Config {
+	cfg := shortConfig()
+	cfg.Load = 1
+	return cfg
+}
+
+// TestRecycledScratchMatchesFresh runs replications of different shapes back
+// to back inside one hold — a saturated one that grows the queues and slots,
+// a tiny one with another node count and wheel horizon, a bursty one and a
+// multi-phase scenario that draws more PRNG streams — and requires every
+// result to marshal byte-identical to the same configuration built fresh by
+// New.
+func TestRecycledScratchMatchesFresh(t *testing.T) {
+	tiny := config.Tiny()
+	tiny.WarmupCycles, tiny.MeasureCycles = 200, 800
+	tiny.GlobalLatency += 3
+	bursty := shortConfig()
+	bursty.Traffic = config.TrafficBursty
+	bursty.Load = 0.6
+	phased := scenarioConfig(routing.MIN)
+	phased.Scenario = scenario.UNToADV(0.4, 600, 800, 600, 200)
+	phased.Load = phased.Scenario.MaxLoad()
+	cases := []struct {
+		name string
+		cfg  config.Config
+	}{
+		{"saturated-un", saturatedSmall()},
+		{"bursty-un", bursty},
+		{"tiny", tiny},
+		{"scenario", phased},
+	}
+
+	want := make([][]byte, len(cases))
+	for i, c := range cases {
+		n, err := New(c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want[i], err = json.Marshal(n.Run()); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	release := HoldScratch()
+	defer release()
+	for pass := 0; pass < 2; pass++ {
+		for i, c := range cases {
+			r, err := RunOne(c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := json.Marshal(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != string(want[i]) {
+				t.Errorf("pass %d, %s: recycled result differs from a fresh network's", pass, c.name)
+			}
+			if poolLen() != 1 {
+				t.Fatalf("pass %d, %s: %d sets pooled, want the one set recycled", pass, c.name, poolLen())
+			}
+		}
+	}
+}
+
+// TestScratchHoldRelease pins the pool's lifetime rule: a replication outside
+// any hold retains nothing, nested and concurrent holds keep the pool, and
+// the last release empties it.
+func TestScratchHoldRelease(t *testing.T) {
+	cfg := config.Tiny()
+	cfg.WarmupCycles, cfg.MeasureCycles = 100, 300
+	run := func() {
+		t.Helper()
+		if _, _, err := RunReplication(cfg, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	run()
+	if poolLen() != 0 {
+		t.Fatalf("a replication outside any hold left %d sets pooled", poolLen())
+	}
+
+	outer := HoldScratch()
+	inner := HoldScratch()
+	run()
+	inner()
+	if poolLen() != 1 {
+		t.Fatalf("after the inner release: %d sets pooled, want 1", poolLen())
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer HoldScratch()()
+			if _, _, err := RunReplication(cfg, g); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if poolLen() == 0 {
+		t.Fatal("concurrent holds emptied the pool while the outer hold was open")
+	}
+	outer()
+	if poolLen() != 0 {
+		t.Fatalf("the last release left %d sets pooled", poolLen())
+	}
+	run()
+	if poolLen() != 0 {
+		t.Fatalf("a replication after the last release left %d sets pooled", poolLen())
+	}
+}
+
+// TestPooledScratchPinsNoNetwork checks that a scratch set sitting in a held
+// pool keeps no finished network alive: the wheel slots it recycles held
+// credit events pointing into the network's input buffers.
+func TestPooledScratchPinsNoNetwork(t *testing.T) {
+	defer HoldScratch()()
+	sc := acquireScratch()
+	n, err := newNetwork(saturatedSmall(), sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.RunCycles(600)
+	var buf *buffer.InputBuffer
+	for _, s := range sc.slots {
+		for _, ev := range s[:cap(s)] {
+			if ev.buf != nil {
+				buf = ev.buf
+			}
+		}
+	}
+	if buf == nil {
+		t.Fatal("no credit event in the wheel slots: the check would be vacuous")
+	}
+	wbuf, wrouter := weak.Make(buf), weak.Make(n.routers[0])
+	buf, n = nil, nil
+	sc.reclaim()
+	runtime.GC()
+	if wbuf.Value() != nil || wrouter.Value() != nil {
+		t.Error("a pooled scratch set keeps a finished network reachable")
+	}
+	if poolLen() != 1 {
+		t.Fatalf("%d sets pooled, want the reclaimed one", poolLen())
+	}
+}

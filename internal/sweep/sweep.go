@@ -381,12 +381,14 @@ func expand(base config.Config, variants []Variant, loads []float64, seeds int) 
 // against the results store and persists fresh ones as they finish. Both
 // paths aggregate per-replication results in replication order, so their
 // outputs are bit-identical (sim.RunAveraged is defined as exactly that
-// aggregation).
+// aggregation). The whole sweep holds the simulator's scratch pool, so every
+// replication recycles the memory of the ones finished before it.
 func runSweep(base config.Config, variants []Variant, loads []float64, seeds int, ck *ckpt) ([]Series, error) {
 	series, jobs, err := expand(base, variants, loads, seeds)
 	if err != nil {
 		return nil, err
 	}
+	defer sim.HoldScratch()()
 
 	errs := make([]error, len(jobs))
 	var wg sync.WaitGroup

@@ -25,7 +25,7 @@ func NewBernoulli(name string, params Params, dest destinationFn) *Bernoulli {
 	g := &Bernoulli{name: name, params: params, dest: dest, rate: params.packetRate()}
 	g.rngs = make([]*rand.Rand, params.Topo.NumNodes())
 	for i := range g.rngs {
-		g.rngs[i] = nodeRNG(params.Seed, packet.NodeID(i))
+		g.rngs[i] = params.Sources.nodeRNG(params.Seed, packet.NodeID(i))
 	}
 	return g
 }
@@ -112,7 +112,7 @@ func NewBursty(params Params) (*Bursty, error) {
 	g.rngs = make([]*rand.Rand, params.Topo.NumNodes())
 	g.state = make([]burstState, params.Topo.NumNodes())
 	for i := range g.rngs {
-		g.rngs[i] = nodeRNG(params.Seed, packet.NodeID(i))
+		g.rngs[i] = params.Sources.nodeRNG(params.Seed, packet.NodeID(i))
 	}
 	return g, nil
 }

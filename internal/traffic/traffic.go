@@ -87,6 +87,9 @@ type Params struct {
 	// owns it; freed slots recycle so steady-state generation allocates
 	// nothing per packet.
 	Store *packet.Store
+	// Sources, when non-nil, supplies the per-node PRNG streams from a
+	// recycled list instead of fresh allocations (see Sources).
+	Sources *Sources
 }
 
 // packetRate returns the per-cycle packet generation probability that yields
@@ -130,15 +133,40 @@ func (p Params) rateAt(now int64) float64 {
 	return q.packetRate()
 }
 
-// nodeRNG builds a deterministic PRNG for one node.
-func nodeRNG(seed int64, node packet.NodeID) *rand.Rand {
+// Sources is a recyclable list of PRNG streams. Generators draw their
+// per-node streams from Params.Sources through nodeRNG, which reseeds a
+// recycled rand.Rand in place — Seed allocates nothing, where a fresh source
+// is a 4.9 KB state — and a reseeded rand.Rand is bit-identical to
+// rand.New(rand.NewSource(seed)). A nil *Sources makes nodeRNG allocate
+// fresh. The zero value is ready to use.
+type Sources struct {
+	rngs []*rand.Rand
+	used int
+}
+
+// Rewind makes every stream available again. Streams handed out before it
+// must no longer be used: the next nodeRNG calls reseed them.
+func (s *Sources) Rewind() { s.used = 0 }
+
+// nodeRNG returns the deterministic PRNG of one node: the next recycled
+// stream, reseeded, or a fresh one when s is nil.
+func (s *Sources) nodeRNG(seed int64, node packet.NodeID) *rand.Rand {
 	// SplitMix-style seed scrambling keeps neighbouring node streams
 	// decorrelated.
 	z := uint64(seed)*0x9E3779B97F4A7C15 + uint64(node)*0xBF58476D1CE4E5B9 + 0x94D049BB133111EB
 	z ^= z >> 30
 	z *= 0xBF58476D1CE4E5B9
 	z ^= z >> 27
-	return rand.New(rand.NewSource(int64(z)))
+	if s == nil {
+		return rand.New(rand.NewSource(int64(z)))
+	}
+	if s.used == len(s.rngs) {
+		s.rngs = append(s.rngs, rand.New(rand.NewSource(int64(z))))
+	} else {
+		s.rngs[s.used].Seed(int64(z))
+	}
+	s.used++
+	return s.rngs[s.used-1]
 }
 
 // idAllocator hands out unique packet IDs.

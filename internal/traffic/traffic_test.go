@@ -236,3 +236,33 @@ func TestZeroLoad(t *testing.T) {
 		}
 	}
 }
+
+// TestRecycledSourcesMatchFresh checks that a stream reseeded in place by a
+// rewound Sources list draws exactly what a fresh nodeRNG stream draws, and
+// that reseeding allocates nothing.
+func TestRecycledSourcesMatchFresh(t *testing.T) {
+	var s Sources
+	for node := packet.NodeID(0); node < 4; node++ {
+		rng := s.nodeRNG(11, node)
+		for i := 0; i < 777; i++ {
+			rng.Float64()
+		}
+	}
+	s.Rewind()
+	for node := packet.NodeID(0); node < 4; node++ {
+		got, want := s.nodeRNG(3, node), (*Sources)(nil).nodeRNG(3, node)
+		for i := 0; i < 10000; i++ {
+			if g, w := got.Int63(), want.Int63(); g != w {
+				t.Fatalf("node %d, draw %d: recycled stream gave %d, fresh %d", node, i, g, w)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		s.Rewind()
+		for node := packet.NodeID(0); node < 4; node++ {
+			s.nodeRNG(5, node)
+		}
+	}); allocs != 0 {
+		t.Errorf("reseeding recycled streams allocates %v times, want 0", allocs)
+	}
+}
