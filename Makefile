@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint bench-profile bench-contract ci check-smoke check-full scenario-smoke campaign-smoke specs-smoke campaignd-smoke campaignd-metrics-smoke
+.PHONY: build test race lint bench-profile bench-contract ci check-smoke check-full scenario-smoke campaign-smoke specs-smoke campaignd-smoke
 
 build:
 	$(GO) build ./...
@@ -41,7 +41,7 @@ bench-profile:
 bench-contract:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-ci: lint test race bench-contract check-smoke specs-smoke
+ci: lint test race bench-contract check-smoke specs-smoke campaign-smoke campaignd-smoke
 
 # The PR-time reproducibility gate: verify every recorded experiment in
 # experiments/manifest.json. Digests of the committed exports and reports are
@@ -103,47 +103,34 @@ specs-smoke:
 # expire after 2s and the survivor takes the work over). The two exports must
 # be byte-identical — proving the shard-claim protocol's exactly-once and
 # crash-resume properties end to end on a real binary, not just in tests.
+# The sharded run's pooled metrics snapshot must then show the key series
+# non-zero, proving the worker -> coordinator metrics flow (worker registry
+# snapshots merged over the NDJSON event stream). Asserted families cover each
+# layer: process management (workers_spawned), the lease protocol
+# (lease_claims), the sweep scheduler (replications_simulated), the checkpoint
+# store (put_latency histogram) and the cycle loop's phase profile
+# (phase_wall step). The results directory starts empty so the sharded run
+# simulates, not restores.
 RESULTS_DIR_CAMPAIGND ?= results/campaignd-smoke
-CAMPAIGND_SMOKE_ADDR  ?= 127.0.0.1:8737
 campaignd-smoke:
+	rm -rf $(RESULTS_DIR_CAMPAIGND)
 	$(GO) run ./cmd/figures run -campaign smoke -quick -seeds 4 \
 		-results $(RESULTS_DIR_CAMPAIGND)/single
 	$(GO) run ./cmd/campaignd run -campaign smoke -quick -seeds 4 \
 		-workers 2 -kill-after 1 -lease-ttl 2s \
-		-results $(RESULTS_DIR_CAMPAIGND)/sharded
+		-results $(RESULTS_DIR_CAMPAIGND)/sharded \
+		-metrics-out $(RESULTS_DIR_CAMPAIGND)/metrics.json
 	diff $(RESULTS_DIR_CAMPAIGND)/single/smoke.results.json \
 		$(RESULTS_DIR_CAMPAIGND)/sharded/smoke.results.json
-	$(MAKE) campaignd-metrics-smoke
-
-# The service-metrics gate: start `campaignd serve`, run the smoke campaign
-# through the HTTP API, then scrape GET /metrics and assert the key series are
-# non-zero — proving the worker -> coordinator -> server metrics flow (worker
-# registry snapshots pooled over the NDJSON event stream) end to end on a real
-# binary. Asserted families cover each layer: process management
-# (workers_spawned), the lease protocol (lease_claims), the sweep scheduler
-# (replications_simulated), the checkpoint store (put_latency histogram) and
-# the cycle loop's phase profile (phase_wall step).
-campaignd-metrics-smoke:
-	$(GO) build -o $(RESULTS_DIR_CAMPAIGND)/campaignd ./cmd/campaignd
-	set -e; \
-	$(RESULTS_DIR_CAMPAIGND)/campaignd serve -addr $(CAMPAIGND_SMOKE_ADDR) \
-		-results $(RESULTS_DIR_CAMPAIGND)/serve -log-level warn & \
-	pid=$$!; trap 'kill $$pid 2>/dev/null' EXIT; \
-	for i in $$(seq 1 50); do \
-		curl -fsS http://$(CAMPAIGND_SMOKE_ADDR)/metrics >/dev/null 2>&1 && break; \
-		sleep 0.2; \
-	done; \
-	$(RESULTS_DIR_CAMPAIGND)/campaignd submit -server http://$(CAMPAIGND_SMOKE_ADDR) \
-		-campaign smoke -quick -workers 2 -quiet; \
-	curl -fsS http://$(CAMPAIGND_SMOKE_ADDR)/metrics > $(RESULTS_DIR_CAMPAIGND)/metrics.prom; \
+	set -e; m=$(RESULTS_DIR_CAMPAIGND)/metrics.json; \
 	for series in \
-		'flexvc_campaignd_workers_spawned_total' \
-		'flexvc_results_lease_claims_total' \
-		'flexvc_sweep_replications_simulated_total' \
-		'flexvc_results_put_latency_ns_count' \
-		'flexvc_sim_phase_wall_ns_total\{phase="step"\}'; do \
-		grep -E "^$$series [1-9][0-9]*" $(RESULTS_DIR_CAMPAIGND)/metrics.prom >/dev/null || { \
-			echo "campaignd-metrics-smoke: series $$series missing or zero in /metrics:"; \
-			cat $(RESULTS_DIR_CAMPAIGND)/metrics.prom; exit 1; }; \
+		'"flexvc_campaignd_workers_spawned_total": [1-9]' \
+		'"flexvc_results_lease_claims_total": [1-9]' \
+		'"flexvc_sweep_replications_simulated_total": [1-9]' \
+		'"flexvc_sim_phase_wall_ns_total\{phase=\\"step\\"\}": [1-9]'; do \
+		grep -E "$$series" $$m >/dev/null || { \
+			echo "campaignd-smoke: $$series not matched in $$m:"; cat $$m; exit 1; }; \
 	done; \
-	echo "campaignd-metrics-smoke: all key series non-zero"
+	grep -A 3 '"flexvc_results_put_latency_ns": {' $$m | grep -E '"count": [1-9]' >/dev/null || { \
+		echo "campaignd-smoke: flexvc_results_put_latency_ns count missing or zero in $$m:"; cat $$m; exit 1; }; \
+	echo "campaignd-smoke: all key series non-zero"

@@ -8,29 +8,24 @@
 //
 // Modes:
 //
-//	campaignd run    -campaign <name|spec.json> -results DIR -workers N
-//	                 one campaign, N local worker processes, wait, export
-//	campaignd serve  -addr :8377 -results DIR -workers N
-//	                 HTTP service: POST specs, stream NDJSON progress
-//	campaignd submit -server URL -campaign <name|spec.json>
-//	                 submit to a running server and follow its events
-//	campaignd work   (internal) one worker process, spawned by run/serve
+//	campaignd run  -campaign <name|spec.json> -results DIR -workers N
+//	               one campaign, N local worker processes, wait, export
+//	campaignd work (internal) one worker process, spawned by run
 //
 // Examples:
 //
 //	campaignd run -campaign smoke -quick -workers 2 -results results/c
-//	campaignd serve -addr :8377 -results results/pool -workers 4
-//	campaignd submit -server http://localhost:8377 -campaign fig5 -seeds 5
-//	curl -N http://localhost:8377/api/campaigns/fig5-1/events
+//	campaignd run -campaign fig5 -seeds 5 -workers 4 -results results/pool \
+//	    -metrics-out results/pool/metrics.json
+//
+// Two runs pointed at one results directory share its checkpoints and divide
+// overlapping work through the same leases.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log/slog"
-	"net/http"
-	"net/http/pprof"
-	"net/url"
 	"os"
 	"os/exec"
 	"strings"
@@ -55,24 +50,18 @@ func run(args []string) error {
 	switch args[0] {
 	case "run":
 		return runCmd(args[1:])
-	case "serve":
-		return serveCmd(args[1:])
-	case "submit":
-		return submitCmd(args[1:])
 	case "work":
 		return workCmd(args[1:])
 	case "help", "-h", "-help", "--help":
 		return usage()
 	}
-	return fmt.Errorf("unknown mode %q (want run, serve, submit or work)", args[0])
+	return fmt.Errorf("unknown mode %q (want run or work)", args[0])
 }
 
 func usage() error {
-	fmt.Println("usage: campaignd {run | serve | submit | work} [flags]")
-	fmt.Println("  run    execute one campaign across N local worker processes and export")
-	fmt.Println("  serve  HTTP campaign service over a shared results pool")
-	fmt.Println("  submit send a campaign to a running server and follow its progress")
-	fmt.Println("  work   (internal) one worker process of a sharded run")
+	fmt.Println("usage: campaignd {run | work} [flags]")
+	fmt.Println("  run   execute one campaign across N local worker processes and export")
+	fmt.Println("  work  (internal) one worker process of a sharded run")
 	return nil
 }
 
@@ -184,119 +173,6 @@ func runCmd(args []string) error {
 	}
 	fmt.Printf("%s: completed across %d workers in %s -> %s\n",
 		spec.Name, *workers, time.Since(start).Round(time.Millisecond), path)
-	return nil
-}
-
-func serveCmd(args []string) error {
-	fs := flag.NewFlagSet("campaignd serve", flag.ContinueOnError)
-	var (
-		addr     = fs.String("addr", ":8377", "listen address")
-		resDir   = fs.String("results", "", "shared results pool directory (required)")
-		workers  = fs.Int("workers", 2, "default worker processes per campaign (overridable per submission)")
-		leaseTTL = fs.Duration("lease-ttl", 0, "shard-claim lease expiry (0 = 60s)")
-		poll     = fs.Duration("poll", 0, "claim poll interval (0 = 50ms)")
-		revision = fs.String("revision", "", "source revision to stamp into results (default: git rev-parse)")
-		pprofF   = fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (profiling; leave off in shared deployments)")
-		logLevel = fs.String("log-level", "info", "structured log level on stderr: debug, info, warn, error or off")
-	)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *resDir == "" {
-		return fmt.Errorf("serve: missing -results directory")
-	}
-	log, err := newLogger(*logLevel)
-	if err != nil {
-		return err
-	}
-	rev := *revision
-	if rev == "" {
-		rev = gitRevision()
-	}
-	s := &campaignd.Server{
-		ResultsRoot:    *resDir,
-		DefaultWorkers: *workers,
-		LeaseTTL:       *leaseTTL,
-		Poll:           *poll,
-		Revision:       rev,
-		Metrics:        obs.NewRegistry(),
-		Logger:         log,
-	}
-	mux := http.NewServeMux()
-	mux.Handle("/", s.Handler())
-	if *pprofF {
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	}
-	fmt.Fprintf(os.Stderr, "campaignd: serving on %s (results pool %s, %d workers/campaign, pprof %v)\n", *addr, *resDir, *workers, *pprofF)
-	return http.ListenAndServe(*addr, mux)
-}
-
-func submitCmd(args []string) error {
-	fs := flag.NewFlagSet("campaignd submit", flag.ContinueOnError)
-	var (
-		server    = fs.String("server", "http://localhost:8377", "campaignd server URL")
-		campaignF = fs.String("campaign", "", "campaign spec: a JSON file or an embedded spec name")
-		workers   = fs.Int("workers", 0, "worker processes (0 = server default)")
-		scale     = fs.String("scale", "", "system scale override")
-		seeds     = fs.Int("seeds", 0, "replications per point override")
-		quick     = fs.Bool("quick", false, "trim sweeps for a fast smoke run")
-		quiet     = fs.Bool("quiet", false, "suppress per-event progress output")
-	)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *campaignF == "" {
-		return fmt.Errorf("submit: missing -campaign")
-	}
-	q := url.Values{}
-	if *workers > 0 {
-		q.Set("workers", fmt.Sprint(*workers))
-	}
-	if *scale != "" {
-		q.Set("scale", *scale)
-	}
-	if *seeds > 0 {
-		q.Set("seeds", fmt.Sprint(*seeds))
-	}
-	if *quick {
-		q.Set("quick", "1")
-	}
-	// A name that is not an existing file submits the embedded spec by name;
-	// a file submits its JSON body.
-	var body []byte
-	builtin := ""
-	if _, err := os.Stat(*campaignF); err == nil {
-		if body, err = os.ReadFile(*campaignF); err != nil {
-			return err
-		}
-	} else {
-		builtin = *campaignF
-	}
-	id, err := campaignd.Submit(*server, body, builtin, q)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "submitted %s\n", id)
-	var lastPrint time.Time
-	onEvent := func(ev campaignd.Event) {
-		if *quiet {
-			return
-		}
-		if ev.Type == "progress" && ev.Done != ev.Total && time.Since(lastPrint) < time.Second {
-			return
-		}
-		lastPrint = time.Now()
-		fmt.Fprintln(os.Stderr, campaignd.FormatEvent(ev))
-	}
-	export, err := campaignd.Follow(*server, id, onEvent)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%s done -> %s\n", id, export)
 	return nil
 }
 

@@ -5,22 +5,23 @@
 // work with per-record exactly-once semantics and no coordinator state
 // beyond the filesystem.
 //
-// The package has three layers, each usable on its own:
+// The package has two layers:
 //
 //   - Worker: one worker process's body. It runs the campaign through the
 //     checkpointed sweep runner in claim mode (sweep.Options.Claims) and
 //     streams progress events as NDJSON to its stdout.
-//   - Coordinator: spawns N workers, multiplexes their event streams,
-//     optionally SIGKILLs one mid-run (the chaos hook behind the
-//     campaignd-smoke CI gate), and — after every worker has exited — runs a
-//     final in-process restore pass that fills any holes a dead worker left
-//     and writes the deterministic export. Because records are keyed and
-//     sorted independently of which process produced them, the export is
-//     byte-identical to a single-process `figures run -campaign` run.
-//   - Server: an HTTP front end. Campaign specs are submitted over POST,
-//     each submission runs through a Coordinator, and any number of
-//     concurrent clients can follow live per-campaign progress as an NDJSON
-//     event stream.
+//   - Coordinator: spawns N workers, multiplexes their event streams, merges
+//     their metrics snapshots, optionally SIGKILLs one mid-run (the chaos
+//     hook behind the campaignd-smoke CI gate), and — after every worker has
+//     exited — runs a final in-process restore pass that fills any holes a
+//     dead worker left and writes the deterministic export. Because records
+//     are keyed and sorted independently of which process produced them, the
+//     export is byte-identical to a single-process `figures run -campaign`
+//     run.
+//
+// Several coordinators pointed at one results directory share its
+// checkpoints: they divide overlapping work through the same lease protocol
+// their workers use.
 //
 // Durability and exactly-once are argued in DESIGN.md ("Sharded campaign
 // execution"): records are written atomically (fsynced temp file + rename +

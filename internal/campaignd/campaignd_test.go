@@ -2,10 +2,8 @@ package campaignd
 
 import (
 	"bytes"
-	"encoding/json"
+	"errors"
 	"fmt"
-	"net/http/httptest"
-	"net/url"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -15,7 +13,9 @@ import (
 	"time"
 
 	"flexvc/internal/campaign"
+	"flexvc/internal/obs"
 	"flexvc/internal/results"
+	"flexvc/internal/sim"
 	"flexvc/internal/sweep"
 )
 
@@ -91,6 +91,16 @@ func TestCampaigndWorkerHelperProcess(t *testing.T) {
 	}
 }
 
+// TestCampaigndBlockingHelperProcess is not a test either: it is a worker
+// process that never finishes, for the tests that must see the coordinator
+// stop its workers.
+func TestCampaigndBlockingHelperProcess(t *testing.T) {
+	if os.Getenv("FLEXVC_CAMPAIGND_DIR") == "" {
+		t.Skip("helper process for the campaignd coordinator tests")
+	}
+	time.Sleep(time.Hour)
+}
+
 // helperWorkerCommand builds worker commands that re-exec this test binary's
 // helper process instead of a campaignd binary.
 func helperWorkerCommand(dir string, ttl time.Duration) func(i int, specPath string) (*exec.Cmd, error) {
@@ -125,8 +135,9 @@ func countRecordFiles(t *testing.T, dir string) int {
 // test: two worker processes run the same campaign concurrently against one
 // results directory. Every key must be simulated by exactly one of them
 // (summed fresh replications across workers equal the campaign size), the
-// directory must hold exactly one record per key, and the export must be
-// byte-identical to a single-process run's.
+// directory must hold exactly one record per key, the export must be
+// byte-identical to a single-process run's, and the coordinator's registry
+// must hold both workers' merged metrics snapshots.
 func TestShardedRunExactlyOnceAndByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns child processes")
@@ -136,11 +147,13 @@ func TestShardedRunExactlyOnceAndByteIdentical(t *testing.T) {
 	dir := t.TempDir()
 	var mu sync.Mutex
 	fresh := map[string]int{} // worker -> replications it simulated itself
+	reg := obs.NewRegistry()
 	co := &Coordinator{
 		Spec:          testCampaign(),
 		ResultsDir:    dir,
 		Workers:       2,
 		WorkerCommand: helperWorkerCommand(dir, time.Minute),
+		Metrics:       reg,
 		OnEvent: func(ev Event) {
 			if ev.Type == "progress" && ev.Worker != "final" {
 				mu.Lock()
@@ -175,6 +188,63 @@ func TestShardedRunExactlyOnceAndByteIdentical(t *testing.T) {
 	}
 	if len(fresh) != 2 {
 		t.Errorf("saw progress from %d workers, want 2", len(fresh))
+	}
+
+	snap := reg.Snapshot()
+	if n := snap.Counters[MetricWorkersSpawned]; n != 2 {
+		t.Errorf("%s = %d, want 2", MetricWorkersSpawned, n)
+	}
+	if n := snap.Counters[sweep.MetricReplicationsSimulated]; n != testCampaignReplications {
+		t.Errorf("%s = %d, want %d merged over both workers", sweep.MetricReplicationsSimulated, n, testCampaignReplications)
+	}
+	if n := snap.Counters[results.MetricLeaseClaims]; n < testCampaignReplications {
+		t.Errorf("%s = %d, want at least %d", results.MetricLeaseClaims, n, testCampaignReplications)
+	}
+	if step := sim.MetricPhaseWall + `{phase="step"}`; snap.Counters[step] <= 0 {
+		t.Errorf("%s = %d, want > 0", step, snap.Counters[step])
+	}
+	for _, w := range []string{"w0", "w1"} {
+		name := fmt.Sprintf("%s{worker=%q}", MetricWorkerRecordsPerSec, w)
+		if _, ok := snap.Values[name]; !ok {
+			t.Errorf("merged snapshot lacks %s", name)
+		}
+	}
+}
+
+// TestRunStopsStartedWorkersWhenASpawnFails: when worker 1 cannot be started,
+// Run must return the error only after killing and reaping worker 0, which
+// would otherwise go on claiming leases in the directory unsupervised.
+func TestRunStopsStartedWorkersWhenASpawnFails(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns child processes")
+	}
+	dir := t.TempDir()
+	spawnErr := errors.New("fork: resource temporarily unavailable")
+	var first *exec.Cmd
+	t.Cleanup(func() {
+		if first != nil && first.ProcessState == nil {
+			_ = first.Process.Kill()
+			_ = first.Wait()
+		}
+	})
+	co := &Coordinator{
+		Spec:       testCampaign(),
+		ResultsDir: dir,
+		Workers:    2,
+		WorkerCommand: func(i int, specPath string) (*exec.Cmd, error) {
+			if i > 0 {
+				return nil, spawnErr
+			}
+			first = exec.Command(os.Args[0], "-test.run", "^TestCampaigndBlockingHelperProcess$")
+			first.Env = append(os.Environ(), "FLEXVC_CAMPAIGND_DIR="+dir)
+			return first, nil
+		},
+	}
+	if _, err := co.Run(); !errors.Is(err, spawnErr) {
+		t.Fatalf("Run returned %v, want the spawn error", err)
+	}
+	if first == nil || first.ProcessState == nil {
+		t.Fatal("worker 0 is still running after Run returned")
 	}
 }
 
@@ -226,83 +296,5 @@ func TestShardedRunSurvivesSIGKILLedWorker(t *testing.T) {
 	}
 	if n := countRecordFiles(t, dir); n != testCampaignReplications {
 		t.Errorf("results dir holds %d record files, want %d", n, testCampaignReplications)
-	}
-}
-
-// TestServerSubmitFollowExport drives the HTTP layer end to end: submit the
-// test campaign to a Server (workers backed by the helper process), follow
-// its NDJSON event stream to completion, and verify the export.
-func TestServerSubmitFollowExport(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns child processes")
-	}
-	ref := singleProcessExport(t)
-
-	dir := t.TempDir()
-	s := &Server{
-		ResultsRoot:    dir,
-		DefaultWorkers: 2,
-		WorkerCommand:  helperWorkerCommand(dir, time.Minute),
-	}
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
-
-	specJSON, err := json.Marshal(testCampaign())
-	if err != nil {
-		t.Fatal(err)
-	}
-	id, err := Submit(srv.URL, specJSON, "", url.Values{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := "shard-test-1"; id != want {
-		t.Errorf("submission id %q, want %q", id, want)
-	}
-	var events []Event
-	export, err := Follow(srv.URL, id, func(ev Event) { events = append(events, ev) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(export)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, ref) {
-		t.Fatal("served export is not byte-identical to the single-process run")
-	}
-	sawProgress := false
-	for _, ev := range events {
-		if ev.Type == "progress" {
-			sawProgress = true
-			break
-		}
-	}
-	if !sawProgress {
-		t.Error("event stream carried no progress events")
-	}
-
-	// Status endpoint agrees.
-	var st jobStatus
-	resp, err := srv.Client().Get(srv.URL + "/api/campaigns/" + id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	if st.State != "done" || st.Export != export {
-		t.Errorf("status %+v, want done with export %s", st, export)
-	}
-
-	// Unknown ids and invalid specs fail loudly.
-	if resp, err := srv.Client().Get(srv.URL + "/api/campaigns/nope"); err == nil {
-		if resp.StatusCode != 404 {
-			t.Errorf("unknown id returned %d, want 404", resp.StatusCode)
-		}
-		resp.Body.Close()
-	}
-	if _, err := Submit(srv.URL, []byte(`{"name":"BAD NAME"}`), "", nil); err == nil {
-		t.Error("invalid spec was accepted")
 	}
 }

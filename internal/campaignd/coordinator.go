@@ -66,7 +66,7 @@ type Coordinator struct {
 	// Metrics, when non-nil, receives the run's observability: each worker's
 	// terminal snapshot is merged in (counters add, gauges max — see
 	// obs.Registry.Merge), and the final restore pass instruments into it
-	// directly. The campaignd server passes its /metrics registry here.
+	// directly. `campaignd run -metrics-out` writes it out after the run.
 	Metrics *obs.Registry
 	// Logger receives structured diagnostics (nil: silent).
 	Logger *slog.Logger
@@ -74,9 +74,8 @@ type Coordinator struct {
 	emitMu sync.Mutex
 }
 
-// jobsSubdir is where submitted campaign specs land inside the results
-// directory — the durable job queue of a shared pool: the spec a run
-// executed stays next to the records it produced.
+// jobsSubdir is where campaign specs land inside the results directory: the
+// spec a run executed stays next to the records it produced.
 const jobsSubdir = "jobs"
 
 func (co *Coordinator) emit(ev Event) {
@@ -201,19 +200,36 @@ func (co *Coordinator) Run() (string, error) {
 	}
 	procs := make([]*workerProc, co.Workers)
 	var readers sync.WaitGroup
+	// abort stops the workers already running when a later one cannot be
+	// started (EAGAIN, EMFILE at a large -workers): left alone they would go
+	// on claiming leases and writing records with nobody waiting for them.
+	abort := func(err error) (string, error) {
+		for _, wp := range procs {
+			if wp != nil {
+				_ = wp.cmd.Process.Kill()
+			}
+		}
+		readers.Wait()
+		for _, wp := range procs {
+			if wp != nil {
+				_ = wp.cmd.Wait()
+			}
+		}
+		return "", err
+	}
 	for i := 0; i < co.Workers; i++ {
 		cmd, err := buildCmd(i, specPath)
 		if err != nil {
-			return "", err
+			return abort(err)
 		}
 		wp := &workerProc{cmd: cmd}
 		cmd.Stderr = &wp.stderr
 		stdout, err := cmd.StdoutPipe()
 		if err != nil {
-			return "", err
+			return abort(err)
 		}
 		if err := cmd.Start(); err != nil {
-			return "", fmt.Errorf("campaignd: starting worker %d: %w", i, err)
+			return abort(fmt.Errorf("campaignd: starting worker %d: %w", i, err))
 		}
 		log.Info("worker spawned", "worker", fmt.Sprintf("w%d", i), "pid", cmd.Process.Pid)
 		co.Metrics.Counter(MetricWorkersSpawned).Inc()

@@ -7,7 +7,7 @@ import "log/slog"
 // and checkpoint series (flexvc_results_*, flexvc_sweep_*) are produced by
 // the layers below and flow up into the same registry: workers snapshot their
 // whole registry into a terminal "metrics" event, and the coordinator merges
-// those snapshots so `campaignd serve`'s /metrics shows the pooled totals.
+// those snapshots so `campaignd run -metrics-out` writes the pooled totals.
 const (
 	// MetricWorkerRecordsPerSec is a per-worker static value (labeled
 	// worker="w0"…) holding the worker's end-of-run fresh-simulation
@@ -22,15 +22,11 @@ const (
 	// MetricWorkerFailures counts workers that exited with an error the
 	// coordinator did not cause itself.
 	MetricWorkerFailures = "flexvc_campaignd_worker_failures_total"
-	// MetricCampaignsDone / MetricCampaignsFailed count terminal campaign
-	// outcomes on the server.
-	MetricCampaignsDone   = "flexvc_campaignd_campaigns_done_total"
-	MetricCampaignsFailed = "flexvc_campaignd_campaigns_failed_total"
 )
 
 // logger returns l, or a discard logger when nil, so the package's layers can
 // log unconditionally while keeping structured logging strictly opt-in (the
-// zero WorkerConfig/Coordinator/Server stays silent).
+// zero WorkerConfig/Coordinator stays silent).
 func logger(l *slog.Logger) *slog.Logger {
 	if l == nil {
 		return slog.New(slog.DiscardHandler)

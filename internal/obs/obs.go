@@ -1,6 +1,6 @@
 // Package obs is the dependency-free observability layer: a metrics registry
-// of atomic counters, gauges and fixed-bucket timing histograms with
-// Prometheus-text and JSON exposition.
+// of atomic counters, gauges and fixed-bucket timing histograms, exported as
+// JSON snapshots.
 //
 // The design contract is that instrumentation must never perturb simulated
 // state. Two properties enforce it:
@@ -22,11 +22,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"math/bits"
 	"os"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -120,21 +117,6 @@ func bucketIndex(v int64) int {
 	return histSubCount + (shift-1)*histHalf + int(v>>uint(shift)) - histHalf
 }
 
-// bucketUpper returns the largest value mapping to bucket i (its inclusive
-// upper bound, the Prometheus `le` boundary).
-func bucketUpper(i int) int64 {
-	if i < histSubCount {
-		return int64(i)
-	}
-	shift := (i-histSubCount)/histHalf + 1
-	sub := (i-histSubCount)%histHalf + histHalf
-	u := (uint64(sub)+1)<<uint(shift) - 1
-	if u > math.MaxInt64 {
-		return math.MaxInt64
-	}
-	return int64(u)
-}
-
 // Histogram is a fixed-bucket timing histogram safe for concurrent Observe.
 // Samples are int64 (by convention nanoseconds, suffix the name `_ns`).
 type Histogram struct {
@@ -187,7 +169,6 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-	funcs    map[string]func() float64
 	values   map[string]float64
 }
 
@@ -197,7 +178,6 @@ func NewRegistry() *Registry {
 		counters: map[string]*Counter{},
 		gauges:   map[string]*Gauge{},
 		hists:    map[string]*Histogram{},
-		funcs:    map[string]func() float64{},
 		values:   map[string]float64{},
 	}
 }
@@ -250,24 +230,11 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// Func registers a derived gauge evaluated at collection time (Snapshot /
-// WritePrometheus) — e.g. a ratio computed from other metrics. Re-registering
-// a name replaces the callback. No-op on a nil registry.
-func (r *Registry) Func(name string, fn func() float64) {
-	if r == nil || fn == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.funcs[name] = fn
-}
-
 // SetValue records a static derived float value under name (e.g. an
-// end-of-run rate the producer computed once). It appears in snapshots next
-// to the Func gauges; a Func registered under the same name wins at
-// collection. Unlike Func values, static values survive Merge (maximum
-// semantics, like gauges) — give each producer a distinguishing label so
-// cross-process aggregation keeps every series. No-op on a nil registry.
+// end-of-run rate the producer computed once). Static values survive Merge
+// (maximum semantics, like gauges) — give each producer a distinguishing
+// label so cross-process aggregation keeps every series. No-op on a nil
+// registry.
 func (r *Registry) SetValue(name string, v float64) {
 	if r == nil {
 		return
@@ -297,15 +264,15 @@ type Snapshot struct {
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
 }
 
-// Snapshot captures the current value of every metric. Func gauges are
-// evaluated outside the registry lock (they may read other metrics). Returns
-// an empty snapshot on a nil registry.
+// Snapshot captures the current value of every metric. Returns an empty
+// snapshot on a nil registry.
 func (r *Registry) Snapshot() *Snapshot {
 	s := &Snapshot{}
 	if r == nil {
 		return s
 	}
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	if len(r.counters) > 0 {
 		s.Counters = make(map[string]int64, len(r.counters))
 		for n, c := range r.counters {
@@ -330,23 +297,10 @@ func (r *Registry) Snapshot() *Snapshot {
 			s.Histograms[n] = hs
 		}
 	}
-	funcs := make(map[string]func() float64, len(r.funcs))
-	for n, fn := range r.funcs {
-		funcs[n] = fn
-	}
 	if len(r.values) > 0 {
-		s.Values = make(map[string]float64, len(r.values)+len(funcs))
+		s.Values = make(map[string]float64, len(r.values))
 		for n, v := range r.values {
 			s.Values[n] = v
-		}
-	}
-	r.mu.Unlock()
-	if len(funcs) > 0 {
-		if s.Values == nil {
-			s.Values = make(map[string]float64, len(funcs))
-		}
-		for n, fn := range funcs {
-			s.Values[n] = fn()
 		}
 	}
 	return s
@@ -356,9 +310,8 @@ func (r *Registry) Snapshot() *Snapshot {
 // add, gauges and static values take the maximum (the high-water
 // interpretation — the only one that aggregates meaningfully across
 // processes; give per-producer series distinguishing labels to keep them
-// apart). This is how campaignd's coordinator and server aggregate the
-// snapshots their worker processes report. No-op on a nil registry or
-// snapshot.
+// apart). This is how campaignd's coordinator aggregates the snapshots its
+// worker processes report. No-op on a nil registry or snapshot.
 func (r *Registry) Merge(s *Snapshot) error {
 	if r == nil || s == nil {
 		return nil
@@ -412,96 +365,6 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	}
 	_, err = w.Write(append(b, '\n'))
 	return err
-}
-
-// splitName separates a metric name into its family (the part before any
-// `{label}` suffix) and the label body (without braces, empty if none).
-func splitName(name string) (family, labels string) {
-	i := strings.IndexByte(name, '{')
-	if i < 0 {
-		return name, ""
-	}
-	return name[:i], strings.TrimSuffix(name[i+1:], "}")
-}
-
-// WritePrometheus writes the registry in the Prometheus text exposition
-// format (version 0.0.4): counters, gauges, derived Func values (as gauges)
-// and histograms with cumulative `le` buckets. Output is sorted by family
-// then series so repeated scrapes of unchanged metrics are byte-identical.
-// Writes nothing on a nil registry.
-func (r *Registry) WritePrometheus(w io.Writer) error {
-	if r == nil {
-		return nil
-	}
-	s := r.Snapshot()
-
-	type series struct{ name, text string }
-	families := map[string]string{} // family -> TYPE
-	var all []series
-
-	add := func(name, typ, text string) {
-		fam, _ := splitName(name)
-		families[fam] = typ
-		all = append(all, series{name, text})
-	}
-	for n, v := range s.Counters {
-		add(n, "counter", fmt.Sprintf("%s %d\n", n, v))
-	}
-	for n, v := range s.Gauges {
-		add(n, "gauge", fmt.Sprintf("%s %d\n", n, v))
-	}
-	for n, v := range s.Values {
-		add(n, "gauge", fmt.Sprintf("%s %g\n", n, v))
-	}
-	for n, hs := range s.Histograms {
-		fam, labels := splitName(n)
-		var sb strings.Builder
-		var cum int64
-		for _, b := range hs.Buckets {
-			cum += b[1]
-			le := fmt.Sprintf("le=\"%d\"", bucketUpper(int(b[0])))
-			if labels != "" {
-				le = labels + "," + le
-			}
-			fmt.Fprintf(&sb, "%s_bucket{%s} %d\n", fam, le, cum)
-		}
-		inf := `le="+Inf"`
-		if labels != "" {
-			inf = labels + "," + inf
-		}
-		fmt.Fprintf(&sb, "%s_bucket{%s} %d\n", fam, inf, hs.Count)
-		suffix := ""
-		if labels != "" {
-			suffix = "{" + labels + "}"
-		}
-		fmt.Fprintf(&sb, "%s_sum%s %d\n", fam, suffix, hs.Sum)
-		fmt.Fprintf(&sb, "%s_count%s %d\n", fam, suffix, hs.Count)
-		families[fam] = "histogram"
-		all = append(all, series{n, sb.String()})
-	}
-
-	sort.Slice(all, func(i, j int) bool {
-		fi, _ := splitName(all[i].name)
-		fj, _ := splitName(all[j].name)
-		if fi != fj {
-			return fi < fj
-		}
-		return all[i].name < all[j].name
-	})
-	lastFam := ""
-	for _, se := range all {
-		fam, _ := splitName(se.name)
-		if fam != lastFam {
-			if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", fam, families[fam]); err != nil {
-				return err
-			}
-			lastFam = fam
-		}
-		if _, err := io.WriteString(w, se.text); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // WriteSnapshotFile writes the JSON snapshot to path (0644). A convenience

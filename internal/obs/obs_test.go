@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"math"
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -39,7 +38,6 @@ func TestNilRegistryIsFullyDisabled(t *testing.T) {
 	if h.Count() != 0 || h.Sum() != 0 {
 		t.Fatalf("nil histogram Count=%d Sum=%d", h.Count(), h.Sum())
 	}
-	r.Func("f", func() float64 { return 1 })
 	r.SetValue("v", 2)
 	if err := r.Merge(&Snapshot{Counters: map[string]int64{"c": 1}}); err != nil {
 		t.Fatalf("nil Merge: %v", err)
@@ -49,9 +47,6 @@ func TestNilRegistryIsFullyDisabled(t *testing.T) {
 		t.Fatalf("nil Snapshot not empty: %+v", s)
 	}
 	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil || buf.Len() != 0 {
-		t.Fatalf("nil WritePrometheus wrote %q err %v", buf.String(), err)
-	}
 	if err := r.WriteJSON(&buf); err != nil {
 		t.Fatalf("nil WriteJSON: %v", err)
 	}
@@ -88,6 +83,22 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if r.Histogram("h") != r.Histogram("h") {
 		t.Fatal("same name returned a different histogram")
 	}
+}
+
+// bucketUpper returns the largest value mapping to bucket i (its inclusive
+// upper bound): the inverse of bucketIndex that TestBucketLayout checks it
+// against.
+func bucketUpper(i int) int64 {
+	if i < histSubCount {
+		return int64(i)
+	}
+	shift := (i-histSubCount)/histHalf + 1
+	sub := (i-histSubCount)%histHalf + histHalf
+	u := (uint64(sub)+1)<<uint(shift) - 1
+	if u > math.MaxInt64 {
+		return math.MaxInt64
+	}
+	return int64(u)
 }
 
 // TestBucketLayout checks the histogram's bucket math: every sample lands in
@@ -166,7 +177,7 @@ func TestSnapshotDeterministic(t *testing.T) {
 	}
 	r.Gauge("g1").Set(4)
 	r.Histogram("h_ns").Observe(99)
-	r.Func("ratio", func() float64 { return 1.5 })
+	r.SetValue("ratio", 1.5)
 	b1, err := json.Marshal(r.Snapshot())
 	if err != nil {
 		t.Fatal(err)
@@ -222,19 +233,19 @@ func TestMergePoolsMetrics(t *testing.T) {
 	}
 }
 
-// TestSetValueSnapshot: static values appear next to Func gauges, and a Func
-// registered under the same name wins at collection.
+// TestSetValueSnapshot: static values appear in snapshots, and setting a
+// name again replaces its value (only Merge keeps the maximum).
 func TestSetValueSnapshot(t *testing.T) {
 	r := NewRegistry()
 	r.SetValue("static", 4.5)
-	r.SetValue("both", 1)
-	r.Func("both", func() float64 { return 2 })
+	r.SetValue("both", 3)
+	r.SetValue("both", 2)
 	vals := r.Snapshot().Values
 	if vals["static"] != 4.5 {
 		t.Fatalf("static value = %v, want 4.5", vals["static"])
 	}
 	if vals["both"] != 2 {
-		t.Fatalf("func did not win over static: %v", vals["both"])
+		t.Fatalf("second SetValue did not replace the first: %v", vals["both"])
 	}
 }
 
@@ -250,53 +261,6 @@ func TestMergeRejectsCorruptSnapshots(t *testing.T) {
 		if err := NewRegistry().Merge(&s); err == nil {
 			t.Fatalf("case %d: corrupt snapshot merged without error", i)
 		}
-	}
-}
-
-func TestWritePrometheus(t *testing.T) {
-	r := NewRegistry()
-	r.Counter(`flexvc_sim_shard_busy_ns_total{shard="1"}`).Add(10)
-	r.Counter(`flexvc_sim_shard_busy_ns_total{shard="0"}`).Add(20)
-	r.Gauge("flexvc_sim_event_wheel_depth_hwm").Set(42)
-	r.Func("flexvc_sim_shard_imbalance_ratio", func() float64 { return 2.0 })
-	h := r.Histogram("flexvc_results_put_latency_ns")
-	h.Observe(10)
-	h.Observe(10)
-	h.Observe(1 << 20)
-
-	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"# TYPE flexvc_sim_shard_busy_ns_total counter\n",
-		`flexvc_sim_shard_busy_ns_total{shard="0"} 20` + "\n",
-		`flexvc_sim_shard_busy_ns_total{shard="1"} 10` + "\n",
-		"# TYPE flexvc_sim_event_wheel_depth_hwm gauge\n",
-		"flexvc_sim_event_wheel_depth_hwm 42\n",
-		"flexvc_sim_shard_imbalance_ratio 2\n",
-		"# TYPE flexvc_results_put_latency_ns histogram\n",
-		`flexvc_results_put_latency_ns_bucket{le="10"} 2` + "\n",
-		`flexvc_results_put_latency_ns_bucket{le="+Inf"} 3` + "\n",
-		"flexvc_results_put_latency_ns_sum 1048596\n",
-		"flexvc_results_put_latency_ns_count 3\n",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("prometheus output missing %q:\n%s", want, out)
-		}
-	}
-	// Labeled series of one family sort together under one TYPE line.
-	if strings.Count(out, "# TYPE flexvc_sim_shard_busy_ns_total") != 1 {
-		t.Fatalf("family TYPE line not deduplicated:\n%s", out)
-	}
-	// Byte-determinism across scrapes of unchanged metrics.
-	var buf2 bytes.Buffer
-	if err := r.WritePrometheus(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	if buf.String() != buf2.String() {
-		t.Fatal("prometheus exposition not deterministic")
 	}
 }
 
@@ -351,7 +315,7 @@ func TestConcurrentAccess(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			var buf bytes.Buffer
-			_ = r.WritePrometheus(&buf)
+			_ = r.WriteJSON(&buf)
 			_ = r.Snapshot()
 		}()
 	}

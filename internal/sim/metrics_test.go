@@ -174,7 +174,7 @@ func TestMetricsUnderBudgetChurn(t *testing.T) {
 				return
 			default:
 				var buf bytes.Buffer
-				_ = reg.WritePrometheus(&buf)
+				_ = reg.WriteJSON(&buf)
 				_ = reg.Snapshot()
 			}
 		}

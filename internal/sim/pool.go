@@ -12,11 +12,11 @@ import (
 // oversubscribing: each leaf worker builds its network only after acquiring a
 // token, so peak memory is bounded by the budget too.
 //
-// The pool is held behind an atomic pointer so a serving process can resize
-// it while simulations are in flight (campaignd reconfigures workers per
-// job): acquirers snapshot the current channel and release into the same one
-// they acquired from, so a swap never loses or duplicates tokens — in-flight
-// sims drain on the old pool while new acquisitions use the new size.
+// The pool is held behind an atomic pointer so it can be resized while
+// simulations are in flight: acquirers snapshot the current channel and
+// release into the same one they acquired from, so a swap never loses or
+// duplicates tokens — in-flight sims drain on the old pool while new
+// acquisitions use the new size.
 var workerBudget atomic.Pointer[chan struct{}]
 
 func init() {

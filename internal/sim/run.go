@@ -106,42 +106,25 @@ func RunReplication(cfg config.Config, s int) (stats.Result, time.Duration, erro
 // and returns the aggregated result together with the individual runs, in
 // replication order.
 //
-// Replications execute concurrently on the process-wide worker budget (see
-// SetWorkerBudget). Each replication is fully self-contained and results are
-// aggregated in replication order, so the output is bit-identical to running
-// the same replications sequentially. The replications share one scratch
-// hold, so each recycles the memory of the ones before it.
+// Each replication is one RunReplication, all of them concurrent on the
+// process-wide worker budget (see SetWorkerBudget). Each replication is fully
+// self-contained and results are aggregated in replication order, so the
+// output is bit-identical to running the same replications sequentially. The
+// replications share one scratch hold, so each recycles the memory of the
+// ones before it.
 func RunAveraged(cfg config.Config, seeds int) (stats.Result, []stats.Result, error) {
 	if seeds < 1 {
 		return stats.Result{}, nil, fmt.Errorf("sim: need at least one replication")
 	}
 	defer HoldScratch()()
 	results := make([]stats.Result, seeds)
-	if seeds == 1 {
-		// Run in place (still bounded by the worker budget so concurrent
-		// sweep points cannot oversubscribe the machine).
-		release := acquireWorker()
-		defer release()
-		c := cfg
-		c.Seed = ReplicationSeed(cfg.Seed, 0)
-		r, err := RunOne(c)
-		if err != nil {
-			return stats.Result{}, nil, err
-		}
-		results[0] = r
-		return stats.Aggregate(results), results, nil
-	}
 	errs := make([]error, seeds)
 	var wg sync.WaitGroup
 	for s := 0; s < seeds; s++ {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			release := acquireWorker()
-			defer release()
-			c := cfg
-			c.Seed = ReplicationSeed(cfg.Seed, s)
-			results[s], errs[s] = RunOne(c)
+			results[s], _, errs[s] = RunReplication(cfg, s)
 		}(s)
 	}
 	wg.Wait()
