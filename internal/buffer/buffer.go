@@ -176,10 +176,31 @@ type InputBuffer struct {
 // NewInputBuffer builds an input buffer; it panics on an invalid
 // configuration (configurations are validated when building the network).
 func NewInputBuffer(cfg Config) *InputBuffer {
+	b := new(InputBuffer)
+	b.Reset(cfg)
+	return b
+}
+
+// Reset makes b the empty buffer NewInputBuffer(cfg) builds, keeping the
+// storage its VC rings grew to: a recycled buffer that held a saturated
+// network's queues takes the next replication's without regrowing them. Ring
+// entries hold no pointers, so the kept storage pins nothing. It panics on an
+// invalid configuration.
+func (b *InputBuffer) Reset(cfg Config) {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &InputBuffer{cfg: cfg, vcs: make([]vcState, cfg.NumVCs)}
+	// Only VCs from b's memory need emptying: fresh ones are zero.
+	old := b.vcs[:cap(b.vcs)]
+	vcs := old[:min(len(old), cfg.NumVCs)]
+	for i := range vcs {
+		vcs[i] = vcState{queue: vcs[i].queue.emptied()}
+	}
+	if len(vcs) < cfg.NumVCs {
+		vcs = make([]vcState, cfg.NumVCs)
+		copy(vcs, old)
+	}
+	*b = InputBuffer{cfg: cfg, vcs: vcs}
 }
 
 // Config returns the buffer configuration.

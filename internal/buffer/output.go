@@ -31,10 +31,18 @@ type OutputBuffer struct {
 
 // NewOutputBuffer builds an output buffer with the given capacity in phits.
 func NewOutputBuffer(capacity int) *OutputBuffer {
+	o := new(OutputBuffer)
+	o.Reset(capacity)
+	return o
+}
+
+// Reset makes o the empty buffer NewOutputBuffer(capacity) builds, keeping
+// the storage its staging ring grew to.
+func (o *OutputBuffer) Reset(capacity int) {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("buffer: output buffer capacity must be positive, got %d", capacity))
 	}
-	return &OutputBuffer{capacity: capacity}
+	*o = OutputBuffer{capacity: capacity, queue: o.queue.emptied()}
 }
 
 // Capacity returns the buffer capacity in phits.

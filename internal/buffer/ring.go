@@ -12,6 +12,9 @@ type ring[T any] struct {
 	n    int
 }
 
+// emptied returns the ring with no elements and the same storage.
+func (r ring[T]) emptied() ring[T] { return ring[T]{buf: r.buf} }
+
 // len returns the number of queued elements.
 func (r *ring[T]) len() int { return r.n }
 

@@ -263,58 +263,92 @@ const MaxPortVCs = 64
 // New builds a router. The environment may be set later with SetEnv (the
 // simulator wires routers and the event system together after construction).
 func New(id packet.RouterID, topo topology.Topology, scheme core.Scheme, alg routing.Algorithm, params Params, seed int64) (*Router, error) {
-	if err := params.Validate(); err != nil {
+	r := new(Router)
+	if err := r.Rebuild(id, topo, scheme, alg, params, seed); err != nil {
 		return nil, err
 	}
-	r := &Router{
+	return r, nil
+}
+
+// Rebuild makes r the router New(id, topo, scheme, alg, params, seed) builds,
+// in r's memory: a router of a finished network, its buffers, VC rings and
+// PRNG state become the next network's router wherever their sizes still fit,
+// and nothing of its old state is observable (New itself is Rebuild on a zero
+// Router). On error r is left unusable except as the receiver of another
+// Rebuild.
+func (r *Router) Rebuild(id packet.RouterID, topo topology.Topology, scheme core.Scheme, alg routing.Algorithm, params Params, seed int64) error {
+	if err := params.Validate(); err != nil {
+		return err
+	}
+	// mem holds the memory to reuse; everything else starts from zero.
+	mem := *r
+	*r = Router{
 		id:       id,
 		topo:     topo,
 		scheme:   scheme,
-		mgr:      core.NewManager(scheme),
+		mgr:      mem.mgr,
 		alg:      alg,
 		params:   params,
 		store:    params.Store,
 		numPorts: topo.Radix(),
-		rng:      rand.New(&lazySource{seed: seed ^ (int64(id)+1)*0x9E3779B9}),
+		rng:      mem.rng,
 		xmitMin:  never,
+		vcCand:   mem.vcCand[:0],
 	}
 	if r.numOutKeys() > math.MaxInt16 {
-		return nil, fmt.Errorf("router: radix %d with %d classes needs %d output resources, more than the %d the allocator numbers", r.numPorts, params.NumClasses, r.numOutKeys(), math.MaxInt16)
+		return fmt.Errorf("router: radix %d with %d classes needs %d output resources, more than the %d the allocator numbers", r.numPorts, params.NumClasses, r.numOutKeys(), math.MaxInt16)
 	}
-	r.inputs = make([]*buffer.InputBuffer, r.numPorts)
-	r.outputs = make([]*buffer.OutputBuffer, r.numPorts)
-	r.eject = make([][]*buffer.OutputBuffer, r.numPorts)
-	r.ejBusy = make([][]int64, r.numPorts)
-	r.kinds = make([]topology.PortKind, r.numPorts)
-	r.nbrs = make([]packet.RouterID, r.numPorts)
-	r.nbrPorts = make([]int, r.numPorts)
-	r.down = make([]*buffer.InputBuffer, r.numPorts)
-	r.downSet = make([]bool, r.numPorts)
+	// The Manager is immutable and depends on the scheme alone.
+	if r.mgr == nil || r.mgr.Scheme() != scheme {
+		r.mgr = core.NewManager(scheme)
+	}
+	// A reseeded source draws what a fresh one would (see lazySource).
+	rngSeed := seed ^ (int64(id)+1)*0x9E3779B9
+	if r.rng == nil {
+		r.rng = rand.New(&lazySource{seed: rngSeed})
+	} else {
+		r.rng.Seed(rngSeed)
+	}
+	n := r.numPorts
+	// Buffers and ejection channels are kept (and reset below), the rest of
+	// the per-port state is zeroed.
+	r.inputs = keep(mem.inputs, n)
+	r.outputs = keep(mem.outputs, n)
+	r.eject = keep(mem.eject, n)
+	r.ejBusy = keep(mem.ejBusy, n)
+	r.kinds = zeroed(mem.kinds, n)
+	r.nbrs = zeroed(mem.nbrs, n)
+	r.nbrPorts = zeroed(mem.nbrPorts, n)
+	r.down = zeroed(mem.down, n)
+	r.downSet = zeroed(mem.downSet, n)
 	// The per-port words the proposal pass reads together share one backing
 	// array (and one allocation), as do the per-port ints.
-	n := r.numPorts
-	words := make([]uint64, 5*n+(r.numOutKeys()+63)/64)
+	words := zeroed(mem.vcMask[:cap(mem.vcMask)], 5*n+(r.numOutKeys()+63)/64)
 	r.vcMask, r.planCur, r.sleepMask, r.woken, r.pipeMask, r.wake = words[:n], words[n:2*n], words[2*n:3*n], words[3*n:4*n], words[4*n:5*n], words[5*n:]
-	ints := make([]int, 2*n)
+	ints := zeroed(mem.numVCs[:cap(mem.numVCs)], 2*n)
 	r.numVCs, r.inVCRR = ints[:n], ints[n:]
-	cycles := make([]int64, 3*n)
+	cycles := zeroed(mem.linkBusy[:cap(mem.linkBusy)], 3*n)
 	r.linkBusy, r.linkLat, r.xmitDue = cycles[:n], cycles[n:2*n], cycles[2*n:]
-	r.outRR = make([]int, r.numOutKeys())
-	r.liveIn = newPortList(r.numPorts)
-	r.xmit = newPortList(r.numPorts)
-	r.timers = make(minheap.Heap, 0, n)
+	r.outRR = zeroed(mem.outRR, r.numOutKeys())
+	r.liveIn = mem.liveIn.emptied(n)
+	r.xmit = mem.xmit.emptied(n)
+	r.timers = mem.timers[:0]
+	if r.timers == nil {
+		r.timers = make(minheap.Heap, 0, n)
+	}
+	r.alloc = mem.alloc.emptied(r.numOutKeys())
 	for p := range r.xmitDue {
 		r.xmitDue[p] = never
 	}
-	r.inCount = make([]int32, r.numPorts)
+	r.inCount = zeroed(mem.inCount, n)
 	for p := 0; p < r.numPorts; p++ {
 		if n := r.portVCs(topo.PortKind(id, p)); n > r.vcStride {
 			r.vcStride = n
 		}
 	}
-	r.plans = make([]vcPlan, r.numPorts*r.vcStride)
-	r.heads = make([]headState, r.numPorts*r.vcStride)
-	r.waits = make([]waitKeys, r.numPorts*r.vcStride)
+	r.plans = zeroed(mem.plans, r.numPorts*r.vcStride)
+	r.heads = zeroed(mem.heads, r.numPorts*r.vcStride)
+	r.waits = zeroed(mem.waits, r.numPorts*r.vcStride)
 	for p := 0; p < r.numPorts; p++ {
 		kind := topo.PortKind(id, p)
 		numVCs := r.portVCs(kind)
@@ -327,20 +361,70 @@ func New(id packet.RouterID, topo topology.Topology, scheme core.Scheme, alg rou
 			r.nbrs[p], r.nbrPorts[p] = topo.Neighbor(id, p)
 		}
 		if numVCs > MaxPortVCs {
-			return nil, fmt.Errorf("router: %s ports have %d VCs, more than the %d the allocator's occupancy mask holds", kind, numVCs, MaxPortVCs)
+			return fmt.Errorf("router: %s ports have %d VCs, more than the %d the allocator's occupancy mask holds", kind, numVCs, MaxPortVCs)
 		}
-		r.inputs[p] = buffer.NewInputBuffer(params.BufferConfig(kind, numVCs))
+		r.inputs[p] = resetInput(r.inputs[p], params.BufferConfig(kind, numVCs))
 		if kind == topology.Terminal {
-			r.eject[p] = make([]*buffer.OutputBuffer, params.NumClasses)
-			r.ejBusy[p] = make([]int64, params.NumClasses)
+			r.outputs[p] = nil
+			r.eject[p] = keep(r.eject[p], params.NumClasses)
+			r.ejBusy[p] = zeroed(r.ejBusy[p], params.NumClasses)
 			for c := range r.eject[p] {
-				r.eject[p][c] = buffer.NewOutputBuffer(params.OutputBufPhits)
+				r.eject[p][c] = resetOutput(r.eject[p][c], params.OutputBufPhits)
 			}
 		} else {
-			r.outputs[p] = buffer.NewOutputBuffer(params.OutputBufPhits)
+			r.outputs[p] = resetOutput(r.outputs[p], params.OutputBufPhits)
+			r.eject[p], r.ejBusy[p] = nil, nil
 		}
 	}
-	return r, nil
+	return nil
+}
+
+// Release drops the router's references to its network — environment,
+// topology, routing algorithm, packet store and parameters — so a router kept
+// for a later Rebuild pins no finished network. The router must not be used
+// again until rebuilt.
+func (r *Router) Release() {
+	r.env, r.topo, r.alg, r.store, r.params = nil, nil, nil, nil, Params{}
+}
+
+// zeroed returns n zero elements in s's memory when its capacity allows, and
+// fresh memory otherwise.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// keep returns s at length n, keeping its elements — including those past its
+// length, up to its capacity — and zero-extending it when shorter.
+func keep[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	grown := make([]T, n)
+	copy(grown, s[:cap(s)])
+	return grown
+}
+
+// resetInput is NewInputBuffer(cfg) in b's memory when b is non-nil.
+func resetInput(b *buffer.InputBuffer, cfg buffer.Config) *buffer.InputBuffer {
+	if b == nil {
+		return buffer.NewInputBuffer(cfg)
+	}
+	b.Reset(cfg)
+	return b
+}
+
+// resetOutput is NewOutputBuffer(capacity) in o's memory when o is non-nil.
+func resetOutput(o *buffer.OutputBuffer, capacity int) *buffer.OutputBuffer {
+	if o == nil {
+		return buffer.NewOutputBuffer(capacity)
+	}
+	o.Reset(capacity)
+	return o
 }
 
 // portVCs returns the number of VCs of an input port of the given kind.
@@ -700,13 +784,25 @@ func (r *Router) propose(st *allocState, req request) {
 	}
 }
 
-// allocState holds reusable allocator scratch space.
+// allocState holds reusable allocator scratch space, built on the router's
+// first allocation.
 type allocState struct {
 	proposals []request
 	keyWinner []int
 	keyGen    []uint64
 	gen       uint64
 	touched   []int
+}
+
+// emptied returns the scratch for a router with numKeys output resources:
+// st's memory when it numbers as many, none otherwise (the first allocation
+// builds it). The generation carries on, so no keyGen entry left from st's
+// iterations matches a later one.
+func (st allocState) emptied(numKeys int) allocState {
+	if len(st.keyGen) != numKeys {
+		return allocState{}
+	}
+	return allocState{proposals: st.proposals[:0], keyWinner: st.keyWinner, keyGen: st.keyGen, gen: st.gen, touched: st.touched[:0]}
 }
 
 // rrDistance returns the round-robin distance of an input port from the
@@ -1107,20 +1203,29 @@ func (r *Router) transmitEject(now int64, p, c int) {
 
 // lazySource is the router's PRNG source, seeded on the first draw: the real
 // source is 4.9 KB and takes some 1 900 steps to seed, and a router under MIN
-// routing with a deterministic VC selection never draws. Once built it is the
-// source rand.NewSource(seed) would have been, so streams are unchanged.
+// routing with a deterministic VC selection never draws. Once seeded it is the
+// source rand.NewSource(seed) would have been, so streams are unchanged. Seed
+// (Rebuild reseeds through it) keeps the built source and reseeds it in place
+// on the next draw, which allocates nothing and draws what a fresh source
+// would.
 type lazySource struct {
-	seed int64
-	src  rand.Source64
+	seed   int64
+	src    rand.Source64
+	seeded bool
 }
 
 func (s *lazySource) real() rand.Source64 {
-	if s.src == nil {
-		s.src = rand.NewSource(s.seed).(rand.Source64)
+	if !s.seeded {
+		if s.src == nil {
+			s.src = rand.NewSource(s.seed).(rand.Source64)
+		} else {
+			s.src.Seed(s.seed)
+		}
+		s.seeded = true
 	}
 	return s.src
 }
 
 func (s *lazySource) Int63() int64    { return s.real().Int63() }
 func (s *lazySource) Uint64() uint64  { return s.real().Uint64() }
-func (s *lazySource) Seed(seed int64) { s.seed, s.src = seed, nil }
+func (s *lazySource) Seed(seed int64) { s.seed, s.seeded = seed, false }

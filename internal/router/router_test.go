@@ -632,7 +632,9 @@ func TestEjectionClassesComeDueSeparately(t *testing.T) {
 
 // TestLazySourceIsTheSeededSource: a router's PRNG is built on the first draw
 // and from then on is, draw for draw and whatever mix of methods asks, the
-// source math/rand would have seeded up front.
+// source math/rand would have seeded up front. Re-seeding keeps the built
+// source, reseeds it in place on the next draw without allocating, and then
+// draws what a fresh source would.
 func TestLazySourceIsTheSeededSource(t *testing.T) {
 	const seed = 0x5eed
 	lazy := &lazySource{seed: seed}
@@ -658,12 +660,19 @@ func TestLazySourceIsTheSeededSource(t *testing.T) {
 			t.Fatalf("draw %d: %v, the eagerly seeded source gives %v", i, a, b)
 		}
 	}
+	built := lazy.src
 	got.Seed(seed + 1)
-	if lazy.src != nil {
-		t.Fatal("re-seeding built the source")
+	if lazy.seeded || lazy.src != built {
+		t.Fatal("re-seeding seeded eagerly or dropped the built source")
 	}
-	if a, b := got.Int63(), rand.New(rand.NewSource(seed+1)).Int63(); a != b {
-		t.Fatalf("after re-seeding: %d, want %d", a, b)
+	want = rand.New(rand.NewSource(seed + 1))
+	for i := 0; i < 100; i++ {
+		if a, b := got.Int63(), want.Int63(); a != b {
+			t.Fatalf("draw %d after re-seeding: %d, want %d", i, a, b)
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { got.Seed(seed + 2); got.Int63() }); allocs != 0 {
+		t.Errorf("re-seeding and drawing allocates %v times, want 0", allocs)
 	}
 }
 

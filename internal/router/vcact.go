@@ -18,8 +18,12 @@ type portList struct {
 	in    []bool
 }
 
-func newPortList(n int) portList {
-	return portList{ports: make([]int32, 0, n), in: make([]bool, n)}
+// emptied returns an empty list over n ports, in l's memory when it fits.
+func (l portList) emptied(n int) portList {
+	if cap(l.ports) < n {
+		l.ports = make([]int32, 0, n)
+	}
+	return portList{ports: l.ports[:0], in: zeroed(l.in, n)}
 }
 
 // add inserts a port, keeping the list sorted; adding a member is a no-op.

@@ -85,9 +85,9 @@ type Network struct {
 func New(cfg config.Config) (*Network, error) { return newNetwork(cfg, nil) }
 
 // newNetwork builds a network, optionally drawing its packet store, telemetry
-// arena, PRNG streams, NIC queues and wheel slots from a recycled scratch set
-// (see scratch.go). RunOne is the pooled path; New passes nil and allocates
-// fresh.
+// arena, PRNG streams, NIC queues, wheel slots and routers from a recycled
+// scratch set (see scratch.go). RunOne is the pooled path; New passes nil and
+// allocates fresh.
 func newNetwork(cfg config.Config, sc *scratch) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -163,13 +163,25 @@ func newNetwork(cfg config.Config, sc *scratch) (*Network, error) {
 		},
 	}
 	n.routers = make([]*router.Router, topo.NumRouters())
+	var spare []*router.Router
+	if sc != nil {
+		spare = sc.routers
+	}
 	for r := range n.routers {
-		rt, err := router.New(packet.RouterID(r), topo, cfg.Scheme, n.alg, params, cfg.Seed)
-		if err != nil {
+		var rt *router.Router
+		if r < len(spare) {
+			rt = spare[r]
+		} else {
+			rt = new(router.Router)
+		}
+		if err := rt.Rebuild(packet.RouterID(r), topo, cfg.Scheme, n.alg, params, cfg.Seed); err != nil {
 			return nil, err
 		}
 		rt.SetEnv(n)
 		n.routers[r] = rt
+	}
+	if sc != nil && len(n.routers) > len(spare) {
+		sc.routers = append(spare, n.routers[len(spare):]...)
 	}
 
 	n.downInput = make([][]*buffer.InputBuffer, topo.NumRouters())

@@ -4,17 +4,19 @@ import (
 	"sync"
 
 	"flexvc/internal/packet"
+	"flexvc/internal/router"
 	"flexvc/internal/stats"
 	"flexvc/internal/traffic"
 )
 
 // scratch is the recyclable per-replication memory of one network instance:
 // the SoA packet store, the telemetry arena, the traffic generators' per-node
-// PRNG streams, the NIC queues and the event wheel's slots. A sweep runs
-// dozens to thousands of replications, each of which used to grow these
-// structures from nothing; the scratch pool keeps them across the
-// replications of a sweep, so steady-state sweeps allocate per-run memory once
-// per worker, not once per replication.
+// PRNG streams, the NIC queues, the event wheel's slots and the routers (with
+// their buffers, VC rings and PRNG states). A sweep runs dozens to thousands
+// of replications, each of which used to grow these structures from nothing;
+// the scratch pool keeps them across the replications of a sweep, so
+// steady-state sweeps allocate per-run memory once per worker, not once per
+// replication.
 //
 // The pool lives only while some caller holds it (HoldScratch): outside a
 // hold, reclaim drops the set and a replication retains nothing, and the last
@@ -30,6 +32,10 @@ type scratch struct {
 	// newNetwork reuses them when the node count and wheel horizon match.
 	nodes []nodeState
 	slots [][]event
+	// routers are the routers of the networks built from this set, released
+	// between replications; newNetwork rebuilds router i of the next network
+	// in routers[i] (Router.Rebuild).
+	routers []*router.Router
 }
 
 var (
@@ -93,6 +99,9 @@ func (sc *scratch) reclaim() {
 	for i, s := range sc.slots {
 		clear(s[:cap(s)])
 		sc.slots[i] = s[:0]
+	}
+	for _, rt := range sc.routers {
+		rt.Release()
 	}
 	scratchMu.Lock()
 	if scratchHolds > 0 {

@@ -9,8 +9,10 @@ import (
 
 	"flexvc/internal/buffer"
 	"flexvc/internal/config"
+	"flexvc/internal/core"
 	"flexvc/internal/routing"
 	"flexvc/internal/scenario"
+	"flexvc/internal/topology"
 )
 
 // poolLen returns the number of scratch sets on the free list.
@@ -29,11 +31,11 @@ func saturatedSmall() config.Config {
 }
 
 // TestRecycledScratchMatchesFresh runs replications of different shapes back
-// to back inside one hold — a saturated one that grows the queues and slots,
-// a tiny one with another node count and wheel horizon, a bursty one and a
-// multi-phase scenario that draws more PRNG streams — and requires every
-// result to marshal byte-identical to the same configuration built fresh by
-// New.
+// to back inside one hold — a saturated one that grows the queues, slots and
+// VC rings, a tiny one with another node count, radix and wheel horizon, a
+// bursty one, a multi-phase scenario with more VCs that draws more PRNG
+// streams and a request-reply PB one over DAMQs — and requires every result
+// to marshal byte-identical to the same configuration built fresh by New.
 func TestRecycledScratchMatchesFresh(t *testing.T) {
 	tiny := config.Tiny()
 	tiny.WarmupCycles, tiny.MeasureCycles = 200, 800
@@ -44,6 +46,12 @@ func TestRecycledScratchMatchesFresh(t *testing.T) {
 	phased := scenarioConfig(routing.MIN)
 	phased.Scenario = scenario.UNToADV(0.4, 600, 800, 600, 200)
 	phased.Load = phased.Scenario.MaxLoad()
+	// Two message classes, DAMQs and a random VC selection change every router
+	// array's shape and make the recycled router PRNGs draw.
+	reactive := shortConfig()
+	reactive.Routing, reactive.Reactive, reactive.BufferOrg = routing.PB, true, buffer.DAMQ
+	reactive.Scheme = core.Scheme{Policy: core.FlexVC, VCs: core.TwoClass(4, 2, 4, 2), Selection: core.RandomVC}
+	reactive.Load = 0.8
 	cases := []struct {
 		name string
 		cfg  config.Config
@@ -52,6 +60,7 @@ func TestRecycledScratchMatchesFresh(t *testing.T) {
 		{"bursty-un", bursty},
 		{"tiny", tiny},
 		{"scenario", phased},
+		{"pb-reactive-damq-random", reactive},
 	}
 
 	want := make([][]byte, len(cases))
@@ -138,33 +147,49 @@ func TestScratchHoldRelease(t *testing.T) {
 }
 
 // TestPooledScratchPinsNoNetwork checks that a scratch set sitting in a held
-// pool keeps no finished network alive: the wheel slots it recycles held
-// credit events pointing into the network's input buffers.
+// pool keeps no finished network alive: its routers held the network as their
+// environment, its topology and its routing algorithm (Piggyback's refers back
+// to the network), and the wheel slots it recycles held credit events pointing
+// into the network's input buffers.
 func TestPooledScratchPinsNoNetwork(t *testing.T) {
 	defer HoldScratch()()
 	sc := acquireScratch()
-	n, err := newNetwork(saturatedSmall(), sc)
+	cfg := saturatedSmall()
+	cfg.Routing = routing.PB
+	cfg.Scheme = core.Scheme{Policy: core.FlexVC, VCs: core.SingleClass(4, 2), Selection: core.JSQ}
+	n, err := newNetwork(cfg, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	n.RunCycles(600)
-	var buf *buffer.InputBuffer
+	credits := 0
 	for _, s := range sc.slots {
 		for _, ev := range s[:cap(s)] {
 			if ev.buf != nil {
-				buf = ev.buf
+				credits++
 			}
 		}
 	}
-	if buf == nil {
-		t.Fatal("no credit event in the wheel slots: the check would be vacuous")
+	if credits == 0 || len(sc.routers) == 0 {
+		t.Fatal("no credit event in the wheel slots or no pooled router: the check would be vacuous")
 	}
-	wbuf, wrouter := weak.Make(buf), weak.Make(n.routers[0])
-	buf, n = nil, nil
+	topo, ok := n.topo.(*topology.Dragonfly)
+	if !ok {
+		t.Fatalf("topology %T, want a Dragonfly", n.topo)
+	}
+	wnet, wtopo := weak.Make(n), weak.Make(topo)
+	n, topo = nil, nil
 	sc.reclaim()
 	runtime.GC()
-	if wbuf.Value() != nil || wrouter.Value() != nil {
+	if wnet.Value() != nil || wtopo.Value() != nil {
 		t.Error("a pooled scratch set keeps a finished network reachable")
+	}
+	for _, s := range sc.slots {
+		for _, ev := range s[:cap(s)] {
+			if ev.buf != nil {
+				t.Fatal("a pooled wheel slot still holds a credit event")
+			}
+		}
 	}
 	if poolLen() != 1 {
 		t.Fatalf("%d sets pooled, want the reclaimed one", poolLen())

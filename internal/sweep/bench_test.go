@@ -11,7 +11,7 @@ import (
 // tiny replications through the sweep scheduler, RunAveraged and the
 // simulator. Allocation counts are deterministic, so any increase is a real
 // one; lower the pin together with the change that earns it.
-const smokeSweepAllocs = 3401
+const smokeSweepAllocs = 1133
 
 // runSmokeSweep runs one tiny load sweep end to end: two variants x loads
 // 0.3/0.7 x 2 replications, 200 warm-up and 800 measured cycles.
