@@ -41,7 +41,7 @@ bench-profile:
 bench-contract:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-ci: lint test race bench-contract check-smoke specs-smoke campaign-smoke campaignd-smoke
+ci: lint test race bench-contract check-smoke specs-smoke campaign-smoke campaignd-smoke scenario-smoke
 
 # The PR-time reproducibility gate: verify every recorded experiment in
 # experiments/manifest.json. Digests of the committed exports and reports are
@@ -65,13 +65,18 @@ check-full:
 	$(GO) run ./cmd/figures check -work $(RESULTS_DIR_CHECK) \
 		-metrics-out $(RESULTS_DIR_CHECK)/metrics.json -v all
 
-# A quick end-to-end scenario run through flexvcsim -scenario: loads the
-# checked-in scenario JSON, simulates one PB replication and prints the
-# windowed telemetry. Fails if the scenario file, the engine or the renderer
-# break.
+# A quick end-to-end scenario run through flexvcsim -scenario (CI gate, under
+# a second once built): loads the checked-in scenario JSON, simulates one PB
+# replication and prints its windowed telemetry and adaptation lags as the
+# markdown tables of sweep.RenderTransientMarkdown. Fails if the scenario
+# file or the engine break, or if either table is missing from the output.
 scenario-smoke:
-	$(GO) run ./cmd/flexvcsim -scale small -routing pb -policy baseline -vcs 4/2 \
-		-scenario experiments/transient-small/scenario.json -seeds 1
+	set -e; out=$$($(GO) run ./cmd/flexvcsim -scale small -routing pb -policy baseline -vcs 4/2 \
+		-scenario experiments/transient-small/scenario.json -seeds 1); \
+	echo "$$out"; \
+	for table in '#### Windowed telemetry' '#### Adaptation lag'; do \
+		echo "$$out" | grep -qF "$$table" || { echo "scenario-smoke: no '$$table' table"; exit 1; }; \
+	done
 
 # A tiny end-to-end campaign through the declarative engine (CI gate): parse
 # the embedded smoke spec, run it through the checkpointed runner, render the

@@ -28,7 +28,6 @@
 //	figures render -exp fig5 -results results/ -out fig5.md
 //	figures render -campaign pb-policies-transient -results results/
 //	figures render -exp all -results results/ -out reports/
-//	figures render -exp fig5 -results results/ -format text
 //	figures check all                      # verify every recorded experiment
 //	figures check transient-small          # verify one manifest entry
 //	figures check -max-wall 10s all        # digests and key spaces always; re-run only cheap entries
@@ -54,17 +53,8 @@ import (
 	"flexvc/internal/obs"
 	"flexvc/internal/results"
 	"flexvc/internal/sim"
-	"flexvc/internal/stats"
 	"flexvc/internal/sweep"
 )
-
-// errorBoundNote is printed alongside every simulated paper-vs-measured
-// table so EXPERIMENTS.md can cite the precision of the latency columns.
-func errorBoundNote() string {
-	return fmt.Sprintf(
-		"latency percentiles are read from a fixed-size histogram: at most %.2f%% relative error vs the exact samples (exact below 128 cycles; mean latencies are exact sums)",
-		100*stats.PercentileErrorBound)
-}
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
@@ -92,10 +82,11 @@ var analyticTables = map[string]func() core.Table{
 	"table4": core.TableIV,
 }
 
-// analyticReport computes one analytic table as a report.
-func analyticReport(id string) *sweep.Report {
+// analyticText computes one analytic table and renders it under its id and
+// title.
+func analyticText(id string) string {
 	t := analyticTables[id]()
-	return &sweep.Report{ID: id, Title: t.Title, Sections: []sweep.Section{{Title: t.Title, Body: t.Render()}}}
+	return fmt.Sprintf("==== %s: %s ====\n\n-- %s --\n%s", id, t.Title, t.Title, t.Render())
 }
 
 func run(args []string) error {
@@ -302,8 +293,7 @@ func renderCmd(args []string) error {
 		exp       = fs.String("exp", "", "experiments to render: comma-separated ids (analytic tables or recorded campaign names) or 'all' (every export in -results)")
 		campaignF = fs.String("campaign", "", "campaign spec whose recorded results to render (a JSON file or embedded spec name)")
 		resDir    = fs.String("results", "", "results directory holding <exp>.results.json exports")
-		out       = fs.String("out", "", "output file (single experiment) or directory (with -exp all); default stdout")
-		format    = fs.String("format", "markdown", "output format: markdown or text")
+		out       = fs.String("out", "", "output file (single experiment) or directory (with -exp all or several ids); default stdout")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -327,7 +317,8 @@ func renderCmd(args []string) error {
 			return err
 		}
 	}
-	multi := len(ids) > 1
+	// -exp all writes into a directory even when it matches a single export.
+	multi := *exp == "all" || len(ids) > 1
 	rendered := 0
 	for _, id := range ids {
 		if _, ok := analyticTables[id]; ok {
@@ -335,7 +326,7 @@ func renderCmd(args []string) error {
 				continue
 			}
 			// Computed, not recorded: there is no export to load.
-			return emit(*out, id, *format, analyticReport(id).Render(), false)
+			return emit(*out, id, analyticText(id), false)
 		}
 		path := filepath.Join(*resDir, id+".results.json")
 		f, err := results.LoadFile(path)
@@ -351,24 +342,11 @@ func renderCmd(args []string) error {
 			}
 			return err
 		}
-		var text string
-		switch *format {
-		case "markdown", "md":
-			text, err = sweep.RenderResultsMarkdown(f)
-		case "text", "txt":
-			var rep *sweep.Report
-			rep, err = sweep.ReportFromResults(f)
-			if err == nil {
-				rep.Notes = append(rep.Notes, errorBoundNote())
-				text = rep.Render()
-			}
-		default:
-			return fmt.Errorf("render: unknown format %q (want markdown or text)", *format)
-		}
+		text, err := sweep.RenderResultsMarkdown(f)
 		if err != nil {
 			return fmt.Errorf("%s: %w", id, err)
 		}
-		if err := emit(*out, id, *format, text, multi); err != nil {
+		if err := emit(*out, id, text, multi); err != nil {
 			return err
 		}
 		rendered++
@@ -380,7 +358,7 @@ func renderCmd(args []string) error {
 }
 
 // emit writes one rendered report to stdout, a file, or a directory.
-func emit(out, id, format, text string, multi bool) error {
+func emit(out, id, text string, multi bool) error {
 	if out == "" {
 		fmt.Println(text)
 		return nil
@@ -390,11 +368,7 @@ func emit(out, id, format, text string, multi bool) error {
 		if err := os.MkdirAll(out, 0o755); err != nil {
 			return err
 		}
-		ext := ".md"
-		if format == "text" || format == "txt" {
-			ext = ".txt"
-		}
-		path = filepath.Join(out, id+ext)
+		path = filepath.Join(out, id+".md")
 	}
 	if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
 		return err

@@ -161,6 +161,20 @@ func TestRenderAllSkipsUnreadableExports(t *testing.T) {
 	}
 }
 
+// TestRenderAllSingleExportWritesDirectory: -exp all means directory output
+// even when the results directory holds exactly one export.
+func TestRenderAllSingleExportWritesDirectory(t *testing.T) {
+	dir := t.TempDir()
+	recordSmoke(t, dir)
+	out := filepath.Join(dir, "reports") + string(filepath.Separator)
+	if err := run([]string{"render", "-exp", "all", "-results", dir, "-out", out}); err != nil {
+		t.Fatalf("render -exp all with one export: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(out, "smoke.md")); err != nil {
+		t.Fatalf("single export not rendered into the -out directory: %v", err)
+	}
+}
+
 // TestCheckCLIPassesOnFaithfulTree is the CLI positive path for `figures
 // check all`.
 func TestCheckCLIPassesOnFaithfulTree(t *testing.T) {
@@ -265,7 +279,7 @@ func TestRenderAnalyticTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := analyticReport("table3").Render(); string(b) != want {
+	if want := analyticText("table3"); string(b) != want {
 		t.Errorf("rendered table3 differs from the computed report:\n%s", b)
 	}
 }
@@ -274,7 +288,7 @@ func TestRenderAnalyticTable(t *testing.T) {
 // naming the routing classes it classifies.
 func TestTableExperiments(t *testing.T) {
 	for id := range analyticTables {
-		text := analyticReport(id).Render()
+		text := analyticText(id)
 		if !strings.Contains(text, "MIN") || !strings.Contains(text, "VAL") {
 			t.Errorf("%s report looks empty:\n%s", id, text)
 		}
@@ -288,7 +302,7 @@ func TestGoldenTable4(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := analyticReport("table4").Render(); got != string(want) {
+	if got := analyticText("table4"); got != string(want) {
 		t.Errorf("table4 differs from testdata/table4.golden:\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
 }

@@ -171,10 +171,12 @@ func run(args []string) error {
 		fmt.Println("  WARNING: the deadlock watchdog aborted at least one replication")
 	}
 	if agg.Series != nil {
-		fmt.Print(sweep.RenderTransientText([]sweep.Series{{
+		var b strings.Builder
+		sweep.RenderTransientMarkdown(&b, []sweep.Series{{
 			Label:  "aggregate of " + fmt.Sprint(*seeds) + " seed(s)",
 			Points: []sweep.Point{{Load: cfg.Load, Result: agg}},
-		}}))
+		}})
+		fmt.Printf("\n%s", b.String())
 	}
 	if *out != "" {
 		if err := results.WriteSinglePoint(*out, cfg, effScale, agg, runs); err != nil {

@@ -23,8 +23,8 @@
 // two nested layers, each bit-identical to serial execution:
 //
 //   - Replications within a process: sim.RunAveraged runs replications
-//     concurrently and sweep.LoadSweep schedules every point of every series
-//     at once, with all work draining through one process-wide worker budget
+//     concurrently and a sweep section (sweep.SectionRunner.RunSection)
+//     schedules every point of every series at once, with all work draining through one process-wide worker budget
 //     (sim.SetWorkerBudget, default GOMAXPROCS). Each replication is fully
 //     self-contained and results aggregate in replication order. This is the
 //     default: sweeps with many points and seeds saturate the machine without

@@ -79,7 +79,7 @@ type Campaign struct {
 	Variants []VariantSpec `json:"variants,omitempty"`
 	// Sections are the experiment's panels, run serially in order.
 	Sections []SectionSpec `json:"sections"`
-	// Notes are appended verbatim to the rendered report.
+	// Notes document the spec for its readers; no report renders them.
 	Notes []string `json:"notes,omitempty"`
 }
 

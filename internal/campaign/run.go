@@ -10,8 +10,9 @@ import (
 
 // Run executes the campaign through the sweep layer: sections run serially
 // through the checkpointed section runner (so runs resume from a results
-// store) and the rendered report carries one table per section, including
-// windowed-telemetry and adaptation-lag tables for scenario sections.
+// store), and the returned report carries each section's series. Run renders
+// nothing: the report of a run is the markdown of its exported results
+// (sweep.RenderResultsMarkdown), which `figures render` writes.
 //
 // The options' scale and seed count win over the spec's defaults when set, so
 // command-line overrides apply to every spec alike. Every section is planned
@@ -34,19 +35,9 @@ func Run(c *Campaign, opts sweep.Options) (*sweep.Report, error) {
 		if err != nil {
 			return nil, fmt.Errorf("campaign %s: section %q: %w", c.Name, sec.Title, err)
 		}
-		rep.Sections = append(rep.Sections, sweep.Section{
-			Title:  sec.Title,
-			Body:   sweep.RenderSeries(sec.Title, series) + sweep.RenderTransientText(series),
-			Series: series,
-		})
+		rep.Sections = append(rep.Sections, sweep.Section{Title: sec.Title, Series: series})
 	}
 	runner.Finish()
-	rep.Notes = append(rep.Notes, c.Notes...)
-	scale := opts.Scale
-	if scale == "" {
-		scale = "small"
-	}
-	rep.Notes = append(rep.Notes, fmt.Sprintf("campaign %s, scale=%s (%s)", c.Name, scale, base.Describe()))
 	return rep, nil
 }
 

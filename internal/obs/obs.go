@@ -378,16 +378,3 @@ func WriteSnapshotFile(r *Registry, path string) error {
 	}
 	return os.WriteFile(path, append(b, '\n'), 0o644)
 }
-
-// ReadSnapshotFile loads a JSON snapshot written by WriteSnapshotFile.
-func ReadSnapshotFile(path string) (*Snapshot, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var s Snapshot
-	if err := json.Unmarshal(b, &s); err != nil {
-		return nil, fmt.Errorf("obs: parsing snapshot %s: %w", path, err)
-	}
-	return &s, nil
-}

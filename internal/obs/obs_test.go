@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -269,25 +270,30 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 	r.Counter("c_total").Add(11)
 	r.Histogram("h_ns").Observe(500)
 	path := filepath.Join(t.TempDir(), "metrics.json")
+	read := func() Snapshot {
+		t.Helper()
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var s Snapshot
+		if err := json.Unmarshal(b, &s); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
 	if err := WriteSnapshotFile(r, path); err != nil {
 		t.Fatal(err)
 	}
-	s, err := ReadSnapshotFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Counters["c_total"] != 11 || s.Histograms["h_ns"].Count != 1 {
+	if s := read(); s.Counters["c_total"] != 11 || s.Histograms["h_ns"].Count != 1 {
 		t.Fatalf("round-trip mismatch: %+v", s)
 	}
 	// A nil registry still writes a (valid, empty) snapshot file.
 	if err := WriteSnapshotFile(nil, path); err != nil {
 		t.Fatal(err)
 	}
-	if s, err = ReadSnapshotFile(path); err != nil || len(s.Counters) != 0 {
-		t.Fatalf("nil-registry snapshot: %+v err %v", s, err)
-	}
-	if _, err := ReadSnapshotFile(filepath.Join(t.TempDir(), "missing.json")); err == nil {
-		t.Fatal("reading a missing snapshot did not error")
+	if s := read(); len(s.Counters) != 0 {
+		t.Fatalf("nil-registry snapshot: %+v", s)
 	}
 }
 

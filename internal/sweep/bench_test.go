@@ -8,10 +8,10 @@ import (
 )
 
 // smokeSweepAllocs is the pinned allocation count of one smoke sweep: 8
-// tiny replications through the sweep scheduler, RunAveraged and the
+// tiny replications through the section runner (no results store) and the
 // simulator. Allocation counts are deterministic, so any increase is a real
 // one; lower the pin together with the change that earns it.
-const smokeSweepAllocs = 1133
+const smokeSweepAllocs = 1131
 
 // runSmokeSweep runs one tiny load sweep end to end: two variants x loads
 // 0.3/0.7 x 2 replications, 200 warm-up and 800 measured cycles.
@@ -23,7 +23,7 @@ func runSmokeSweep(tb testing.TB) {
 		{Label: "baseline", Apply: func(c *config.Config) {}},
 		{Label: "flexvc", Apply: func(c *config.Config) { c.Scheme.Policy = core.FlexVC }},
 	}
-	series, err := LoadSweep(base, variants, []float64{0.3, 0.7}, 2)
+	series, err := Options{Seeds: 2}.NewRunner("smoke").RunSection("smoke", base, variants, []float64{0.3, 0.7})
 	if err != nil {
 		tb.Fatal(err)
 	}

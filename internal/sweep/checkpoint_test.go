@@ -13,6 +13,7 @@ import (
 	"flexvc/internal/config"
 	"flexvc/internal/core"
 	"flexvc/internal/results"
+	"flexvc/internal/sim"
 )
 
 // checkpointTestSweep runs the reference checkpointed sweep of this test
@@ -24,18 +25,26 @@ func checkpointTestSweep(dir string, progress func(Progress)) ([]Series, *result
 	if err != nil {
 		return nil, nil, err
 	}
+	base, variants := checkpointTestSection()
+	runner := Options{Scale: "tiny", Seeds: 2, Results: store, Progress: progress}.NewRunner("ckpt-test")
+	series, err := runner.RunSection("tiny UN/MIN panel", base, variants, ckptTestLoads)
+	return series, store, err
+}
+
+// checkpointTestSection is the base configuration and the variants of the
+// reference sweep.
+func checkpointTestSection() (config.Config, []Variant) {
 	base := config.Tiny()
 	base.WarmupCycles = 300
 	base.MeasureCycles = 3000
-	variants := []Variant{
+	return base, []Variant{
 		schemeVariant("baseline 2/1", core.Baseline, core.SingleClass(2, 1)),
 		schemeVariant("flexvc 2/1", core.FlexVC, core.SingleClass(2, 1)),
 		schemeVariant("flexvc 4/2", core.FlexVC, core.SingleClass(4, 2)),
 	}
-	runner := Options{Scale: "tiny", Seeds: 2, Results: store, Progress: progress}.NewRunner("ckpt-test")
-	series, err := runner.RunSection("tiny UN/MIN panel", base, variants, []float64{0.2, 0.4, 0.6, 0.8, 1.0})
-	return series, store, err
 }
+
+var ckptTestLoads = []float64{0.2, 0.4, 0.6, 0.8, 1.0}
 
 const ckptTestReplications = 3 * 5 * 2
 
@@ -53,28 +62,36 @@ func exportBytes(t *testing.T, store *results.Store) []byte {
 	return b
 }
 
-// TestCheckpointedMatchesPlainSweep requires the checkpointed engine to
-// produce exactly the series the plain sweep produces: checkpointing is an
-// observer, never a behaviour change.
+// TestCheckpointedMatchesPlainSweep requires a section run into a results
+// store to produce exactly the series the same section produces without one,
+// and every point to equal sim.RunAveraged's result for its configuration:
+// checkpointing is an observer, never a behaviour change.
 func TestCheckpointedMatchesPlainSweep(t *testing.T) {
 	ckSeries, _, err := checkpointTestSweep(t.TempDir(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := config.Tiny()
-	base.WarmupCycles = 300
-	base.MeasureCycles = 3000
-	variants := []Variant{
-		schemeVariant("baseline 2/1", core.Baseline, core.SingleClass(2, 1)),
-		schemeVariant("flexvc 2/1", core.FlexVC, core.SingleClass(2, 1)),
-		schemeVariant("flexvc 4/2", core.FlexVC, core.SingleClass(4, 2)),
-	}
-	plain, err := LoadSweep(base, variants, []float64{0.2, 0.4, 0.6, 0.8, 1.0}, 2)
+	base, variants := checkpointTestSection()
+	plain, err := Options{Scale: "tiny", Seeds: 2}.NewRunner("ckpt-test").RunSection("tiny UN/MIN panel", base, variants, ckptTestLoads)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(ckSeries, plain) {
-		t.Fatal("checkpointed sweep result differs from the plain sweep")
+		t.Fatal("checkpointed sweep result differs from the store-less sweep")
+	}
+	for si, v := range variants {
+		for _, p := range plain[si].Points {
+			cfg := base
+			v.Apply(&cfg)
+			cfg.Load = p.Load
+			want, _, err := sim.RunAveraged(cfg, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(p.Result, want) {
+				t.Errorf("%s @ load %.1f: sweep point differs from sim.RunAveraged", v.Label, p.Load)
+			}
+		}
 	}
 }
 
@@ -97,16 +114,9 @@ func TestCheckpointResumeSkipsCompletedWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := config.Tiny()
-	base.WarmupCycles = 300
-	base.MeasureCycles = 3000
-	variants := []Variant{
-		schemeVariant("baseline 2/1", core.Baseline, core.SingleClass(2, 1)),
-		schemeVariant("flexvc 2/1", core.FlexVC, core.SingleClass(2, 1)),
-		schemeVariant("flexvc 4/2", core.FlexVC, core.SingleClass(4, 2)),
-	}
+	base, variants := checkpointTestSection()
 	runner := Options{Scale: "tiny", Seeds: 2, Results: store}.NewRunner("ckpt-test")
-	if _, err := runner.RunSection("tiny UN/MIN panel", base, variants, []float64{0.2, 0.4}); err != nil {
+	if _, err := runner.RunSection("tiny UN/MIN panel", base, variants, ckptTestLoads[:2]); err != nil {
 		t.Fatal(err)
 	}
 	partial := store.Len()
@@ -225,8 +235,9 @@ func TestCheckpointSIGKILLResume(t *testing.T) {
 	}
 }
 
-// TestReportFromResults rebuilds a report from the exported results file and
-// requires the rendered tables to match the live run's rendering exactly.
+// TestReportFromResults rebuilds the sections of the exported results file,
+// requires their series to equal the live run's exactly, and checks the
+// markdown report rendered from the export.
 func TestReportFromResults(t *testing.T) {
 	series, store, err := checkpointTestSweep(t.TempDir(), nil)
 	if err != nil {
@@ -240,16 +251,15 @@ func TestReportFromResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := ReportFromResults(f)
+	sections, err := rebuildSections(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Sections) != 1 {
-		t.Fatalf("rebuilt report has %d sections, want 1", len(rep.Sections))
+	if len(sections) != 1 {
+		t.Fatalf("rebuilt %d sections, want 1", len(sections))
 	}
-	want := RenderSeries("tiny UN/MIN panel", series)
-	if rep.Sections[0].Body != want {
-		t.Errorf("rebuilt section body differs from live rendering:\n--- got ---\n%s\n--- want ---\n%s", rep.Sections[0].Body, want)
+	if !reflect.DeepEqual(sections[0].series, series) {
+		t.Errorf("rebuilt series differ from the live run's:\n--- got ---\n%+v\n--- want ---\n%+v", sections[0].series, series)
 	}
 	md, err := RenderResultsMarkdown(f)
 	if err != nil {
@@ -266,14 +276,13 @@ func TestReportFromResults(t *testing.T) {
 }
 
 // TestReportFromResultsFlagsMissingSeeds requires both interior and trailing
-// seed gaps to surface as INCOMPLETE markers instead of silently rendering
-// aggregates over fewer replications.
+// seed gaps to surface as INCOMPLETE markers in the markdown report instead of
+// silently rendering aggregates over fewer replications.
 func TestReportFromResultsFlagsMissingSeeds(t *testing.T) {
-	series, store, err := checkpointTestSweep(t.TempDir(), nil)
+	_, store, err := checkpointTestSweep(t.TempDir(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = series
 	path, err := store.WriteExport("ckpt-test", "checkpoint test sweep")
 	if err != nil {
 		t.Fatal(err)
@@ -296,11 +305,11 @@ func TestReportFromResultsFlagsMissingSeeds(t *testing.T) {
 	trailing := drop(func(r results.Record) bool {
 		return r.VariantIndex == 0 && r.PointIndex == 0 && r.Seed == 1
 	})
-	rep, err := ReportFromResults(trailing)
+	md, err := RenderResultsMarkdown(trailing)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(rep.Render(), "INCOMPLETE") {
+	if !strings.Contains(md, "INCOMPLETE") {
 		t.Error("trailing seed gap not flagged")
 	}
 	// Interior gap: the same point loses seed 0 instead. Only the absent
@@ -308,15 +317,14 @@ func TestReportFromResultsFlagsMissingSeeds(t *testing.T) {
 	interior := drop(func(r results.Record) bool {
 		return r.VariantIndex == 0 && r.PointIndex == 0 && r.Seed == 0
 	})
-	rep, err = ReportFromResults(interior)
+	md, err = RenderResultsMarkdown(interior)
 	if err != nil {
 		t.Fatal(err)
 	}
-	text := rep.Render()
-	if !strings.Contains(text, "missing seed 0") {
+	if !strings.Contains(md, "missing seed 0") {
 		t.Error("interior seed gap not flagged")
 	}
-	if strings.Contains(text, "missing seed 1") {
+	if strings.Contains(md, "missing seed 1") {
 		t.Error("present seed falsely flagged as missing")
 	}
 }

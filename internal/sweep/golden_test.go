@@ -10,6 +10,7 @@ import (
 	"flexvc/internal/buffer"
 	"flexvc/internal/config"
 	"flexvc/internal/core"
+	"flexvc/internal/results"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files with current output")
@@ -38,15 +39,32 @@ func checkGolden(t *testing.T, name, got string) {
 // TestGoldenQuickSweep locks down a complete simulated load sweep at the
 // smallest scale: a Figure-5-style panel (baseline vs FlexVC under uniform
 // traffic with MIN routing) on the Tiny Dragonfly with two replications per
-// point. The parallel engine is deterministic, so the rendered table is
-// stable run to run; it changes only when the simulator's behaviour changes,
-// which is exactly what this test is meant to surface.
+// point, run through the section runner into a results store, exported, and
+// rendered as the markdown report `figures render` writes. The parallel engine
+// is deterministic, so the report is stable run to run; it changes only when
+// the simulator's behaviour or the renderer changes, which is exactly what
+// this test is meant to surface.
 func TestGoldenQuickSweep(t *testing.T) {
-	series, err := goldenSweepSeries()
+	store, err := results.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "quick_sweep.golden", RenderSeries("tiny UN/MIN sweep (2 seeds)", series))
+	if _, err := goldenSweepSeries(store); err != nil {
+		t.Fatal(err)
+	}
+	path, err := store.WriteExport("quick-sweep", "tiny UN/MIN sweep (2 seeds)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := results.LoadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	md, err := RenderResultsMarkdown(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "quick_sweep.md.golden", md)
 }
 
 // TestQuickSweepDeterministic runs the same sweep twice through the parallel
@@ -54,11 +72,11 @@ func TestGoldenQuickSweep(t *testing.T) {
 // sim.TestRunAveragedMatchesSequential. With -race this doubles as the data
 // race check on the shared worker budget.
 func TestQuickSweepDeterministic(t *testing.T) {
-	a, err := goldenSweepSeries()
+	a, err := goldenSweepSeries(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := goldenSweepSeries()
+	b, err := goldenSweepSeries(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +85,9 @@ func TestQuickSweepDeterministic(t *testing.T) {
 	}
 }
 
-func goldenSweepSeries() ([]Series, error) {
+// goldenSweepSeries runs the golden sweep, checkpointing into store when it
+// is non-nil.
+func goldenSweepSeries(store *results.Store) ([]Series, error) {
 	base := config.Tiny()
 	base.WarmupCycles = 200
 	base.MeasureCycles = 1000
@@ -75,7 +95,8 @@ func goldenSweepSeries() ([]Series, error) {
 		schemeVariant("baseline 2/1", core.Baseline, core.SingleClass(2, 1)),
 		schemeVariant("flexvc 2/1", core.FlexVC, core.SingleClass(2, 1)),
 	}
-	return LoadSweep(base, variants, []float64{0.2, 0.5, 0.8}, 2)
+	runner := Options{Scale: "tiny", Seeds: 2, Results: store}.NewRunner("quick-sweep")
+	return runner.RunSection("tiny UN/MIN sweep", base, variants, []float64{0.2, 0.5, 0.8})
 }
 
 // schemeVariant runs a VC-management policy over statically partitioned

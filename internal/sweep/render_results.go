@@ -6,44 +6,28 @@ import (
 	"strings"
 
 	"flexvc/internal/results"
-	"flexvc/internal/scenario"
 	"flexvc/internal/stats"
 )
 
-// Report is the rendered outcome of one experiment (one paper table or
-// figure), possibly made of several sections (e.g. Figure 5 has UN,
-// BURSTY-UN and ADV panels).
+// Report is the outcome of one experiment run (one paper figure): its
+// sections' series, in run order. The rendered form of a run is the markdown
+// of its exported results (RenderResultsMarkdown).
 type Report struct {
 	ID       string
 	Title    string
 	Sections []Section
-	Notes    []string
 }
 
-// Section is one panel of a report.
+// Section is one panel of a report (e.g. Figure 5 has UN, BURSTY-UN and ADV
+// panels).
 type Section struct {
 	Title  string
-	Body   string
 	Series []Series
 }
 
-// Render returns the full text report.
-func (r *Report) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "==== %s: %s ====\n", r.ID, r.Title)
-	for _, s := range r.Sections {
-		fmt.Fprintf(&b, "\n-- %s --\n%s", s.Title, s.Body)
-	}
-	for _, n := range r.Notes {
-		fmt.Fprintf(&b, "\nnote: %s\n", n)
-	}
-	return b.String()
-}
-
-// The rest of this file rebuilds reports from exported results files
-// (internal/results) so `figures render` can regenerate every table —
-// including the paper-vs-measured summaries in EXPERIMENTS.md — without
-// re-simulating.
+// The rest of this file renders exported results files (internal/results) so
+// `figures render` can regenerate every table — including the
+// paper-vs-measured summaries in EXPERIMENTS.md — without re-simulating.
 
 // rebuiltSection is one section of an experiment reassembled from records.
 type rebuiltSection struct {
@@ -60,8 +44,8 @@ type rebuiltSection struct {
 
 // rebuildSections groups an exported results file back into ordered sections,
 // variants and points, aggregating the per-seed records of every point in
-// replication order — exactly the aggregation the live sweep performs, so a
-// rendered report matches what the run itself printed.
+// replication order — exactly the aggregation the live sweep performs, so the
+// rebuilt series equal the ones the run itself returned.
 func rebuildSections(f *results.File) ([]rebuiltSection, error) {
 	type pointKey struct{ si, vi, pi int }
 	points := map[pointKey][]results.Record{}
@@ -157,31 +141,6 @@ func rebuildSections(f *results.File) ([]rebuiltSection, error) {
 	return sections, nil
 }
 
-// ReportFromResults rebuilds the experiment's text Report from an exported
-// results file, without simulating anything.
-func ReportFromResults(f *results.File) (*Report, error) {
-	sections, err := rebuildSections(f)
-	if err != nil {
-		return nil, err
-	}
-	rep := &Report{ID: f.Experiment, Title: exportTitle(f)}
-	for _, sec := range sections {
-		// Transient sections carry windowed telemetry; render it exactly as
-		// the live run does so rebuilt and live reports stay identical.
-		rep.Sections = append(rep.Sections, Section{
-			Title:  sec.title,
-			Body:   RenderSeries(sec.title, sec.series) + RenderTransientText(sec.series),
-			Series: sec.series,
-		})
-		for _, inc := range sec.incomplete {
-			rep.Notes = append(rep.Notes, "INCOMPLETE: "+inc)
-		}
-	}
-	rep.Notes = append(rep.Notes, fmt.Sprintf("rendered from %d recorded replications (scale=%s, seeds=%d, revision=%s)",
-		len(f.Records), f.Scale, f.Seeds, orUnknown(f.Revision)))
-	return rep, nil
-}
-
 // RenderResultsMarkdown renders an exported results file as the markdown
 // EXPERIMENTS.md embeds: per section, the full load/latency table plus a
 // saturation-throughput summary with paper-vs-measured delta columns (where
@@ -208,74 +167,9 @@ func RenderResultsMarkdown(f *results.File) (string, error) {
 		}
 		renderLoadTableMarkdown(&b, sec.series)
 		renderSaturationMarkdown(&b, f.Experiment, sec)
-		renderTransientMarkdown(&b, sec.series)
+		RenderTransientMarkdown(&b, sec.series)
 	}
 	return b.String(), nil
-}
-
-// renderTransientMarkdown writes the windowed-telemetry table and the
-// adaptation-lag summary of a transient section; sections without telemetry
-// render nothing.
-func renderTransientMarkdown(b *strings.Builder, series []Series) {
-	ref := firstTransientSeries(series)
-	if ref == nil {
-		return
-	}
-	fmt.Fprintf(b, "#### Windowed telemetry (window %d cycles)\n\n", ref.Window)
-	if len(ref.Marks) > 0 {
-		parts := make([]string, len(ref.Marks))
-		for i, m := range ref.Marks {
-			parts[i] = fmt.Sprintf("`%s` @ %d", m.Label, m.Cycle)
-		}
-		fmt.Fprintf(b, "Phases: %s.\n\n", strings.Join(parts, ", "))
-	}
-	fmt.Fprintf(b, "| cycle |")
-	for _, s := range series {
-		fmt.Fprintf(b, " %s acc | lat | min%% |", s.Label)
-	}
-	fmt.Fprintf(b, "\n|---|")
-	for range series {
-		fmt.Fprintf(b, "---|---|---|")
-	}
-	fmt.Fprintln(b)
-	for w := 0; w < ref.Windows(); w++ {
-		fmt.Fprintf(b, "| %d |", ref.WindowStart(w))
-		for _, s := range series {
-			ts := transientSeriesOf(s)
-			if ts == nil || w >= ts.Windows() {
-				fmt.Fprintf(b, " - | - | - |")
-				continue
-			}
-			fmt.Fprintf(b, " %.3f | %s | %s |", ts.Accepted(w),
-				fmtOr(ts.MeanLatency(w), "%.1f", "-"), fmtOr(100*ts.MinimalFraction(w), "%.1f", "-"))
-		}
-		fmt.Fprintln(b)
-	}
-	fmt.Fprintln(b)
-
-	var rows strings.Builder
-	for _, s := range series {
-		for _, l := range scenario.AdaptationLags(transientSeriesOf(s)) {
-			lag := "no shift"
-			switch {
-			case l.Shifted && l.Crossed:
-				lag = fmt.Sprintf("%d", l.Cycles)
-			case l.Shifted:
-				lag = fmt.Sprintf("> %d", l.Cycles)
-			}
-			fmt.Fprintf(&rows, "| %s | %s | %d | %s | %s | %s |\n", s.Label, l.Label, l.At,
-				fmtOr(100*l.Pre, "%.1f", "-"), fmtOr(100*l.Post, "%.1f", "-"), lag)
-		}
-	}
-	if rows.Len() == 0 {
-		// Single-phase scenarios have no switches to analyse.
-		return
-	}
-	fmt.Fprintf(b, "#### Adaptation lag\n\n")
-	fmt.Fprintf(b, "Cycles from a phase switch until the settled minimal-fraction midpoint is crossed (shift threshold %.2f).\n\n", scenario.LagShiftThreshold)
-	fmt.Fprintf(b, "| variant | switch | at cycle | min%% before | min%% after | lag (cycles) |\n|---|---|---|---|---|---|\n")
-	b.WriteString(rows.String())
-	fmt.Fprintln(b)
 }
 
 // renderLoadTableMarkdown writes the offered-load table: per variant, the
@@ -404,11 +298,4 @@ func exportTitle(f *results.File) string {
 		return f.Experiment
 	}
 	return f.Title
-}
-
-func orUnknown(s string) string {
-	if s == "" {
-		return "unknown"
-	}
-	return s
 }

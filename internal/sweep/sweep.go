@@ -2,8 +2,9 @@
 // runs the sections of one experiment — labelled variants swept over offered
 // loads, several replications per point — through the process-wide worker
 // budget, checkpoints every replication into a results store so interrupted
-// runs resume, and renders series and recorded results as text and markdown
-// reports.
+// runs resume, and renders recorded results as the markdown report
+// (RenderResultsMarkdown) that `figures render` writes and `figures check`
+// pins.
 //
 // The package defines no experiments. A simulated experiment is a campaign
 // spec (internal/campaign), which compiles into the Variant lists a
@@ -15,8 +16,6 @@ package sweep
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -288,7 +287,7 @@ type job struct {
 // how they are keyed, who hears about progress, and — in sharded runs — how
 // replications are claimed.
 type ckpt struct {
-	store        *results.Store // nil: progress reporting only
+	store        *results.Store // nil: nothing to checkpoint
 	claims       *ClaimConfig   // nil: plain checkpointed run
 	experiment   string
 	section      string
@@ -337,22 +336,6 @@ func newSweepMetrics(reg *obs.Registry) sweepMetrics {
 	}
 }
 
-// LoadSweep runs every variant across the given offered loads, with the
-// requested number of replications per point.
-//
-// Every point of every series is scheduled at once and all replications drain
-// through the process-wide worker budget shared with sim.RunAveraged (see
-// sim.SetWorkerBudget), so one global limit governs CPU use no matter how
-// many series or sweeps are in flight — not a per-series fan-out. A point
-// waiting for a worker token holds only its job: the token is taken before
-// the replication allocates its network.
-//
-// Results are deterministic regardless of scheduling: each point writes only
-// its own slot and every replication owns its configuration and RNG streams.
-func LoadSweep(base config.Config, variants []Variant, loads []float64, seeds int) ([]Series, error) {
-	return runSweep(base, variants, loads, seeds, nil)
-}
-
 // expand lays out the series of a sweep and the (variant, load) jobs that
 // fill them, validating every point configuration before anything runs.
 func expand(base config.Config, variants []Variant, loads []float64, seeds int) ([]Series, []job, error) {
@@ -375,14 +358,18 @@ func expand(base config.Config, variants []Variant, loads []float64, seeds int) 
 	return series, jobs, nil
 }
 
-// runSweep is the scheduling core behind LoadSweep and the checkpointed
-// section runner. With ck == nil it behaves exactly like the plain sweep;
-// with a checkpoint context it resolves every replication individually
-// against the results store and persists fresh ones as they finish. Both
-// paths aggregate per-replication results in replication order, so their
-// outputs are bit-identical (sim.RunAveraged is defined as exactly that
-// aggregation). The whole sweep holds the simulator's scratch pool, so every
-// replication recycles the memory of the ones finished before it.
+// runSweep is the scheduling core behind the section runner: every point of
+// every series is scheduled at once, and ck resolves each replication
+// individually against the results store (a nil store checkpoints nothing)
+// and persists fresh ones as they finish. All replications drain through the
+// process-wide worker budget shared with sim.RunAveraged (see
+// sim.SetWorkerBudget), so one global limit governs CPU use no matter how
+// many series or sweeps are in flight; a point waiting for a worker token
+// holds only its job. Per-replication results are aggregated in replication
+// order, so every point is bit-identical to sim.RunAveraged's result for the
+// same configuration, whatever the scheduling. The whole sweep holds the
+// simulator's scratch pool, so every replication recycles the memory of the
+// ones finished before it.
 func runSweep(base config.Config, variants []Variant, loads []float64, seeds int, ck *ckpt) ([]Series, error) {
 	series, jobs, err := expand(base, variants, loads, seeds)
 	if err != nil {
@@ -396,14 +383,8 @@ func runSweep(base config.Config, variants []Variant, loads []float64, seeds int
 		wg.Add(1)
 		go func(ji int) {
 			defer wg.Done()
-			j := jobs[ji]
-			var agg stats.Result
-			var err error
-			if ck == nil {
-				agg, _, err = sim.RunAveraged(j.cfg, j.seeds)
-			} else {
-				agg, err = ck.runPoint(j)
-			}
+			j := &jobs[ji]
+			agg, err := ck.runPoint(j)
 			if err != nil {
 				errs[ji] = err
 				return
@@ -427,8 +408,8 @@ func runSweep(base config.Config, variants []Variant, loads []float64, seeds int
 // aggregated in replication order, exactly as sim.RunAveraged does, so a
 // point assembled from any mix of restored and fresh replications is
 // bit-identical to one simulated in a single pass.
-func (ck *ckpt) runPoint(j job) (stats.Result, error) {
-	fp := results.Fingerprint(j.cfg)
+func (ck *ckpt) runPoint(j *job) (stats.Result, error) {
+	fp := ck.fingerprint(j.cfg)
 	per := make([]stats.Result, j.seeds)
 	errs := make([]error, j.seeds)
 	var wg sync.WaitGroup
@@ -472,9 +453,18 @@ func (ck *ckpt) runPoint(j job) (stats.Result, error) {
 	return stats.Aggregate(per), nil
 }
 
+// fingerprint returns the config fingerprint cfg's records are stored under;
+// without a store nothing is recorded, so there is nothing to hash.
+func (ck *ckpt) fingerprint(cfg config.Config) string {
+	if ck.store == nil {
+		return ""
+	}
+	return results.Fingerprint(cfg)
+}
+
 // simulate runs replication s of job j and, when a store is attached,
 // checkpoints it before returning.
-func (ck *ckpt) simulate(j job, fp string, s int) (stats.Result, error) {
+func (ck *ckpt) simulate(j *job, fp string, s int) (stats.Result, error) {
 	r, wall, err := sim.RunReplication(j.cfg, s)
 	if err != nil {
 		return stats.Result{}, err
@@ -491,7 +481,7 @@ func (ck *ckpt) simulate(j job, fp string, s int) (stats.Result, error) {
 
 // record returns the results record of replication s of job j, its Result
 // not yet filled in.
-func (ck *ckpt) record(j job, fp string, s int) results.Record {
+func (ck *ckpt) record(j *job, fp string, s int) results.Record {
 	return results.Record{
 		Schema:       results.SchemaVersion,
 		Experiment:   ck.experiment,
@@ -517,7 +507,7 @@ func (ck *ckpt) record(j job, fp string, s int) results.Record {
 // released only after the record is durably on disk, so between any claim
 // loss and the next poll the key is either still leased or already recorded;
 // a lease that expires instead marks a dead worker and is taken over.
-func (ck *ckpt) claimReplication(j job, key results.Key, fp string, s int) (stats.Result, bool, error) {
+func (ck *ckpt) claimReplication(j *job, key results.Key, fp string, s int) (stats.Result, bool, error) {
 	for {
 		if rec, ok := ck.store.RefreshKey(key, fp); ok {
 			return rec.Result, true, nil
@@ -562,15 +552,13 @@ func (o Options) NewRunner(id string) *SectionRunner {
 }
 
 // RunSection sweeps the variants over the loads as the experiment's next
-// section (panel), wiring the checkpoint store and progress reporting in when
-// the options carry them. Sections must be run serially in a stable order: a
-// section's ordinal in the results schema is its call position, which is what
-// keeps exports deterministic across resumes.
+// section (panel), checkpointing into the options' results store and
+// reporting progress when the options carry them. Sections must be run
+// serially in a stable order: a section's ordinal in the results schema is
+// its call position, which is what keeps exports deterministic across
+// resumes.
 func (r *SectionRunner) RunSection(title string, base config.Config, variants []Variant, loads []float64) ([]Series, error) {
 	seeds := r.opts.seeds()
-	if r.opts.Results == nil && r.opts.Progress == nil {
-		return runSweep(base, variants, loads, seeds, nil)
-	}
 	return runSweep(base, variants, loads, seeds, r.checkpoint(title, len(variants)*len(loads)*seeds))
 }
 
@@ -586,7 +574,8 @@ func (r *SectionRunner) PlanSection(title string, base config.Config, variants [
 	}
 	ck := r.checkpoint(title, len(jobs)*seeds)
 	recs := make([]results.Record, 0, len(jobs)*seeds)
-	for _, j := range jobs {
+	for i := range jobs {
+		j := &jobs[i]
 		fp := results.Fingerprint(j.cfg)
 		for s := 0; s < seeds; s++ {
 			recs = append(recs, ck.record(j, fp, s))
@@ -631,65 +620,4 @@ func (r *SectionRunner) Finish() {
 // EffectiveLoads applies quick-mode trimming to a section's loads.
 func (r *SectionRunner) EffectiveLoads(defaults []float64) []float64 {
 	return r.opts.loads(defaults)
-}
-
-// RenderSeries renders a set of series as a fixed-width text table with one
-// row per offered load and, per series, the accepted load and average latency.
-func RenderSeries(title string, series []Series) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", title)
-	if len(series) == 0 {
-		return b.String()
-	}
-	// Collect the union of loads, sorted.
-	loadSet := map[float64]bool{}
-	for _, s := range series {
-		for _, p := range s.Points {
-			loadSet[p.Load] = true
-		}
-	}
-	loads := make([]float64, 0, len(loadSet))
-	for l := range loadSet {
-		loads = append(loads, l)
-	}
-	sort.Float64s(loads)
-
-	fmt.Fprintf(&b, "%-8s", "offered")
-	for _, s := range series {
-		fmt.Fprintf(&b, " | %-28s", truncate(s.Label, 28))
-	}
-	fmt.Fprintf(&b, "\n%-8s", "")
-	for range series {
-		fmt.Fprintf(&b, " | %13s %14s", "accepted", "avg-lat")
-	}
-	b.WriteByte('\n')
-	for _, load := range loads {
-		fmt.Fprintf(&b, "%-8.2f", load)
-		for _, s := range series {
-			found := false
-			for _, p := range s.Points {
-				if p.Load == load {
-					state := ""
-					if p.Result.Deadlock {
-						state = "*DL*"
-					}
-					fmt.Fprintf(&b, " | %9.3f%4s %14.1f", p.Result.AcceptedLoad, state, p.Result.AvgLatency)
-					found = true
-					break
-				}
-			}
-			if !found {
-				fmt.Fprintf(&b, " | %13s %14s", "-", "-")
-			}
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-func truncate(s string, n int) string {
-	if len(s) <= n {
-		return s
-	}
-	return s[:n-1] + "…"
 }

@@ -42,8 +42,9 @@ func TestOptionsBaseConfig(t *testing.T) {
 	}
 }
 
-// TestLoadSweepTiny runs a minimal sweep end to end on the tiny system.
-func TestLoadSweepTiny(t *testing.T) {
+// TestRunSectionTiny runs a minimal section end to end on the tiny system,
+// without a results store.
+func TestRunSectionTiny(t *testing.T) {
 	base := config.Tiny()
 	base.WarmupCycles = 300
 	base.MeasureCycles = 800
@@ -51,7 +52,7 @@ func TestLoadSweepTiny(t *testing.T) {
 		{Label: "baseline", Apply: func(c *config.Config) {}},
 		{Label: "flexvc", Apply: func(c *config.Config) { c.Scheme.Policy = core.FlexVC }},
 	}
-	series, err := LoadSweep(base, variants, []float64{0.2, 0.6}, 1)
+	series, err := Options{Seeds: 1}.NewRunner("tiny").RunSection("tiny", base, variants, []float64{0.2, 0.6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,16 +69,16 @@ func TestLoadSweepTiny(t *testing.T) {
 			t.Errorf("%s accessors broken", s.Label)
 		}
 	}
-	if out := RenderSeries("test", series); !strings.Contains(out, "baseline") {
-		t.Error("series rendering broken")
+	if series[0].Label != "baseline" || series[1].Label != "flexvc" {
+		t.Errorf("series labels %q, %q out of variant order", series[0].Label, series[1].Label)
 	}
 }
 
-// TestLoadSweepRejectsInvalidVariant checks error propagation.
-func TestLoadSweepRejectsInvalidVariant(t *testing.T) {
+// TestRunSectionRejectsInvalidVariant checks error propagation.
+func TestRunSectionRejectsInvalidVariant(t *testing.T) {
 	base := config.Tiny()
 	bad := []Variant{{Label: "broken", Apply: func(c *config.Config) { c.PacketSize = 0 }}}
-	if _, err := LoadSweep(base, bad, []float64{0.5}, 1); err == nil {
+	if _, err := (Options{}).NewRunner("bad").RunSection("bad", base, bad, []float64{0.5}); err == nil {
 		t.Error("invalid variant should surface an error")
 	}
 }

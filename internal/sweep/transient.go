@@ -12,8 +12,8 @@ import (
 // Rendering for transient sections: a section whose experiment runs a phased
 // scenario (campaign specs with a "scenario", e.g. the embedded transient
 // spec) records one point per variant carrying windowed telemetry
-// (stats.TimeSeries). These renderers turn that telemetry into per-window
-// tables and the adaptation-lag summary of internal/scenario.
+// (stats.TimeSeries). RenderTransientMarkdown turns that telemetry into a
+// per-window table and the adaptation-lag summary of internal/scenario.
 
 // transientSeriesOf extracts the windowed telemetry of a rendered series:
 // its single point's time series, or nil when the series is not a transient
@@ -26,7 +26,7 @@ func transientSeriesOf(s Series) *stats.TimeSeries {
 }
 
 // firstTransientSeries returns the first series' windowed telemetry, which
-// the renderers use as the reference for window geometry and phase marks
+// the renderer uses as the reference for window geometry and phase marks
 // (every series of one section shares them); nil when none carries any.
 func firstTransientSeries(series []Series) *stats.TimeSeries {
 	for _, s := range series {
@@ -37,80 +37,71 @@ func firstTransientSeries(series []Series) *stats.TimeSeries {
 	return nil
 }
 
-// RenderTransientText renders the windowed telemetry of a transient section
-// as a fixed-width table (one row per window; per series the accepted load,
-// mean latency and minimally-routed percentage) followed by the phase marks
-// and the adaptation-lag summary. Series without telemetry render as dashes.
-func RenderTransientText(series []Series) string {
+// RenderTransientMarkdown writes the windowed-telemetry table (one row per
+// window; per series the accepted load, mean latency and minimally-routed
+// percentage) and the adaptation-lag summary of a transient section, as
+// markdown; series without telemetry render as dashes and sections without
+// any render nothing.
+func RenderTransientMarkdown(b *strings.Builder, series []Series) {
 	ref := firstTransientSeries(series)
 	if ref == nil {
-		return ""
+		return
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "\nwindowed telemetry (window %d cycles; acc = phits/node/cycle, min%% = minimally routed)\n", ref.Window)
-	fmt.Fprintf(&b, "%-8s", "cycle")
-	for _, s := range series {
-		fmt.Fprintf(&b, " | %-24s", truncate(s.Label, 24))
-	}
-	fmt.Fprintf(&b, "\n%-8s", "")
-	for range series {
-		fmt.Fprintf(&b, " | %7s %9s %6s", "acc", "avg-lat", "min%")
-	}
-	b.WriteByte('\n')
-	for w := 0; w < ref.Windows(); w++ {
-		fmt.Fprintf(&b, "%-8d", ref.WindowStart(w))
-		for _, s := range series {
-			ts := transientSeriesOf(s)
-			if ts == nil || w >= ts.Windows() {
-				fmt.Fprintf(&b, " | %7s %9s %6s", "-", "-", "-")
-				continue
-			}
-			fmt.Fprintf(&b, " | %7.3f %9s %6s", ts.Accepted(w), fmtOr(ts.MeanLatency(w), "%9.1f", "-"), fmtOr(100*ts.MinimalFraction(w), "%6.1f", "-"))
-		}
-		b.WriteByte('\n')
-	}
+	fmt.Fprintf(b, "#### Windowed telemetry (window %d cycles)\n\n", ref.Window)
 	if len(ref.Marks) > 0 {
 		parts := make([]string, len(ref.Marks))
 		for i, m := range ref.Marks {
-			parts[i] = fmt.Sprintf("%d %s", m.Cycle, m.Label)
+			parts[i] = fmt.Sprintf("`%s` @ %d", m.Label, m.Cycle)
 		}
-		fmt.Fprintf(&b, "phases: %s\n", strings.Join(parts, " | "))
+		fmt.Fprintf(b, "Phases: %s.\n\n", strings.Join(parts, ", "))
 	}
-	b.WriteString(renderLagsText(series))
-	return b.String()
-}
-
-// renderLagsText renders the per-variant adaptation lags.
-func renderLagsText(series []Series) string {
-	var b strings.Builder
-	wrote := false
+	fmt.Fprintf(b, "| cycle |")
 	for _, s := range series {
-		ts := transientSeriesOf(s)
-		lags := scenario.AdaptationLags(ts)
-		if len(lags) == 0 {
-			continue
-		}
-		if !wrote {
-			fmt.Fprintf(&b, "adaptation lag (settled minimal-fraction midpoint crossing, shift threshold %.2f):\n", scenario.LagShiftThreshold)
-			wrote = true
-		}
-		for _, l := range lags {
-			fmt.Fprintf(&b, "  %-26s @%-7d -> %-18s %s\n", truncate(s.Label, 26), l.At, truncate(l.Label, 18), lagText(l))
-		}
+		fmt.Fprintf(b, " %s acc | lat | min%% |", s.Label)
 	}
-	return b.String()
-}
+	fmt.Fprintf(b, "\n|---|")
+	for range series {
+		fmt.Fprintf(b, "---|---|---|")
+	}
+	fmt.Fprintln(b)
+	for w := 0; w < ref.Windows(); w++ {
+		fmt.Fprintf(b, "| %d |", ref.WindowStart(w))
+		for _, s := range series {
+			ts := transientSeriesOf(s)
+			if ts == nil || w >= ts.Windows() {
+				fmt.Fprintf(b, " - | - | - |")
+				continue
+			}
+			fmt.Fprintf(b, " %.3f | %s | %s |", ts.Accepted(w),
+				fmtOr(ts.MeanLatency(w), "%.1f", "-"), fmtOr(100*ts.MinimalFraction(w), "%.1f", "-"))
+		}
+		fmt.Fprintln(b)
+	}
+	fmt.Fprintln(b)
 
-func lagText(l scenario.Lag) string {
-	fracs := fmt.Sprintf("(min%% %s -> %s)", fmtOr(100*l.Pre, "%.1f", "-"), fmtOr(100*l.Post, "%.1f", "-"))
-	switch {
-	case !l.Shifted:
-		return "no shift " + fracs
-	case !l.Crossed:
-		return fmt.Sprintf("lag > %d cycles %s", l.Cycles, fracs)
-	default:
-		return fmt.Sprintf("lag %d cycles %s", l.Cycles, fracs)
+	var rows strings.Builder
+	for _, s := range series {
+		for _, l := range scenario.AdaptationLags(transientSeriesOf(s)) {
+			lag := "no shift"
+			switch {
+			case l.Shifted && l.Crossed:
+				lag = fmt.Sprintf("%d", l.Cycles)
+			case l.Shifted:
+				lag = fmt.Sprintf("> %d", l.Cycles)
+			}
+			fmt.Fprintf(&rows, "| %s | %s | %d | %s | %s | %s |\n", s.Label, l.Label, l.At,
+				fmtOr(100*l.Pre, "%.1f", "-"), fmtOr(100*l.Post, "%.1f", "-"), lag)
+		}
 	}
+	if rows.Len() == 0 {
+		// Single-phase scenarios have no switches to analyse.
+		return
+	}
+	fmt.Fprintf(b, "#### Adaptation lag\n\n")
+	fmt.Fprintf(b, "Cycles from a phase switch until the settled minimal-fraction midpoint is crossed (shift threshold %.2f).\n\n", scenario.LagShiftThreshold)
+	fmt.Fprintf(b, "| variant | switch | at cycle | min%% before | min%% after | lag (cycles) |\n|---|---|---|---|---|---|\n")
+	b.WriteString(rows.String())
+	fmt.Fprintln(b)
 }
 
 // fmtOr formats v with format, or returns alt when v is NaN (empty window).
