@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint bench-profile bench-contract ci check-smoke check-full scenario-smoke campaign-smoke specs-smoke campaignd-smoke
+.PHONY: build test race lint bench-profile bench-contract ci check-smoke check-full scenario-smoke campaign-smoke specs-smoke resume-smoke
 
 build:
 	$(GO) build ./...
@@ -41,7 +41,7 @@ bench-profile:
 bench-contract:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-ci: lint test race bench-contract check-smoke specs-smoke campaign-smoke campaignd-smoke scenario-smoke
+ci: lint test race bench-contract check-smoke specs-smoke campaign-smoke resume-smoke scenario-smoke
 
 # The PR-time reproducibility gate: verify every recorded experiment in
 # experiments/manifest.json. Digests of the committed exports and reports are
@@ -102,40 +102,37 @@ specs-smoke:
 		echo "specs-smoke: $$spec ok"; \
 	done
 
-# The sharded-campaign gate: run the embedded smoke spec once single-process
-# and once across two campaignd worker processes with the chaos hook armed
-# (one worker is SIGKILLed as soon as the first record lands; its leases
-# expire after 2s and the survivor takes the work over). The two exports must
-# be byte-identical — proving the shard-claim protocol's exactly-once and
-# crash-resume properties end to end on a real binary, not just in tests.
-# The sharded run's pooled metrics snapshot must then show the key series
-# non-zero, proving the worker -> coordinator metrics flow (worker registry
-# snapshots merged over the NDJSON event stream). Asserted families cover each
-# layer: process management (workers_spawned), the lease protocol
-# (lease_claims), the sweep scheduler (replications_simulated), the checkpoint
-# store (put_latency histogram) and the cycle loop's phase profile
-# (phase_wall step). The results directory starts empty so the sharded run
-# simulates, not restores.
-RESULTS_DIR_CAMPAIGND ?= results/campaignd-smoke
-campaignd-smoke:
-	rm -rf $(RESULTS_DIR_CAMPAIGND)
-	$(GO) run ./cmd/figures run -campaign smoke -quick -seeds 4 \
-		-results $(RESULTS_DIR_CAMPAIGND)/single
-	$(GO) run ./cmd/campaignd run -campaign smoke -quick -seeds 4 \
-		-workers 2 -kill-after 1 -lease-ttl 2s \
-		-results $(RESULTS_DIR_CAMPAIGND)/sharded \
-		-metrics-out $(RESULTS_DIR_CAMPAIGND)/metrics.json
-	diff $(RESULTS_DIR_CAMPAIGND)/single/smoke.results.json \
-		$(RESULTS_DIR_CAMPAIGND)/sharded/smoke.results.json
-	set -e; m=$(RESULTS_DIR_CAMPAIGND)/metrics.json; \
+# The crash-resume gate on a real binary: run the embedded smoke spec once
+# uninterrupted, then again into a second directory, SIGKILLed as soon as its
+# first record lands, and once more to resume it. The two exports must be
+# byte-identical, proving that checkpoints survive a kill -9 and that a re-run
+# of the same command resumes exactly. The resumed run's metrics snapshot must
+# show replications both restored and simulated (so the gate cannot pass
+# vacuously, by killing too late or too early), a checkpoint put latency
+# histogram and the cycle loop's step phase. The results directory starts
+# empty, and the binary is built once so the kill reaches the simulator itself.
+RESULTS_DIR_RESUME ?= results/resume-smoke
+resume-smoke:
+	rm -rf $(RESULTS_DIR_RESUME)
+	$(GO) build -o $(RESULTS_DIR_RESUME)/figures ./cmd/figures
+	set -e; d=$(RESULTS_DIR_RESUME); run="$$d/figures run -campaign smoke -quick -seeds 8 -workers 1"; \
+	$$run -results $$d/whole >/dev/null; \
+	$$run -results $$d/resumed >/dev/null 2>&1 & pid=$$!; \
+	until ls $$d/resumed/records/*.json >/dev/null 2>&1; do \
+		kill -0 $$pid 2>/dev/null || { echo "resume-smoke: the run exited before its first record"; exit 1; }; \
+		sleep 0.01; \
+	done; \
+	kill -9 $$pid; wait $$pid || true; \
+	$$run -results $$d/resumed -metrics-out $$d/metrics.json >/dev/null; \
+	diff $$d/whole/smoke.results.json $$d/resumed/smoke.results.json; \
+	m=$$d/metrics.json; \
 	for series in \
-		'"flexvc_campaignd_workers_spawned_total": [1-9]' \
-		'"flexvc_results_lease_claims_total": [1-9]' \
+		'"flexvc_sweep_replications_restored_total": [1-9]' \
 		'"flexvc_sweep_replications_simulated_total": [1-9]' \
 		'"flexvc_sim_phase_wall_ns_total\{phase=\\"step\\"\}": [1-9]'; do \
 		grep -E "$$series" $$m >/dev/null || { \
-			echo "campaignd-smoke: $$series not matched in $$m:"; cat $$m; exit 1; }; \
+			echo "resume-smoke: $$series not matched in $$m:"; cat $$m; exit 1; }; \
 	done; \
 	grep -A 3 '"flexvc_results_put_latency_ns": {' $$m | grep -E '"count": [1-9]' >/dev/null || { \
-		echo "campaignd-smoke: flexvc_results_put_latency_ns count missing or zero in $$m:"; cat $$m; exit 1; }; \
-	echo "campaignd-smoke: all key series non-zero"
+		echo "resume-smoke: flexvc_results_put_latency_ns count missing or zero in $$m:"; cat $$m; exit 1; }; \
+	echo "resume-smoke: killed run resumed byte-identically ($$(grep -E '"flexvc_sweep_replications_(restored|simulated)_total"' $$m | tr -d ' \n'))"

@@ -49,6 +49,7 @@ import (
 	"time"
 
 	"flexvc/internal/campaign"
+	"flexvc/internal/config"
 	"flexvc/internal/core"
 	"flexvc/internal/obs"
 	"flexvc/internal/results"
@@ -198,6 +199,17 @@ func runCmd(args []string) error {
 	}
 	if *campaignF == "" {
 		return fmt.Errorf("run: missing -campaign (a spec file or an embedded spec name; see `figures list`)")
+	}
+	if *seeds < 0 {
+		return fmt.Errorf("run: -seeds %d is negative (0 means the spec's seeds)", *seeds)
+	}
+	if *workers < 0 {
+		return fmt.Errorf("run: -workers %d is negative (0 means GOMAXPROCS)", *workers)
+	}
+	if *scale != "" {
+		if _, err := config.AtScale(*scale); err != nil {
+			return fmt.Errorf("run: -scale: %w", err)
+		}
 	}
 	spec, err := campaign.Resolve(*campaignF)
 	if err != nil {

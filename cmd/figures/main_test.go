@@ -175,6 +175,26 @@ func TestRenderAllSingleExportWritesDirectory(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadOverridesBeforeOpeningResults: a negative -seeds or
+// -workers, or an unknown -scale, is an error naming the flag, and it is
+// raised before the results directory is created.
+func TestRunRejectsBadOverridesBeforeOpeningResults(t *testing.T) {
+	for _, tc := range []struct{ flag, value string }{
+		{"-seeds", "-3"},
+		{"-workers", "-2"},
+		{"-scale", "bogus"},
+	} {
+		dir := filepath.Join(t.TempDir(), "results")
+		err := run([]string{"run", "-campaign", "smoke", "-quick", tc.flag, tc.value, "-results", dir})
+		if err == nil || !strings.Contains(err.Error(), tc.flag) {
+			t.Errorf("run %s %s: error %v, want one naming %s", tc.flag, tc.value, err, tc.flag)
+		}
+		if _, statErr := os.Stat(dir); !os.IsNotExist(statErr) {
+			t.Errorf("run %s %s touched the results directory (stat: %v)", tc.flag, tc.value, statErr)
+		}
+	}
+}
+
 // TestCheckCLIPassesOnFaithfulTree is the CLI positive path for `figures
 // check all`.
 func TestCheckCLIPassesOnFaithfulTree(t *testing.T) {

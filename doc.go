@@ -19,21 +19,18 @@
 // # Execution model
 //
 // One replication is one goroutine running one serial cycle loop
-// (sim.Network.Step is its only body, metered or not). Parallelism exists at
-// two nested layers, each bit-identical to serial execution:
-//
-//   - Replications within a process: sim.RunAveraged runs replications
-//     concurrently and a sweep section (sweep.SectionRunner.RunSection)
-//     schedules every point of every series at once, with all work draining through one process-wide worker budget
-//     (sim.SetWorkerBudget, default GOMAXPROCS). Each replication is fully
-//     self-contained and results aggregate in replication order. This is the
-//     default: sweeps with many points and seeds saturate the machine without
-//     any knobs.
-//   - Worker processes across a campaign: cmd/campaignd divides one campaign
-//     across N processes (or machines sharing a filesystem) through
-//     lease-based claims on the results directory, crash-tolerant with
-//     byte-identical exports. Reach for this when one process — or one
-//     machine — is not enough.
+// (sim.Network.Step is its only body, metered or not). Parallelism lives in
+// one layer, bit-identical to serial execution: sim.RunAveraged runs
+// replications concurrently, and a sweep section
+// (sweep.SectionRunner.RunSection) schedules every point of every series at
+// once, with all work draining through one process-wide worker budget
+// (sim.SetWorkerBudget, default GOMAXPROCS; `figures run -workers N`). Each
+// replication is fully self-contained and results aggregate in replication
+// order. Sweeps with many points and seeds saturate the machine without any
+// knobs. Every finished replication is checkpointed into the results
+// directory, so a killed `figures run` resumes where it stopped when the
+// same command is run again, and its export is byte-identical to an
+// uninterrupted run's.
 //
 // The per-cycle hot path avoids both scans and steady-state allocation:
 // routers holding no packets are skipped (active-router list), injection

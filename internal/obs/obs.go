@@ -20,7 +20,6 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"math/bits"
 	"os"
@@ -231,10 +230,8 @@ func (r *Registry) Histogram(name string) *Histogram {
 }
 
 // SetValue records a static derived float value under name (e.g. an
-// end-of-run rate the producer computed once). Static values survive Merge
-// (maximum semantics, like gauges) — give each producer a distinguishing
-// label so cross-process aggregation keeps every series. No-op on a nil
-// registry.
+// end-of-run rate the producer computed once); setting a name again replaces
+// its value. No-op on a nil registry.
 func (r *Registry) SetValue(name string, v float64) {
 	if r == nil {
 		return
@@ -246,7 +243,7 @@ func (r *Registry) SetValue(name string, v float64) {
 
 // HistogramSnapshot is the serialized form of one histogram: sparse ascending
 // (bucket index, count) pairs plus the running count and sum. The bucket
-// layout is pinned by SubBits so decoding a foreign layout fails loudly.
+// layout is pinned by SubBits so a reader can tell which layout produced it.
 type HistogramSnapshot struct {
 	SubBits int        `json:"sub_bits"`
 	Count   int64      `json:"count"`
@@ -304,56 +301,6 @@ func (r *Registry) Snapshot() *Snapshot {
 		}
 	}
 	return s
-}
-
-// Merge folds a snapshot into the registry: counters and histogram buckets
-// add, gauges and static values take the maximum (the high-water
-// interpretation — the only one that aggregates meaningfully across
-// processes; give per-producer series distinguishing labels to keep them
-// apart). This is how campaignd's coordinator aggregates the snapshots its
-// worker processes report. No-op on a nil registry or snapshot.
-func (r *Registry) Merge(s *Snapshot) error {
-	if r == nil || s == nil {
-		return nil
-	}
-	for n, v := range s.Counters {
-		r.Counter(n).Add(v)
-	}
-	for n, v := range s.Gauges {
-		r.Gauge(n).SetMax(v)
-	}
-	r.mu.Lock()
-	for n, v := range s.Values {
-		if cur, ok := r.values[n]; !ok || v > cur {
-			r.values[n] = v
-		}
-	}
-	r.mu.Unlock()
-	for n, hs := range s.Histograms {
-		if hs.SubBits != histSubBits {
-			return fmt.Errorf("obs: histogram %q bucket layout sub_bits=%d, this build uses %d", n, hs.SubBits, histSubBits)
-		}
-		h := r.Histogram(n)
-		var sum, cnt int64
-		for _, b := range hs.Buckets {
-			i, c := b[0], b[1]
-			if i < 0 || i >= histBuckets {
-				return fmt.Errorf("obs: histogram %q bucket index %d outside [0,%d)", n, i, histBuckets)
-			}
-			if c < 0 {
-				return fmt.Errorf("obs: histogram %q bucket %d has negative count %d", n, i, c)
-			}
-			h.counts[i].Add(c)
-			cnt += c
-		}
-		if cnt != hs.Count {
-			return fmt.Errorf("obs: histogram %q count %d does not match bucket sum %d", n, hs.Count, cnt)
-		}
-		sum = hs.Sum
-		h.count.Add(hs.Count)
-		h.sum.Add(sum)
-	}
-	return nil
 }
 
 // WriteJSON writes the indented JSON snapshot, the `-metrics-out` file

@@ -13,7 +13,7 @@ import (
 
 // TestNilRegistryIsFullyDisabled locks the zero-impact contract's first half:
 // every operation on a nil registry (and the nil metric handles it returns)
-// must be a silent no-op, because the disabled path in sim/sweep/campaignd is
+// must be a silent no-op, because the disabled path in sim/sweep/results is
 // exactly "the pointer is nil".
 func TestNilRegistryIsFullyDisabled(t *testing.T) {
 	var r *Registry
@@ -40,9 +40,6 @@ func TestNilRegistryIsFullyDisabled(t *testing.T) {
 		t.Fatalf("nil histogram Count=%d Sum=%d", h.Count(), h.Sum())
 	}
 	r.SetValue("v", 2)
-	if err := r.Merge(&Snapshot{Counters: map[string]int64{"c": 1}}); err != nil {
-		t.Fatalf("nil Merge: %v", err)
-	}
 	s := r.Snapshot()
 	if s == nil || len(s.Counters) != 0 || len(s.Gauges) != 0 || len(s.Histograms) != 0 || len(s.Values) != 0 {
 		t.Fatalf("nil Snapshot not empty: %+v", s)
@@ -192,50 +189,8 @@ func TestSnapshotDeterministic(t *testing.T) {
 	}
 }
 
-// TestMergePoolsMetrics: merging worker snapshots must behave like the pooled
-// run — counters and histogram buckets add, gauges keep the max.
-func TestMergePoolsMetrics(t *testing.T) {
-	w1, w2 := NewRegistry(), NewRegistry()
-	w1.Counter("c_total").Add(3)
-	w2.Counter("c_total").Add(4)
-	w1.Gauge("hwm").Set(10)
-	w2.Gauge("hwm").Set(25)
-	w1.Histogram("h_ns").Observe(100)
-	w2.Histogram("h_ns").Observe(100)
-	w2.Histogram("h_ns").Observe(1 << 30)
-	w1.SetValue(`rate{worker="w1"}`, 120.5)
-	w2.SetValue(`rate{worker="w2"}`, 99.5)
-	w1.SetValue("shared", 3)
-	w2.SetValue("shared", 8)
-
-	agg := NewRegistry()
-	if err := agg.Merge(w1.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	if err := agg.Merge(w2.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	if v := agg.Counter("c_total").Value(); v != 7 {
-		t.Fatalf("merged counter = %d, want 7", v)
-	}
-	if v := agg.Gauge("hwm").Value(); v != 25 {
-		t.Fatalf("merged gauge = %d, want 25", v)
-	}
-	h := agg.Histogram("h_ns")
-	if h.Count() != 3 || h.Sum() != 200+1<<30 {
-		t.Fatalf("merged histogram Count=%d Sum=%d", h.Count(), h.Sum())
-	}
-	vals := agg.Snapshot().Values
-	if vals[`rate{worker="w1"}`] != 120.5 || vals[`rate{worker="w2"}`] != 99.5 {
-		t.Fatalf("labeled static values lost in merge: %v", vals)
-	}
-	if vals["shared"] != 8 {
-		t.Fatalf("shared static value = %v, want max 8", vals["shared"])
-	}
-}
-
 // TestSetValueSnapshot: static values appear in snapshots, and setting a
-// name again replaces its value (only Merge keeps the maximum).
+// name again replaces its value.
 func TestSetValueSnapshot(t *testing.T) {
 	r := NewRegistry()
 	r.SetValue("static", 4.5)
@@ -247,21 +202,6 @@ func TestSetValueSnapshot(t *testing.T) {
 	}
 	if vals["both"] != 2 {
 		t.Fatalf("second SetValue did not replace the first: %v", vals["both"])
-	}
-}
-
-func TestMergeRejectsCorruptSnapshots(t *testing.T) {
-	cases := []Snapshot{
-		{Histograms: map[string]HistogramSnapshot{"h": {SubBits: 99, Count: 1, Buckets: [][2]int64{{0, 1}}}}},
-		{Histograms: map[string]HistogramSnapshot{"h": {SubBits: histSubBits, Count: 1, Buckets: [][2]int64{{-1, 1}}}}},
-		{Histograms: map[string]HistogramSnapshot{"h": {SubBits: histSubBits, Count: 1, Buckets: [][2]int64{{histBuckets, 1}}}}},
-		{Histograms: map[string]HistogramSnapshot{"h": {SubBits: histSubBits, Count: 1, Buckets: [][2]int64{{0, -1}}}}},
-		{Histograms: map[string]HistogramSnapshot{"h": {SubBits: histSubBits, Count: 5, Buckets: [][2]int64{{0, 1}}}}},
-	}
-	for i, s := range cases {
-		if err := NewRegistry().Merge(&s); err == nil {
-			t.Fatalf("case %d: corrupt snapshot merged without error", i)
-		}
 	}
 }
 

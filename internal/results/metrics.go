@@ -12,13 +12,6 @@ const (
 	MetricFlushLatency = "flexvc_results_flush_latency_ns"
 	// MetricRecords gauges the store's indexed record count (its size).
 	MetricRecords = "flexvc_results_records"
-	// MetricLeaseClaims counts leases acquired through TryClaim;
-	// MetricLeaseTakeovers the subset won by expiring a dead worker's lease.
-	MetricLeaseClaims    = "flexvc_results_lease_claims_total"
-	MetricLeaseTakeovers = "flexvc_results_lease_takeovers_total"
-	// MetricLeaseHeartbeat times each lease mtime refresh — on a shared
-	// filesystem this is the observable cost of the liveness protocol.
-	MetricLeaseHeartbeat = "flexvc_results_lease_heartbeat_ns"
 )
 
 // storeMetrics carries the store's pre-resolved handles. The zero value is
@@ -28,14 +21,11 @@ type storeMetrics struct {
 	putLatency   *obs.Histogram
 	flushLatency *obs.Histogram
 	records      *obs.Gauge
-	claims       *obs.Counter
-	takeovers    *obs.Counter
-	heartbeat    *obs.Histogram
 }
 
 // SetMetrics attaches an observability registry to the store: checkpoint
-// Put/Flush latencies, the record-count gauge and the lease protocol's
-// claim/takeover/heartbeat series report into it. A nil registry detaches.
+// Put/Flush latencies and the record-count gauge report into it. A nil
+// registry detaches.
 // Metrics never influence what the store reads or writes — exports are
 // byte-identical with metrics on or off.
 func (s *Store) SetMetrics(reg *obs.Registry) {
@@ -49,9 +39,6 @@ func (s *Store) SetMetrics(reg *obs.Registry) {
 		putLatency:   reg.Histogram(MetricPutLatency),
 		flushLatency: reg.Histogram(MetricFlushLatency),
 		records:      reg.Gauge(MetricRecords),
-		claims:       reg.Counter(MetricLeaseClaims),
-		takeovers:    reg.Counter(MetricLeaseTakeovers),
-		heartbeat:    reg.Histogram(MetricLeaseHeartbeat),
 	}
 	s.metrics.records.Set(int64(len(s.recs)))
 }

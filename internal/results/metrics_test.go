@@ -9,8 +9,8 @@ import (
 	"flexvc/internal/obs"
 )
 
-// TestStoreMetrics: an attached registry sees every checkpoint write, flush
-// and lease claim, starts its record gauge at the records already indexed,
+// TestStoreMetrics: an attached registry sees every checkpoint write and
+// flush, starts its record gauge at the records already indexed,
 // and a nil registry detaches it again.
 func TestStoreMetrics(t *testing.T) {
 	s, err := Open(t.TempDir())
@@ -31,11 +31,6 @@ func TestStoreMetrics(t *testing.T) {
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	lease, err := s.TryClaim(testKey(0), "w", time.Minute)
-	if err != nil || lease == nil {
-		t.Fatalf("TryClaim = %v, %v", lease, err)
-	}
-	lease.Release()
 	for _, m := range []struct {
 		name      string
 		got, want int64
@@ -43,7 +38,6 @@ func TestStoreMetrics(t *testing.T) {
 		{MetricRecords, reg.Gauge(MetricRecords).Value(), 2},
 		{MetricPutLatency, reg.Histogram(MetricPutLatency).Count(), 1},
 		{MetricFlushLatency, reg.Histogram(MetricFlushLatency).Count(), 1},
-		{MetricLeaseClaims, reg.Counter(MetricLeaseClaims).Value(), 1},
 	} {
 		if m.got != m.want {
 			t.Errorf("%s = %d, want %d", m.name, m.got, m.want)

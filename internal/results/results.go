@@ -196,8 +196,8 @@ var tmpSeq atomic.Uint64
 
 // createTempFile creates a uniquely-named temporary file next to path with
 // mode 0644 (before umask). os.CreateTemp is deliberately not used: it hard-
-// codes mode 0600, which would make records written by one user's worker
-// unreadable to other processes sharing the results directory.
+// codes mode 0600, which would make records written by one user unreadable
+// to anyone else reading the results directory.
 func createTempFile(path string) (*os.File, error) {
 	dir, base := filepath.Dir(path), filepath.Base(path)
 	for {

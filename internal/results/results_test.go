@@ -373,3 +373,58 @@ func TestWriteSinglePoint(t *testing.T) {
 		t.Fatalf("single-point file wrong: %+v", sp)
 	}
 }
+
+// TestPutRecordWorldReadable asserts the satellite bugfix: records land with
+// umask-respecting 0644 permissions, so checkpoints written by one user's
+// worker are readable by every process sharing the results directory. (The
+// old os.CreateTemp path hard-coded 0600.)
+func TestPutRecordWorldReadable(t *testing.T) {
+	dir := t.TempDir()
+	store, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := mkRecord("(a) UN", 0, 0, 0, 0, 0.5)
+	if err := store.Put(rec, time.Second); err != nil {
+		t.Fatal(err)
+	}
+	// The process umask also applies to a plain 0644 create; compare against
+	// that reference so the test is exact under any umask.
+	refPath := filepath.Join(dir, "umask-ref")
+	ref, err := os.OpenFile(refPath, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref.Close()
+	refInfo, err := os.Stat(refPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := refInfo.Mode().Perm()
+
+	recPath := filepath.Join(dir, recordsSubdir, recordFileName(rec.Key()))
+	info, err := os.Stat(recPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := info.Mode().Perm(); got != want {
+		t.Errorf("record mode %v, want %v", got, want)
+	}
+	if want&0o044 == 0 {
+		t.Skipf("umask strips group/other read bits (mode %v); cannot assert shared readability", want)
+	}
+	if info.Mode().Perm()&0o044 == 0 {
+		t.Errorf("record mode %v not group/other readable", info.Mode().Perm())
+	}
+	// Manifest and exports follow the same path and must match too.
+	if err := store.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	manInfo, err := os.Stat(filepath.Join(dir, manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := manInfo.Mode().Perm(); got != want {
+		t.Errorf("manifest mode %v, want %v", got, want)
+	}
+}

@@ -219,45 +219,13 @@ func (s *Store) Flush() error {
 
 // recordFileName derives the record's file name from its key alone — stable
 // across runs and across processes, so re-running a point overwrites rather
-// than accumulates, and any worker can locate any key's record (or lease)
-// without an index.
+// than accumulates, and any key's record can be located without an index.
 func recordFileName(k Key) string {
 	slug := sanitize(k.Experiment)
 	if slug == "" {
 		slug = "exp"
 	}
 	return fmt.Sprintf("%s-%s.json", slug, keyHash(k))
-}
-
-// RefreshKey returns the record for key with a matching fingerprint, looking
-// past the in-memory index to the directory itself: records written by other
-// processes after this store was opened are picked up, indexed and marked
-// active. It is the read side of the shard-claim protocol — a worker that
-// lost the claim on a key polls RefreshKey until the claim winner's record
-// lands.
-func (s *Store) RefreshKey(key Key, fingerprint string) (Record, bool) {
-	if rec, ok := s.Get(key, fingerprint); ok {
-		return rec, true
-	}
-	name := recordFileName(key)
-	b, err := os.ReadFile(filepath.Join(s.dir, recordsSubdir, name))
-	if err != nil {
-		return Record{}, false
-	}
-	var rec Record
-	if json.Unmarshal(b, &rec) != nil || rec.Validate() != nil {
-		return Record{}, false
-	}
-	if rec.Key() != key || rec.Fingerprint != fingerprint {
-		return Record{}, false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.recs[key] = storedRecord{rec: rec, file: name}
-	s.active[key] = true
-	s.metrics.records.Set(int64(len(s.recs)))
-	s.manifestDirty++
-	return rec, true
 }
 
 // writeManifest rewrites manifest.json atomically. Callers hold s.mu.

@@ -69,24 +69,14 @@ type Options struct {
 	// completed work and its exported results are bit-identical to an
 	// uninterrupted run's.
 	Results *results.Store
-	// Claims, when non-nil (it requires Results), turns the checkpointed run
-	// into one worker of a multi-process sharded execution: every missing
-	// replication is first claimed through the results store's lease
-	// protocol, keys claimed by other workers are polled until their record
-	// lands (taking over the claim if its lease expires — a dead peer), and
-	// only claim winners simulate. N workers sharing one results directory
-	// therefore split the sweep's replications among themselves with
-	// per-record exactly-once semantics and no coordinator.
-	Claims *ClaimConfig
 	// Progress, when non-nil, is invoked (serially) as replications finish
 	// or are restored from the store.
 	Progress func(Progress)
 	// Metrics, when non-nil, receives the run's observability series: it is
 	// stamped into every simulated configuration (config.Config.Metrics, the
 	// sim-layer phase series) and feeds the sweep-layer counters
-	// (replications simulated vs restored, claim wins, poll waits). It is an
-	// execution knob with no effect on results — exports are byte-identical
-	// with metrics on or off.
+	// (replications simulated vs restored). It is an execution knob with no
+	// effect on results — exports are byte-identical with metrics on or off.
 	Metrics *obs.Registry
 
 	// experiment and state are stamped by NewRunner so section sweeps know
@@ -121,30 +111,6 @@ type Progress struct {
 	// last section settles, with the run totals (Done records, Skipped of
 	// them restored, aggregate RecordsPerSec) and no Section/ETA.
 	Summary bool
-}
-
-// ClaimConfig parameterizes shard-claim execution (Options.Claims). The
-// zero value of every field is usable: claims work with an anonymous owner,
-// the store's default lease TTL and the default poll interval.
-type ClaimConfig struct {
-	// Owner tags this worker's lease files (diagnostics only; the protocol
-	// keys on file existence and mtime, not owner identity).
-	Owner string
-	// TTL is the lease expiry: a claim whose holder has not heartbeated for
-	// this long counts as dead and is taken over. Holders heartbeat at TTL/4
-	// while simulating, so TTL bounds takeover latency, not replication
-	// length. Zero means results.DefaultLeaseTTL.
-	TTL time.Duration
-	// Poll is how often a worker re-checks a key another worker has claimed
-	// (waiting for the record, or for the lease to expire). Zero means 50ms.
-	Poll time.Duration
-}
-
-func (c *ClaimConfig) poll() time.Duration {
-	if c == nil || c.Poll <= 0 {
-		return 50 * time.Millisecond
-	}
-	return c.Poll
 }
 
 // runState is the per-Run accounting shared by every section of an
@@ -284,11 +250,9 @@ type job struct {
 }
 
 // ckpt is the checkpointing context of one section sweep: where records go,
-// how they are keyed, who hears about progress, and — in sharded runs — how
-// replications are claimed.
+// how they are keyed and who hears about progress.
 type ckpt struct {
 	store        *results.Store // nil: nothing to checkpoint
-	claims       *ClaimConfig   // nil: plain checkpointed run
 	experiment   string
 	section      string
 	sectionIndex int
@@ -304,12 +268,6 @@ const (
 	// settled replication of a checkpointed run by provenance.
 	MetricReplicationsSimulated = "flexvc_sweep_replications_simulated_total"
 	MetricReplicationsRestored  = "flexvc_sweep_replications_restored_total"
-	// MetricClaimsWon counts lease claims this worker won (and therefore
-	// simulated); MetricClaimPolls and MetricClaimPollWall account the time
-	// spent parked on keys other workers held.
-	MetricClaimsWon     = "flexvc_sweep_claims_won_total"
-	MetricClaimPolls    = "flexvc_sweep_claim_polls_total"
-	MetricClaimPollWall = "flexvc_sweep_claim_poll_wait_ns_total"
 )
 
 // sweepMetrics carries the sweep-layer handles. The zero value (all-nil
@@ -318,9 +276,6 @@ const (
 type sweepMetrics struct {
 	simulated *obs.Counter
 	restored  *obs.Counter
-	claimsWon *obs.Counter
-	polls     *obs.Counter
-	pollWait  *obs.Counter
 }
 
 func newSweepMetrics(reg *obs.Registry) sweepMetrics {
@@ -330,9 +285,6 @@ func newSweepMetrics(reg *obs.Registry) sweepMetrics {
 	return sweepMetrics{
 		simulated: reg.Counter(MetricReplicationsSimulated),
 		restored:  reg.Counter(MetricReplicationsRestored),
-		claimsWon: reg.Counter(MetricClaimsWon),
-		polls:     reg.Counter(MetricClaimPolls),
-		pollWait:  reg.Counter(MetricClaimPollWall),
 	}
 }
 
@@ -425,16 +377,6 @@ func (ck *ckpt) runPoint(j *job) (stats.Result, error) {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			if ck.claims != nil {
-				r, restored, err := ck.claimReplication(j, key, fp, s)
-				if err != nil {
-					errs[s] = err
-					return
-				}
-				per[s] = r
-				ck.state.note(ck, restored)
-				return
-			}
 			r, err := ck.simulate(j, fp, s)
 			if err != nil {
 				errs[s] = err
@@ -498,45 +440,6 @@ func (ck *ckpt) record(j *job, fp string, s int) results.Record {
 	}
 }
 
-// claimReplication resolves one missing replication under the shard-claim
-// protocol. It loops until the key is settled one way or the other: a record
-// with the right fingerprint on disk (written by any worker — restored), or
-// a lease win followed by simulate-and-checkpoint (fresh). Losing the claim
-// parks this goroutine on a poll loop — it holds no worker token, so a
-// waiting worker costs CPU nothing while its peers simulate. The lease is
-// released only after the record is durably on disk, so between any claim
-// loss and the next poll the key is either still leased or already recorded;
-// a lease that expires instead marks a dead worker and is taken over.
-func (ck *ckpt) claimReplication(j *job, key results.Key, fp string, s int) (stats.Result, bool, error) {
-	for {
-		if rec, ok := ck.store.RefreshKey(key, fp); ok {
-			return rec.Result, true, nil
-		}
-		lease, err := ck.store.TryClaim(key, ck.claims.Owner, ck.claims.TTL)
-		if err != nil {
-			return stats.Result{}, false, err
-		}
-		if lease == nil {
-			ck.metrics.polls.Inc()
-			wait := ck.claims.poll()
-			time.Sleep(wait)
-			ck.metrics.pollWait.Add(wait.Nanoseconds())
-			continue
-		}
-		// The worker this one lost to earlier may have recorded the key and
-		// released its lease between the check above and this claim; without
-		// a second look the key would be simulated twice.
-		if rec, ok := ck.store.RefreshKey(key, fp); ok {
-			lease.Release()
-			return rec.Result, true, nil
-		}
-		ck.metrics.claimsWon.Inc()
-		r, err := ck.simulate(j, fp, s)
-		lease.Release()
-		return r, false, err
-	}
-}
-
 // SectionRunner runs the sections of one experiment (a campaign, see
 // internal/campaign): every section through the same scheduling, checkpoint
 // key space and progress accounting. Records land in the options' results
@@ -588,19 +491,12 @@ func (r *SectionRunner) PlanSection(title string, base config.Config, variants [
 // section, which holds count replications.
 func (r *SectionRunner) checkpoint(title string, count int) *ckpt {
 	o := r.opts
-	claims := o.Claims
-	if o.Results == nil {
-		// Claims shard work through the store's lease files; without a store
-		// there is nothing to claim against.
-		claims = nil
-	}
 	scale := o.Scale
 	if scale == "" {
 		scale = "small"
 	}
 	return &ckpt{
 		store:        o.Results,
-		claims:       claims,
 		experiment:   o.experiment,
 		section:      title,
 		sectionIndex: o.state.nextSection(count),
