@@ -65,14 +65,14 @@ check-full:
 	$(GO) run ./cmd/figures check -work $(RESULTS_DIR_CHECK) \
 		-metrics-out $(RESULTS_DIR_CHECK)/metrics.json -v all
 
-# A quick end-to-end scenario run through flexvcsim -scenario (CI gate, under
-# a second once built): loads the checked-in scenario JSON, simulates one PB
-# replication and prints its windowed telemetry and adaptation lags as the
-# markdown tables of sweep.RenderTransientMarkdown. Fails if the scenario
-# file or the engine break, or if either table is missing from the output.
+# A quick end-to-end scenario run through flexvcsim (CI gate, under a second
+# once built): selects the PB variant of the embedded transient campaign's
+# UN -> ADV -> UN scenario section, simulates one replication and prints its
+# windowed telemetry and adaptation lags as the markdown tables of
+# sweep.RenderTransientMarkdown. Fails if the spec, the section runner or the
+# engine break, or if either table is missing from the output.
 scenario-smoke:
-	set -e; out=$$($(GO) run ./cmd/flexvcsim -scale small -routing pb -policy baseline -vcs 4/2 \
-		-scenario experiments/transient-small/scenario.json -seeds 1); \
+	set -e; out=$$($(GO) run ./cmd/flexvcsim -scale small -campaign transient -variant "PB per-VC 4/2" -seeds 1); \
 	echo "$$out"; \
 	for table in '#### Windowed telemetry' '#### Adaptation lag'; do \
 		echo "$$out" | grep -qF "$$table" || { echo "scenario-smoke: no '$$table' table"; exit 1; }; \

@@ -1,33 +1,42 @@
-// Command flexvcsim runs a single cycle-accurate simulation of a low-diameter
-// network with a chosen buffer-management scheme (baseline fixed-order VCs,
-// FlexVC or FlexVC-minCred), routing algorithm and traffic pattern, and
-// prints the measured latency and throughput.
+// Command flexvcsim runs one configuration of a low-diameter network — one
+// variant of a campaign at one offered load — and prints the measured latency
+// and throughput. The configuration comes either from setting flags (VC
+// management policy, VC arrangement, routing, traffic, buffers), which fill
+// the settings of a one-variant campaign, or from one variant of a campaign
+// spec (-campaign, -section, -variant). Both run through the same section
+// runner as `figures run`, so with -results every replication is a checkpoint
+// record keyed like a figure's (experiment id "flexvcsim") and exported to
+// <dir>/flexvcsim.results.json.
 //
 // Examples:
 //
 //	flexvcsim -scale small -traffic un -routing min -policy flexvc -vcs 4/2 -load 0.7
 //	flexvcsim -scale small -traffic adv -routing pb -policy flexvc -mincred \
-//	          -reqvcs 4/2 -repvcs 2/1 -reactive -load 0.3 -seeds 3
+//	          -vcs 4/2+2/1 -reactive -load 0.3 -seeds 3
+//	flexvcsim -campaign transient -variant "PB per-VC 4/2"
+//	flexvcsim -campaign smoke -variant "FlexVC 4/2" -results out/
 package main
 
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 
-	"flexvc/internal/buffer"
 	"flexvc/internal/campaign"
 	"flexvc/internal/config"
-	"flexvc/internal/core"
 	"flexvc/internal/obs"
 	"flexvc/internal/results"
-	"flexvc/internal/routing"
-	"flexvc/internal/scenario"
 	"flexvc/internal/sim"
 	"flexvc/internal/stats"
 	"flexvc/internal/sweep"
 )
+
+// experiment is the results experiment id of every flexvcsim record, whatever
+// the spec: a `figures run` of a campaign never restores a flexvcsim record,
+// whose section and variant ordinals are not the campaign's.
+const experiment = "flexvcsim"
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
@@ -39,128 +48,153 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("flexvcsim", flag.ContinueOnError)
 	var (
-		scale      = fs.String("scale", "", "system scale: tiny, small (default), medium or paper (campaign specs may set their own default)")
-		traffic    = fs.String("traffic", "un", "traffic pattern: un, adv or bursty-un")
-		reactive   = fs.Bool("reactive", false, "enable request-reply traffic")
-		routingF   = fs.String("routing", "min", "routing: min, val, par or pb")
-		sensing    = fs.String("sensing", "per-vc", "PB congestion sensing: per-port or per-vc")
-		policy     = fs.String("policy", "baseline", "VC management: baseline or flexvc")
+		scale      = fs.String("scale", "", "system scale: tiny, small, medium or paper (default: the spec's scale, else small)")
+		traffic    = fs.String("traffic", "", "traffic pattern: un, adv or bursty-un (default un)")
+		reactive   = fs.Bool("reactive", false, "enable request-reply traffic (needs two-class -vcs, e.g. 4/2+2/1)")
+		routingF   = fs.String("routing", "", "routing: min, val, par or pb (default min)")
+		sensing    = fs.String("sensing", "", "PB congestion sensing: per-port or per-vc (default per-vc)")
+		policy     = fs.String("policy", "", "VC management: baseline or flexvc (default baseline)")
 		minCred    = fs.Bool("mincred", false, "enable FlexVC-minCred credit accounting")
-		vcs        = fs.String("vcs", "2/1", "VCs as local/global (single-class traffic)")
-		reqVCs     = fs.String("reqvcs", "", "request VCs as local/global (reactive traffic)")
-		repVCs     = fs.String("repvcs", "", "reply VCs as local/global (reactive traffic)")
-		selFn      = fs.String("select", "jsq", "FlexVC VC selection: jsq, highest, lowest or random")
-		bufOrg     = fs.String("buffers", "static", "buffer organisation: static or damq")
-		damqPriv   = fs.Float64("damq-private", 0.75, "DAMQ private fraction per VC")
-		load       = fs.Float64("load", 0.5, "offered load in phits/node/cycle")
-		scenF      = fs.String("scenario", "", "JSON scenario file: a phased workload that overrides -traffic/-load and reports windowed transient telemetry")
+		vcs        = fs.String("vcs", "", "VCs as local/global, request+reply for reactive traffic: 4/2 or 4/2+2/1 (default 2/1)")
+		selFn      = fs.String("select", "", "FlexVC VC selection: jsq, highest, lowest or random (default jsq)")
+		bufOrg     = fs.String("buffers", "", "buffer organisation: static or damq (default static)")
+		damqPriv   = fs.Float64("damq-private", 0, "DAMQ private fraction per VC (default 0.75)")
+		speedup    = fs.Int("speedup", 0, "router speedup, >= 1 (default 2)")
+		load       = fs.Float64("load", 0.5, "offered load in phits/node/cycle (with -campaign: default the section's first load)")
 		campF      = fs.String("campaign", "", "campaign spec (JSON file or embedded name): run one of its variants instead of building a config from flags")
 		campSec    = fs.String("section", "", "campaign section title (default: the first section)")
-		campVar    = fs.String("variant", "", "campaign variant label (required with -campaign; pass an empty spec to list)")
+		campVar    = fs.String("variant", "", "campaign variant label (required with -campaign; an unknown label lists them)")
 		seeds      = fs.Int("seeds", 1, "number of independent replications to average")
-		speedup    = fs.Int("speedup", 0, "router speedup override (0 keeps the scale default)")
-		seed       = fs.Int64("seed", 1, "base random seed")
 		workers    = fs.Int("workers", 0, "concurrent replication workers (0 = GOMAXPROCS)")
-		tableMB    = fs.Int("route-table-mb", 0, "memory budget for precomputed route tables in MiB (0 = default, negative disables)")
-		out        = fs.String("out", "", "write the result as machine-readable JSON (internal/results schema) to this file")
+		resDir     = fs.String("results", "", "checkpoint every replication into this results directory and export them to <dir>/flexvcsim.results.json")
 		metricsOut = fs.String("metrics-out", "", "instrument the run and write the metrics snapshot (phase walls, cycles, wheel depth) to this JSON file")
-		verbose    = fs.Bool("v", false, "print per-replication results")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	var cfg config.Config
-	var err error
-	effScale := *scale
-	if effScale == "" {
-		effScale = "small"
+	// The setting flags set on the command line fill one campaign variant's
+	// settings; unset ones keep the scale's configuration.
+	var set campaign.Settings
+	fill := map[string]func(){
+		"traffic":      func() { set.Traffic = traffic },
+		"reactive":     func() { set.Reactive = reactive },
+		"routing":      func() { set.Routing = routingF },
+		"sensing":      func() { set.Sensing = sensing },
+		"policy":       func() { set.Policy = policy },
+		"mincred":      func() { set.MinCred = minCred },
+		"vcs":          func() { set.VCs = vcs },
+		"select":       func() { set.Select = selFn },
+		"buffers":      func() { set.Buffers = bufOrg },
+		"damq-private": func() { set.DAMQPrivate = damqPriv },
+		"speedup":      func() { set.Speedup = speedup },
 	}
-	if *campF != "" {
-		// The spec defines the configuration; flags that would silently be
-		// overwritten by the variant's settings are rejected instead of
-		// ignored. Only -scale, -load, -seed(s), -speedup, -route-table-mb,
-		// -workers, -out and -v compose with -campaign.
-		haveLoad := false
-		var conflict []string
-		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "load":
-				haveLoad = true
-			case "traffic", "reactive", "routing", "sensing", "policy", "mincred",
-				"vcs", "reqvcs", "repvcs", "select", "buffers", "damq-private", "scenario":
-				conflict = append(conflict, "-"+f.Name)
-			}
-		})
-		if len(conflict) > 0 {
-			return fmt.Errorf("-campaign selects the configuration from the spec; drop %s (or run without -campaign)", strings.Join(conflict, ", "))
+	var setFlags []string
+	haveLoad := false
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name == "load" {
+			haveLoad = true
 		}
-		if cfg, effScale, err = campaignConfig(*campF, *campSec, *campVar, *scale, haveLoad, *load); err != nil {
-			return err
+		if apply := fill[f.Name]; apply != nil {
+			apply()
+			setFlags = append(setFlags, "-"+f.Name+"="+f.Value.String())
 		}
-		cfg.Seed = *seed
-	} else {
-		if cfg, err = buildConfig(*scale); err != nil {
-			return err
-		}
-		if cfg.Traffic, err = config.ParseTrafficKind(*traffic); err != nil {
-			return err
-		}
-		cfg.Reactive = *reactive
-		cfg.Load = *load
-		cfg.Seed = *seed
-		if *scenF != "" {
-			sc, err := scenario.Load(*scenF)
-			if err != nil {
-				return err
-			}
-			cfg.Scenario = sc
-			// The scenario carries per-phase loads; report its peak as the
-			// configured offered load.
-			cfg.Load = sc.MaxLoad()
-		}
-		if cfg.Routing, err = routing.ParseKind(*routingF); err != nil {
-			return err
-		}
-		if cfg.Sensing, err = routing.ParseSensing(*sensing); err != nil {
-			return err
-		}
-		if cfg.Scheme, err = buildScheme(*policy, *minCred, *vcs, *reqVCs, *repVCs, *selFn, *reactive); err != nil {
-			return err
-		}
-		if cfg.BufferOrg, err = buffer.ParseOrganization(*bufOrg); err != nil {
-			return err
-		}
-		if cfg.BufferOrg == buffer.DAMQ {
-			cfg.DAMQPrivateFraction = *damqPriv
-		}
+	})
+
+	switch {
+	case *seeds < 1:
+		return fmt.Errorf("-seeds %d: need at least one replication", *seeds)
+	case *workers < 0:
+		return fmt.Errorf("-workers %d is negative (0 means GOMAXPROCS)", *workers)
+	case set.Speedup != nil && *speedup < 1:
+		return fmt.Errorf("-speedup %d: must be >= 1", *speedup)
+	case math.IsNaN(*load) || *load < 0 || *load > 1:
+		return fmt.Errorf("-load %v outside [0,1] phits/node/cycle", *load)
 	}
-	if *tableMB != 0 {
-		cfg.RouteTableBytes = *tableMB << 20
-	}
-	if *speedup > 0 {
-		cfg.Speedup = *speedup
-	}
-	if *metricsOut != "" {
-		cfg.Metrics = obs.NewRegistry()
-	}
-	if err := cfg.Validate(); err != nil {
-		return err
+	if *scale != "" {
+		if _, err := config.AtScale(*scale); err != nil {
+			return fmt.Errorf("-scale: %w", err)
+		}
 	}
 
-	if *workers > 0 {
-		sim.SetWorkerBudget(*workers)
+	var c *campaign.Campaign
+	sectionTitle, variantLabel := *campSec, *campVar
+	if *campF != "" {
+		// The spec defines the configuration; a setting flag the variant
+		// would overwrite is rejected instead of ignored.
+		if len(setFlags) > 0 {
+			names := make([]string, len(setFlags))
+			for i, f := range setFlags {
+				names[i], _, _ = strings.Cut(f, "=")
+			}
+			return fmt.Errorf("-campaign selects the configuration from the spec; drop %s (or run without -campaign)", strings.Join(names, ", "))
+		}
+		var err error
+		if c, err = campaign.Resolve(*campF); err != nil {
+			return err
+		}
+	} else {
+		if sectionTitle != "" || variantLabel != "" {
+			return fmt.Errorf("-section and -variant select from a -campaign spec")
+		}
+		variantLabel = "scale defaults"
+		if len(setFlags) > 0 {
+			variantLabel = strings.Join(setFlags, " ")
+		}
+		c = &campaign.Campaign{Name: experiment, Sections: []campaign.SectionSpec{{
+			Title:    "flags",
+			Loads:    []float64{*load},
+			Variants: []campaign.VariantSpec{{Label: variantLabel, Set: set}},
+		}}}
 	}
-	fmt.Println("configuration:", cfg.Describe())
-	agg, runs, err := sim.RunAveraged(cfg, *seeds)
+	sections, err := c.Compile()
 	if err != nil {
 		return err
 	}
-	if *verbose {
-		for i, r := range runs {
-			fmt.Printf("  run %d: %v\n", i, r)
-		}
+	sec, v, err := pick(c.Name, sections, sectionTitle, variantLabel)
+	if err != nil {
+		return err
 	}
+	if !haveLoad {
+		*load = sec.Loads[0]
+	}
+
+	opts := sweep.Options{Scale: *scale, Seeds: *seeds}
+	if opts.Scale == "" {
+		opts.Scale = c.Scale
+	}
+	if *metricsOut != "" {
+		opts.Metrics = obs.NewRegistry()
+	}
+	base, err := opts.BaseConfig()
+	if err != nil {
+		return err
+	}
+	base.Scenario = sec.Scenario
+	cfg := base
+	v.Apply(&cfg)
+	cfg.Load = *load
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	if *resDir != "" {
+		if opts.Results, err = results.Open(*resDir); err != nil {
+			return err
+		}
+		opts.Results.SetMetrics(opts.Metrics)
+	}
+	if *workers > 0 {
+		sim.SetWorkerBudget(*workers)
+	}
+
+	fmt.Println("configuration:", cfg.Describe())
+	runner := opts.NewRunner(experiment)
+	series, err := runner.RunSection(sec.Title, base, []sweep.Variant{v}, []float64{cfg.Load})
+	if err != nil {
+		return err
+	}
+	runner.Finish()
+	agg := series[0].Points[0].Result
 	fmt.Printf("result: %v\n", agg)
 	fmt.Printf("  accepted load : %.4f phits/node/cycle\n", agg.AcceptedLoad)
 	fmt.Printf("  avg latency   : %.1f cycles (network-only %.1f)\n", agg.AvgLatency, agg.AvgNetLatency)
@@ -178,14 +212,15 @@ func run(args []string) error {
 		}})
 		fmt.Printf("\n%s", b.String())
 	}
-	if *out != "" {
-		if err := results.WriteSinglePoint(*out, cfg, effScale, agg, runs); err != nil {
-			return fmt.Errorf("writing %s: %w", *out, err)
+	if opts.Results != nil {
+		path, err := opts.Results.WriteExport(experiment, c.ReportTitle())
+		if err != nil {
+			return fmt.Errorf("exporting results: %w", err)
 		}
-		fmt.Printf("  wrote %s\n", *out)
+		fmt.Printf("  wrote %s\n", path)
 	}
 	if *metricsOut != "" {
-		if err := obs.WriteSnapshotFile(cfg.Metrics, *metricsOut); err != nil {
+		if err := obs.WriteSnapshotFile(opts.Metrics, *metricsOut); err != nil {
 			return fmt.Errorf("writing %s: %w", *metricsOut, err)
 		}
 		fmt.Printf("  wrote metrics snapshot %s\n", *metricsOut)
@@ -193,104 +228,29 @@ func run(args []string) error {
 	return nil
 }
 
-func buildConfig(scale string) (config.Config, error) {
-	return config.AtScale(scale)
-}
-
-// campaignConfig builds the configuration of one variant of a campaign spec:
-// the scale's base config, the section's scenario, and the variant's layered
-// settings — exactly what a `figures run -campaign` sweep would simulate for
-// that variant, which makes flexvcsim the single-point debugging tool for
-// campaigns. It returns the effective scale name alongside the config.
-func campaignConfig(arg, sectionTitle, variantLabel, scale string, haveLoad bool, load float64) (config.Config, string, error) {
-	fail := func(err error) (config.Config, string, error) { return config.Config{}, "", err }
-	c, err := campaign.Resolve(arg)
-	if err != nil {
-		return fail(err)
-	}
-	sections, err := c.Compile()
-	if err != nil {
-		return fail(err)
-	}
+// pick returns the compiled section with the given title (the first one when
+// the title is empty) and its variant with the given label.
+func pick(name string, sections []campaign.CompiledSection, title, label string) (*campaign.CompiledSection, sweep.Variant, error) {
 	sec := &sections[0]
-	if sectionTitle != "" {
+	if title != "" {
 		sec = nil
 		titles := make([]string, len(sections))
 		for i := range sections {
 			titles[i] = sections[i].Title
-			if sections[i].Title == sectionTitle {
+			if sections[i].Title == title {
 				sec = &sections[i]
 			}
 		}
 		if sec == nil {
-			return fail(fmt.Errorf("campaign %s has no section %q (sections: %s)", c.Name, sectionTitle, strings.Join(titles, " | ")))
+			return nil, sweep.Variant{}, fmt.Errorf("campaign %s has no section %q (sections: %s)", name, title, strings.Join(titles, " | "))
 		}
 	}
-	var v *sweep.Variant
 	labels := make([]string, len(sec.Variants))
-	for i := range sec.Variants {
-		labels[i] = sec.Variants[i].Label
-		if labels[i] == variantLabel {
-			v = &sec.Variants[i]
+	for i, v := range sec.Variants {
+		if v.Label == label {
+			return sec, v, nil
 		}
+		labels[i] = v.Label
 	}
-	if v == nil {
-		return fail(fmt.Errorf("campaign %s section %q: pick a variant with -variant (variants: %s)", c.Name, sec.Title, strings.Join(labels, " | ")))
-	}
-	if scale == "" {
-		scale = c.Scale
-	}
-	cfg, err := config.AtScale(scale)
-	if err != nil {
-		return fail(err)
-	}
-	cfg.Scenario = sec.Scenario
-	v.Apply(&cfg)
-	switch {
-	case haveLoad:
-		cfg.Load = load
-	case sec.Scenario != nil:
-		cfg.Load = sec.Scenario.MaxLoad()
-	default:
-		cfg.Load = sec.Loads[0]
-	}
-	if scale == "" {
-		scale = "small"
-	}
-	return cfg, scale, nil
-}
-
-func buildScheme(policy string, minCred bool, vcs, reqVCs, repVCs, selFn string, reactive bool) (core.Scheme, error) {
-	var s core.Scheme
-	var err error
-	if s.Policy, err = core.ParsePolicy(policy); err != nil {
-		return s, err
-	}
-	s.MinCred = minCred
-	if s.Selection, err = core.ParseSelectionFn(selFn); err != nil {
-		return s, err
-	}
-
-	if reactive {
-		if reqVCs == "" || repVCs == "" {
-			// Default to mirroring the single-class spec per subpath.
-			reqVCs, repVCs = vcs, vcs
-		}
-		req, err := core.ParseSubpathVCs(reqVCs)
-		if err != nil {
-			return s, err
-		}
-		rep, err := core.ParseSubpathVCs(repVCs)
-		if err != nil {
-			return s, err
-		}
-		s.VCs = core.VCConfig{Request: req, Reply: rep}
-		return s, nil
-	}
-	req, err := core.ParseSubpathVCs(vcs)
-	if err != nil {
-		return s, err
-	}
-	s.VCs = core.VCConfig{Request: req}
-	return s, nil
+	return nil, sweep.Variant{}, fmt.Errorf("campaign %s section %q: pick a variant with -variant (variants: %s)", name, sec.Title, strings.Join(labels, " | "))
 }

@@ -9,8 +9,8 @@
 // traffic patterns of the paper's evaluation (internal/routing,
 // internal/traffic — extended with permutation/hotspot destinations and
 // phased workloads), a declarative scenario engine for transient experiments
-// (internal/scenario: JSON-loadable phase sequences, windowed telemetry,
-// adaptation-lag analysis) and an experiment harness that regenerates every
+// (internal/scenario: phase sequences declared in campaign specs, windowed
+// telemetry, adaptation-lag analysis) and an experiment harness that regenerates every
 // table and figure of the evaluation section plus the transient family. Every
 // simulated experiment is a JSON campaign spec (internal/campaign; Figures
 // 5-11 and the transient experiment are the embedded specs) run by the

@@ -158,38 +158,6 @@ func LoadFile(path string) (*File, error) {
 	return &f, nil
 }
 
-// SinglePoint is the JSON written by `flexvcsim -out`: one configuration at
-// one load, with the per-replication results and their aggregate.
-type SinglePoint struct {
-	Schema      int            `json:"schema"`
-	Description string         `json:"description"`
-	Scale       string         `json:"scale,omitempty"`
-	Fingerprint string         `json:"fingerprint"`
-	Load        float64        `json:"load"`
-	Seeds       int            `json:"seeds"`
-	Aggregate   stats.Result   `json:"aggregate"`
-	Runs        []stats.Result `json:"runs"`
-}
-
-// WriteSinglePoint writes a single-point result file atomically.
-func WriteSinglePoint(path string, cfg config.Config, scale string, agg stats.Result, runs []stats.Result) error {
-	sp := SinglePoint{
-		Schema:      SchemaVersion,
-		Description: cfg.Describe(),
-		Scale:       scale,
-		Fingerprint: Fingerprint(cfg),
-		Load:        cfg.Load,
-		Seeds:       len(runs),
-		Aggregate:   agg,
-		Runs:        runs,
-	}
-	b, err := json.MarshalIndent(sp, "", "  ")
-	if err != nil {
-		return err
-	}
-	return writeFileAtomic(path, append(b, '\n'))
-}
-
 // tmpSeq disambiguates temporary file names created by concurrent writers in
 // the same process; the pid in the name separates processes.
 var tmpSeq atomic.Uint64

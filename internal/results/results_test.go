@@ -353,27 +353,6 @@ func TestPutRejectsInvalidRecord(t *testing.T) {
 	}
 }
 
-func TestWriteSinglePoint(t *testing.T) {
-	cfg := config.Tiny()
-	cfg.Load = 0.4
-	path := filepath.Join(t.TempDir(), "point.json")
-	runs := []stats.Result{{AcceptedLoad: 0.39}, {AcceptedLoad: 0.41}}
-	if err := WriteSinglePoint(path, cfg, "tiny", stats.Aggregate(runs), runs); err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sp SinglePoint
-	if err := json.Unmarshal(b, &sp); err != nil {
-		t.Fatal(err)
-	}
-	if sp.Schema != SchemaVersion || sp.Seeds != 2 || sp.Fingerprint != Fingerprint(cfg) {
-		t.Fatalf("single-point file wrong: %+v", sp)
-	}
-}
-
 // TestPutRecordWorldReadable asserts the satellite bugfix: records land with
 // umask-respecting 0644 permissions, so checkpoints written by one user's
 // worker are readable by every process sharing the results directory. (The

@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"encoding/json"
-	"os"
 	"reflect"
 	"testing"
 )
@@ -13,11 +12,18 @@ import (
 // struct, same total cycles, same phase labels). The round trip is what the
 // campaign layer relies on when it re-embeds scenarios in spec files.
 func FuzzScenarioParse(f *testing.F) {
-	// The recorded transient experiment's scenario is the canonical real-world
-	// seed; inline seeds cover the tricky corners (ramps, overrides, rejects).
-	if b, err := os.ReadFile("../../experiments/transient-small/scenario.json"); err == nil {
-		f.Add(b)
-	}
+	// The transient campaign's UN -> ADV -> UN scenario is the canonical
+	// real-world seed; the others cover the tricky corners (ramps, overrides,
+	// rejects).
+	f.Add([]byte(`{
+  "name": "un-adv-un",
+  "window": 500,
+  "phases": [
+    {"pattern": "uniform", "load": 0.3, "cycles": 8000},
+    {"pattern": "adversarial", "load": 0.3, "cycles": 8000},
+    {"pattern": "uniform", "load": 0.3, "cycles": 8000}
+  ]
+}`))
 	f.Add([]byte(`{"name":"t","window":100,"phases":[{"pattern":"uniform","load":0.4,"cycles":200}]}`))
 	f.Add([]byte(`{"window":50,"phases":[
 		{"pattern":"uniform","load":0.1,"load_end":0.9,"cycles":100},

@@ -33,7 +33,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"os"
 
 	"flexvc/internal/stats"
 	"flexvc/internal/traffic"
@@ -102,19 +101,6 @@ func Parse(data []byte) (*Scenario, error) {
 		return nil, err
 	}
 	return &s, nil
-}
-
-// Load reads and validates a scenario file.
-func Load(path string) (*Scenario, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	s, err := Parse(b)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return s, nil
 }
 
 // Validate checks the scenario for consistency and returns the first problem

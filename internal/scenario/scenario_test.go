@@ -3,6 +3,7 @@ package scenario
 import (
 	"encoding/json"
 	"math"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -140,22 +141,28 @@ func TestValidationMessages(t *testing.T) {
 }
 
 func TestLoadAndParse(t *testing.T) {
-	s, err := Load(filepath.Join("testdata", "un-adv-small.json"))
+	s, err := Parse(readTestdata(t, "un-adv-small.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.Name != "un-adv-un" || len(s.Phases) != 3 || s.TotalCycles() != 24000 {
 		t.Errorf("loaded scenario = %+v", s)
 	}
-	if _, err := Load(filepath.Join("testdata", "bad-unknown-field.json")); err == nil || !strings.Contains(err.Error(), "laod") {
+	if _, err := Parse(readTestdata(t, "bad-unknown-field.json")); err == nil || !strings.Contains(err.Error(), "laod") {
 		t.Errorf("unknown field not rejected with the field name: %v", err)
-	}
-	if _, err := Load(filepath.Join("testdata", "missing.json")); err == nil {
-		t.Error("missing file did not error")
 	}
 	if _, err := Parse([]byte(`{"window": 100, "phases": []}`)); err == nil {
 		t.Error("empty phase list parsed")
 	}
+}
+
+func readTestdata(t *testing.T, name string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // TestJSONRoundTrip pins the wire format: marshal -> Parse -> marshal is
