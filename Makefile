@@ -103,10 +103,12 @@ specs-smoke:
 	done
 
 # The crash-resume gate on a real binary: run the embedded smoke spec once
-# uninterrupted, then again into a second directory, SIGKILLed as soon as its
-# first record lands, and once more to resume it. The two exports must be
-# byte-identical, proving that checkpoints survive a kill -9 and that a re-run
-# of the same command resumes exactly. The resumed run's metrics snapshot must
+# uninterrupted on one worker, then again on two workers into a second
+# directory, SIGKILLed as soon as its first record lands (with two
+# replications in flight), and once more on two workers to resume it. The two
+# exports must be byte-identical, proving that checkpoints survive a kill -9,
+# that a re-run of the same command resumes exactly and that the worker count
+# never reaches the export. The resumed run's metrics snapshot must
 # show replications both restored and simulated (so the gate cannot pass
 # vacuously, by killing too late or too early), a checkpoint put latency
 # histogram and the cycle loop's step phase. The results directory starts
@@ -115,8 +117,8 @@ RESULTS_DIR_RESUME ?= results/resume-smoke
 resume-smoke:
 	rm -rf $(RESULTS_DIR_RESUME)
 	$(GO) build -o $(RESULTS_DIR_RESUME)/figures ./cmd/figures
-	set -e; d=$(RESULTS_DIR_RESUME); run="$$d/figures run -campaign smoke -quick -seeds 8 -workers 1"; \
-	$$run -results $$d/whole >/dev/null; \
+	set -e; d=$(RESULTS_DIR_RESUME); run="$$d/figures run -campaign smoke -quick -seeds 8 -workers 2"; \
+	$$d/figures run -campaign smoke -quick -seeds 8 -workers 1 -results $$d/whole >/dev/null; \
 	$$run -results $$d/resumed >/dev/null 2>&1 & pid=$$!; \
 	until ls $$d/resumed/records/*.json >/dev/null 2>&1; do \
 		kill -0 $$pid 2>/dev/null || { echo "resume-smoke: the run exited before its first record"; exit 1; }; \

@@ -18,16 +18,15 @@
 //
 // # Execution model
 //
-// One replication is one goroutine running one serial cycle loop
-// (sim.Network.Step is its only body, metered or not). Parallelism lives in
-// one layer, bit-identical to serial execution: sim.RunAveraged runs
-// replications concurrently, and a sweep section
-// (sweep.SectionRunner.RunSection) schedules every point of every series at
-// once, with all work draining through one process-wide worker budget
-// (sim.SetWorkerBudget, default GOMAXPROCS; `figures run -workers N`). Each
-// replication is fully self-contained and results aggregate in replication
-// order. Sweeps with many points and seeds saturate the machine without any
-// knobs. Every finished replication is checkpointed into the results
+// One replication is one serial cycle loop (sim.Network.Step is its only
+// body, metered or not). Parallelism lives in one layer, bit-identical to
+// serial execution: a sweep section (sweep.SectionRunner.RunSection) hands
+// every missing replication of every point to sim.RunReplications, which runs
+// them on a fixed set of workers (sim.SetWorkerBudget, default GOMAXPROCS;
+// `figures run -workers N`), each building its networks in one scratch set of
+// its own. Each replication is fully self-contained and results aggregate in
+// replication order. Sweeps with many points and seeds saturate the machine
+// without any knobs. Every finished replication is checkpointed into the results
 // directory, so a killed `figures run` resumes where it stopped when the
 // same command is run again, and its export is byte-identical to an
 // uninterrupted run's.

@@ -19,29 +19,31 @@ import (
 // the offending section, axis or field.
 func TestBadSpecCorpus(t *testing.T) {
 	cases := map[string][]string{
-		"bad-unknown-field.json":     {"sectoins"},
-		"bad-missing-name.json":      {"name", "slug"},
-		"bad-name-chars.json":        {"My Campaign!", "slug"},
-		"bad-no-sections.json":       {"at least one section"},
-		"bad-scale.json":             {"humongous", "unknown scale"},
-		"bad-traffic.json":           {"section 0", "traffic", "warp"},
-		"bad-routing.json":           {"variant \"v\"", "routing", "teleport"},
-		"bad-policy.json":            {"policy", "rigidvc"},
-		"bad-vcs.json":               {"vcs", "four/two"},
-		"bad-selection.json":         {"select", "coinflip"},
-		"bad-buffers.json":           {"buffers", "elastic"},
-		"bad-damq-fraction.json":     {"damq_private", "[0,1]"},
-		"bad-load.json":              {"load", "1.7", "[0,1]"},
-		"bad-no-loads.json":          {"no loads"},
-		"bad-axes-and-variants.json": {"either axes or variants"},
-		"bad-empty-axis.json":        {"axis \"x\"", "at least one value"},
-		"bad-dup-variant.json":       {"duplicate variant label", "same"},
-		"bad-dup-section.json":       {"duplicate section title", "a"},
-		"bad-no-variants.json":       {"no variants"},
-		"bad-scenario.json":          {"1234", "window"},
-		"bad-scenario-loads.json":    {"scenario section", "at most one load"},
-		"bad-speedup.json":           {"speedup", ">= 1"},
-		"bad-burst.json":             {"avg_burst_length", ">= 1"},
+		"bad-unknown-field.json":      {"sectoins"},
+		"bad-missing-name.json":       {"name", "slug"},
+		"bad-name-chars.json":         {"My Campaign!", "slug"},
+		"bad-no-sections.json":        {"at least one section"},
+		"bad-scale.json":              {"humongous", "unknown scale"},
+		"bad-traffic.json":            {"section 0", "traffic", "warp"},
+		"bad-routing.json":            {"variant \"v\"", "routing", "teleport"},
+		"bad-policy.json":             {"policy", "rigidvc"},
+		"bad-vcs.json":                {"vcs", "four/two"},
+		"bad-selection.json":          {"select", "coinflip"},
+		"bad-buffers.json":            {"buffers", "elastic"},
+		"bad-damq-fraction.json":      {"damq_private", "[0,1]"},
+		"bad-load.json":               {"load", "1.7", "[0,1]"},
+		"bad-no-loads.json":           {"no loads"},
+		"bad-axes-and-variants.json":  {"either axes or variants"},
+		"bad-empty-axis.json":         {"axis \"x\"", "at least one value"},
+		"bad-dup-variant.json":        {"duplicate variant label", "same"},
+		"bad-dup-section.json":        {"duplicate section title", "a"},
+		"bad-no-variants.json":        {"no variants"},
+		"bad-scenario.json":           {"1234", "window"},
+		"bad-scenario-field.json":     {"laod"},
+		"bad-scenario-no-phases.json": {"empty", "at least one phase"},
+		"bad-scenario-loads.json":     {"scenario section", "at most one load"},
+		"bad-speedup.json":            {"speedup", ">= 1"},
+		"bad-burst.json":              {"avg_burst_length", ">= 1"},
 	}
 	for file, wants := range cases {
 		_, err := Load(filepath.Join("testdata", file))

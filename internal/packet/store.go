@@ -212,8 +212,8 @@ func (s *Store) InUse() int { return s.slots - s.nfree }
 func (s *Store) Stats() (news, reuses int64) { return s.news, s.reuses }
 
 // Reset forgets every packet but keeps the pages, so a recycled store (see
-// sim's per-replication scratch pool) starts its next replication with zero
-// per-packet allocations. Counters restart too.
+// the scratch set each of sim's replication workers owns) starts its next
+// replication with zero per-packet allocations. Counters restart too.
 func (s *Store) Reset() {
 	s.slots, s.nfree = 0, 0
 	s.news, s.reuses = 0, 0

@@ -1,10 +1,10 @@
 // Package scenario defines declarative, deterministic phased workloads: a
 // Scenario is a timed sequence of traffic phases (pattern, load, duration)
-// plus a telemetry window width, loadable from JSON. It is the spec layer of
-// the transient-experiment family — the simulator (internal/sim) turns a
-// scenario into a traffic.Switchable generator and a windowed
-// stats.TimeSeries, and the analysis half of this package turns the recorded
-// series back into adaptation-lag numbers.
+// plus a telemetry window width, written as JSON in campaign spec sections.
+// It is the spec layer of the transient-experiment family — the simulator
+// (internal/sim) turns a scenario into a traffic.Switchable generator and a
+// windowed stats.TimeSeries, and the analysis half of this package turns the
+// recorded series back into adaptation-lag numbers.
 //
 // # Determinism contract
 //
@@ -30,7 +30,6 @@ package scenario
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"math"
 
@@ -85,22 +84,6 @@ type Scenario struct {
 	Window int64 `json:"window"`
 	// Phases run back to back, starting at cycle 0.
 	Phases []Phase `json:"phases"`
-}
-
-// Parse decodes and validates a scenario from JSON. Unknown fields are
-// rejected so typos in hand-written scenario files fail loudly instead of
-// silently falling back to defaults.
-func Parse(data []byte) (*Scenario, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var s Scenario
-	if err := dec.Decode(&s); err != nil {
-		return nil, fmt.Errorf("scenario: %w", err)
-	}
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	return &s, nil
 }
 
 // Validate checks the scenario for consistency and returns the first problem

@@ -3,8 +3,6 @@ package scenario
 import (
 	"encoding/json"
 	"math"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -54,8 +52,8 @@ func TestLoadRampPhases(t *testing.T) {
 	if !strings.Contains(string(b), `"load_end":0.7`) {
 		t.Errorf("marshalled scenario should carry load_end: %s", b)
 	}
-	back, err := Parse(b)
-	if err != nil {
+	var back Scenario
+	if err := json.Unmarshal(b, &back); err != nil {
 		t.Fatal(err)
 	}
 	if back.Phases[1].LoadEnd == nil || *back.Phases[1].LoadEnd != 0.7 {
@@ -140,32 +138,7 @@ func TestValidationMessages(t *testing.T) {
 	}
 }
 
-func TestLoadAndParse(t *testing.T) {
-	s, err := Parse(readTestdata(t, "un-adv-small.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Name != "un-adv-un" || len(s.Phases) != 3 || s.TotalCycles() != 24000 {
-		t.Errorf("loaded scenario = %+v", s)
-	}
-	if _, err := Parse(readTestdata(t, "bad-unknown-field.json")); err == nil || !strings.Contains(err.Error(), "laod") {
-		t.Errorf("unknown field not rejected with the field name: %v", err)
-	}
-	if _, err := Parse([]byte(`{"window": 100, "phases": []}`)); err == nil {
-		t.Error("empty phase list parsed")
-	}
-}
-
-func readTestdata(t *testing.T, name string) []byte {
-	t.Helper()
-	b, err := os.ReadFile(filepath.Join("testdata", name))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
-}
-
-// TestJSONRoundTrip pins the wire format: marshal -> Parse -> marshal is
+// TestJSONRoundTrip pins the wire format: marshal -> unmarshal -> marshal is
 // stable, so scenarios embedded in config fingerprints are deterministic.
 func TestJSONRoundTrip(t *testing.T) {
 	s := valid()
@@ -173,11 +146,14 @@ func TestJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := Parse(b1)
-	if err != nil {
+	var back Scenario
+	if err := json.Unmarshal(b1, &back); err != nil {
 		t.Fatal(err)
 	}
-	b2, err := json.Marshal(back)
+	if err := back.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	b2, err := json.Marshal(&back)
 	if err != nil {
 		t.Fatal(err)
 	}

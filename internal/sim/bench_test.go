@@ -98,29 +98,6 @@ func BenchmarkInjectLowLoad(b *testing.B) {
 	b.ReportMetric(float64(n.generated)/float64(b.N), "emissions/cycle")
 }
 
-// BenchmarkRunAveraged measures a full multi-replication point (the unit of
-// work of every sweep): build, warm up, measure and summarise, for several
-// independent seeds.
-func BenchmarkRunAveraged(b *testing.B) {
-	cfg := config.Small()
-	cfg.Load = 0.6
-	cfg.WarmupCycles = 300
-	cfg.MeasureCycles = 1200
-	cfg.DeadlockCycles = 3000
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cfg.Seed = int64(i + 1)
-		agg, _, err := RunAveraged(cfg, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if agg.DeliveredPackets == 0 {
-			b.Fatal("no traffic delivered")
-		}
-	}
-}
-
 // BenchmarkReplicationPBSat runs the replication the repository benchmark
 // gates as medium-pb-sat-1core (bench/workloads/medium-pb-sat.campaign.json:
 // PB, per-port sensing, FlexVC-minCred 4/2+2/1, reactive ADV at 0.35, 400+1200

@@ -10,13 +10,14 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
-	"sync"
 	"testing"
+	"time"
 
 	"flexvc/internal/config"
 	"flexvc/internal/core"
 	"flexvc/internal/obs"
 	"flexvc/internal/routing"
+	"flexvc/internal/stats"
 )
 
 // TestMetricsExcludedFromIdentity pins that the Metrics registry is an
@@ -129,14 +130,14 @@ func TestMeteredRunMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestMetricsUnderBudgetChurn is the -race proof for the metrics hot path:
-// concurrent metered replications hammer one shared registry while the
-// process-wide worker budget churns and a scraper goroutine concurrently
-// snapshots and renders the registry — and every replication must still be
-// bit-identical to the unmetered run.
-func TestMetricsUnderBudgetChurn(t *testing.T) {
+// TestMetricsUnderConcurrentReplications is the -race proof for the metrics
+// hot path: metered replications run on four workers and hammer one shared
+// registry while a scraper goroutine concurrently snapshots and renders it —
+// and every replication must still be bit-identical to the unmetered run.
+func TestMetricsUnderConcurrentReplications(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	defer SetWorkerBudget(WorkerBudget())
+	SetWorkerBudget(4)
 
 	cfg := config.Small()
 	cfg.Routing = routing.PAR
@@ -151,23 +152,9 @@ func TestMetricsUnderBudgetChurn(t *testing.T) {
 	reg := obs.NewRegistry()
 	cfg.Metrics = reg
 	stop := make(chan struct{})
-	var aux sync.WaitGroup
-	aux.Add(2)
-	go func() { // budget churn
-		defer aux.Done()
-		size := 1
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				SetWorkerBudget(size%4 + 1)
-				size++
-			}
-		}
-	}()
-	go func() { // concurrent scraper
-		defer aux.Done()
+	scraped := make(chan struct{})
+	go func() {
+		defer close(scraped)
 		for {
 			select {
 			case <-stop:
@@ -181,29 +168,20 @@ func TestMetricsUnderBudgetChurn(t *testing.T) {
 	}()
 
 	const runs = 6
-	errs := make([]error, runs)
-	var wg sync.WaitGroup
-	for i := 0; i < runs; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			got, _, err := RunReplication(cfg, 0)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			if !reflect.DeepEqual(got, want) {
-				errs[i] = fmt.Errorf("metered run %d diverged from the unmetered one under budget churn", i)
-			}
-		}(i)
+	reps := make([]Replication, runs)
+	for i := range reps {
+		reps[i] = Replication{Config: cfg}
 	}
-	wg.Wait()
-	close(stop)
-	aux.Wait()
-	for _, err := range errs {
-		if err != nil {
-			t.Error(err)
+	err = RunReplications(reps, func(i int, got stats.Result, _ time.Duration) error {
+		if !reflect.DeepEqual(got, want) {
+			return fmt.Errorf("metered run %d diverged from the unmetered one", i)
 		}
+		return nil
+	})
+	close(stop)
+	<-scraped
+	if err != nil {
+		t.Error(err)
 	}
 	if n := reg.Counter(MetricReplications).Value(); n != runs {
 		t.Errorf("registry counted %d replications, want %d", n, runs)

@@ -84,10 +84,10 @@ type Network struct {
 // first.
 func New(cfg config.Config) (*Network, error) { return newNetwork(cfg, nil) }
 
-// newNetwork builds a network, optionally drawing its packet store, telemetry
-// arena, PRNG streams, NIC queues, wheel slots and routers from a recycled
-// scratch set (see scratch.go). RunOne is the pooled path; New passes nil and
-// allocates fresh.
+// newNetwork builds a network, optionally drawing its packet store, PRNG
+// streams, NIC queues, wheel slots and routers from a recycled scratch set
+// (see scratch.go). RunReplications' workers pass their own set; New passes
+// nil and allocates fresh.
 func newNetwork(cfg config.Config, sc *scratch) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -228,11 +228,7 @@ func newNetwork(cfg config.Config, sc *scratch) (*Network, error) {
 		// phase switches is the signal, not something to warm past.
 		measureStart, measureEnd = 0, cfg.Scenario.TotalCycles()
 	}
-	var arena *stats.Arena
-	if sc != nil {
-		arena = sc.arena
-	}
-	n.collector = stats.NewCollectorIn(arena, topo.NumNodes(), measureStart, measureEnd)
+	n.collector = stats.NewCollector(topo.NumNodes(), measureStart, measureEnd)
 	if cfg.Scenario != nil {
 		if err := n.collector.EnableTimeSeries(cfg.Scenario.Window, measureEnd, cfg.Scenario.Marks()); err != nil {
 			return nil, err

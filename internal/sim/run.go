@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"fmt"
-	"sync"
 	"time"
 
 	"flexvc/internal/config"
@@ -54,18 +52,18 @@ func (n *Network) watchdog() bool {
 	return false
 }
 
-// RunOne builds a network for cfg, runs it and returns its summary. With a
-// metrics registry attached it also accounts the replication (count + wall
-// histogram) — this is the single funnel every execution path (RunReplication,
-// RunAveraged, tests) goes through. The network's recyclable memory comes from
-// the scratch pool and is recycled when the run finishes if a hold is open
-// (see HoldScratch): the summary is a deep copy, so nothing it holds aliases
-// the recycled memory.
-func RunOne(cfg config.Config) (stats.Result, error) {
-	sc := acquireScratch()
+// RunOne builds a fresh network for cfg, runs it and returns its summary.
+func RunOne(cfg config.Config) (stats.Result, error) { return runIn(cfg, nil) }
+
+// runIn builds cfg's network in the scratch set sc (fresh memory when sc is
+// nil), runs it and returns its summary. With a metrics registry attached it
+// also accounts the replication (count + wall histogram) — this is the single
+// funnel every execution path (RunOne, RunReplication, RunReplications) goes
+// through. The summary is a deep copy, so nothing it holds aliases sc, which
+// the caller may reclaim as soon as runIn returns.
+func runIn(cfg config.Config, sc *scratch) (stats.Result, error) {
 	n, err := newNetwork(cfg, sc)
 	if err != nil {
-		sc.reclaim()
 		return stats.Result{}, err
 	}
 	start := time.Now()
@@ -74,64 +72,26 @@ func RunOne(cfg config.Config) (stats.Result, error) {
 	cfg.Metrics.Histogram(MetricReplicationWall).Since(start)
 	cfg.Metrics.Counter(MetricReplications).Inc()
 	n.publishWork()
-	sc.reclaim()
 	return r, nil
 }
 
 // ReplicationSeed derives the PRNG seed of replication s from the base
 // configuration seed. Every replication owns its configuration, network and
 // PRNG streams, so replications are independent of each other and of the
-// order (or concurrency) in which they execute. It is exported so the
-// checkpointed sweep runner (internal/sweep + internal/results) can run and
-// record single replications that are bit-identical to RunAveraged's.
+// order (or concurrency) in which they execute.
 func ReplicationSeed(base int64, s int) int64 { return base + int64(s)*7919 }
 
 // RunReplication runs replication s of cfg — deriving its seed with
-// ReplicationSeed — on the process-wide worker budget, and returns its
-// summary together with the wall-clock time spent simulating (measured after
-// the worker token is acquired, so queueing for a busy budget is excluded).
-// RunAveraged(cfg, n) is exactly the aggregation of
-// RunReplication(cfg, 0..n-1) in replication order.
+// ReplicationSeed — in fresh memory, and returns its summary together with
+// the wall-clock time spent building and simulating it.
 func RunReplication(cfg config.Config, s int) (stats.Result, time.Duration, error) {
-	release := acquireWorker()
-	defer release()
-	c := cfg
-	c.Seed = ReplicationSeed(cfg.Seed, s)
-	start := time.Now()
-	r, err := RunOne(c)
-	return r, time.Since(start), err
+	return runReplication(cfg, s, nil)
 }
 
-// RunAveraged runs `seeds` independent replications (the paper averages 5)
-// and returns the aggregated result together with the individual runs, in
-// replication order.
-//
-// Each replication is one RunReplication, all of them concurrent on the
-// process-wide worker budget (see SetWorkerBudget). Each replication is fully
-// self-contained and results are aggregated in replication order, so the
-// output is bit-identical to running the same replications sequentially. The
-// replications share one scratch hold, so each recycles the memory of the
-// ones before it.
-func RunAveraged(cfg config.Config, seeds int) (stats.Result, []stats.Result, error) {
-	if seeds < 1 {
-		return stats.Result{}, nil, fmt.Errorf("sim: need at least one replication")
-	}
-	defer HoldScratch()()
-	results := make([]stats.Result, seeds)
-	errs := make([]error, seeds)
-	var wg sync.WaitGroup
-	for s := 0; s < seeds; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			results[s], _, errs[s] = RunReplication(cfg, s)
-		}(s)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return stats.Result{}, nil, err
-		}
-	}
-	return stats.Aggregate(results), results, nil
+// runReplication is RunReplication in the scratch set sc.
+func runReplication(cfg config.Config, s int, sc *scratch) (stats.Result, time.Duration, error) {
+	cfg.Seed = ReplicationSeed(cfg.Seed, s)
+	start := time.Now()
+	r, err := runIn(cfg, sc)
+	return r, time.Since(start), err
 }

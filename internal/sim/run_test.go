@@ -1,12 +1,10 @@
 package sim
 
 import (
-	"reflect"
 	"testing"
 
 	"flexvc/internal/config"
 	"flexvc/internal/packet"
-	"flexvc/internal/stats"
 )
 
 // shortConfig returns a Small configuration with a shortened window so
@@ -18,69 +16,6 @@ func shortConfig() config.Config {
 	cfg.MeasureCycles = 1200
 	cfg.DeadlockCycles = 3000
 	return cfg
-}
-
-// TestRunAveragedMatchesSequential checks the parallel replication engine's
-// core guarantee: RunAveraged with concurrent workers produces results
-// byte-identical to running the same replications sequentially, because each
-// replication owns its configuration, network and PRNG streams and results
-// are aggregated in replication order.
-func TestRunAveragedMatchesSequential(t *testing.T) {
-	cfg := shortConfig()
-	const seeds = 4
-
-	// Sequential reference: the exact per-replication seed derivation.
-	want := make([]stats.Result, 0, seeds)
-	for s := 0; s < seeds; s++ {
-		c := cfg
-		c.Seed = ReplicationSeed(cfg.Seed, s)
-		r, err := RunOne(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, r)
-	}
-	wantAgg := stats.Aggregate(want)
-
-	agg, runs, err := RunAveraged(cfg, seeds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(runs) != seeds {
-		t.Fatalf("want %d runs, got %d", seeds, len(runs))
-	}
-	for s := range runs {
-		if !reflect.DeepEqual(runs[s], want[s]) {
-			t.Errorf("replication %d differs from sequential run:\nparallel:   %+v\nsequential: %+v", s, runs[s], want[s])
-		}
-	}
-	if !reflect.DeepEqual(agg, wantAgg) {
-		t.Errorf("aggregate differs:\nparallel:   %+v\nsequential: %+v", agg, wantAgg)
-	}
-}
-
-// TestRunAveragedRepeatable checks that two parallel invocations agree with
-// each other (scheduling must not leak into results).
-func TestRunAveragedRepeatable(t *testing.T) {
-	cfg := shortConfig()
-	aggA, runsA, err := RunAveraged(cfg, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	aggB, runsB, err := RunAveraged(cfg, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(runsA, runsB) || !reflect.DeepEqual(aggA, aggB) {
-		t.Fatal("two RunAveraged invocations of the same configuration disagree")
-	}
-}
-
-// TestRunAveragedRejectsZeroSeeds checks the argument guard.
-func TestRunAveragedRejectsZeroSeeds(t *testing.T) {
-	if _, _, err := RunAveraged(shortConfig(), 0); err == nil {
-		t.Fatal("RunAveraged accepted zero replications")
-	}
 }
 
 // TestWorkerBudget checks the budget accessors.

@@ -3,8 +3,8 @@ package sim
 import (
 	"encoding/json"
 	"runtime"
-	"sync"
 	"testing"
+	"time"
 	"weak"
 
 	"flexvc/internal/buffer"
@@ -12,15 +12,9 @@ import (
 	"flexvc/internal/core"
 	"flexvc/internal/routing"
 	"flexvc/internal/scenario"
+	"flexvc/internal/stats"
 	"flexvc/internal/topology"
 )
-
-// poolLen returns the number of scratch sets on the free list.
-func poolLen() int {
-	scratchMu.Lock()
-	defer scratchMu.Unlock()
-	return len(scratchFree)
-}
 
 // saturatedSmall is a short saturated UN replication: it grows the NIC queues
 // and wheel slots to their saturation depth.
@@ -31,7 +25,8 @@ func saturatedSmall() config.Config {
 }
 
 // TestRecycledScratchMatchesFresh runs replications of different shapes back
-// to back inside one hold — a saturated one that grows the queues, slots and
+// to back on one RunReplications worker, so every one of them is built in the
+// scratch set of the ones before it — a saturated one that grows the queues, slots and
 // VC rings, a tiny one with another node count, radix and wheel horizon, a
 // bursty one, a multi-phase scenario with more VCs that draws more PRNG
 // streams and a request-reply PB one over DAMQs — and requires every result
@@ -74,86 +69,36 @@ func TestRecycledScratchMatchesFresh(t *testing.T) {
 		}
 	}
 
-	release := HoldScratch()
-	defer release()
+	defer SetWorkerBudget(WorkerBudget())
+	SetWorkerBudget(1)
+	var reps []Replication
 	for pass := 0; pass < 2; pass++ {
-		for i, c := range cases {
-			r, err := RunOne(c.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := json.Marshal(r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(got) != string(want[i]) {
-				t.Errorf("pass %d, %s: recycled result differs from a fresh network's", pass, c.name)
-			}
-			if poolLen() != 1 {
-				t.Fatalf("pass %d, %s: %d sets pooled, want the one set recycled", pass, c.name, poolLen())
-			}
+		for _, c := range cases {
+			reps = append(reps, Replication{Config: c.cfg})
 		}
+	}
+	err := RunReplications(reps, func(i int, r stats.Result, _ time.Duration) error {
+		got, err := json.Marshal(r)
+		if err != nil {
+			return err
+		}
+		if c := i % len(cases); string(got) != string(want[c]) {
+			t.Errorf("pass %d, %s: recycled result differs from a fresh network's", i/len(cases), cases[c].name)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
-// TestScratchHoldRelease pins the pool's lifetime rule: a replication outside
-// any hold retains nothing, nested and concurrent holds keep the pool, and
-// the last release empties it.
-func TestScratchHoldRelease(t *testing.T) {
-	cfg := config.Tiny()
-	cfg.WarmupCycles, cfg.MeasureCycles = 100, 300
-	run := func() {
-		t.Helper()
-		if _, _, err := RunReplication(cfg, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	run()
-	if poolLen() != 0 {
-		t.Fatalf("a replication outside any hold left %d sets pooled", poolLen())
-	}
-
-	outer := HoldScratch()
-	inner := HoldScratch()
-	run()
-	inner()
-	if poolLen() != 1 {
-		t.Fatalf("after the inner release: %d sets pooled, want 1", poolLen())
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 2; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer HoldScratch()()
-			if _, _, err := RunReplication(cfg, g); err != nil {
-				t.Error(err)
-			}
-		}()
-	}
-	wg.Wait()
-	if poolLen() == 0 {
-		t.Fatal("concurrent holds emptied the pool while the outer hold was open")
-	}
-	outer()
-	if poolLen() != 0 {
-		t.Fatalf("the last release left %d sets pooled", poolLen())
-	}
-	run()
-	if poolLen() != 0 {
-		t.Fatalf("a replication after the last release left %d sets pooled", poolLen())
-	}
-}
-
-// TestPooledScratchPinsNoNetwork checks that a scratch set sitting in a held
-// pool keeps no finished network alive: its routers held the network as their
+// TestPooledScratchPinsNoNetwork checks that a scratch set a worker keeps
+// between replications holds no finished network alive: its routers held the network as their
 // environment, its topology and its routing algorithm (Piggyback's refers back
 // to the network), and the wheel slots it recycles held credit events pointing
 // into the network's input buffers.
 func TestPooledScratchPinsNoNetwork(t *testing.T) {
-	defer HoldScratch()()
-	sc := acquireScratch()
+	sc := newScratch()
 	cfg := saturatedSmall()
 	cfg.Routing = routing.PB
 	cfg.Scheme = core.Scheme{Policy: core.FlexVC, VCs: core.SingleClass(4, 2), Selection: core.JSQ}
@@ -171,7 +116,7 @@ func TestPooledScratchPinsNoNetwork(t *testing.T) {
 		}
 	}
 	if credits == 0 || len(sc.routers) == 0 {
-		t.Fatal("no credit event in the wheel slots or no pooled router: the check would be vacuous")
+		t.Fatal("no credit event in the wheel slots or no router in the set: the check would be vacuous")
 	}
 	topo, ok := n.topo.(*topology.Dragonfly)
 	if !ok {
@@ -182,16 +127,13 @@ func TestPooledScratchPinsNoNetwork(t *testing.T) {
 	sc.reclaim()
 	runtime.GC()
 	if wnet.Value() != nil || wtopo.Value() != nil {
-		t.Error("a pooled scratch set keeps a finished network reachable")
+		t.Error("a reclaimed scratch set keeps a finished network reachable")
 	}
 	for _, s := range sc.slots {
 		for _, ev := range s[:cap(s)] {
 			if ev.buf != nil {
-				t.Fatal("a pooled wheel slot still holds a credit event")
+				t.Fatal("a reclaimed wheel slot still holds a credit event")
 			}
 		}
-	}
-	if poolLen() != 1 {
-		t.Fatalf("%d sets pooled, want the reclaimed one", poolLen())
 	}
 }

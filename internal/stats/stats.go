@@ -43,22 +43,12 @@ type Collector struct {
 	// series, when non-nil, additionally buckets deliveries into fixed
 	// windows of simulated cycles (transient telemetry; see EnableTimeSeries).
 	series *TimeSeries
-	// arena, when non-nil, backs the series' window arrays (per-replication
-	// recycled memory; see Arena). Summarize clones the series, so nothing
-	// arena-backed escapes the collector.
-	arena *Arena
 }
 
 // NewCollector builds a collector for a network with the given node count and
 // measurement window [measureStart, measureEnd).
 func NewCollector(nodes int, measureStart, measureEnd int64) *Collector {
-	return NewCollectorIn(nil, nodes, measureStart, measureEnd)
-}
-
-// NewCollectorIn is NewCollector with the collector's dynamic telemetry
-// buffers carved from an Arena (heap-allocated when arena is nil).
-func NewCollectorIn(arena *Arena, nodes int, measureStart, measureEnd int64) *Collector {
-	return &Collector{arena: arena, nodes: nodes, measureStart: measureStart, measureEnd: measureEnd}
+	return &Collector{nodes: nodes, measureStart: measureStart, measureEnd: measureEnd}
 }
 
 // MeasureWindow returns the measurement window.
@@ -69,7 +59,7 @@ func (c *Collector) MeasureWindow() (int64, int64) { return c.measureStart, c.me
 // cycles covering [0, total), annotated with the given phase marks. The
 // resulting series is attached to the run summary (Result.Series).
 func (c *Collector) EnableTimeSeries(window, total int64, marks []PhaseMark) error {
-	ts, err := NewTimeSeriesIn(c.arena, window, total, c.nodes, marks)
+	ts, err := NewTimeSeries(window, total, c.nodes, marks)
 	if err != nil {
 		return err
 	}

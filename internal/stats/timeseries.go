@@ -54,13 +54,6 @@ type TimeSeries struct {
 // enforces the MaxTimeSeriesWindows bound and rejects windows that do not
 // divide the total (ragged final windows would skew the derived throughput).
 func NewTimeSeries(window, total int64, nodes int, marks []PhaseMark) (*TimeSeries, error) {
-	return NewTimeSeriesIn(nil, window, total, nodes, marks)
-}
-
-// NewTimeSeriesIn is NewTimeSeries with the window arrays carved from an
-// Arena (heap-allocated when arena is nil). An arena-backed series is only
-// valid until the arena's next Reset; Clone detaches it onto the heap.
-func NewTimeSeriesIn(arena *Arena, window, total int64, nodes int, marks []PhaseMark) (*TimeSeries, error) {
 	if window <= 0 {
 		return nil, fmt.Errorf("stats: time-series window must be positive, got %d", window)
 	}
@@ -72,24 +65,16 @@ func NewTimeSeriesIn(arena *Arena, window, total int64, nodes int, marks []Phase
 		return nil, fmt.Errorf("stats: %d windows of %d cycles exceed the bound of %d; use a window of at least %d cycles",
 			n, window, MaxTimeSeriesWindows, (total+MaxTimeSeriesWindows-1)/MaxTimeSeriesWindows)
 	}
-	ts := &TimeSeries{
-		Window: window,
-		Nodes:  nodes,
-		Runs:   1,
-		Marks:  append([]PhaseMark(nil), marks...),
-	}
-	if arena != nil {
-		ts.Phits = arena.Int64(int(n))
-		ts.Packets = arena.Int64(int(n))
-		ts.LatencySum = arena.Float64(int(n))
-		ts.MinRouted = arena.Int64(int(n))
-	} else {
-		ts.Phits = make([]int64, n)
-		ts.Packets = make([]int64, n)
-		ts.LatencySum = make([]float64, n)
-		ts.MinRouted = make([]int64, n)
-	}
-	return ts, nil
+	return &TimeSeries{
+		Window:     window,
+		Nodes:      nodes,
+		Runs:       1,
+		Phits:      make([]int64, n),
+		Packets:    make([]int64, n),
+		LatencySum: make([]float64, n),
+		MinRouted:  make([]int64, n),
+		Marks:      append([]PhaseMark(nil), marks...),
+	}, nil
 }
 
 // Windows returns the number of windows.

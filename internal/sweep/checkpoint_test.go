@@ -12,8 +12,10 @@ import (
 
 	"flexvc/internal/config"
 	"flexvc/internal/core"
+	"flexvc/internal/obs"
 	"flexvc/internal/results"
 	"flexvc/internal/sim"
+	"flexvc/internal/stats"
 )
 
 // checkpointTestSweep runs the reference checkpointed sweep of this test
@@ -64,7 +66,7 @@ func exportBytes(t *testing.T, store *results.Store) []byte {
 
 // TestCheckpointedMatchesPlainSweep requires a section run into a results
 // store to produce exactly the series the same section produces without one,
-// and every point to equal sim.RunAveraged's result for its configuration:
+// and every point to equal the aggregate of its replications run serially:
 // checkpointing is an observer, never a behaviour change.
 func TestCheckpointedMatchesPlainSweep(t *testing.T) {
 	ckSeries, _, err := checkpointTestSweep(t.TempDir(), nil)
@@ -84,14 +86,47 @@ func TestCheckpointedMatchesPlainSweep(t *testing.T) {
 			cfg := base
 			v.Apply(&cfg)
 			cfg.Load = p.Load
-			want, _, err := sim.RunAveraged(cfg, 2)
-			if err != nil {
-				t.Fatal(err)
+			var reps []stats.Result
+			for s := 0; s < 2; s++ {
+				r, _, err := sim.RunReplication(cfg, s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				reps = append(reps, r)
 			}
-			if !reflect.DeepEqual(p.Result, want) {
-				t.Errorf("%s @ load %.1f: sweep point differs from sim.RunAveraged", v.Label, p.Load)
+			if !reflect.DeepEqual(p.Result, stats.Aggregate(reps)) {
+				t.Errorf("%s @ load %.1f: sweep point differs from its serial replications' aggregate", v.Label, p.Load)
 			}
 		}
+	}
+}
+
+// TestFailedCheckpointStopsSweep removes the store's records directory so
+// every checkpoint fails, then runs a 12-replication section on one worker: the
+// sweep must return the failed Put's error without simulating the rest of the
+// section.
+func TestFailedCheckpointStopsSweep(t *testing.T) {
+	defer sim.SetWorkerBudget(sim.WorkerBudget())
+	sim.SetWorkerBudget(1)
+	dir := t.TempDir()
+	store, err := results.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(filepath.Join(dir, "records")); err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	base, variants := checkpointTestSection()
+	base.WarmupCycles, base.MeasureCycles = 100, 300
+	base.Metrics = reg
+	runner := Options{Scale: "tiny", Seeds: 2, Results: store, Metrics: reg}.NewRunner("ckpt-test")
+	_, err = runner.RunSection("tiny UN/MIN panel", base, variants, ckptTestLoads[:2])
+	if err == nil || !strings.Contains(err.Error(), "records") {
+		t.Fatalf("sweep with an unwritable store returned %v, want the failed Put's error", err)
+	}
+	if n := reg.Snapshot().Counters[sim.MetricReplications]; n > int64(sim.WorkerBudget()) {
+		t.Errorf("%d replications simulated, want at most %d: the sweep went on after a checkpoint failed", n, sim.WorkerBudget())
 	}
 }
 

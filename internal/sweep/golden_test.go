@@ -11,6 +11,7 @@ import (
 	"flexvc/internal/config"
 	"flexvc/internal/core"
 	"flexvc/internal/results"
+	"flexvc/internal/sim"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files with current output")
@@ -67,21 +68,22 @@ func TestGoldenQuickSweep(t *testing.T) {
 	checkGolden(t, "quick_sweep.md.golden", md)
 }
 
-// TestQuickSweepDeterministic runs the same sweep twice through the parallel
-// scheduler and requires identical results — the sweep-level counterpart of
-// sim.TestRunAveragedMatchesSequential. With -race this doubles as the data
-// race check on the shared worker budget.
+// TestQuickSweepDeterministic runs the same sweep on one worker and on four
+// and requires identical results: every replication owns its network and
+// points aggregate in replication order, so the worker count never leaks into
+// results. With -race this doubles as the data race check on the workers.
 func TestQuickSweepDeterministic(t *testing.T) {
-	a, err := goldenSweepSeries(nil)
-	if err != nil {
-		t.Fatal(err)
+	defer sim.SetWorkerBudget(sim.WorkerBudget())
+	var runs [2][]Series
+	for i, workers := range []int{1, 4} {
+		sim.SetWorkerBudget(workers)
+		var err error
+		if runs[i], err = goldenSweepSeries(nil); err != nil {
+			t.Fatal(err)
+		}
 	}
-	b, err := goldenSweepSeries(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("two runs of the same sweep through the parallel scheduler disagree")
+	if !reflect.DeepEqual(runs[0], runs[1]) {
+		t.Fatal("the same sweep on one worker and on four disagrees")
 	}
 }
 

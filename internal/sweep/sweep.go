@@ -246,7 +246,6 @@ type job struct {
 	point  int
 	label  string
 	cfg    config.Config
-	seeds  int
 }
 
 // ckpt is the checkpointing context of one section sweep: where records go,
@@ -290,7 +289,7 @@ func newSweepMetrics(reg *obs.Registry) sweepMetrics {
 
 // expand lays out the series of a sweep and the (variant, load) jobs that
 // fill them, validating every point configuration before anything runs.
-func expand(base config.Config, variants []Variant, loads []float64, seeds int) ([]Series, []job, error) {
+func expand(base config.Config, variants []Variant, loads []float64) ([]Series, []job, error) {
 	series := make([]Series, len(variants))
 	jobs := make([]job, 0, len(variants)*len(loads))
 	for si, v := range variants {
@@ -304,95 +303,70 @@ func expand(base config.Config, variants []Variant, loads []float64, seeds int) 
 				return nil, nil, fmt.Errorf("sweep: variant %q at load %.2f: %w", v.Label, load, err)
 			}
 			series[si].Points[pi].Load = load
-			jobs = append(jobs, job{series: si, point: pi, label: v.Label, cfg: cfg, seeds: seeds})
+			jobs = append(jobs, job{series: si, point: pi, label: v.Label, cfg: cfg})
 		}
 	}
 	return series, jobs, nil
 }
 
-// runSweep is the scheduling core behind the section runner: every point of
-// every series is scheduled at once, and ck resolves each replication
-// individually against the results store (a nil store checkpoints nothing)
-// and persists fresh ones as they finish. All replications drain through the
-// process-wide worker budget shared with sim.RunAveraged (see
-// sim.SetWorkerBudget), so one global limit governs CPU use no matter how
-// many series or sweeps are in flight; a point waiting for a worker token
-// holds only its job. Per-replication results are aggregated in replication
-// order, so every point is bit-identical to sim.RunAveraged's result for the
-// same configuration, whatever the scheduling. The whole sweep holds the
-// simulator's scratch pool, so every replication recycles the memory of the
-// ones finished before it.
+// runSweep is the scheduling core behind the section runner. It first
+// restores every replication the results store already holds (same key, same
+// config fingerprint; a nil store holds nothing), then hands the missing ones,
+// in job order, to sim.RunReplications, which runs them on the worker budget.
+// The worker that finishes a replication checkpoints it before it takes
+// another, so a failed checkpoint stops the sweep after the replications in
+// flight. Each point aggregates its replications in replication order, so it
+// is bit-identical to the same replications run serially, whatever the worker
+// count and whatever mix of them was restored.
 func runSweep(base config.Config, variants []Variant, loads []float64, seeds int, ck *ckpt) ([]Series, error) {
-	series, jobs, err := expand(base, variants, loads, seeds)
+	series, jobs, err := expand(base, variants, loads)
 	if err != nil {
 		return nil, err
 	}
-	defer sim.HoldScratch()()
-
-	errs := make([]error, len(jobs))
-	var wg sync.WaitGroup
+	// per[ji*seeds+s] is replication s of jobs[ji]; missing[i] is the
+	// simulated replication per[slot[i]].
+	per := make([]stats.Result, len(jobs)*seeds)
+	fps := make([]string, len(jobs))
+	var (
+		missing []sim.Replication
+		slot    []int
+	)
 	for ji := range jobs {
-		wg.Add(1)
-		go func(ji int) {
-			defer wg.Done()
-			j := &jobs[ji]
-			agg, err := ck.runPoint(j)
-			if err != nil {
-				errs[ji] = err
-				return
+		j := &jobs[ji]
+		fps[ji] = ck.fingerprint(j.cfg)
+		for s := 0; s < seeds; s++ {
+			if ck.store != nil {
+				key := results.Key{Experiment: ck.experiment, Section: ck.section, Variant: j.label, Load: j.cfg.Load, Seed: s}
+				if rec, ok := ck.store.Get(key, fps[ji]); ok {
+					per[ji*seeds+s] = rec.Result
+					ck.state.note(ck, true)
+					continue
+				}
 			}
-			series[j.series].Points[j.point].Result = agg
-		}(ji)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+			missing = append(missing, sim.Replication{Config: j.cfg, Seed: s})
+			slot = append(slot, ji*seeds+s)
 		}
+	}
+	err = sim.RunReplications(missing, func(i int, r stats.Result, wall time.Duration) error {
+		k := slot[i]
+		if ck.store != nil {
+			rec := ck.record(&jobs[k/seeds], fps[k/seeds], k%seeds)
+			rec.Result = r
+			if err := ck.store.Put(rec, wall); err != nil {
+				return err
+			}
+		}
+		per[k] = r
+		ck.state.note(ck, false)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for ji, j := range jobs {
+		series[j.series].Points[j.point].Result = stats.Aggregate(per[ji*seeds : (ji+1)*seeds])
 	}
 	return series, nil
-}
-
-// runPoint resolves one sweep point replication by replication: replications
-// already in the store (same key, same config fingerprint) are restored;
-// missing ones are simulated concurrently on the worker budget and
-// checkpointed the moment they finish. The per-replication results are
-// aggregated in replication order, exactly as sim.RunAveraged does, so a
-// point assembled from any mix of restored and fresh replications is
-// bit-identical to one simulated in a single pass.
-func (ck *ckpt) runPoint(j *job) (stats.Result, error) {
-	fp := ck.fingerprint(j.cfg)
-	per := make([]stats.Result, j.seeds)
-	errs := make([]error, j.seeds)
-	var wg sync.WaitGroup
-	for s := 0; s < j.seeds; s++ {
-		key := results.Key{Experiment: ck.experiment, Section: ck.section, Variant: j.label, Load: j.cfg.Load, Seed: s}
-		if ck.store != nil {
-			if rec, ok := ck.store.Get(key, fp); ok {
-				per[s] = rec.Result
-				ck.state.note(ck, true)
-				continue
-			}
-		}
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			r, err := ck.simulate(j, fp, s)
-			if err != nil {
-				errs[s] = err
-				return
-			}
-			per[s] = r
-			ck.state.note(ck, false)
-		}(s)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return stats.Result{}, err
-		}
-	}
-	return stats.Aggregate(per), nil
 }
 
 // fingerprint returns the config fingerprint cfg's records are stored under;
@@ -402,23 +376,6 @@ func (ck *ckpt) fingerprint(cfg config.Config) string {
 		return ""
 	}
 	return results.Fingerprint(cfg)
-}
-
-// simulate runs replication s of job j and, when a store is attached,
-// checkpoints it before returning.
-func (ck *ckpt) simulate(j *job, fp string, s int) (stats.Result, error) {
-	r, wall, err := sim.RunReplication(j.cfg, s)
-	if err != nil {
-		return stats.Result{}, err
-	}
-	if ck.store != nil {
-		rec := ck.record(j, fp, s)
-		rec.Result = r
-		if err := ck.store.Put(rec, wall); err != nil {
-			return stats.Result{}, err
-		}
-	}
-	return r, nil
 }
 
 // record returns the results record of replication s of job j, its Result
@@ -471,7 +428,7 @@ func (r *SectionRunner) RunSection(title string, base config.Config, variants []
 // Point configurations are validated exactly as RunSection validates them.
 func (r *SectionRunner) PlanSection(title string, base config.Config, variants []Variant, loads []float64) ([]results.Record, error) {
 	seeds := r.opts.seeds()
-	_, jobs, err := expand(base, variants, loads, seeds)
+	_, jobs, err := expand(base, variants, loads)
 	if err != nil {
 		return nil, err
 	}

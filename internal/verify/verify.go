@@ -152,16 +152,6 @@ func Check(m *Manifest, ids []string, opts Options) ([]Result, error) {
 	return rs, nil
 }
 
-// Failed reports whether any result is a FAIL.
-func Failed(rs []Result) bool {
-	for _, r := range rs {
-		if r.Status == Fail {
-			return true
-		}
-	}
-	return false
-}
-
 func selectEntries(m *Manifest, ids []string) ([]Entry, error) {
 	if len(ids) == 0 || (len(ids) == 1 && ids[0] == "all") {
 		return m.Entries, nil
