@@ -52,7 +52,7 @@ type HopContext struct {
 	// minimal path is local position 1 even when the source-group hop was
 	// skipped). The baseline fixed-order policy uses it directly as the VC
 	// index; it is computed by the routing layer, which knows the path
-	// semantics (see routing.BaselinePosition).
+	// semantics (see routing.PlanHop).
 	RefPosition topology.HopCount
 	// PlannedAfter is the hop-kind sequence remaining on the packet's
 	// currently planned route after this hop is taken.
@@ -77,14 +77,6 @@ type VCRange struct {
 // Empty reports whether the range allows no VC at all (the hop is forbidden
 // under the current configuration).
 func (r VCRange) Empty() bool { return r.Hi < r.Lo }
-
-// Width returns the number of VCs in the range.
-func (r VCRange) Width() int {
-	if r.Empty() {
-		return 0
-	}
-	return r.Hi - r.Lo + 1
-}
 
 // Contains reports whether vc lies inside the range.
 func (r VCRange) Contains(vc int) bool { return vc >= r.Lo && vc <= r.Hi && !r.Empty() }
@@ -120,12 +112,4 @@ func escapeOtherKindsFit(cfg VCConfig, class packet.Class, kind topology.PortKin
 		}
 	}
 	return true
-}
-
-// BaselineInjectionVC returns the VC a freshly injected packet of the given
-// class would use on its first hop of the given kind under the baseline
-// policy. It is a convenience for congestion sensing (PB per-VC looks at the
-// first VC of each global port).
-func (s Scheme) BaselineInjectionVC(class packet.Class, kind topology.PortKind) int {
-	return s.VCs.ClassOffset(class, kind)
 }

@@ -50,12 +50,8 @@ func (s rebuildShape) build(t *testing.T, rt *Router) (*Router, *fakeEnv, *topol
 	} else if err := rt.Rebuild(0, topo, s.scheme, alg, params, 7); err != nil {
 		t.Fatal(err)
 	}
-	env := &fakeEnv{topo: topo, downstream: map[int]*buffer.InputBuffer{}, instantCredits: true}
-	for p := 0; p < topo.Radix(); p++ {
-		if kind := topo.PortKind(0, p); kind != topology.Terminal {
-			env.downstream[p] = buffer.NewInputBuffer(buffer.StaticConfig(s.scheme.VCs.TotalOf(kind), 8))
-		}
-	}
+	env := newFakeEnv(topo, s.scheme, staticVCs(8))
+	env.instantCredits = true
 	rt.SetEnv(env)
 	return rt, env, topo, store
 }

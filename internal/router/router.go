@@ -95,10 +95,10 @@ func (p Params) Validate() error {
 // Step calls Env methods only. Everything else a Step touches is either
 // private to the router (input queues, PRNG, allocation scratch, VC-plan
 // caches, sleep state), immutable during a run (topology, route tables,
-// core.Manager, the wiring behind DownstreamInput), or owned by this router as
-// the unique upstream writer and reader of its links' downstream credit
-// counters (Reserve, FreeFor and the congestion probes all act on the prober's
-// own output ports). Credit returns and arrivals reach other routers only when
+// core.Manager, the downstream buffers SetEnv resolved), or owned by this
+// router as the unique upstream writer and reader of its links' downstream
+// credit counters (Reserve, FreeFor and the congestion probes all act on the
+// prober's own output ports). Credit returns and arrivals reach other routers only when
 // the scheduled events are replayed at the start of a later cycle, so the
 // order routers step in within a cycle matters only through the order of
 // their Schedule* calls. An Env must not call EnqueueArrival from inside a
@@ -107,13 +107,15 @@ func (p Params) Validate() error {
 //
 // There is one write that crosses routers outside Step: a ReleaseCredit on a
 // buffer returned by DownstreamInput sets a bit in the wake set of the router
-// that resolved it (buffer.InputBuffer.SetWake), whoever calls it and
+// SetEnv registered with it (buffer.InputBuffer.SetWake), whoever calls it and
 // whenever. The router reads its wake set only at the top of its own Step, so
 // an Env may release credits from an event replay, from inside ScheduleCredit
 // or between steps — but always on the goroutine that steps the routers.
 type Env interface {
 	// DownstreamInput returns the input buffer at the far end of output
-	// port `port` of router r (nil for terminal ports).
+	// port `port` of router r (nil for terminal ports), with as many VCs as
+	// the port. SetEnv asks once per link port, so the buffers must exist
+	// before the router is wired.
 	DownstreamInput(r packet.RouterID, port int) *buffer.InputBuffer
 	// ScheduleArrival delivers the packet into VC vc of input port `port`
 	// of router `to` after `delay` cycles; kind is the routing kind recorded
@@ -154,10 +156,9 @@ type Router struct {
 	linkLat  []int64           // link latency per port
 	numVCs   []int             // VCs per input port (so the allocator need not touch the buffer)
 
-	// down lazily caches Env.DownstreamInput per output port (the environment
-	// is wired after construction, so the cache fills on first use).
-	down    []*buffer.InputBuffer
-	downSet []bool
+	// down is the input buffer at the far end of each link port (nil for
+	// terminal ports), resolved by SetEnv.
+	down []*buffer.InputBuffer
 
 	// Activity lists drive the batched allocator: instead of probing every
 	// VC of every port each allocation iteration, the proposal pass visits
@@ -320,7 +321,6 @@ func (r *Router) Rebuild(id packet.RouterID, topo topology.Topology, scheme core
 	r.nbrs = zeroed(mem.nbrs, n)
 	r.nbrPorts = zeroed(mem.nbrPorts, n)
 	r.down = zeroed(mem.down, n)
-	r.downSet = zeroed(mem.downSet, n)
 	// The per-port words the proposal pass reads together share one backing
 	// array (and one allocation), as do the per-port ints.
 	words := zeroed(mem.vcMask[:cap(mem.vcMask)], 5*n+(r.numOutKeys()+63)/64)
@@ -436,20 +436,35 @@ func (r *Router) portVCs(kind topology.PortKind) int {
 }
 
 // SetEnv wires the router to its environment (tests re-wire routers to fresh
-// environments). Everything derived from the old wiring goes: the
-// downstream-input cache and the wake registrations made through it, the
-// cached plans (their VC ranges are clamped to the downstream buffer) and the
+// environments). It resolves the input buffer at the far end of every link
+// port once and registers the port's wake bit in it, so every credit returned
+// to that buffer — by whatever caller — wakes the heads sleeping on the port.
+// A link port without a downstream buffer, or with one whose VC count differs
+// from the port's, is a wiring bug and panics: the VC ranges plans select
+// from lie below the port's count (core.VCConfig.ClassTop), so this check is
+// what lets them index the downstream buffer unclipped. Everything derived
+// from an old wiring goes: its wake registrations, the cached plans and the
 // sleep state (heads slept on the old buffers' occupancy). Pipeline timers and
 // transmission due cycles describe the router's own resident packets and
 // stay.
 func (r *Router) SetEnv(env Env) {
 	r.env = env
-	for p := range r.downSet {
+	for p := range r.down {
 		if r.down[p] != nil {
 			r.down[p].SetWake(nil, 0)
+			r.down[p] = nil
 		}
-		r.downSet[p] = false
-		r.down[p] = nil
+		if r.kinds[p] != topology.Terminal {
+			b := env.DownstreamInput(r.id, p)
+			if b == nil {
+				panic(fmt.Sprintf("router %d: %s port %d has no downstream input buffer", r.id, r.kinds[p], p))
+			}
+			if b.NumVCs() != r.numVCs[p] {
+				panic(fmt.Sprintf("router %d: %s port %d has %d VCs, its downstream input buffer %d", r.id, r.kinds[p], p, r.numVCs[p], b.NumVCs()))
+			}
+			b.SetWake(&r.wake[p>>6], 1<<uint(p&63))
+			r.down[p] = b
+		}
 		r.planCur[p] = 0
 		r.sleepMask[p] = 0
 		r.woken[p] = 0
@@ -459,26 +474,6 @@ func (r *Router) SetEnv(env Env) {
 	for i := range r.wake {
 		r.wake[i] = 0
 	}
-}
-
-// downstream returns the input buffer at the far end of an output port,
-// resolving it through the environment once and caching the answer (the
-// wiring is immutable for the lifetime of a network). Resolving it also
-// registers the port's wake bit in the buffer, so every credit returned to it
-// — by whatever caller — wakes the heads sleeping on the port. A plan names a
-// port only after planRange resolved it, so no head sleeps on an unregistered
-// buffer.
-func (r *Router) downstream(port int) *buffer.InputBuffer {
-	if r.downSet[port] {
-		return r.down[port]
-	}
-	b := r.env.DownstreamInput(r.id, port)
-	if b != nil {
-		b.SetWake(&r.wake[port>>6], 1<<uint(port&63))
-	}
-	r.down[port] = b
-	r.downSet[port] = true
-	return b
 }
 
 // ID returns the router identifier.
@@ -812,13 +807,14 @@ func (r *Router) rrDistance(key, inPort int) int {
 }
 
 // vcPlan caches the routing-stable part of the request for an input VC's
-// head packet: the routing decision, the allowed VC range of the planned
-// continuation and, when the plan is opportunistic, the escape fallback's
-// port and range. Those only depend on the packet's route state — which, for
-// a packet waiting at the head of a VC, is mutated exclusively by this
-// router's own Route/grant calls — so the plan stays valid until the head
-// changes (planCur tracks that). Occupancy checks (output buffer space,
-// downstream credits, VC selection) are re-evaluated from the plan.
+// head packet: the routing decision and a copy of its routing.PlanHop — the
+// allowed VC range of the planned continuation and, when the plan is
+// opportunistic, the escape fallback's port and range. Those only depend on
+// the packet's route state — which, for a packet waiting at the head of a VC,
+// is mutated exclusively by this router's own Route/grant calls — so the plan
+// stays valid until the head changes (planCur tracks that). Occupancy checks
+// (output buffer space, downstream credits, VC selection) are re-evaluated
+// from the plan.
 //
 // Plans are only reusable when the routing decision is provably stable:
 // MIN routing, or an adaptive packet that has already committed its decision
@@ -922,11 +918,8 @@ func (r *Router) planWaits(plan *vcPlan) waitKeys {
 }
 
 // buildPlan resolves routing and VC management for the head packet of an
-// input VC. When the planned continuation of a Valiant detour is
-// opportunistic (not classified safe), the packet's escape path (the minimal
-// route to its destination) is planned as a fallback, as the paper's
-// opportunistic-routing rule prescribes; the detour is only abandoned if the
-// escape request wins allocation.
+// input VC: delivery through a terminal port, or the hop routing.PlanHop
+// plans, escape fallback included.
 func (r *Router) buildPlan(p int, ref packet.Ref, hdr *packet.Header, plan *vcPlan) {
 	rt := r.store.Route(ref)
 	dec := r.alg.Route(r.id, hdr, rt, r.rng)
@@ -945,60 +938,14 @@ func (r *Router) buildPlan(p int, ref packet.Ref, hdr *packet.Header, plan *vcPl
 		plan.class = uint8(class)
 		return
 	}
-	var safe bool
-	plan.outPort = int16(dec.OutPort)
-	plan.outKind, plan.lo, plan.hi, safe = r.planRange(p, hdr, rt, dec.OutPort, false)
-	if !safe && rt.Kind == packet.Nonminimal && rt.Phase == packet.PhaseToIntermediate {
-		escPort := r.topo.NextMinimalPort(r.id, hdr.DstRouter)
-		if escPort >= 0 && escPort != dec.OutPort {
-			plan.escOutKind, plan.escLo, plan.escHi, _ = r.planRange(p, hdr, rt, escPort, true)
-			plan.escOutPort = int16(escPort)
-			plan.escValid = plan.escLo <= plan.escHi
-		}
+	hop := routing.PlanHop(r.mgr, r.topo, r.id, p, dec.OutPort, hdr, rt)
+	plan.outPort, plan.outKind = int16(dec.OutPort), hop.Kind
+	plan.lo, plan.hi = int8(hop.VCs.Lo), int8(hop.VCs.Hi)
+	if hop.EscPort >= 0 && !hop.EscVCs.Empty() {
+		plan.escValid = true
+		plan.escOutPort, plan.escOutKind = int16(hop.EscPort), hop.EscKind
+		plan.escLo, plan.escHi = int8(hop.EscVCs.Lo), int8(hop.EscVCs.Hi)
 	}
-}
-
-// planRange computes the allowed VC range at the downstream input port of
-// one candidate output port. With revert set, the range is computed for the
-// escape (minimal) continuation rather than the planned one. It returns
-// lo > hi when the continuation is invalid or has no allowed VCs; safe
-// reports whether the continuation was classified as a safe hop.
-func (r *Router) planRange(p int, hdr *packet.Header, rt *packet.RouteState, outPort int, revert bool) (kind topology.PortKind, lo, hi int8, safe bool) {
-	if outPort < 0 {
-		return topology.Terminal, 1, 0, false
-	}
-	kind = r.kinds[outPort]
-	next := r.nbrs[outPort]
-	escape := routing.EscapeRemaining(r.topo, next, hdr.DstRouter)
-	planned := escape
-	if !revert && rt.Kind == packet.Nonminimal && rt.Phase == packet.PhaseToIntermediate {
-		// Only a Valiant detour still heading to its intermediate differs
-		// from the escape path; every other plan IS the minimal path, which
-		// PlannedRemaining would recompute identically.
-		planned = routing.PlannedRemaining(r.topo, next, rt, hdr.DstRouter)
-	}
-	ctx := core.HopContext{
-		Class:        hdr.Class,
-		Kind:         kind,
-		InputKind:    r.kinds[p],
-		InputVC:      int(rt.InputVC),
-		RefPosition:  routing.BaselinePosition(r.topo, rt),
-		PlannedAfter: planned,
-		EscapeAfter:  escape,
-	}
-	vcRange := r.mgr.AllowedVCs(ctx)
-	if vcRange.Empty() {
-		return kind, 1, 0, false
-	}
-	down := r.downstream(outPort)
-	if down == nil {
-		return kind, 1, 0, vcRange.Safe
-	}
-	top := vcRange.Hi
-	if top >= down.NumVCs() {
-		top = down.NumVCs() - 1
-	}
-	return kind, int8(vcRange.Lo), int8(top), vcRange.Safe
 }
 
 // requestFromPlan performs the occupancy-dependent half of request building:
@@ -1034,10 +981,7 @@ func (r *Router) requestFromPlan(plan *vcPlan, p, vc int) (request, bool) {
 // selectVC picks one downstream VC with room in [lo, hi] using the scheme's
 // selection function.
 func (r *Router) selectVC(outPort, lo, hi, size int) (int, bool) {
-	down := r.downstream(outPort)
-	if down == nil {
-		return -1, false
-	}
+	down := r.down[outPort]
 	candidates := r.vcCand[:0]
 	for v := lo; v <= hi; v++ {
 		candidates = append(candidates, core.VCCandidate{VC: v, Free: down.FreeFor(v)})
@@ -1070,23 +1014,10 @@ func (r *Router) grant(now int64, req request) {
 		return
 	}
 
-	down := r.downstream(req.outPort)
-	if !down.Reserve(req.destVC, size, rt.Kind) {
+	if !r.down[req.outPort].Reserve(req.destVC, size, rt.Kind) {
 		panic(fmt.Sprintf("router %d: downstream VC %d of port %d lost its credits between check and grant", r.id, req.destVC, req.outPort))
 	}
-	if req.revert {
-		// The escape request won: abandon the Valiant detour and head
-		// straight to the destination from here on.
-		rt.Phase = packet.PhaseToDestination
-	}
-	rt.InputVC = int32(req.destVC)
-	switch req.outKind {
-	case topology.Local:
-		rt.LocalHops++
-	case topology.Global:
-		rt.GlobalHops++
-	}
-	rt.Hops++
+	routing.TakeHop(rt, req.outKind, req.destVC, req.revert)
 	r.outputs[req.outPort].Push(ref, size, req.destVC, rt.Kind, now+transfer)
 	r.noteStaged(req.outPort)
 }

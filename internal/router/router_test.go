@@ -1,6 +1,7 @@
 package router
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -54,6 +55,23 @@ func (f *fakeEnv) ScheduleDelivery(delay int64, ref packet.Ref) {
 	f.deliveries = append(f.deliveries, ref)
 }
 
+// newFakeEnv wires router 0's link ports to stand-alone input buffers with
+// the port's VC count under scheme, each built by cfg.
+func newFakeEnv(topo topology.Topology, scheme core.Scheme, cfg func(numVCs int) buffer.Config) *fakeEnv {
+	env := &fakeEnv{topo: topo, downstream: map[int]*buffer.InputBuffer{}}
+	for p := 0; p < topo.Radix(); p++ {
+		if kind := topo.PortKind(0, p); kind != topology.Terminal {
+			env.downstream[p] = buffer.NewInputBuffer(cfg(scheme.VCs.TotalOf(kind)))
+		}
+	}
+	return env
+}
+
+// staticVCs returns static buffer configurations of perVC phits per VC.
+func staticVCs(perVC int) func(numVCs int) buffer.Config {
+	return func(numVCs int) buffer.Config { return buffer.StaticConfig(numVCs, perVC) }
+}
+
 func testParams(numClasses int, store *packet.Store) Params {
 	return Params{
 		Store:            store,
@@ -83,14 +101,7 @@ func buildRouter(t testing.TB) (*Router, *fakeEnv, *topology.Dragonfly, *packet.
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := &fakeEnv{topo: topo, downstream: map[int]*buffer.InputBuffer{}}
-	for p := 0; p < topo.Radix(); p++ {
-		if topo.PortKind(0, p) == topology.Terminal {
-			continue
-		}
-		numVCs := scheme.VCs.TotalOf(topo.PortKind(0, p))
-		env.downstream[p] = buffer.NewInputBuffer(buffer.StaticConfig(numVCs, 64))
-	}
+	env := newFakeEnv(topo, scheme, staticVCs(64))
 	rt.SetEnv(env)
 	return rt, env, topo, store
 }
@@ -193,7 +204,7 @@ func TestEjectionByClass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := &fakeEnv{topo: topo, downstream: map[int]*buffer.InputBuffer{}}
+	env := newFakeEnv(topo, scheme, staticVCs(64))
 	rt.SetEnv(env)
 
 	// A reply arriving on a local input port, destined to node 1 of router 0.
@@ -286,12 +297,8 @@ func newSleepRigClasses(t *testing.T, scheme core.Scheme, alg func(*topology.Dra
 }
 
 func (g *sleepRig) newEnv(cfg func(numVCs int) buffer.Config) *fakeEnv {
-	env := &fakeEnv{topo: g.topo, downstream: map[int]*buffer.InputBuffer{}, instantCredits: true}
-	for p := 0; p < g.topo.Radix(); p++ {
-		if kind := g.topo.PortKind(0, p); kind != topology.Terminal {
-			env.downstream[p] = buffer.NewInputBuffer(cfg(g.rt.scheme.VCs.TotalOf(kind)))
-		}
-	}
+	env := newFakeEnv(g.topo, g.rt.scheme, cfg)
+	env.instantCredits = true
 	return env
 }
 
@@ -482,7 +489,7 @@ func TestSetEnvClearsSleepStateAndRewires(t *testing.T) {
 	}
 	oldDown := g.env.downstream[port]
 
-	roomy := g.newEnv(func(numVCs int) buffer.Config { return buffer.StaticConfig(numVCs, 8) })
+	roomy := g.newEnv(staticVCs(8))
 	g.rt.SetEnv(roomy)
 	if g.rt.asleep != 0 || g.rt.sleepMask[0] != 0 || g.rt.planCur[0] != 0 {
 		t.Fatalf("SetEnv left asleep=%d sleepMask=%#x planCur=%#x", g.rt.asleep, g.rt.sleepMask[0], g.rt.planCur[0])
@@ -576,7 +583,7 @@ func TestSetEnvKeepsPipelineTimers(t *testing.T) {
 	g := newSleepRig(t, roomy, minimal, false)
 	g.injectReady(0, g.topo.NodeAt(g.topo.RouterInGroup(1, 0), 0), packet.Request, 3)
 	g.step(1)
-	g.rt.SetEnv(g.newEnv(func(numVCs int) buffer.Config { return buffer.StaticConfig(numVCs, 8) }))
+	g.rt.SetEnv(g.newEnv(staticVCs(8)))
 	if err := g.rt.AuditActivity(); err != nil {
 		t.Fatal(err)
 	}
@@ -590,6 +597,33 @@ func TestSetEnvKeepsPipelineTimers(t *testing.T) {
 	g.step(1)
 	if g.rt.Grants() != 1 {
 		t.Fatalf("grants=%d at the head's ready cycle, want 1", g.rt.Grants())
+	}
+}
+
+// TestSetEnvRejectsMiswiredPorts: plans index a downstream buffer with VC
+// ranges below the port's own VC count, so SetEnv must refuse, naming the
+// port, a link port whose downstream buffer has one VC fewer or is missing.
+func TestSetEnvRejectsMiswiredPorts(t *testing.T) {
+	rt, _, topo, _ := buildRouter(t)
+	port := topo.FirstLocalPort()
+	for _, tc := range []struct {
+		name string
+		down *buffer.InputBuffer
+		want string
+	}{
+		{"one VC short", buffer.NewInputBuffer(buffer.StaticConfig(1, 64)), fmt.Sprintf("local port %d has 2 VCs, its downstream input buffer 1", port)},
+		{"missing", nil, fmt.Sprintf("local port %d has no downstream input buffer", port)},
+	} {
+		env := newFakeEnv(topo, rt.scheme, staticVCs(64))
+		env.downstream[port] = tc.down
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, tc.want) {
+					t.Errorf("%s: SetEnv panic %q, want one containing %q", tc.name, msg, tc.want)
+				}
+			}()
+			rt.SetEnv(env)
+		}()
 	}
 }
 

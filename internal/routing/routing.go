@@ -7,8 +7,8 @@
 // A routing algorithm decides, for the packet at the head of an input VC,
 // which output port it should request next, updating the packet's route state
 // (minimal vs Valiant, current phase, intermediate router). The virtual
-// channel used on that hop is decided separately by the VC management scheme
-// in internal/core.
+// channels that hop may use are the VC management scheme's (internal/core)
+// answer to PlanHop, and TakeHop records the hop once it is granted.
 package routing
 
 import (
@@ -149,55 +149,6 @@ type Algorithm interface {
 	// MaxPlannedHops returns the worst-case hop count the algorithm can
 	// plan, used to validate VC configurations.
 	MaxPlannedHops() topology.HopCount
-}
-
-// PlannedRemaining returns the hop-kind sequence remaining on the packet's
-// currently planned route from router `from` (exclusive) to its destination
-// router `dst`: through the Valiant intermediate while in the first phase,
-// directly otherwise.
-func PlannedRemaining(topo topology.Topology, from packet.RouterID, rt *packet.RouteState, dst packet.RouterID) topology.PathSeq {
-	if rt.Kind == packet.Nonminimal && rt.Phase == packet.PhaseToIntermediate {
-		a := topology.MinimalSeq(topo, from, rt.Intermediate)
-		b := topology.MinimalSeq(topo, rt.Intermediate, dst)
-		return a.Concat(b)
-	}
-	return topology.MinimalSeq(topo, from, dst)
-}
-
-// EscapeRemaining returns the hop-kind sequence of the minimal (escape) path
-// from router `from` to the packet's destination router `dst`.
-func EscapeRemaining(topo topology.Topology, from, dst packet.RouterID) topology.PathSeq {
-	return topology.MinimalSeq(topo, from, dst)
-}
-
-// BaselinePosition returns the position of the packet's next hop within the
-// reference path of its route, per link kind — the input the baseline
-// (fixed-order) VC assignment needs. Positions follow the paper's notation:
-//
-//   - Dragonfly minimal paths l0-g1-l2: the local position is 0 in the source
-//     group and 1 in the destination group (i.e. the number of global hops
-//     already taken), and the global position is the number of global hops
-//     taken. Skipped hops keep the positions of the remaining hops.
-//   - Dragonfly Valiant paths l0-g1-l2-l3-g4-l5: local hops taken after the
-//     Valiant intermediate router has been passed shift one extra position.
-//   - PAR-diverted packets shift local positions by the local hops taken
-//     before the diversion (the l0-l1-g2-... reference).
-//   - Flat topologies (all links Local, no skippable hops that could break
-//     the order) simply use the number of hops of that kind already taken.
-func BaselinePosition(topo topology.Topology, rt *packet.RouteState) topology.HopCount {
-	if _, hierarchical := topo.(*topology.Dragonfly); !hierarchical {
-		return topology.HopCount{Local: int(rt.LocalHops), Global: int(rt.GlobalHops)}
-	}
-	pos := topology.HopCount{Local: int(rt.GlobalHops), Global: int(rt.GlobalHops)}
-	if rt.Kind == packet.Nonminimal {
-		if rt.Phase == packet.PhaseToDestination {
-			pos.Local++
-		}
-		if rt.DivertPrefixLocal > 0 {
-			pos.Local += int(rt.DivertPrefixLocal)
-		}
-	}
-	return pos
 }
 
 // currentTarget returns the router the packet is currently heading to

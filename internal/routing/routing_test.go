@@ -56,13 +56,7 @@ func walk(t *testing.T, topo topology.Topology, alg Algorithm, pkt *testPkt, rng
 		}
 		kind := topo.PortKind(cur, dec.OutPort)
 		kinds = append(kinds, kind)
-		switch kind {
-		case topology.Local:
-			pkt.Route.LocalHops++
-		case topology.Global:
-			pkt.Route.GlobalHops++
-		}
-		pkt.Route.Hops++
+		TakeHop(&pkt.Route, kind, 0, false)
 		cur, _ = topo.Neighbor(cur, dec.OutPort)
 	}
 }
@@ -148,31 +142,31 @@ func TestBaselinePositionDragonfly(t *testing.T) {
 
 	// Minimal packet in its source group.
 	pkt.Route.Kind = packet.Minimal
-	if pos := BaselinePosition(topo, &pkt.Route); pos.Local != 0 || pos.Global != 0 {
+	if pos := baselinePosition(topo, &pkt.Route); pos.Local != 0 || pos.Global != 0 {
 		t.Errorf("source-group minimal position = %+v", pos)
 	}
 	// After the global hop.
 	pkt.Route.GlobalHops = 1
-	if pos := BaselinePosition(topo, &pkt.Route); pos.Local != 1 || pos.Global != 1 {
+	if pos := baselinePosition(topo, &pkt.Route); pos.Local != 1 || pos.Global != 1 {
 		t.Errorf("dest-group minimal position = %+v", pos)
 	}
 	// Valiant packet, second phase in the intermediate group.
 	pkt.Route.Kind = packet.Nonminimal
 	pkt.Route.Phase = packet.PhaseToDestination
 	pkt.Route.GlobalHops = 1
-	if pos := BaselinePosition(topo, &pkt.Route); pos.Local != 2 {
+	if pos := baselinePosition(topo, &pkt.Route); pos.Local != 2 {
 		t.Errorf("post-intermediate Valiant local position = %+v", pos)
 	}
 	// Destination group of a Valiant path.
 	pkt.Route.GlobalHops = 2
-	if pos := BaselinePosition(topo, &pkt.Route); pos.Local != 3 || pos.Global != 2 {
+	if pos := baselinePosition(topo, &pkt.Route); pos.Local != 3 || pos.Global != 2 {
 		t.Errorf("dest-group Valiant position = %+v", pos)
 	}
 	// PAR-diverted packets shift by the pre-diversion local hops.
 	pkt.Route.GlobalHops = 0
 	pkt.Route.Phase = packet.PhaseToIntermediate
 	pkt.Route.DivertPrefixLocal = 1
-	if pos := BaselinePosition(topo, &pkt.Route); pos.Local != 1 {
+	if pos := baselinePosition(topo, &pkt.Route); pos.Local != 1 {
 		t.Errorf("PAR-diverted source-group position = %+v", pos)
 	}
 
@@ -180,7 +174,7 @@ func TestBaselinePositionDragonfly(t *testing.T) {
 	fb, _ := topology.NewFlattenedButterfly2D(3, 1)
 	fpkt := newPacket(fb, 0, 5)
 	fpkt.Route.LocalHops = 1
-	if pos := BaselinePosition(fb, &fpkt.Route); pos.Local != 1 {
+	if pos := baselinePosition(fb, &fpkt.Route); pos.Local != 1 {
 		t.Errorf("flat position = %+v", pos)
 	}
 }

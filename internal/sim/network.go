@@ -177,13 +177,14 @@ func newNetwork(cfg config.Config, sc *scratch) (*Network, error) {
 		if err := rt.Rebuild(packet.RouterID(r), topo, cfg.Scheme, n.alg, params, cfg.Seed); err != nil {
 			return nil, err
 		}
-		rt.SetEnv(n)
 		n.routers[r] = rt
 	}
 	if sc != nil && len(n.routers) > len(spare) {
 		sc.routers = append(spare, n.routers[len(spare):]...)
 	}
 
+	// Every input buffer exists now: wire each router's downstream row, which
+	// its SetEnv resolves.
 	n.downInput = make([][]*buffer.InputBuffer, topo.NumRouters())
 	for r := range n.downInput {
 		row := make([]*buffer.InputBuffer, topo.Radix())
@@ -195,6 +196,7 @@ func newNetwork(cfg config.Config, sc *scratch) (*Network, error) {
 			row[p] = n.routers[nbr].Input(nport)
 		}
 		n.downInput[r] = row
+		n.routers[r].SetEnv(n)
 	}
 
 	n.metrics = newSimMetrics(cfg.Metrics)
