@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint bench-profile bench-contract ci check-smoke check-full scenario-smoke campaign-smoke specs-smoke resume-smoke
+.PHONY: build test race lint bench-profile bench-contract ci check-smoke check-full scenario-smoke campaign-smoke specs-smoke resume-smoke fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -42,6 +42,17 @@ bench-contract:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 ci: lint test race bench-contract check-smoke specs-smoke campaign-smoke resume-smoke scenario-smoke
+
+# The fuzz targets' seed corpora, then a short fuzzing session of each (about
+# 100s; CI's fuzz job, kept out of `ci` for its length). A failing input is
+# written under the package's testdata/fuzz/ for `go test` to replay.
+fuzz-smoke:
+	$(GO) test -run Fuzz ./internal/topology ./internal/routing ./internal/campaign
+	$(GO) test -fuzz FuzzDragonflyIDs -fuzztime 20s -run xxx ./internal/topology
+	$(GO) test -fuzz FuzzFlattenedButterflyIDs -fuzztime 20s -run xxx ./internal/topology
+	$(GO) test -fuzz FuzzPathValidity -fuzztime 20s -run xxx ./internal/routing
+	$(GO) test -fuzz FuzzVCActivity -fuzztime 20s -run xxx ./internal/router
+	$(GO) test -fuzz FuzzCampaignParse -fuzztime 20s -run xxx ./internal/campaign
 
 # The PR-time reproducibility gate: verify every recorded experiment in
 # experiments/manifest.json. Digests of the committed exports and reports are

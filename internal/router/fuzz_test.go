@@ -3,7 +3,9 @@ package router
 import (
 	"testing"
 
+	"flexvc/internal/core"
 	"flexvc/internal/packet"
+	"flexvc/internal/routing"
 	"flexvc/internal/topology"
 )
 
@@ -22,7 +24,9 @@ func congestingOps() []byte {
 	return append(ops, 3, 2, 2, 2)
 }
 
-// FuzzVCActivity drives a router through arbitrary interleavings of the three
+// FuzzVCActivity drives a router — Valiant routing under FlexVC 3/2, which
+// holds the minimal path in increasing VCs but a Valiant one only
+// opportunistically — through arbitrary interleavings of the three
 // operations that mutate VC occupancy — enqueue (injection and link arrivals,
 // ready at once or a few cycles on), step (dequeues and credit consumption)
 // and downstream credit release — and after every operation asserts the
@@ -41,10 +45,15 @@ func FuzzVCActivity(f *testing.F) {
 }
 
 // TestVCActivityReachesSleepAndWake keeps the fuzz target honest: its
-// operations must be able to put heads to sleep and wake them, or the audit
-// would be checking sleep state that is never populated.
+// operations must be able to put heads to sleep and wake them, and detours to
+// take their escapes — by ejecting, at their destination router, among them —
+// or the audit would be checking sleep state and plans that are never
+// populated.
 func TestVCActivityReachesSleepAndWake(t *testing.T) {
-	w := driveVCActivity(t, congestingOps())
+	w, escapes, ejections := driveVCActivity(t, congestingOps())
+	if escapes == 0 || ejections == 0 {
+		t.Fatalf("the congesting sequence granted %d escapes, %d of them by ejecting; want both", escapes, ejections)
+	}
 	if w.Sleeps == 0 || w.Wakeups == 0 || w.WakeFailed == 0 {
 		t.Fatalf("the congesting sequence exercised no sleep/wake cycle: %+v", w)
 	}
@@ -56,10 +65,22 @@ func TestVCActivityReachesSleepAndWake(t *testing.T) {
 }
 
 // driveVCActivity runs one operation sequence, auditing after every
-// operation, and returns the allocator's work counters.
-func driveVCActivity(t *testing.T, ops []byte) Work {
-	rt, env, topo, store := buildRouter(t)
+// operation, and returns the allocator's work counters and how many Valiant
+// detours took their escape, in all and by ejecting.
+func driveVCActivity(t *testing.T, ops []byte) (w Work, escapes, ejections int) {
+	topo, err := topology.NewDragonfly(2, 4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := packet.NewStore()
 	store.EnablePoison()
+	scheme := core.Scheme{Policy: core.FlexVC, VCs: core.SingleClass(3, 2), Selection: core.JSQ}
+	rt, err := New(0, topo, scheme, routing.NewValiant(topo), testParams(1, store), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := newFakeEnv(topo, scheme, staticVCs(64))
+	rt.SetEnv(env)
 
 	// The non-terminal input ports a fuzzed arrival may land on.
 	var linkPorts []int
@@ -72,6 +93,7 @@ func driveVCActivity(t *testing.T, ops []byte) Work {
 	// the refs), so cap the packet population to keep iterations bounded.
 	const maxPackets = 64
 	var id uint64
+	var detours []packet.Ref
 	now := int64(0)
 	// A packet enters up to three cycles ahead of its ready cycle, so heads
 	// wait on pipeline timers as well as on space.
@@ -96,7 +118,17 @@ func driveVCActivity(t *testing.T, ops []byte) Work {
 		hdr.SrcRouter = 0
 		hdr.DstRouter = topo.RouterOfNode(dst)
 		if port != 0 {
-			store.Route(ref).InputVC = int32(vc)
+			// A link arrival has committed to its route: minimal, or every
+			// other one a Valiant detour to a router of another group, which
+			// for a local destination is a detour at its destination router.
+			// Injected packets let Valiant routing decide.
+			r := store.Route(ref)
+			r.InputVC = int32(vc)
+			r.AdaptiveDecided = true
+			if id%2 == 0 {
+				r.Kind, r.Phase, r.Intermediate = packet.Nonminimal, packet.PhaseToIntermediate, topo.RouterInGroup(2, int(id)%4)
+				detours = append(detours, ref)
+			}
 		}
 		rt.EnqueueArrival(port, vc, ref, now+pipeline, packet.Minimal)
 	}
@@ -116,8 +148,11 @@ func driveVCActivity(t *testing.T, ops []byte) Work {
 		case 3: // downstream drains: return every committed credit
 			for _, d := range env.downstream {
 				for vc := 0; vc < d.NumVCs(); vc++ {
-					if c := d.CommittedOf(vc); c > 0 {
+					if c := d.MinCommittedOf(vc); c > 0 {
 						d.ReleaseCredit(vc, c, packet.Minimal)
+					}
+					if c := d.CommittedOf(vc); c > 0 {
+						d.ReleaseCredit(vc, c, packet.Nonminimal)
 					}
 				}
 			}
@@ -126,5 +161,15 @@ func driveVCActivity(t *testing.T, ops []byte) Work {
 			t.Fatalf("op %d (byte %d): %v", i, op, err)
 		}
 	}
-	return rt.Work()
+	// Router 0 is no detour's intermediate, so only a granted escape turns
+	// one towards its destination.
+	for _, ref := range detours {
+		if store.Route(ref).Phase == packet.PhaseToDestination {
+			escapes++
+			if store.Hdr(ref).DstRouter == 0 {
+				ejections++
+			}
+		}
+	}
+	return rt.Work(), escapes, ejections
 }

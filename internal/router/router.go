@@ -4,11 +4,11 @@
 // the FlexVC evaluation (FOGSim's router model).
 //
 // A router owns the input buffers of its ports (including the injection
-// buffers of its terminal ports), a small output buffer per port and per-class
-// ejection buffers for its terminal ports. Each cycle it runs `speedup`
-// allocation iterations that move packets from input VCs to output buffers
-// (consuming credits of the downstream input buffer) and then drains every
-// output buffer onto its link at one phit per cycle.
+// buffers of its terminal ports) and one staging buffer per output resource: a
+// link port, or one per-class ejection channel of a terminal port. Each cycle
+// it runs `speedup` allocation iterations that move packets from input VCs to
+// staging buffers (consuming credits of the downstream input buffer on a link)
+// and then drains every staging buffer onto its channel at one phit per cycle.
 package router
 
 import (
@@ -143,10 +143,11 @@ type Router struct {
 
 	numPorts int
 	inputs   []*buffer.InputBuffer
-	outputs  []*buffer.OutputBuffer   // nil for terminal ports
-	eject    [][]*buffer.OutputBuffer // [terminal port][class], nil otherwise
-	linkBusy []int64
-	ejBusy   [][]int64
+	// Output resources, in outKey numbering: a link port and each per-class
+	// ejection channel of a terminal port owns one staging buffer and the
+	// cycle its channel falls idle. Numbers no resource takes are never read.
+	stage []*buffer.OutputBuffer
+	busy  []int64
 
 	// Immutable per-port facts, resolved once at construction so the
 	// allocation and transmit passes never re-query the topology interface.
@@ -178,10 +179,11 @@ type Router struct {
 	vcMask  []uint64 // per port: bit v set iff VC v holds >= 1 packet
 
 	// Transmission is scheduled, not polled: xmitDue[port] is the first cycle
-	// one of the port's staged packets can leave — the later of its link (or
-	// ejection channel) falling idle and the head of its staging buffer
-	// becoming ready, the earliest such over a terminal port's classes, never
-	// for a port with nothing staged — kept exact by every push and pop.
+	// one of the port's staged packets can leave — the later of an output
+	// resource's channel falling idle and the head of its staging buffer
+	// becoming ready, the earliest such over the port's resources (a terminal
+	// port has one per class), never for a port with nothing staged — kept
+	// exact by every push and pop.
 	// xmitMin is a lower bound of it over all ports, so a Step in which
 	// nothing can leave returns from transmit at once.
 	xmitDue []int64
@@ -191,16 +193,16 @@ type Router struct {
 	outRR  []int // round-robin pointer over input ports, per output resource
 	alloc  allocState
 
-	// pending counts packets resident anywhere in the router (input VCs,
-	// output staging buffers, ejection channels). The simulator skips the
-	// Step of routers with no pending work.
+	// pending counts packets resident anywhere in the router (input VCs and
+	// staging buffers). The simulator skips the Step of routers with no
+	// pending work.
 	pending int
 
 	// Per-VC allocator state is indexed by slot = port*vcStride + vc, where
 	// vcStride is the maximum VC count over all input ports.
 	vcStride int
 	// plans caches, per slot, the routing-stable part of the head packet's
-	// request (output port, allowed VC ranges, escape fallback).
+	// request (output resource, allowed VC range, escape fallback).
 	// Occupancy-dependent checks are re-evaluated from it.
 	plans []vcPlan
 
@@ -218,9 +220,9 @@ type Router struct {
 	// routing-stable and whose request failed is put to sleep (a VC bit in
 	// sleepMask[port]) and the proposal pass walks vcMask &^ sleepMask. It can
 	// only succeed after space appears in an output resource it asked for —
-	// its planned output port or ejection channel, or its escape port — and
-	// space appears through two events only: a credit returned to that port's
-	// downstream buffer, or a packet popped from that output/ejection buffer.
+	// its planned one or its escape — and space appears through two events
+	// only: a credit returned to a link port's downstream buffer, or a packet
+	// popped from a resource's staging buffer.
 	// Both set the resource's bit (numbered as outKey) in the wake set; Step
 	// folds the set in once, before allocating, waking the heads whose
 	// waits[slot] name a signalled resource. See DESIGN.md "Event-driven
@@ -311,12 +313,10 @@ func (r *Router) Rebuild(id packet.RouterID, topo topology.Topology, scheme core
 		r.rng.Seed(rngSeed)
 	}
 	n := r.numPorts
-	// Buffers and ejection channels are kept (and reset below), the rest of
-	// the per-port state is zeroed.
+	// Buffers are kept (and reset below), the rest of the per-port state is
+	// zeroed.
 	r.inputs = keep(mem.inputs, n)
-	r.outputs = keep(mem.outputs, n)
-	r.eject = keep(mem.eject, n)
-	r.ejBusy = keep(mem.ejBusy, n)
+	r.stage = keep(mem.stage, r.numOutKeys())
 	r.kinds = zeroed(mem.kinds, n)
 	r.nbrs = zeroed(mem.nbrs, n)
 	r.nbrPorts = zeroed(mem.nbrPorts, n)
@@ -327,8 +327,8 @@ func (r *Router) Rebuild(id packet.RouterID, topo topology.Topology, scheme core
 	r.vcMask, r.planCur, r.sleepMask, r.woken, r.pipeMask, r.wake = words[:n], words[n:2*n], words[2*n:3*n], words[3*n:4*n], words[4*n:5*n], words[5*n:]
 	ints := zeroed(mem.numVCs[:cap(mem.numVCs)], 2*n)
 	r.numVCs, r.inVCRR = ints[:n], ints[n:]
-	cycles := zeroed(mem.linkBusy[:cap(mem.linkBusy)], 3*n)
-	r.linkBusy, r.linkLat, r.xmitDue = cycles[:n], cycles[n:2*n], cycles[2*n:]
+	cycles := zeroed(mem.linkLat[:cap(mem.linkLat)], 2*n+r.numOutKeys())
+	r.linkLat, r.xmitDue, r.busy = cycles[:n], cycles[n:2*n], cycles[2*n:]
 	r.outRR = zeroed(mem.outRR, r.numOutKeys())
 	r.liveIn = mem.liveIn.emptied(n)
 	r.xmit = mem.xmit.emptied(n)
@@ -364,16 +364,9 @@ func (r *Router) Rebuild(id packet.RouterID, topo topology.Topology, scheme core
 			return fmt.Errorf("router: %s ports have %d VCs, more than the %d the allocator's occupancy mask holds", kind, numVCs, MaxPortVCs)
 		}
 		r.inputs[p] = resetInput(r.inputs[p], params.BufferConfig(kind, numVCs))
-		if kind == topology.Terminal {
-			r.outputs[p] = nil
-			r.eject[p] = keep(r.eject[p], params.NumClasses)
-			r.ejBusy[p] = zeroed(r.ejBusy[p], params.NumClasses)
-			for c := range r.eject[p] {
-				r.eject[p][c] = resetOutput(r.eject[p][c], params.OutputBufPhits)
-			}
-		} else {
-			r.outputs[p] = resetOutput(r.outputs[p], params.OutputBufPhits)
-			r.eject[p], r.ejBusy[p] = nil, nil
+		lo, hi := r.portKeys(p)
+		for key := lo; key < hi; key++ {
+			r.stage[key] = resetOutput(r.stage[key], params.OutputBufPhits)
 		}
 	}
 	return nil
@@ -570,21 +563,22 @@ func (r *Router) releaseTimers(now int64) {
 // no-op that consumes no randomness and mutates no state.
 func (r *Router) Busy() bool { return r.pending > 0 }
 
-// Output returns the output staging buffer of a non-terminal port, or nil.
-func (r *Router) Output(port int) *buffer.OutputBuffer { return r.outputs[port] }
-
 // ResidentPackets returns the number of packets stored in the router (input
-// VCs, output buffers and ejection buffers), used by the deadlock watchdog.
+// VCs and staging buffers), used by the deadlock watchdog.
 func (r *Router) ResidentPackets() int {
 	n := 0
 	for p := 0; p < r.numPorts; p++ {
-		n += r.inputs[p].ResidentPackets()
-		if r.outputs[p] != nil {
-			n += r.outputs[p].Len()
-		}
-		for _, e := range r.eject[p] {
-			n += e.Len()
-		}
+		n += r.inputs[p].ResidentPackets() + r.staged(p)
+	}
+	return n
+}
+
+// staged counts the packets in a port's staging buffers.
+func (r *Router) staged(p int) int {
+	n := 0
+	lo, hi := r.portKeys(p)
+	for key := lo; key < hi; key++ {
+		n += r.stage[key].Len()
 	}
 	return n
 }
@@ -694,10 +688,8 @@ type request struct {
 	inPort, inVC int
 	ref          packet.Ref
 	size         int32
-	outPort      int
+	key          int // the output resource, in outKey numbering
 	destVC       int
-	terminal     bool
-	class        int
 	outKind      topology.PortKind
 	// revert marks a request that follows the packet's escape (minimal)
 	// path instead of its planned Valiant continuation; the Valiant detour
@@ -705,23 +697,34 @@ type request struct {
 	revert bool
 }
 
-// outKey maps an output resource (a non-terminal port, or a terminal port's
-// per-class ejection channel) to an arbitration slot.
-func (r *Router) outKey(req request) int {
-	if !req.terminal {
-		return req.outPort
-	}
-	return r.ejectKey(req.outPort, req.class)
-}
-
 // ejectKey is the output-resource number of a terminal port's ejection
-// channel; non-terminal output ports are numbered by their port.
+// channel. Arbitration, waking and transmission share one numbering of output
+// resources (outKey): link port p is resource p, and the ejection channel of
+// class c on terminal port p is resource ejectKey(p, c).
 func (r *Router) ejectKey(port, class int) int {
 	return r.numPorts + port*r.params.NumClasses + class
 }
 
 // numOutKeys is the size of the output-resource numbering.
 func (r *Router) numOutKeys() int { return r.numPorts * (1 + r.params.NumClasses) }
+
+// portKeys returns the output resources [lo, hi) of a port: the port itself,
+// or a terminal port's ejection channels.
+func (r *Router) portKeys(p int) (lo, hi int) {
+	if r.kinds[p] != topology.Terminal {
+		return p, p + 1
+	}
+	lo = r.ejectKey(p, 0)
+	return lo, lo + r.params.NumClasses
+}
+
+// keyPort returns the port an output resource belongs to.
+func (r *Router) keyPort(key int) int {
+	if key < r.numPorts {
+		return key
+	}
+	return (key - r.numPorts) / r.params.NumClasses
+}
 
 // allocate runs one iteration of the input-first separable allocator.
 func (r *Router) allocate(now int64) {
@@ -766,7 +769,7 @@ func (r *Router) allocate(now int64) {
 func (r *Router) propose(st *allocState, req request) {
 	idx := len(st.proposals)
 	st.proposals = append(st.proposals, req)
-	key := r.outKey(req)
+	key := req.key
 	if st.keyGen[key] != st.gen {
 		st.keyGen[key] = st.gen
 		st.keyWinner[key] = idx
@@ -807,13 +810,13 @@ func (r *Router) rrDistance(key, inPort int) int {
 }
 
 // vcPlan caches the routing-stable part of the request for an input VC's
-// head packet: the routing decision and a copy of its routing.PlanHop — the
-// allowed VC range of the planned continuation and, when the plan is
-// opportunistic, the escape fallback's port and range. Those only depend on
-// the packet's route state — which, for a packet waiting at the head of a VC,
-// is mutated exclusively by this router's own Route/grant calls — so the plan
-// stays valid until the head changes (planCur tracks that). Occupancy checks
-// (output buffer space, downstream credits, VC selection) are re-evaluated
+// head packet: a copy of the routing.PlanHop of its routing decision — the
+// planned hop and, when that is opportunistic, the escape fallback, each
+// resolved to its output resource. Those only depend on the packet's route
+// state — which, for a packet waiting at the head of a VC, is mutated
+// exclusively by this router's own Route/grant calls — so the plan stays
+// valid until the head changes (planCur tracks that). Occupancy checks
+// (staging buffer space, downstream credits, VC selection) are re-evaluated
 // from the plan.
 //
 // Plans are only reusable when the routing decision is provably stable:
@@ -823,25 +826,25 @@ func (r *Router) rrDistance(key, inPort int) int {
 // time — and it never sleeps: its decision depends on occupancy that grows
 // with no wake event.
 //
-// The record is kept small (24 bytes, narrow fields: ports fit int16, VC
-// indices int8 since a port has at most MaxPortVCs) because evaluating a
-// blocked head is bound by the cache lines it touches, not by arithmetic.
+// The record is kept small (24 bytes, narrow fields: output resources fit
+// int16, VC indices int8 since a port has at most MaxPortVCs) because
+// evaluating a blocked head is bound by the cache lines it touches, not by
+// arithmetic.
 type vcPlan struct {
 	ref    packet.Ref
 	size   int32 // the packet's size in phits
 	stable bool
 
-	deliver bool
-	class   uint8 // ejection class (deliver only)
-	outKind topology.PortKind
-	outPort int16
-	lo, hi  int8 // allowed downstream VC range; lo > hi when the plan has none
+	planned, escape planLeg
+}
 
-	// Escape fallback (opportunistic Valiant continuations only).
-	escValid     bool
-	escOutKind   topology.PortKind
-	escOutPort   int16
-	escLo, escHi int8
+// planLeg is one output resource a head may request: its outKey number (-1
+// when there is none to request), the kind of its port and the allowed VC
+// range at the far end (0..0 on an ejection channel).
+type planLeg struct {
+	key    int16
+	kind   topology.PortKind
+	lo, hi int8
 }
 
 // proposeFromPort picks the first requestable VC of an input port among its
@@ -885,7 +888,7 @@ func (r *Router) tryVC(now int64, p, vc int) (request, bool) {
 	if !ok {
 		if plan.stable {
 			r.sleepMask[p] |= bit
-			r.waits[slot] = r.planWaits(plan)
+			r.waits[slot] = planWaits(plan)
 			r.asleep++
 			r.awake--
 			r.work.Sleeps++
@@ -903,79 +906,65 @@ func (r *Router) tryVC(now int64, p, vc int) (request, bool) {
 
 // planWaits names the output resources whose space a plan's request needs:
 // exactly the buffers requestFromPlan consults.
-func (r *Router) planWaits(plan *vcPlan) waitKeys {
-	w := waitKeys{-1, -1}
-	switch {
-	case plan.deliver:
-		w.a = int16(r.ejectKey(int(plan.outPort), int(plan.class)))
-	case plan.lo <= plan.hi:
-		w.a = plan.outPort
-	}
-	if plan.escValid {
-		w.b = plan.escOutPort
-	}
-	return w
-}
+func planWaits(plan *vcPlan) waitKeys { return waitKeys{plan.planned.key, plan.escape.key} }
 
 // buildPlan resolves routing and VC management for the head packet of an
-// input VC: delivery through a terminal port, or the hop routing.PlanHop
-// plans, escape fallback included.
+// input VC: the hop routing.PlanHop plans, escape fallback included.
 func (r *Router) buildPlan(p int, ref packet.Ref, hdr *packet.Header, plan *vcPlan) {
 	rt := r.store.Route(ref)
 	dec := r.alg.Route(r.id, hdr, rt, r.rng)
-	*plan = vcPlan{
-		ref:    ref,
-		size:   int32(hdr.Size),
-		stable: rt.AdaptiveDecided || r.alg.Kind() == routing.MIN,
-	}
-	if dec.Deliver {
-		class := int(hdr.Class)
-		if class >= r.params.NumClasses {
-			class = r.params.NumClasses - 1
-		}
-		plan.deliver = true
-		plan.outPort = int16(r.topo.TerminalPort(r.id, hdr.Dst))
-		plan.class = uint8(class)
-		return
-	}
 	hop := routing.PlanHop(r.mgr, r.topo, r.id, p, dec.OutPort, hdr, rt)
-	plan.outPort, plan.outKind = int16(dec.OutPort), hop.Kind
-	plan.lo, plan.hi = int8(hop.VCs.Lo), int8(hop.VCs.Hi)
-	if hop.EscPort >= 0 && !hop.EscVCs.Empty() {
-		plan.escValid = true
-		plan.escOutPort, plan.escOutKind = int16(hop.EscPort), hop.EscKind
-		plan.escLo, plan.escHi = int8(hop.EscVCs.Lo), int8(hop.EscVCs.Hi)
+	*plan = vcPlan{
+		ref:     ref,
+		size:    int32(hdr.Size),
+		stable:  rt.AdaptiveDecided || r.alg.Kind() == routing.MIN,
+		planned: r.leg(dec.OutPort, hop.Kind, hop.VCs, hdr.Class),
+		escape:  r.leg(hop.EscPort, hop.EscKind, hop.EscVCs, hdr.Class),
 	}
 }
 
+// leg resolves a hop to the output resource it requests: a link port, or the
+// ejection channel of the packet's class on a terminal port (the last one on
+// a router with fewer classes). A hop with no port or an empty range has none.
+func (r *Router) leg(port int, kind topology.PortKind, vcs core.VCRange, class packet.Class) planLeg {
+	if port < 0 || vcs.Empty() {
+		return planLeg{key: -1}
+	}
+	key := port
+	if kind == topology.Terminal {
+		key = r.ejectKey(port, min(int(class), r.params.NumClasses-1))
+	}
+	return planLeg{key: int16(key), kind: kind, lo: int8(vcs.Lo), hi: int8(vcs.Hi)}
+}
+
 // requestFromPlan performs the occupancy-dependent half of request building:
-// ejection/output buffer admission and VC selection over the plan's allowed
-// range, falling back to the escape plan when the planned continuation has no
-// room. A failure draws no randomness (Select draws only among eligible VCs)
-// and changes no state.
+// staging-buffer admission and VC selection over the planned leg, falling
+// back to the escape leg when the planned one has no room. A failure draws no
+// randomness (Select draws only among eligible VCs) and changes no state.
 func (r *Router) requestFromPlan(plan *vcPlan, p, vc int) (request, bool) {
-	ref, size := plan.ref, int(plan.size)
-	if plan.deliver {
-		out, class := int(plan.outPort), int(plan.class)
-		if !r.eject[out][class].CanAccept(size) {
-			return request{}, false
-		}
-		return request{inPort: p, inVC: vc, ref: ref, size: plan.size, outPort: out, destVC: 0,
-			terminal: true, class: class, outKind: topology.Terminal}, true
+	leg, revert := plan.planned, false
+	destVC, ok := r.admit(leg, int(plan.size))
+	if !ok && plan.escape.key >= 0 {
+		leg, revert = plan.escape, true
+		destVC, ok = r.admit(leg, int(plan.size))
 	}
-	if out := int(plan.outPort); plan.lo <= plan.hi && r.outputs[out].CanAccept(size) {
-		if destVC, ok := r.selectVC(out, int(plan.lo), int(plan.hi), size); ok {
-			return request{inPort: p, inVC: vc, ref: ref, size: plan.size, outPort: out,
-				destVC: destVC, outKind: plan.outKind}, true
-		}
+	if !ok {
+		return request{}, false
 	}
-	if out := int(plan.escOutPort); plan.escValid && r.outputs[out].CanAccept(size) {
-		if destVC, ok := r.selectVC(out, int(plan.escLo), int(plan.escHi), size); ok {
-			return request{inPort: p, inVC: vc, ref: ref, size: plan.size, outPort: out,
-				destVC: destVC, outKind: plan.escOutKind, revert: true}, true
-		}
+	return request{inPort: p, inVC: vc, ref: plan.ref, size: plan.size, key: int(leg.key),
+		destVC: destVC, outKind: leg.kind, revert: revert}, true
+}
+
+// admit reports whether a leg's output resource can take a packet of size
+// phits now, and on which VC at the far end.
+func (r *Router) admit(leg planLeg, size int) (destVC int, ok bool) {
+	if leg.key < 0 || !r.stage[leg.key].CanAccept(size) {
+		return 0, false
 	}
-	return request{}, false
+	if leg.kind == topology.Terminal {
+		return 0, true
+	}
+	return r.selectVC(int(leg.key), int(leg.lo), int(leg.hi), size)
 }
 
 // selectVC picks one downstream VC with room in [lo, hi] using the scheme's
@@ -1008,18 +997,12 @@ func (r *Router) grant(now int64, req request) {
 	r.env.ScheduleCredit(creditDelay, in, req.inVC, size, resKind)
 
 	rt := r.store.Route(ref)
-	if req.terminal {
-		r.eject[req.outPort][req.class].Push(ref, size, 0, rt.Kind, now+transfer)
-		r.noteStaged(req.outPort)
-		return
-	}
-
-	if !r.down[req.outPort].Reserve(req.destVC, size, rt.Kind) {
-		panic(fmt.Sprintf("router %d: downstream VC %d of port %d lost its credits between check and grant", r.id, req.destVC, req.outPort))
+	if req.outKind != topology.Terminal && !r.down[req.key].Reserve(req.destVC, size, rt.Kind) {
+		panic(fmt.Sprintf("router %d: downstream VC %d of port %d lost its credits between check and grant", r.id, req.destVC, req.key))
 	}
 	routing.TakeHop(rt, req.outKind, req.destVC, req.revert)
-	r.outputs[req.outPort].Push(ref, size, req.destVC, rt.Kind, now+transfer)
-	r.noteStaged(req.outPort)
+	r.stage[req.key].Push(ref, size, req.destVC, rt.Kind, now+transfer)
+	r.noteStaged(r.keyPort(req.key))
 }
 
 // never is the due cycle of a port with nothing staged.
@@ -1035,33 +1018,25 @@ func (r *Router) noteStaged(port int) {
 	}
 }
 
-// portDue computes the first cycle a port can send from its staging buffers.
+// portDue computes the first cycle a port can send from its staging buffers:
+// the earliest over its output resources of the later of the channel falling
+// idle and the head becoming ready.
 func (r *Router) portDue(p int) int64 {
-	if out := r.outputs[p]; out != nil {
-		return stagedDue(out, r.linkBusy[p])
-	}
 	due := int64(never)
-	for c, e := range r.eject[p] {
-		due = min(due, stagedDue(e, r.ejBusy[p][c]))
+	lo, hi := r.portKeys(p)
+	for key := lo; key < hi; key++ {
+		if ready, ok := r.stage[key].HeadReady(); ok {
+			due = min(due, max(r.busy[key], ready))
+		}
 	}
 	return due
 }
 
-// stagedDue is the first cycle the head of a staging buffer can leave on a
-// channel that is busy until cycle busy.
-func stagedDue(o *buffer.OutputBuffer, busy int64) int64 {
-	ready, ok := o.HeadReady()
-	if !ok {
-		return never
-	}
-	return max(busy, ready)
-}
-
-// transmit drains output buffers onto their links and ejection channels onto
-// the terminal links, one packet at a time at one phit per cycle. Only ports
-// with a packet due are serviced, in ascending port order, matching a full
-// scan: a port that is not due would have found its link busy or its head not
-// ready, and done nothing. A port leaves the activity list once all its
+// transmit drains staging buffers onto their links and ejection channels,
+// one packet at a time at one phit per cycle. Only ports with a packet due
+// are serviced, in ascending port order, matching a full scan: a port that is
+// not due would have found its channels busy or their heads not ready, and
+// done nothing. A port leaves the activity list once all its
 // staging buffers drain; removal shifts the remaining (higher) ports left, so
 // not advancing the index after a removal preserves the ascending visit order.
 func (r *Router) transmit(now int64) {
@@ -1089,47 +1064,30 @@ func (r *Router) transmit(now int64) {
 	r.xmitMin = next
 }
 
-// transmitPort services one port's staging buffers.
+// transmitPort puts the head of each of a port's staging buffers on its
+// channel if the channel is idle and the head ready: onto the link towards
+// the neighbour, or out of a terminal port to its node.
 func (r *Router) transmitPort(now int64, p int) {
-	if r.outputs[p] != nil {
-		r.transmitLink(now, p)
-		return
+	lo, hi := r.portKeys(p)
+	for key := lo; key < hi; key++ {
+		if r.busy[key] > now {
+			continue
+		}
+		ref, size, destVC, kind := r.stage[key].Head(now)
+		if ref == packet.NilRef {
+			continue
+		}
+		r.stage[key].Pop()
+		r.signal(key)
+		r.pending--
+		r.work.Sends++
+		r.busy[key] = now + int64(size)
+		if r.kinds[p] == topology.Terminal {
+			r.env.ScheduleDelivery(r.linkLat[p]+int64(size), ref)
+		} else {
+			r.env.ScheduleArrival(r.linkLat[p]+int64(size), r.nbrs[p], r.nbrPorts[p], destVC, ref, kind)
+		}
 	}
-	for c := range r.eject[p] {
-		r.transmitEject(now, p, c)
-	}
-}
-
-func (r *Router) transmitLink(now int64, p int) {
-	if r.linkBusy[p] > now {
-		return
-	}
-	ref, size, destVC, kind := r.outputs[p].Head(now)
-	if ref == packet.NilRef {
-		return
-	}
-	r.outputs[p].Pop()
-	r.signal(p)
-	r.pending--
-	r.work.Sends++
-	r.linkBusy[p] = now + int64(size)
-	r.env.ScheduleArrival(r.linkLat[p]+int64(size), r.nbrs[p], r.nbrPorts[p], destVC, ref, kind)
-}
-
-func (r *Router) transmitEject(now int64, p, c int) {
-	if r.ejBusy[p][c] > now {
-		return
-	}
-	ref, size, _, _ := r.eject[p][c].Head(now)
-	if ref == packet.NilRef {
-		return
-	}
-	r.eject[p][c].Pop()
-	r.signal(r.ejectKey(p, c))
-	r.pending--
-	r.work.Sends++
-	r.ejBusy[p][c] = now + int64(size)
-	r.env.ScheduleDelivery(int64(r.params.InjectionLatency+size), ref)
 }
 
 // lazySource is the router's PRNG source, seeded on the first draw: the real

@@ -65,7 +65,7 @@ func (l *portList) search(p int) int {
 
 // AuditActivity cross-checks the router's incremental allocator state against
 // a brute-force scan: the activity lists and transmission due cycles against
-// every input VC and output/ejection buffer, the head tracking and sleep state
+// every input VC and staging buffer, the head tracking and sleep state
 // against the VC rings, the packet store and a from-scratch re-evaluation
 // (auditHeads), and the pipeline timers against the tracked heads
 // (auditTimers). It is the invariant that makes activity- and event-driven
@@ -128,13 +128,7 @@ func (r *Router) auditLists() error {
 	// not serviced could not have sent.
 	xi := 0
 	for p := 0; p < r.numPorts; p++ {
-		staged := 0
-		if r.outputs[p] != nil {
-			staged = r.outputs[p].Len()
-		}
-		for _, e := range r.eject[p] {
-			staged += e.Len()
-		}
+		staged := r.staged(p)
 		if r.xmit.in[p] != (staged > 0) {
 			return fmt.Errorf("router %d port %d: %d staged packets, xmit membership %v", r.id, p, staged, r.xmit.in[p])
 		}
@@ -222,7 +216,7 @@ func (r *Router) auditHeads() error {
 				continue
 			}
 			w := r.waits[slot]
-			if want := r.planWaits(&fresh); w != want {
+			if want := planWaits(&fresh); w != want {
 				return fmt.Errorf("router %d port %d VC %d: sleeps on resources %v, its plan consults %v", r.id, p, vc, w, want)
 			}
 			if r.signalled(w.a) || r.signalled(w.b) {

@@ -15,15 +15,16 @@ import (
 // single-class VC arrangement between the diameter and the algorithm's
 // worst-case planned path that the configuration rules admit, taking a random
 // allowed VC at every hop and, where the plan offers an escape, the escape at
-// random. The route must deliver within the algorithm's declared worst-case
-// hop count, every hop must leave through a non-terminal port, and every
-// range must lie inside the arrangement. Under the worst-case arrangement
-// FlexVC and the baseline must both offer a VC at every hop; under every
-// arrangement a FlexVC hop that is not safe must keep an escape: a non-empty
-// range on the minimal next hop to the destination, which is PlanHop's
+// random. The route must eject within the algorithm's declared worst-case hop
+// count, only at the destination router and through the destination node's
+// terminal port, as a safe hop on VC 0 with no escape, and every range must
+// lie inside the arrangement. Under the worst-case arrangement FlexVC and the
+// baseline must both offer a VC at every hop; under every arrangement a
+// FlexVC hop that is not safe must keep an escape: a non-empty range on the
+// first port of the minimal path to the destination node, which is PlanHop's
 // escape when that differs from the planned port and the planned hop itself
-// otherwise. At the destination router the escape is ejection, which the hop
-// rule does not plan (see walkPath).
+// otherwise. At the destination router that port is ejection, so a detour
+// passing through its destination escapes by ejecting.
 func FuzzPathValidity(f *testing.F) {
 	f.Add(uint8(1), uint32(0), uint32(1), int64(1), uint8(0))
 	f.Add(uint8(2), uint32(3), uint32(29), int64(42), uint8(1))
@@ -38,22 +39,24 @@ func FuzzPathValidity(f *testing.F) {
 }
 
 // TestPathValidityReachesEscapes keeps the fuzz target honest: its walks must
-// reach opportunistic hops and take escapes, or the escape check would hold
-// vacuously.
+// reach opportunistic hops and take escapes, ejection escapes among them, or
+// the escape check would hold vacuously.
 func TestPathValidityReachesEscapes(t *testing.T) {
 	var total walkStats
-	for seed := int64(0); seed < 20; seed++ {
+	for seed := int64(0); seed < 200; seed++ {
 		st := walkPaths(t, uint8(seed), uint32(seed*7), uint32(seed*13+5), seed, 1)
 		total.opportunistic += st.opportunistic
 		total.reverts += st.reverts
+		total.ejections += st.ejections
 	}
-	if total.opportunistic == 0 || total.reverts == 0 {
-		t.Fatalf("VAL walks reached %d opportunistic hops and took %d escapes, want both", total.opportunistic, total.reverts)
+	if total.opportunistic == 0 || total.reverts == 0 || total.ejections == 0 {
+		t.Fatalf("VAL walks reached %d opportunistic hops and took %d escapes, %d of them by ejecting; want all three", total.opportunistic, total.reverts, total.ejections)
 	}
 }
 
-// walkStats counts what the walks of one fuzz input exercised.
-type walkStats struct{ opportunistic, reverts int }
+// walkStats counts what the walks of one fuzz input exercised: opportunistic
+// hops, escapes taken and, of those, escapes by ejection.
+type walkStats struct{ opportunistic, reverts, ejections int }
 
 // walkPaths builds the fuzzed network and walks its route once per admitted
 // VC arrangement.
@@ -126,15 +129,19 @@ func walkPath(t *testing.T, topo *topology.Dragonfly, alg Algorithm, flex, base 
 				alg.Kind(), src, dst, need, pkt.Route)
 		}
 		dec := alg.Route(cur, &pkt.Header, &pkt.Route, rng)
-		if dec.Deliver {
-			if cur != dst {
-				t.Fatalf("%v delivered at router %d, destination is %d", alg.Kind(), cur, dst)
-			}
-			return
-		}
 		port := dec.OutPort
-		if port < 0 || port >= topo.Radix() || topo.PortKind(cur, port) == topology.Terminal {
+		if port < 0 || port >= topo.Radix() {
 			t.Fatalf("%v proposed invalid port %d at router %d (dst %d)", alg.Kind(), port, cur, dst)
+		}
+		// The minimal path to the destination node: the escape of every
+		// opportunistic hop, ejection at the destination router.
+		minPort := topo.NextMinimalPort(cur, dst)
+		if cur == dst {
+			minPort = topo.TerminalPort(dst, dstNode)
+		}
+		eject := topo.PortKind(cur, port) == topology.Terminal
+		if eject && port != minPort {
+			t.Fatalf("%v ejected through port %d of router %d, destination node %d sits on router %d", alg.Kind(), port, cur, dstNode, dst)
 		}
 
 		fh := PlanHop(flex, topo, cur, inPort, port, &pkt.Header, &pkt.Route)
@@ -152,6 +159,9 @@ func walkPath(t *testing.T, topo *topology.Dragonfly, alg Algorithm, flex, base 
 					alg.Kind(), hop, src, dst, bh, pkt.Route)
 			}
 		}
+		if eject && (fh != Hop{Kind: topology.Terminal, VCs: core.VCRange{Safe: true}, EscPort: -1}) {
+			t.Fatalf("%v %s: ejection at router %d planned as %+v, want a safe hop on VC 0 with no escape", alg.Kind(), vcs, cur, fh)
+		}
 		if !fh.VCs.Safe {
 			st.opportunistic++
 			escPort, esc := fh.EscPort, fh.EscVCs
@@ -160,16 +170,7 @@ func walkPath(t *testing.T, topo *topology.Dragonfly, alg Algorithm, flex, base 
 				// the escape path bounds, is the escape.
 				escPort, esc = port, fh.VCs
 			}
-			switch {
-			case cur == dst:
-				// A detour passing through its destination router, whose
-				// escape is ejection here. The hop rule plans no such
-				// escape, so a forbidden planned hop leaves the router
-				// nothing to request; the walk ejects the packet instead.
-				if fh.VCs.Empty() {
-					return
-				}
-			case escPort != topo.NextMinimalPort(cur, dst) || esc.Empty():
+			if escPort != minPort || esc.Empty() {
 				t.Fatalf("%v %s: opportunistic hop %d of %d->%d through port %d has no escape (hop %+v, route %+v)",
 					alg.Kind(), vcs, hop, src, dst, port, fh, pkt.Route)
 			}
@@ -181,7 +182,7 @@ func walkPath(t *testing.T, topo *topology.Dragonfly, alg Algorithm, flex, base 
 		}
 
 		// Take the planned hop or, at random or when the planned range is
-		// empty, the escape, on a random allowed VC.
+		// empty, the escape, on a random allowed VC; ejecting ends the walk.
 		kind, vcRange, revert := fh.Kind, fh.VCs, false
 		if fh.EscPort >= 0 && !fh.EscVCs.Empty() && (fh.VCs.Empty() || pick.Intn(2) == 0) {
 			port, kind, vcRange, revert = fh.EscPort, fh.EscKind, fh.EscVCs, true
@@ -189,6 +190,12 @@ func walkPath(t *testing.T, topo *topology.Dragonfly, alg Algorithm, flex, base 
 		}
 		if vcRange.Empty() {
 			t.Fatalf("%v %s: no VC to take at hop %d of %d->%d (hop %+v, route %+v)", alg.Kind(), vcs, hop, src, dst, fh, pkt.Route)
+		}
+		if kind == topology.Terminal {
+			if revert {
+				st.ejections++
+			}
+			return
 		}
 		TakeHop(&pkt.Route, kind, vcRange.Lo+pick.Intn(vcRange.Hi-vcRange.Lo+1), revert)
 		cur, inPort = topo.Neighbor(cur, port)

@@ -6,20 +6,22 @@ import (
 	"flexvc/internal/topology"
 )
 
-// Hop is the VC plan of one router-to-router hop: the VC range the scheme
-// allows at the downstream input port of the requested output port and, when
-// that hop is an opportunistic Valiant continuation, the escape it falls back
-// to.
+// Hop is the VC plan of one hop: the VC range the scheme allows at the far
+// end of the requested output port and, when that hop is an opportunistic
+// Valiant continuation, the escape it falls back to. Ejection is a hop too:
+// through a terminal port, on the single VC 0 of its ejection channel.
 type Hop struct {
-	// Kind is the link kind of the requested output port, and VCs the range
-	// allowed at its downstream input port (empty when the hop is forbidden).
+	// Kind is the kind of the requested output port, and VCs the range
+	// allowed at its far end (empty when the hop is forbidden).
 	Kind topology.PortKind
 	VCs  core.VCRange
 	// EscPort is the escape of an opportunistic Valiant continuation — the
-	// minimal next hop to the destination, when it differs from the
-	// requested port — or -1 when the hop has none. EscKind and EscVCs are
-	// its link kind and range; taking it abandons the detour (TakeHop's
-	// revert).
+	// first port of the packet's minimal path to its destination node, when
+	// it differs from the requested port — or -1 when the hop has none. At
+	// the destination router that port is the node's terminal port: a detour
+	// passing through its destination escapes by ejecting. EscKind and
+	// EscVCs are its kind and range; taking it abandons the detour
+	// (TakeHop's revert).
 	EscPort int
 	EscKind topology.PortKind
 	EscVCs  core.VCRange
@@ -27,15 +29,15 @@ type Hop struct {
 
 // PlanHop is the hop rule: the VCs the scheme behind mgr allows a packet at
 // router cur, sitting in input port inPort, when it leaves through outPort (a
-// link port, or negative when routing found none), and the escape fallback
-// of the paper's opportunistic-routing rule. It reads only the topology, the
+// link port, or a terminal port to eject), and the escape fallback of the
+// paper's opportunistic-routing rule. It reads only the topology, the
 // manager, the header and the route state, so the router, the fuzzers and
 // any checker of the channel graph ask the same question the same way.
 func PlanHop(mgr *core.Manager, topo topology.Topology, cur packet.RouterID, inPort, outPort int, hdr *packet.Header, rt *packet.RouteState) Hop {
 	h := Hop{EscPort: -1}
 	h.Kind, h.VCs = hopRange(mgr, topo, cur, inPort, outPort, hdr, rt, false)
 	if !h.VCs.Safe && detouring(rt) {
-		if esc := topo.NextMinimalPort(cur, hdr.DstRouter); esc >= 0 && esc != outPort {
+		if esc := minimalPort(topo, cur, hdr); esc != outPort {
 			h.EscPort = esc
 			h.EscKind, h.EscVCs = hopRange(mgr, topo, cur, inPort, esc, hdr, rt, true)
 		}
@@ -44,12 +46,16 @@ func PlanHop(mgr *core.Manager, topo topology.Topology, cur packet.RouterID, inP
 }
 
 // TakeHop is the route-state update of a granted hop: the packet now sits in
-// VC vc of the input port at the far end of a kind link. With revert set the
-// hop was the escape of an opportunistic Valiant continuation, and the packet
-// heads straight to its destination from here on.
+// VC vc of the input port at the far end of a kind link, or leaves the
+// network when kind is Terminal. With revert set the hop was the escape of an
+// opportunistic Valiant continuation, and the packet heads straight to its
+// destination from here on.
 func TakeHop(rt *packet.RouteState, kind topology.PortKind, vc int, revert bool) {
 	if revert {
 		rt.Phase = packet.PhaseToDestination
+	}
+	if kind == topology.Terminal {
+		return
 	}
 	rt.InputVC = int32(vc)
 	switch kind {
@@ -70,12 +76,12 @@ func detouring(rt *packet.RouteState) bool {
 
 // hopRange asks the manager for the VC range of the hop through outPort. With
 // revert set the hop is the escape: the packet's planned path after it is its
-// minimal path.
+// minimal path. Ejection ends every path, so it is always safe.
 func hopRange(mgr *core.Manager, topo topology.Topology, cur packet.RouterID, inPort, outPort int, hdr *packet.Header, rt *packet.RouteState, revert bool) (topology.PortKind, core.VCRange) {
-	if outPort < 0 {
-		return topology.Terminal, core.VCRange{Lo: 1, Hi: 0}
-	}
 	kind := topo.PortKind(cur, outPort)
+	if kind == topology.Terminal {
+		return kind, core.VCRange{Safe: true}
+	}
 	next, _ := topo.Neighbor(cur, outPort)
 	escape := topology.MinimalSeq(topo, next, hdr.DstRouter)
 	planned := escape

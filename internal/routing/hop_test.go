@@ -88,38 +88,14 @@ func checkHopRanges(t *testing.T, mgr *core.Manager, topo topology.Topology) (ra
 	routers := packet.RouterID(topo.NumRouters())
 	for cur := packet.RouterID(0); cur < routers; cur++ {
 		for in := 0; in < topo.Radix(); in++ {
-			// The route states a packet in this input port can hold: minimal
-			// or detouring through any intermediate (-1 is minimal), in any
-			// of the port's VCs, a few hops into its route.
-			var states []packet.RouteState
-			inVCs := []int32{-1} // an injection queue
-			if kind := topo.PortKind(cur, in); kind != topology.Terminal {
-				inVCs = inVCs[:0]
-				for vc := range int32(vcs.TotalOf(kind)) {
-					inVCs = append(inVCs, vc)
-				}
-			}
-			for mid := packet.RouterID(-1); mid < routers; mid++ {
-				for _, vc := range inVCs {
-					for hops := int32(0); hops < 3; hops++ {
-						var rt packet.RouteState
-						rt.Reset()
-						rt.InputVC = vc
-						rt.LocalHops, rt.GlobalHops, rt.Hops = hops, hops, 2*hops
-						if mid >= 0 {
-							rt.Kind, rt.Phase, rt.Intermediate = packet.Nonminimal, packet.PhaseToIntermediate, mid
-						}
-						states = append(states, rt)
-					}
-				}
-			}
+			states := routeStates(topo, vcs, cur, in)
 			for out := 0; out < topo.Radix(); out++ {
 				if topo.PortKind(cur, out) == topology.Terminal {
 					continue
 				}
 				for _, class := range classes {
 					for dst := packet.RouterID(0); dst < routers; dst++ {
-						hdr := packet.Header{Class: class, DstRouter: dst}
+						hdr := packet.Header{Class: class, Dst: topo.NodeAt(dst, 0), DstRouter: dst}
 						for _, rt := range states {
 							h := routing.PlanHop(mgr, topo, cur, in, out, &hdr, &rt)
 							if h.Kind != topo.PortKind(cur, out) || !inside(h.Kind, h.VCs) {
@@ -143,4 +119,101 @@ func checkHopRanges(t *testing.T, mgr *core.Manager, topo topology.Topology) (ra
 		}
 	}
 	return ranges, escapes
+}
+
+// TestPlanHopEjection: ejection is a hop. Through the destination node's
+// terminal port, PlanHop plans a safe hop on VC 0 with no escape, whatever
+// the policy, the input VC and the route state.
+func TestPlanHopEjection(t *testing.T) {
+	topo, err := config.Tiny().BuildTopology()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := routing.Hop{Kind: topology.Terminal, VCs: core.VCRange{Lo: 0, Hi: 0, Safe: true}, EscPort: -1}
+	for _, policy := range []core.Policy{core.Baseline, core.FlexVC} {
+		mgr := core.NewManager(core.Scheme{Policy: policy, VCs: core.SingleClass(3, 2), Selection: core.JSQ})
+		for cur := range packet.RouterID(topo.NumRouters()) {
+			node := topo.NodeAt(cur, 0)
+			hdr := packet.Header{Dst: node, DstRouter: cur}
+			for in := 0; in < topo.Radix(); in++ {
+				for _, rt := range routeStates(topo, mgr.Scheme().VCs, cur, in) {
+					if h := routing.PlanHop(mgr, topo, cur, in, topo.TerminalPort(cur, node), &hdr, &rt); h != want {
+						t.Fatalf("%s: ejection at router %d from port %d, %+v: planned %+v, want %+v", policy, cur, in, rt, h, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPlanHopDetourAtDestinationEjects: a Valiant detour passing through its
+// destination router escapes by ejecting. Under FlexVC 3/2, which holds a
+// minimal path but not a Valiant one in increasing VCs, every opportunistic
+// continuation of such a detour plans the destination node's terminal port
+// as its escape, a safe hop on VC 0 — the forbidden ones included, which
+// would otherwise leave the head nothing to request.
+func TestPlanHopDetourAtDestinationEjects(t *testing.T) {
+	topo, err := config.Tiny().BuildTopology()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr := core.NewManager(core.Scheme{Policy: core.FlexVC, VCs: core.SingleClass(3, 2), Selection: core.JSQ})
+	forbidden := 0
+	for cur := range packet.RouterID(topo.NumRouters()) {
+		node := topo.NodeAt(cur, 0)
+		hdr := packet.Header{Dst: node, DstRouter: cur}
+		for in := 0; in < topo.Radix(); in++ {
+			for _, rt := range routeStates(topo, mgr.Scheme().VCs, cur, in) {
+				// Routing never plans from a detour at its intermediate: it
+				// turns the packet towards its destination first.
+				if rt.Kind != packet.Nonminimal || rt.Intermediate == cur {
+					continue
+				}
+				out := topo.NextMinimalPort(cur, rt.Intermediate)
+				h := routing.PlanHop(mgr, topo, cur, in, out, &hdr, &rt)
+				if h.VCs.Safe {
+					continue
+				}
+				if h.EscPort != topo.TerminalPort(cur, node) || h.EscKind != topology.Terminal || h.EscVCs != (core.VCRange{Safe: true}) {
+					t.Fatalf("detour at its destination router %d via %d from port %d, %+v: escape %d %s %+v, want ejection through port %d",
+						cur, rt.Intermediate, in, rt, h.EscPort, h.EscKind, h.EscVCs, topo.TerminalPort(cur, node))
+				}
+				if h.VCs.Empty() {
+					forbidden++
+				}
+			}
+		}
+	}
+	if forbidden == 0 {
+		t.Fatal("no detour at its destination router had its planned hop forbidden: the case is not exercised")
+	}
+}
+
+// routeStates returns the route states a packet in input port in of router
+// cur can hold: minimal or detouring through any intermediate, in any of the
+// port's VCs under vcs, a few hops into its route.
+func routeStates(topo topology.Topology, vcs core.VCConfig, cur packet.RouterID, in int) []packet.RouteState {
+	inVCs := []int32{-1} // an injection queue
+	if kind := topo.PortKind(cur, in); kind != topology.Terminal {
+		inVCs = inVCs[:0]
+		for vc := range int32(vcs.TotalOf(kind)) {
+			inVCs = append(inVCs, vc)
+		}
+	}
+	var states []packet.RouteState
+	for mid := packet.RouterID(-1); mid < packet.RouterID(topo.NumRouters()); mid++ { // -1 is minimal
+		for _, vc := range inVCs {
+			for hops := int32(0); hops < 3; hops++ {
+				var rt packet.RouteState
+				rt.Reset()
+				rt.InputVC = vc
+				rt.LocalHops, rt.GlobalHops, rt.Hops = hops, hops, 2*hops
+				if mid >= 0 {
+					rt.Kind, rt.Phase, rt.Intermediate = packet.Nonminimal, packet.PhaseToIntermediate, mid
+				}
+				states = append(states, rt)
+			}
+		}
+	}
+	return states
 }

@@ -23,7 +23,7 @@ func (m *Minimal) MaxPlannedHops() topology.HopCount { return m.topo.Diameter() 
 func (m *Minimal) Route(cur packet.RouterID, hdr *packet.Header, rt *packet.RouteState, _ RandSource) Decision {
 	rt.Kind = packet.Minimal
 	rt.Phase = packet.PhaseToDestination
-	return routeToward(m.topo, cur, rt, hdr.DstRouter)
+	return routeToward(m.topo, cur, hdr, rt)
 }
 
 // Valiant routes every packet minimally to a uniformly random intermediate
@@ -51,7 +51,7 @@ func (v *Valiant) Route(cur packet.RouterID, hdr *packet.Header, rt *packet.Rout
 		rt.Phase = packet.PhaseToIntermediate
 		rt.Intermediate = RandomIntermediate(v.topo, rng)
 	}
-	return routeToward(v.topo, cur, rt, hdr.DstRouter)
+	return routeToward(v.topo, cur, hdr, rt)
 }
 
 // RandomIntermediate draws a uniformly random intermediate router for Valiant

@@ -67,7 +67,7 @@ func (p *Progressive) Route(cur packet.RouterID, hdr *packet.Header, rt *packet.
 			rt.AdaptiveDecided = true
 		}
 	}
-	return routeToward(p.topo, cur, rt, hdr.DstRouter)
+	return routeToward(p.topo, cur, hdr, rt)
 }
 
 // shouldDivert compares the congestion of the next minimal hop against the

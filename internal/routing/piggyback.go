@@ -183,7 +183,7 @@ func (p *Piggyback) Route(cur packet.RouterID, hdr *packet.Header, rt *packet.Ro
 			rt.Phase = packet.PhaseToDestination
 		}
 	}
-	return routeToward(p.topo, cur, rt, hdr.DstRouter)
+	return routeToward(p.topo, cur, hdr, rt)
 }
 
 // shouldMisroute applies the PB decision rule at injection.

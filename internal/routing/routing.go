@@ -130,11 +130,10 @@ type Probe interface {
 
 // Decision is the result of a routing query for one packet at one router.
 type Decision struct {
-	// OutPort is the output port the packet should request.
+	// OutPort is the output port the packet should request: a link port or,
+	// at its destination router, the terminal port of its destination node
+	// (ejection is a hop like any other).
 	OutPort int
-	// Deliver is true when the packet has reached its destination router
-	// and should be consumed through a terminal port.
-	Deliver bool
 }
 
 // Algorithm is the interface shared by all routing mechanisms.
@@ -167,11 +166,20 @@ func currentTarget(cur packet.RouterID, rt *packet.RouteState, dst packet.Router
 }
 
 // routeToward resolves the next minimal hop toward the packet's current
-// target, or delivery when the destination router has been reached.
-func routeToward(topo topology.Topology, cur packet.RouterID, rt *packet.RouteState, dst packet.RouterID) Decision {
-	target := currentTarget(cur, rt, dst)
-	if cur == dst && target == dst {
-		return Decision{OutPort: -1, Deliver: true}
+// target.
+func routeToward(topo topology.Topology, cur packet.RouterID, hdr *packet.Header, rt *packet.RouteState) Decision {
+	if target := currentTarget(cur, rt, hdr.DstRouter); target != hdr.DstRouter {
+		return Decision{OutPort: topo.NextMinimalPort(cur, target)}
 	}
-	return Decision{OutPort: topo.NextMinimalPort(cur, target)}
+	return Decision{OutPort: minimalPort(topo, cur, hdr)}
+}
+
+// minimalPort is the first port of the packet's minimal path from cur to its
+// destination node: the next link toward its destination router or, once
+// there, the node's terminal port.
+func minimalPort(topo topology.Topology, cur packet.RouterID, hdr *packet.Header) int {
+	if cur == hdr.DstRouter {
+		return topo.TerminalPort(cur, hdr.Dst)
+	}
+	return topo.NextMinimalPort(cur, hdr.DstRouter)
 }

@@ -51,10 +51,13 @@ func walk(t *testing.T, topo topology.Topology, alg Algorithm, pkt *testPkt, rng
 			t.Fatalf("route %d->%d did not converge", pkt.Src, pkt.Dst)
 		}
 		dec := alg.Route(cur, &pkt.Header, &pkt.Route, rng)
-		if dec.Deliver {
+		kind := topo.PortKind(cur, dec.OutPort)
+		if kind == topology.Terminal {
+			if cur != pkt.DstRouter || dec.OutPort != topo.TerminalPort(cur, pkt.Dst) {
+				t.Fatalf("route %d->%d ejected through port %d of router %d", pkt.Src, pkt.Dst, dec.OutPort, cur)
+			}
 			return kinds
 		}
-		kind := topo.PortKind(cur, dec.OutPort)
 		kinds = append(kinds, kind)
 		TakeHop(&pkt.Route, kind, 0, false)
 		cur, _ = topo.Neighbor(cur, dec.OutPort)
@@ -346,7 +349,7 @@ func TestPiggybackDecision(t *testing.T) {
 	if pkt.Route.Kind != packet.Minimal {
 		t.Fatalf("uncongested PB decision should be minimal, got %v", pkt.Route.Kind)
 	}
-	if dec.Deliver {
+	if topo.PortKind(pkt.SrcRouter, dec.OutPort) == topology.Terminal {
 		t.Fatal("packet cannot be delivered at the source router")
 	}
 

@@ -188,11 +188,34 @@ func pendingAtSources(n *Network) int64 {
 func TestDrainAfterLoadStops(t *testing.T) {
 	cfg := config.Small()
 	cfg.Load = 0.4
+	drainAfterLoad(t, cfg, 2000, 4000)
+}
+
+// TestDrainOpportunisticValiant checks the escape of a Valiant detour that
+// passes through its destination router: under FlexVC 3/2, which admits VAL
+// only opportunistically, a head there whose planned hop is forbidden or full
+// must escape by ejecting, so the network drains once sources stop. Without
+// that escape such heads wait forever, and so does everything behind them.
+func TestDrainOpportunisticValiant(t *testing.T) {
+	for _, load := range []float64{0.2, 0.4} {
+		cfg := config.Small()
+		cfg.Routing = routing.VAL
+		cfg.Scheme = core.Scheme{Policy: core.FlexVC, VCs: core.SingleClass(3, 2), Selection: core.JSQ}
+		cfg.Load = load
+		drainAfterLoad(t, cfg, 3000, 6000)
+	}
+}
+
+// drainAfterLoad runs cfg for loadCycles, silences the sources and runs
+// silentCycles more, after which nothing may be in flight, resident in a
+// router or pending in the event wheel.
+func drainAfterLoad(t *testing.T, cfg config.Config, loadCycles, silentCycles int64) {
+	t.Helper()
 	n, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.RunCycles(2000)
+	n.RunCycles(loadCycles)
 	// Silence the sources by swapping in a zero-load generator.
 	cfg0 := cfg
 	cfg0.Load = 0
@@ -206,15 +229,15 @@ func TestDrainAfterLoadStops(t *testing.T) {
 		n.nodes[i].requests.reset()
 		n.nodes[i].replies.reset()
 	}
-	n.RunCycles(4000)
+	n.RunCycles(silentCycles)
 	if n.InFlight() != 0 {
-		t.Fatalf("%d packets still in flight after drain", n.InFlight())
+		t.Fatalf("load %.1f: %d packets still in flight after drain", cfg.Load, n.InFlight())
 	}
 	if n.ResidentPackets() != 0 {
-		t.Fatalf("%d packets still resident after drain", n.ResidentPackets())
+		t.Fatalf("load %.1f: %d packets still resident after drain", cfg.Load, n.ResidentPackets())
 	}
 	if n.wheel.pending() != 0 {
-		t.Fatalf("%d events still pending after drain", n.wheel.pending())
+		t.Fatalf("load %.1f: %d events still pending after drain", cfg.Load, n.wheel.pending())
 	}
 }
 
