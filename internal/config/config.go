@@ -370,6 +370,9 @@ func (c Config) Validate() error {
 	if c.Speedup < 1 {
 		return fmt.Errorf("config: speedup must be >= 1")
 	}
+	if c.LocalLatency < 0 || c.GlobalLatency < 0 || c.InjectionLatency < 0 || c.RouterPipeline < 0 {
+		return fmt.Errorf("config: link latencies and the router pipeline must be non-negative")
+	}
 	if c.InjectionQueues < 1 {
 		return fmt.Errorf("config: need at least one injection queue")
 	}
@@ -402,8 +405,8 @@ func (c Config) Validate() error {
 	if topo.Radix() > MaxRadix {
 		return fmt.Errorf("config: router radix %d exceeds the maximum %d", topo.Radix(), MaxRadix)
 	}
-	if err := c.Scheme.VCs.Validate(topo.Diameter(), c.Reactive); err != nil {
-		return err
+	if c.Routing == routing.PB && c.Topology != TopoDragonfly {
+		return fmt.Errorf("config: Piggyback routing requires a Dragonfly topology, got %s", topo.Name())
 	}
 	for _, kind := range []topology.PortKind{topology.Terminal, topology.Local, topology.Global} {
 		vcs := c.InjectionQueues
@@ -414,28 +417,8 @@ func (c Config) Validate() error {
 			return fmt.Errorf("config: %s ports have %d VCs, more than the %d a router port holds", kind, vcs, router.MaxPortVCs)
 		}
 	}
-	if c.Routing.Nonminimal() && c.Scheme.Policy == core.Baseline {
-		// The baseline must hold the full Valiant reference path in its
-		// fixed-order VCs.
-		need := core.FromHopCount(topo.MaxValiantHops())
-		if c.Routing == routing.PAR {
-			need.Local++
-		}
-		if !c.Scheme.VCs.Request.AtLeast(need) {
-			return fmt.Errorf("config: baseline VC set %s cannot support %s routing (needs %s per class)",
-				c.Scheme.VCs, c.Routing, need)
-		}
-	}
-	if c.Routing.Nonminimal() && c.Scheme.Policy == core.FlexVC {
-		// FlexVC needs at least an opportunistic Valiant path.
-		mode := core.ModeVAL
-		if c.Routing == routing.PAR {
-			mode = core.ModePAR
-		}
-		ref := core.Reference(topo, mode)
-		if core.Classify(c.Scheme.VCs, 0, ref) == core.Forbidden {
-			return fmt.Errorf("config: FlexVC set %s forbids %s routing on %s", c.Scheme.VCs, c.Routing, topo.Name())
-		}
+	if err := core.Admit(c.Scheme, topo, c.Routing.Mode(), c.Reactive); err != nil {
+		return fmt.Errorf("config: %w", err)
 	}
 	if c.BufferOrg == buffer.DAMQ && (c.DAMQPrivateFraction < 0 || c.DAMQPrivateFraction > 1) {
 		return fmt.Errorf("config: DAMQ private fraction %.2f outside [0,1]", c.DAMQPrivateFraction)

@@ -176,3 +176,58 @@ func TestFlattenedButterflyConfig(t *testing.T) {
 		t.Errorf("4x4 flattened butterfly should have 16 routers, got %d", topo.NumRouters())
 	}
 }
+
+// TestValidateAdmitsEveryClass: admission checks the reply class too. A
+// baseline reply subsequence too short for the Valiant path strands replies,
+// so Small rejects baseline VAL, PAR and PB with reactive traffic at
+// 4/2+2/1 (and PAR at 5/2+2/1) and admits them once replies hold the path.
+// PB runs on a Dragonfly only, and Validate says so before anything runs.
+func TestValidateAdmitsEveryClass(t *testing.T) {
+	for _, tc := range []struct {
+		routing routing.Kind
+		vcs     core.VCConfig
+		want    string // "" when admitted, else a fragment of the error
+	}{
+		{routing.VAL, core.TwoClass(4, 2, 2, 1), "cannot support val routing"},
+		{routing.PAR, core.TwoClass(4, 2, 2, 1), "cannot support par routing"},
+		{routing.PAR, core.TwoClass(5, 2, 2, 1), "cannot support par routing"},
+		{routing.PB, core.TwoClass(4, 2, 2, 1), "cannot support val routing"},
+		{routing.VAL, core.TwoClass(4, 2, 4, 2), ""},
+		{routing.PAR, core.TwoClass(5, 2, 5, 2), ""},
+		{routing.PB, core.TwoClass(4, 2, 4, 2), ""},
+	} {
+		cfg := Small()
+		cfg.Routing, cfg.Reactive = tc.routing, true
+		cfg.Scheme = core.Scheme{Policy: core.Baseline, VCs: tc.vcs, Selection: core.JSQ}
+		err := cfg.Validate()
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("baseline %s %s: %v", tc.routing, tc.vcs, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("baseline %s %s: %v, want an error mentioning %q", tc.routing, tc.vcs, err, tc.want)
+		}
+	}
+	cfg := Small()
+	cfg.Topology, cfg.K, cfg.Routing = TopoFlattenedButterfly, 4, routing.PB
+	cfg.Scheme.VCs = core.SingleClass(4, 0)
+	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "requires a Dragonfly") {
+		t.Errorf("PB on a flattened butterfly: %v, want a Dragonfly-only error", err)
+	}
+}
+
+// TestValidateRejectsNegativeTiming: a negative link latency or router
+// pipeline is an error, not a run with events scheduled into the past.
+func TestValidateRejectsNegativeTiming(t *testing.T) {
+	for name, mut := range map[string]func(*Config){
+		"local latency":     func(c *Config) { c.LocalLatency = -1 },
+		"global latency":    func(c *Config) { c.GlobalLatency = -1 },
+		"injection latency": func(c *Config) { c.InjectionLatency = -1 },
+		"router pipeline":   func(c *Config) { c.RouterPipeline = -1 },
+	} {
+		cfg := Small()
+		mut(&cfg)
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("negative %s validated", name)
+		}
+	}
+}

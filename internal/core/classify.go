@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"flexvc/internal/packet"
 	"flexvc/internal/topology"
@@ -47,17 +48,7 @@ type ReferencePath struct {
 }
 
 // Hops returns the hop count of the reference path, per link kind.
-func (r ReferencePath) Hops() topology.HopCount {
-	var hc topology.HopCount
-	for _, k := range r.Kinds {
-		if k == topology.Global {
-			hc.Global++
-		} else {
-			hc.Local++
-		}
-	}
-	return hc
-}
+func (r ReferencePath) Hops() topology.HopCount { return countKinds(r.Kinds) }
 
 // Len returns the number of hops.
 func (r ReferencePath) Len() int { return len(r.Kinds) }
@@ -65,41 +56,75 @@ func (r ReferencePath) Len() int { return len(r.Kinds) }
 // Classify determines whether a route described by ref is safe, opportunistic
 // or forbidden for packets of the given class under configuration cfg, using
 // the FlexVC rules. The baseline policy only supports safe routes, so a
-// Baseline scheme should treat anything below Safe as unusable.
+// Baseline scheme should treat anything below Safe as unusable (Admit does).
 func Classify(cfg VCConfig, class packet.Class, ref ReferencePath) RouteClass {
 	if len(ref.Kinds) != len(ref.EscapeAfter) {
 		panic(fmt.Sprintf("core: reference path with %d hops but %d escapes", len(ref.Kinds), len(ref.EscapeAfter)))
 	}
 	// Safe: the whole path fits in the class's own subsequence.
-	need := FromHopCount(ref.Hops())
-	own := SubpathVCs{
-		Local:  cfg.ClassCount(class, topology.Local),
-		Global: cfg.ClassCount(class, topology.Global),
-	}
-	if own.AtLeast(need) {
+	if cfg.subsequence(class).AtLeast(FromHopCount(ref.Hops())) {
 		return Safe
 	}
-	// Otherwise walk the path hop by hop, choosing the lowest feasible VC at
-	// every hop (which maximises feasibility of later hops), and check that
-	// every hop admits at least one VC with a valid escape.
-	last := map[topology.PortKind]int{topology.Local: -1, topology.Global: -1}
+	// Otherwise every hop must admit a VC with a valid escape: the hop and
+	// the worst-case escape after it must fit, per link kind, in the VCs the
+	// class may use. Opportunistic hops keep no order among themselves, so
+	// VC 0 is always a candidate.
+	top := SubpathVCs{Local: cfg.ClassTop(class, topology.Local), Global: cfg.ClassTop(class, topology.Global)}
 	for i, kind := range ref.Kinds {
-		escape := ref.EscapeAfter[i]
-		top := cfg.ClassTop(class, kind)
-		hi := top - 1 - escape.Of(kind)
-		if !escapeOtherKindsFit(cfg, class, kind, escape) {
+		need := FromHopCount(ref.EscapeAfter[i])
+		if kind == topology.Global {
+			need.Global++
+		} else {
+			need.Local++
+		}
+		if !top.AtLeast(need) {
 			return Forbidden
 		}
-		lo := 0
-		if last[kind] > lo {
-			lo = last[kind]
-		}
-		if hi < lo {
-			return Forbidden
-		}
-		last[kind] = lo
 	}
 	return Opportunistic
+}
+
+// Admit is the one admission rule: scheme s may run routing mode on topo,
+// for one message class or, with twoClasses, for requests and replies, only
+// if for every class in use
+//
+//   - the MIN reference path is Safe within the class's own subsequence, so
+//     every packet's minimal path is a valid escape, and
+//   - mode's reference path is Safe under the baseline, whose fixed order
+//     holds safe routes only, or not Forbidden under FlexVC.
+//
+// Reply VCs on a single-class workload are an error. The classifications are
+// the ones Tables I-IV print (Classify on Reference).
+func Admit(s Scheme, topo topology.Topology, mode RoutingMode, twoClasses bool) error {
+	classes := packet.Class(1)
+	if twoClasses {
+		classes = 2
+	} else if s.VCs.HasReply() {
+		return fmt.Errorf("vcconfig %s: reply VCs configured but the workload has a single message class", s.VCs)
+	}
+	// The MIN reference path spans the diameter, so its Safe test needs no
+	// path built.
+	minHops := FromHopCount(topo.Diameter())
+	var ref ReferencePath
+	if mode != ModeMIN {
+		ref = Reference(topo, mode)
+	}
+	name := strings.ToLower(mode.String())
+	for class := packet.Class(0); class < classes; class++ {
+		if own := s.VCs.subsequence(class); !own.AtLeast(minHops) {
+			return fmt.Errorf("vcconfig %s: %s subsequence %s cannot hold a safe minimal path (%s needed)", s.VCs, class, own, minHops)
+		}
+		if mode == ModeMIN {
+			continue
+		}
+		switch rc := Classify(s.VCs, class, ref); {
+		case s.Policy == Baseline && rc != Safe:
+			return fmt.Errorf("baseline VC set %s cannot support %s routing (needs %s per class)", s.VCs, name, FromHopCount(ref.Hops()))
+		case rc == Forbidden:
+			return fmt.Errorf("FlexVC set %s forbids %s routing on %s", s.VCs, name, topo.Name())
+		}
+	}
+	return nil
 }
 
 // RoutingMode enumerates the routing mechanisms whose VC requirements the
@@ -190,7 +215,7 @@ func buildReference(kinds []topology.PortKind, diam topology.HopCount) Reference
 	escapes := make([]topology.HopCount, n)
 	// The last diam.Total() hops of the path are the final approach: after
 	// hop i in that suffix, the remaining suffix is exactly the escape.
-	suffixStart := n - diamTotalKinds(kinds, diam)
+	suffixStart := n - min(diam.Total(), n)
 	for i := 0; i < n; i++ {
 		if i >= suffixStart {
 			escapes[i] = countKinds(kinds[i+1:])
@@ -199,16 +224,6 @@ func buildReference(kinds []topology.PortKind, diam topology.HopCount) Reference
 		}
 	}
 	return ReferencePath{Kinds: kinds, EscapeAfter: escapes}
-}
-
-// diamTotalKinds returns the length of the final minimal approach of the kind
-// sequence (at most the diameter).
-func diamTotalKinds(kinds []topology.PortKind, diam topology.HopCount) int {
-	t := diam.Total()
-	if t > len(kinds) {
-		return len(kinds)
-	}
-	return t
 }
 
 // countKinds tallies a kind sequence into a hop count.

@@ -155,10 +155,15 @@ func (c VCConfig) ClassOffset(class packet.Class, k topology.PortKind) int {
 // ClassCount returns the number of VCs dedicated to a message class for a
 // link kind.
 func (c VCConfig) ClassCount(class packet.Class, k topology.PortKind) int {
+	return c.subsequence(class).Of(k)
+}
+
+// subsequence returns the VCs dedicated to a message class.
+func (c VCConfig) subsequence(class packet.Class) SubpathVCs {
 	if class == packet.Reply {
-		return c.Reply.Of(k)
+		return c.Reply
 	}
-	return c.Request.Of(k)
+	return c.Request
 }
 
 // ClassTop returns one past the highest VC index a packet of the given class
@@ -219,23 +224,4 @@ func ParseVCConfig(s string) (VCConfig, error) {
 		}
 	}
 	return c, nil
-}
-
-// Validate checks the configuration is usable on a topology for a given
-// maximum route: at the very least, minimal routing must be safe for every
-// message class within its own subsequence.
-func (c VCConfig) Validate(diameter topology.HopCount, twoClasses bool) error {
-	need := FromHopCount(diameter)
-	if !c.Request.AtLeast(need) {
-		return fmt.Errorf("vcconfig %s: request subsequence %s cannot hold a safe minimal path (%s needed)",
-			c, c.Request, need)
-	}
-	if twoClasses && !c.Reply.AtLeast(need) {
-		return fmt.Errorf("vcconfig %s: reply subsequence %s cannot hold a safe minimal path (%s needed)",
-			c, c.Reply, need)
-	}
-	if !twoClasses && c.HasReply() {
-		return fmt.Errorf("vcconfig %s: reply VCs configured but the workload has a single message class", c)
-	}
-	return nil
 }

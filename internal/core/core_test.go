@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"flexvc/internal/packet"
@@ -32,22 +33,49 @@ func TestVCConfigBasics(t *testing.T) {
 	}
 }
 
-func TestVCConfigValidate(t *testing.T) {
-	diam := topology.HopCount{Local: 2, Global: 1}
-	if err := SingleClass(2, 1).Validate(diam, false); err != nil {
-		t.Errorf("2/1 should be valid for MIN: %v", err)
+// TestAdmit checks the admission rule on the tiny Dragonfly (diameter 2/1):
+// every class in use must hold a safe minimal path in its own subsequence,
+// and the routing mode's reference path must be safe under the baseline or
+// not forbidden under FlexVC, replies included.
+func TestAdmit(t *testing.T) {
+	df, _ := topology.NewDragonfly(1, 2, 1)
+	fb, _ := topology.NewFlattenedButterfly2D(2, 1)
+	for _, topo := range []topology.Topology{df, fb} {
+		if hops := Reference(topo, ModeMIN).Hops(); hops != topo.Diameter() {
+			t.Errorf("%s: MIN reference path spans %+v, want the diameter %+v", topo.Name(), hops, topo.Diameter())
+		}
 	}
-	if err := SingleClass(1, 1).Validate(diam, false); err == nil {
-		t.Error("1/1 cannot hold a safe minimal path")
-	}
-	if err := TwoClass(2, 1, 2, 1).Validate(diam, true); err != nil {
-		t.Errorf("2/1+2/1 should be valid: %v", err)
-	}
-	if err := TwoClass(2, 1, 1, 1).Validate(diam, true); err == nil {
-		t.Error("reply subsequence 1/1 cannot hold a safe minimal path")
-	}
-	if err := TwoClass(2, 1, 2, 1).Validate(diam, false); err == nil {
-		t.Error("reply VCs configured without reactive traffic should be rejected")
+	base, flex := Baseline, FlexVC
+	for _, tc := range []struct {
+		policy   Policy
+		vcs      VCConfig
+		mode     RoutingMode
+		reactive bool
+		want     string // "" when admitted, else a fragment of the error
+	}{
+		{base, SingleClass(2, 1), ModeMIN, false, ""},
+		{base, SingleClass(1, 1), ModeMIN, false, "request subsequence 1/1 cannot hold a safe minimal path"},
+		{base, TwoClass(2, 1, 2, 1), ModeMIN, true, ""},
+		{base, TwoClass(2, 1, 1, 1), ModeMIN, true, "reply subsequence 1/1 cannot hold a safe minimal path"},
+		{base, TwoClass(2, 1, 2, 1), ModeMIN, false, "single message class"},
+		{base, SingleClass(4, 2), ModeVAL, false, ""},
+		{base, SingleClass(3, 2), ModeVAL, false, "cannot support val routing (needs 4/2 per class)"},
+		{base, SingleClass(4, 2), ModePAR, false, "cannot support par routing (needs 5/2 per class)"},
+		{base, TwoClass(4, 2, 4, 2), ModeVAL, true, ""},
+		{base, TwoClass(4, 2, 2, 1), ModeVAL, true, "cannot support val routing"},
+		{base, TwoClass(5, 2, 4, 2), ModePAR, true, "cannot support par routing"},
+		{flex, SingleClass(3, 2), ModeVAL, false, ""},
+		{flex, SingleClass(2, 2), ModeVAL, false, "forbids val routing on dragonfly"},
+		{flex, TwoClass(3, 2, 2, 1), ModePAR, true, ""},
+		{flex, TwoClass(2, 1, 2, 1), ModeVAL, true, "forbids val routing"},
+	} {
+		err := Admit(Scheme{Policy: tc.policy, VCs: tc.vcs}, df, tc.mode, tc.reactive)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s %s %s reactive=%v: %v, want admitted", tc.policy, tc.vcs, tc.mode, tc.reactive, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s %s %s reactive=%v: %v, want an error mentioning %q", tc.policy, tc.vcs, tc.mode, tc.reactive, err, tc.want)
+		}
 	}
 }
 

@@ -90,61 +90,3 @@ func (m *Manager) flexVC(ctx HopContext) VCRange {
 	}
 	return VCRange{Lo: lo, Hi: hi, Safe: false}
 }
-
-// ClassifySeq classifies a full route (given as its hop-kind sequence with
-// the worst-case escape sequence after every hop) for a message class, using
-// the same embedding rules as the forwarding path. It is the
-// ordering-faithful counterpart of Classify and is used by tests to
-// cross-check the two.
-func (m *Manager) ClassifySeq(class packet.Class, ref ReferencePath) RouteClass {
-	ord := m.order(class)
-	// Safe: the whole reference path embeds.
-	var full topology.PathSeq
-	for _, k := range ref.Kinds {
-		full.Push(k)
-	}
-	if _, ok := ord.highestFeasible(full); ok {
-		return Safe
-	}
-	// Opportunistic: walk the path; at every hop the escape (plus the hop
-	// itself) must embed at ranks at or above the current buffer's rank.
-	curRank := -1
-	for i, kind := range ref.Kinds {
-		seq := escapeSeqFor(ref, i)
-		hi, ok := ord.highestFeasible(seq)
-		if !ok {
-			return Forbidden
-		}
-		lo := 0
-		if curRank >= 0 {
-			lo = ord.lowestIndexAtOrAboveRank(kind, curRank)
-		}
-		if hi < lo {
-			return Forbidden
-		}
-		curRank = ord.rank(kind, lo)
-	}
-	return Opportunistic
-}
-
-// escapeSeqFor builds the hop-kind sequence "this hop + worst-case escape"
-// for hop i of a reference path. Escapes in ReferencePath are stored as
-// counts; the worst-case interleaving of a minimal escape is local hops
-// first, then the global hop, then the remaining local hop (l-g-l order).
-func escapeSeqFor(ref ReferencePath, i int) topology.PathSeq {
-	var seq topology.PathSeq
-	seq.Push(ref.Kinds[i])
-	esc := ref.EscapeAfter[i]
-	localsBefore := esc.Local - min(esc.Local, esc.Global)
-	for k := 0; k < localsBefore; k++ {
-		seq.Push(topology.Local)
-	}
-	for g := 0; g < esc.Global; g++ {
-		seq.Push(topology.Global)
-		if esc.Local > localsBefore {
-			seq.Push(topology.Local)
-			localsBefore++
-		}
-	}
-	return seq
-}

@@ -99,17 +99,3 @@ func (s Scheme) baselineVC(ctx HopContext) VCRange {
 	vc := offset + idx
 	return VCRange{Lo: vc, Hi: vc, Safe: true}
 }
-
-// escapeOtherKindsFit checks that the escape path's hops of kinds other than
-// the current hop's kind fit within their VC sequences.
-func escapeOtherKindsFit(cfg VCConfig, class packet.Class, kind topology.PortKind, escape topology.HopCount) bool {
-	for _, k := range []topology.PortKind{topology.Local, topology.Global} {
-		if k == kind {
-			continue
-		}
-		if escape.Of(k) > cfg.ClassTop(class, k) {
-			return false
-		}
-	}
-	return true
-}

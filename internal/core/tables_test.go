@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"flexvc/internal/packet"
 	"flexvc/internal/topology"
 )
 
@@ -69,54 +68,6 @@ func checkTable(t *testing.T, table Table, want [][]string) {
 	}
 	if r := table.Render(); len(r) == 0 {
 		t.Error("empty table rendering")
-	}
-}
-
-// TestClassifyAgainstManager cross-checks the count-based Classify used for
-// the tables against the ordering-based ClassifySeq used by the forwarding
-// path, over every configuration that appears in the tables.
-//
-// The two are not identical by design: Classify reproduces the paper's table
-// semantics (a route is "opportunistic" if the mechanism stays deadlock-free
-// while attempting it), whereas ClassifySeq walks the worst-case reference
-// path under the per-hop rule the simulator enforces, where an opportunistic
-// continuation may be denied hop by hop (the packet then reverts to its
-// escape path). ClassifySeq may therefore be more conservative. What must
-// never happen is a strong contradiction: one classifier reporting a route
-// fully Safe while the other reports it Forbidden.
-func TestClassifyAgainstManager(t *testing.T) {
-	type tc struct {
-		topo topology.Topology
-		cfgs []VCConfig
-	}
-	df, _ := topology.NewDragonfly(1, 2, 1)
-	fb, _ := topology.NewFlattenedButterfly2D(2, 1)
-	cases := []tc{
-		{fb, []VCConfig{SingleClass(2, 0), SingleClass(3, 0), SingleClass(4, 0), SingleClass(5, 0),
-			TwoClass(2, 0, 2, 0), TwoClass(3, 0, 2, 0), TwoClass(4, 0, 4, 0)}},
-		{df, []VCConfig{SingleClass(2, 1), SingleClass(3, 1), SingleClass(2, 2), SingleClass(3, 2),
-			SingleClass(4, 2), SingleClass(5, 2), TwoClass(2, 1, 2, 1), TwoClass(3, 2, 2, 1),
-			TwoClass(4, 2, 4, 2), TwoClass(5, 2, 5, 2)}},
-	}
-	for _, c := range cases {
-		for _, cfg := range c.cfgs {
-			for _, mode := range RoutingModes {
-				ref := Reference(c.topo, mode)
-				for _, class := range []packet.Class{packet.Request, packet.Reply} {
-					counts := Classify(cfg, class, ref)
-					mgr := NewManager(Scheme{Policy: FlexVC, VCs: cfg, Selection: JSQ})
-					ordered := mgr.ClassifySeq(class, ref)
-					if (counts == Safe && ordered == Forbidden) || (counts == Forbidden && ordered == Safe) {
-						t.Errorf("%s %v %v class %v: contradictory classifications Classify=%v ClassifySeq=%v",
-							c.topo.Name(), cfg, mode, class, counts, ordered)
-					}
-					if counts != ordered {
-						t.Logf("note: %s %v %v class %v: count-based %v vs order-based %v",
-							c.topo.Name(), cfg, mode, class, counts, ordered)
-					}
-				}
-			}
-		}
 	}
 }
 

@@ -11,20 +11,21 @@ import (
 
 // FuzzPathValidity fuzzes the hop rule end to end on walked paths: for a
 // fuzzed Dragonfly geometry, source/destination pair and algorithm, it walks
-// the route with PlanHop and TakeHop — the router's own hop rule — once per
-// single-class VC arrangement between the diameter and the algorithm's
-// worst-case planned path that the configuration rules admit, taking a random
-// allowed VC at every hop and, where the plan offers an escape, the escape at
-// random. The route must eject within the algorithm's declared worst-case hop
-// count, only at the destination router and through the destination node's
-// terminal port, as a safe hop on VC 0 with no escape, and every range must
-// lie inside the arrangement. Under the worst-case arrangement FlexVC and the
-// baseline must both offer a VC at every hop; under every arrangement a
-// FlexVC hop that is not safe must keep an escape: a non-empty range on the
-// first port of the minimal path to the destination node, which is PlanHop's
-// escape when that differs from the planned port and the planned hop itself
-// otherwise. At the destination router that port is ejection, so a detour
-// passing through its destination escapes by ejecting.
+// the route with PlanHop and TakeHop — the router's own hop rule — under
+// every VC arrangement between the diameter and the algorithm's worst-case
+// reference path, one message class and two, that core.Admit admits under
+// either policy: once per class in use, taking a random allowed VC at every
+// hop and, where the plan offers an escape, the escape at random. The route
+// must eject within the reference path's hop count, only at the destination
+// router and through the destination node's terminal port, as a safe hop on
+// VC 0 with no escape, and every range must lie inside the arrangement. A
+// baseline hop must always offer a VC, and so must a FlexVC hop when the
+// class holds the reference path safely; a FlexVC hop that is not safe must
+// keep an escape: a non-empty range on the first port of the minimal path to
+// the destination node, which is PlanHop's escape when that differs from the
+// planned port and the planned hop itself otherwise. At the destination
+// router that port is ejection, so a detour passing through its destination
+// escapes by ejecting.
 func FuzzPathValidity(f *testing.F) {
 	f.Add(uint8(1), uint32(0), uint32(1), int64(1), uint8(0))
 	f.Add(uint8(2), uint32(3), uint32(29), int64(42), uint8(1))
@@ -54,12 +55,62 @@ func TestPathValidityReachesEscapes(t *testing.T) {
 	}
 }
 
+// TestAdmittedArrangementsReachDestination walks every source/destination
+// pair of the tiny Dragonfly under every arrangement of up to 5/2 VCs per
+// class, one class and two, that core.Admit admits, under both policies, for
+// MIN, VAL and PAR with a probe that always diverts and one that never does:
+// every walk must reach ejection, with a VC on every baseline hop and a VC or
+// an escape on every FlexVC hop. A baseline reply subsequence too short for
+// the Valiant path (4/2+2/1) strands its replies, so admitting it fails here.
+func TestAdmittedArrangementsReachDestination(t *testing.T) {
+	topo, err := topology.NewDragonfly(1, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	algs := []Algorithm{
+		NewMinimal(topo),
+		NewValiant(topo),
+		NewProgressive(topo, fullProbe{}, PARConfig{ThresholdPhits: 1}),
+		NewProgressive(topo, zeroProbe{}, PARConfig{ThresholdPhits: 1}),
+	}
+	subs := subsequences(topology.HopCount{}, topology.HopCount{Local: 5, Global: 2})
+	var st walkStats
+	admitted := 0
+	for _, alg := range algs {
+		mode := alg.Kind().Mode()
+		ref := core.Reference(topo, mode)
+		for _, vcs := range arrangements(subs) {
+			for _, policy := range core.Policies {
+				s := core.Scheme{Policy: policy, VCs: vcs, Selection: core.JSQ}
+				if core.Admit(s, topo, mode, vcs.HasReply()) != nil {
+					continue
+				}
+				admitted++
+				mgr := core.NewManager(s)
+				for seed := int64(0); seed < 3; seed++ {
+					for src := range topo.NumRouters() {
+						for dst := range topo.NumRouters() {
+							if src != dst {
+								walkClasses(t, topo, alg, mgr, ref, packet.RouterID(src), packet.RouterID(dst), seed, &st)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if admitted == 0 || st.opportunistic == 0 || st.reverts == 0 {
+		t.Fatalf("walked %d admitted arrangements, %d opportunistic hops, %d escapes; want all three", admitted, st.opportunistic, st.reverts)
+	}
+}
+
 // walkStats counts what the walks of one fuzz input exercised: opportunistic
 // hops, escapes taken and, of those, escapes by ejection.
 type walkStats struct{ opportunistic, reverts, ejections int }
 
-// walkPaths builds the fuzzed network and walks its route once per admitted
-// VC arrangement.
+// walkPaths builds the fuzzed network and walks its route under every
+// arrangement core.Admit admits, between the diameter and the algorithm's
+// worst-case reference path.
 func walkPaths(t *testing.T, h uint8, srcSel, dstSel uint32, seed int64, algSel uint8) walkStats {
 	hh := 1 + int(h)%3
 	topo, err := topology.NewDragonfly(hh, 2*hh, hh)
@@ -67,66 +118,92 @@ func walkPaths(t *testing.T, h uint8, srcSel, dstSel uint32, seed int64, algSel 
 		t.Skip()
 	}
 	var alg Algorithm
-	mode := core.ModeVAL
 	switch algSel % 3 {
 	case 0:
-		alg, mode = NewMinimal(topo), core.ModeMIN
+		alg = NewMinimal(topo)
 	case 1:
 		alg = NewValiant(topo)
 	default:
 		// PAR without congestion (zero occupancy probes) degenerates to
 		// MIN, but still exercises its commit state machine.
-		alg, mode = NewProgressive(topo, zeroProbe{}, PARConfig{ThresholdPhits: 1}), core.ModePAR
+		alg = NewProgressive(topo, zeroProbe{}, PARConfig{ThresholdPhits: 1})
 	}
+	mode := alg.Kind().Mode()
 	n := topo.NumRouters()
 	src := packet.RouterID(int(srcSel) % n)
 	dst := packet.RouterID(int(dstSel) % n)
-
-	// The worst-case arrangement holds the planned path of any of the fuzzed
-	// algorithms (PAR's Valiant path plus one local hop); smaller ones hold
-	// at least the minimal path and, for the non-minimal algorithms, the
-	// opportunistic Valiant path config.Validate requires.
-	need, diam := alg.MaxPlannedHops(), topo.Diameter()
 	ref := core.Reference(topo, mode)
 	var st walkStats
-	for l := diam.Local; l <= need.Local; l++ {
-		for g := diam.Global; g <= need.Global; g++ {
-			vcs := core.SingleClass(l, g)
-			if core.Classify(vcs, packet.Request, ref) == core.Forbidden {
-				continue
+	for _, vcs := range arrangements(subsequences(topo.Diameter(), ref.Hops())) {
+		for _, policy := range core.Policies {
+			s := core.Scheme{Policy: policy, VCs: vcs, Selection: core.JSQ}
+			if core.Admit(s, topo, mode, vcs.HasReply()) == nil {
+				walkClasses(t, topo, alg, core.NewManager(s), ref, src, dst, seed, &st)
 			}
-			var base *core.Manager
-			if l == need.Local && g == need.Global {
-				base = core.NewManager(core.Scheme{Policy: core.Baseline, VCs: vcs, Selection: core.JSQ})
-			}
-			flex := core.NewManager(core.Scheme{Policy: core.FlexVC, VCs: vcs, Selection: core.JSQ})
-			walkPath(t, topo, alg, flex, base, src, dst, seed, &st)
 		}
 	}
 	return st
 }
 
-// walkPath routes one packet from src to dst the way the router does:
-// PlanHop at every hop, TakeHop for the hop taken. base, when set, is a
-// baseline manager whose ranges must be non-empty too.
-func walkPath(t *testing.T, topo *topology.Dragonfly, alg Algorithm, flex, base *core.Manager, src, dst packet.RouterID, seed int64, st *walkStats) {
+// subsequences lists every per-class VC count from lo to hi, per link kind.
+func subsequences(lo, hi topology.HopCount) []core.SubpathVCs {
+	var subs []core.SubpathVCs
+	for l := lo.Local; l <= hi.Local; l++ {
+		for g := lo.Global; g <= hi.Global; g++ {
+			subs = append(subs, core.SubpathVCs{Local: l, Global: g})
+		}
+	}
+	return subs
+}
+
+// arrangements pairs every request subsequence with no reply subsequence
+// (one message class) and with every reply subsequence (two).
+func arrangements(subs []core.SubpathVCs) []core.VCConfig {
+	var out []core.VCConfig
+	for _, req := range subs {
+		out = append(out, core.VCConfig{Request: req})
+		for _, rep := range subs {
+			if rep != (core.SubpathVCs{}) {
+				out = append(out, core.VCConfig{Request: req, Reply: rep})
+			}
+		}
+	}
+	return out
+}
+
+// walkClasses walks src->dst once per message class of mgr's arrangement.
+func walkClasses(t *testing.T, topo *topology.Dragonfly, alg Algorithm, mgr *core.Manager, ref core.ReferencePath, src, dst packet.RouterID, seed int64, st *walkStats) {
 	t.Helper()
-	vcs := flex.Scheme().VCs
+	walkPath(t, topo, alg, mgr, packet.Request, ref, src, dst, seed, st)
+	if mgr.Scheme().VCs.HasReply() {
+		walkPath(t, topo, alg, mgr, packet.Reply, ref, src, dst, seed, st)
+	}
+}
+
+// walkPath routes one packet of class from src to dst the way the router
+// does: PlanHop at every hop, TakeHop for the hop taken. ref is the
+// algorithm's worst-case reference path, which bounds the route.
+func walkPath(t *testing.T, topo *topology.Dragonfly, alg Algorithm, mgr *core.Manager, class packet.Class, ref core.ReferencePath, src, dst packet.RouterID, seed int64, st *walkStats) {
+	t.Helper()
+	s := mgr.Scheme()
+	vcs := s.VCs
+	// The planned hop itself must offer a VC under the baseline, and under
+	// FlexVC when the class holds the whole reference path safely.
+	mustPlan := s.Policy == core.Baseline || core.Classify(vcs, class, ref) == core.Safe
 	srcNode, dstNode := topo.NodeAt(src, 0), topo.NodeAt(dst, 0)
 	pkt := &testPkt{}
-	pkt.ID, pkt.Src, pkt.Dst, pkt.Size, pkt.Class = 1, srcNode, dstNode, 8, packet.Request
+	pkt.ID, pkt.Src, pkt.Dst, pkt.Size, pkt.Class = 1, srcNode, dstNode, 8, class
 	pkt.Route.Reset()
 	pkt.SrcRouter = src
 	pkt.DstRouter = dst
 
-	need := alg.MaxPlannedHops()
 	rng := rand.New(rand.NewSource(seed))
 	pick := rand.New(rand.NewSource(^seed))
 	cur, inPort := src, topo.TerminalPort(src, srcNode) // the packet starts in an injection queue
 	for hop := 0; ; hop++ {
-		if hop > need.Total() {
-			t.Fatalf("%v route %d->%d exceeded MaxPlannedHops %+v (route state %+v)",
-				alg.Kind(), src, dst, need, pkt.Route)
+		if hop > ref.Len() {
+			t.Fatalf("%v %s %s route %d->%d exceeded the %d-hop reference path (route state %+v)",
+				alg.Kind(), s.Policy, class, src, dst, ref.Len(), pkt.Route)
 		}
 		dec := alg.Route(cur, &pkt.Header, &pkt.Route, rng)
 		port := dec.OutPort
@@ -144,38 +221,28 @@ func walkPath(t *testing.T, topo *topology.Dragonfly, alg Algorithm, flex, base 
 			t.Fatalf("%v ejected through port %d of router %d, destination node %d sits on router %d", alg.Kind(), port, cur, dstNode, dst)
 		}
 
-		fh := PlanHop(flex, topo, cur, inPort, port, &pkt.Header, &pkt.Route)
-		bh := Hop{VCs: core.VCRange{Lo: 1, Hi: 0}}
-		if base != nil {
-			// The per-hop VC range must never be empty for a scheme
-			// provisioned for the algorithm's worst case.
-			bh = PlanHop(base, topo, cur, inPort, port, &pkt.Header, &pkt.Route)
-			if fh.VCs.Empty() {
-				t.Fatalf("%v: empty FlexVC range at hop %d of %d->%d (hop %+v, route %+v)",
-					alg.Kind(), hop, src, dst, fh, pkt.Route)
-			}
-			if bh.VCs.Empty() {
-				t.Fatalf("%v: empty baseline range at hop %d of %d->%d (hop %+v, route %+v)",
-					alg.Kind(), hop, src, dst, bh, pkt.Route)
-			}
+		h := PlanHop(mgr, topo, cur, inPort, port, &pkt.Header, &pkt.Route)
+		if mustPlan && h.VCs.Empty() {
+			t.Fatalf("%v %s %s %s: empty range at hop %d of %d->%d (hop %+v, route %+v)",
+				alg.Kind(), s.Policy, vcs, class, hop, src, dst, h, pkt.Route)
 		}
-		if eject && (fh != Hop{Kind: topology.Terminal, VCs: core.VCRange{Safe: true}, EscPort: -1}) {
-			t.Fatalf("%v %s: ejection at router %d planned as %+v, want a safe hop on VC 0 with no escape", alg.Kind(), vcs, cur, fh)
+		if eject && (h != Hop{Kind: topology.Terminal, VCs: core.VCRange{Safe: true}, EscPort: -1}) {
+			t.Fatalf("%v %s %s: ejection at router %d planned as %+v, want a safe hop on VC 0 with no escape", alg.Kind(), s.Policy, vcs, cur, h)
 		}
-		if !fh.VCs.Safe {
+		if !h.VCs.Safe {
 			st.opportunistic++
-			escPort, esc := fh.EscPort, fh.EscVCs
+			escPort, esc := h.EscPort, h.EscVCs
 			if escPort < 0 {
 				// The planned hop is the minimal one: its own range, which
 				// the escape path bounds, is the escape.
-				escPort, esc = port, fh.VCs
+				escPort, esc = port, h.VCs
 			}
 			if escPort != minPort || esc.Empty() {
-				t.Fatalf("%v %s: opportunistic hop %d of %d->%d through port %d has no escape (hop %+v, route %+v)",
-					alg.Kind(), vcs, hop, src, dst, port, fh, pkt.Route)
+				t.Fatalf("%v %s %s %s: opportunistic hop %d of %d->%d through port %d has no escape (hop %+v, route %+v)",
+					alg.Kind(), s.Policy, vcs, class, hop, src, dst, port, h, pkt.Route)
 			}
 		}
-		for _, r := range []Hop{fh, {Kind: fh.EscKind, VCs: fh.EscVCs}, bh} {
+		for _, r := range []Hop{h, {Kind: h.EscKind, VCs: h.EscVCs}} {
 			if !r.VCs.Empty() && (r.VCs.Lo < 0 || r.VCs.Hi >= vcs.TotalOf(r.Kind)) {
 				t.Fatalf("VC range outside the configured arrangement %s: %s %+v", vcs, r.Kind, r.VCs)
 			}
@@ -183,13 +250,13 @@ func walkPath(t *testing.T, topo *topology.Dragonfly, alg Algorithm, flex, base 
 
 		// Take the planned hop or, at random or when the planned range is
 		// empty, the escape, on a random allowed VC; ejecting ends the walk.
-		kind, vcRange, revert := fh.Kind, fh.VCs, false
-		if fh.EscPort >= 0 && !fh.EscVCs.Empty() && (fh.VCs.Empty() || pick.Intn(2) == 0) {
-			port, kind, vcRange, revert = fh.EscPort, fh.EscKind, fh.EscVCs, true
+		kind, vcRange, revert := h.Kind, h.VCs, false
+		if h.EscPort >= 0 && !h.EscVCs.Empty() && (h.VCs.Empty() || pick.Intn(2) == 0) {
+			port, kind, vcRange, revert = h.EscPort, h.EscKind, h.EscVCs, true
 			st.reverts++
 		}
 		if vcRange.Empty() {
-			t.Fatalf("%v %s: no VC to take at hop %d of %d->%d (hop %+v, route %+v)", alg.Kind(), vcs, hop, src, dst, fh, pkt.Route)
+			t.Fatalf("%v %s %s %s: no VC to take at hop %d of %d->%d (hop %+v, route %+v)", alg.Kind(), s.Policy, vcs, class, hop, src, dst, h, pkt.Route)
 		}
 		if kind == topology.Terminal {
 			if revert {
@@ -201,6 +268,12 @@ func walkPath(t *testing.T, topo *topology.Dragonfly, alg Algorithm, flex, base 
 		cur, inPort = topo.Neighbor(cur, port)
 	}
 }
+
+// fullProbe reports full buffers everywhere, so PAR always diverts.
+type fullProbe struct{}
+
+func (fullProbe) OutputOccupancy(packet.RouterID, int, int, bool) int { return 64 }
+func (fullProbe) OutputCapacity(packet.RouterID, int, int) int        { return 64 }
 
 // zeroProbe reports empty buffers everywhere, so PAR never diverts.
 type zeroProbe struct{}

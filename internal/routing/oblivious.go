@@ -16,9 +16,6 @@ func NewMinimal(topo topology.Topology) *Minimal { return &Minimal{topo: topo} }
 // Kind implements Algorithm.
 func (m *Minimal) Kind() Kind { return MIN }
 
-// MaxPlannedHops implements Algorithm.
-func (m *Minimal) MaxPlannedHops() topology.HopCount { return m.topo.Diameter() }
-
 // Route implements Algorithm.
 func (m *Minimal) Route(cur packet.RouterID, hdr *packet.Header, rt *packet.RouteState, _ RandSource) Decision {
 	rt.Kind = packet.Minimal
@@ -39,9 +36,6 @@ func NewValiant(topo topology.Topology) *Valiant { return &Valiant{topo: topo} }
 
 // Kind implements Algorithm.
 func (v *Valiant) Kind() Kind { return VAL }
-
-// MaxPlannedHops implements Algorithm.
-func (v *Valiant) MaxPlannedHops() topology.HopCount { return v.topo.MaxValiantHops() }
 
 // Route implements Algorithm.
 func (v *Valiant) Route(cur packet.RouterID, hdr *packet.Header, rt *packet.RouteState, rng RandSource) Decision {

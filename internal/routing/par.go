@@ -39,14 +39,6 @@ func NewProgressive(topo topology.Topology, probe Probe, cfg PARConfig) *Progres
 // Kind implements Algorithm.
 func (p *Progressive) Kind() Kind { return PAR }
 
-// MaxPlannedHops implements Algorithm. PAR paths add one local hop to the
-// Valiant worst case.
-func (p *Progressive) MaxPlannedHops() topology.HopCount {
-	hc := p.topo.MaxValiantHops()
-	hc.Local++
-	return hc
-}
-
 // Route implements Algorithm.
 func (p *Progressive) Route(cur packet.RouterID, hdr *packet.Header, rt *packet.RouteState, rng RandSource) Decision {
 	if !rt.AdaptiveDecided {

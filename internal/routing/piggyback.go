@@ -163,9 +163,6 @@ func NewPiggyback(topo *topology.Dragonfly, probe Probe, manager *PBManager, cfg
 // Kind implements Algorithm.
 func (p *Piggyback) Kind() Kind { return PB }
 
-// MaxPlannedHops implements Algorithm.
-func (p *Piggyback) MaxPlannedHops() topology.HopCount { return p.topo.MaxValiantHops() }
-
 // Manager exposes the saturation-state manager so the simulator can drive its
 // per-cycle updates.
 func (p *Piggyback) Manager() *PBManager { return p.manager }

@@ -14,6 +14,7 @@ package routing
 import (
 	"fmt"
 
+	"flexvc/internal/core"
 	"flexvc/internal/packet"
 	"flexvc/internal/topology"
 )
@@ -67,9 +68,19 @@ func ParseKind(s string) (Kind, error) {
 	return MIN, fmt.Errorf("unknown routing algorithm %q (want min, val, par or pb)", s)
 }
 
-// Nonminimal reports whether the algorithm can produce non-minimal routes and
-// therefore needs VCs provisioned for Valiant paths.
-func (k Kind) Nonminimal() bool { return k != MIN }
+// Mode returns the reference route of the algorithm's worst case, the route
+// core.Admit and Tables I-IV classify: PB, like VAL, may route any packet
+// along a Valiant path.
+func (k Kind) Mode() core.RoutingMode {
+	switch k {
+	case MIN:
+		return core.ModeMIN
+	case PAR:
+		return core.ModePAR
+	default:
+		return core.ModeVAL
+	}
+}
 
 // Sensing selects how Piggyback measures the occupancy of a global port when
 // deciding whether it is saturated, and how the local credit comparison is
@@ -145,9 +156,6 @@ type Algorithm interface {
 	// transitions) in place. rng is the per-router deterministic random
 	// source.
 	Route(cur packet.RouterID, hdr *packet.Header, rt *packet.RouteState, rng RandSource) Decision
-	// MaxPlannedHops returns the worst-case hop count the algorithm can
-	// plan, used to validate VC configurations.
-	MaxPlannedHops() topology.HopCount
 }
 
 // currentTarget returns the router the packet is currently heading to

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"flexvc/internal/core"
 	"flexvc/internal/packet"
 	"flexvc/internal/topology"
 )
@@ -95,7 +96,7 @@ func TestMinimalRouteLengths(t *testing.T) {
 			}
 		}
 	}
-	if alg.Kind() != MIN || alg.MaxPlannedHops() != topo.Diameter() {
+	if alg.Kind() != MIN || core.Reference(topo, alg.Kind().Mode()).Hops() != topo.Diameter() {
 		t.Error("MIN metadata broken")
 	}
 }
@@ -106,7 +107,7 @@ func TestValiantRouteShape(t *testing.T) {
 	topo := testDF(t)
 	alg := NewValiant(topo)
 	rng := rand.New(rand.NewSource(2))
-	maxHops := topo.MaxValiantHops().Total()
+	maxHops := core.Reference(topo, core.ModeVAL).Len()
 	nonminimal := 0
 	for i := 0; i < 300; i++ {
 		src := packet.NodeID(rng.Intn(topo.NumNodes()))
@@ -401,7 +402,7 @@ func TestProgressiveDiverts(t *testing.T) {
 	if pkt2.Route.DivertPrefixLocal != 0 {
 		t.Fatal("diversion at the source router has no local prefix")
 	}
-	if alg.Kind() != PAR || alg.MaxPlannedHops().Local != topo.MaxValiantHops().Local+1 {
+	if alg.Kind() != PAR || core.Reference(topo, alg.Kind().Mode()).Hops() != (topology.HopCount{Local: 5, Global: 2}) {
 		t.Error("PAR metadata broken")
 	}
 }
@@ -425,7 +426,7 @@ func TestParseHelpers(t *testing.T) {
 	if _, err := ParseSensing("bogus"); err == nil {
 		t.Error("expected error for unknown sensing mode")
 	}
-	if MIN.Nonminimal() || !VAL.Nonminimal() || !PB.Nonminimal() {
-		t.Error("Nonminimal broken")
+	if MIN.Mode() != core.ModeMIN || VAL.Mode() != core.ModeVAL || PAR.Mode() != core.ModePAR || PB.Mode() != core.ModeVAL {
+		t.Error("Mode broken")
 	}
 }

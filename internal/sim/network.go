@@ -213,7 +213,10 @@ func newNetwork(cfg config.Config, sc *scratch) (*Network, error) {
 	n.armGenerators(0)
 	n.activeRouter = make([]bool, topo.NumRouters())
 	n.pendingNodes = make([]packet.NodeID, 0, topo.NumNodes())
-	maxDelay := int64(cfg.GlobalLatency + cfg.PacketSize + cfg.RouterPipeline + cfg.LocalLatency + 8)
+	// The longest delay the routers schedule: a packet's transfer or
+	// serialisation (at most its size) plus the slowest link, injection and
+	// ejection included.
+	maxDelay := int64(max(cfg.LocalLatency, cfg.GlobalLatency, cfg.InjectionLatency) + cfg.PacketSize)
 	var slots [][]event
 	if sc != nil {
 		slots = sc.slots
@@ -259,10 +262,7 @@ func (n *Network) buildRouting() error {
 		}
 		n.alg = routing.NewProgressive(n.topo, n, parCfg)
 	case routing.PB:
-		df, ok := n.topo.(*topology.Dragonfly)
-		if !ok {
-			return fmt.Errorf("sim: Piggyback routing requires a Dragonfly topology, got %s", n.topo.Name())
-		}
+		df := n.topo.(*topology.Dragonfly) // config.Validate admits PB on a Dragonfly only
 		pbCfg := routing.DefaultPBConfig(cfg.PacketSize, int64(cfg.LocalLatency))
 		pbCfg.Sensing = cfg.Sensing
 		pbCfg.MinCredOnly = cfg.Scheme.MinCred

@@ -266,13 +266,6 @@ func (d *Dragonfly) Diameter() HopCount {
 	return hc
 }
 
-// MaxValiantHops implements Topology: the concatenation of two minimal
-// paths, l-g-l-l-g-l (4 local, 2 global hops in the worst case).
-func (d *Dragonfly) MaxValiantHops() HopCount {
-	dm := d.Diameter()
-	return dm.Add(dm)
-}
-
 // MinimalGlobalLink returns, for a packet in group `fromGroup` destined to
 // group `toGroup`, the router owning the minimal-path global link and the
 // global port index on that router. ok is false when both groups coincide.

@@ -190,6 +190,3 @@ func (f *FlattenedButterfly2D) NextMinimalPort(from, to packet.RouterID) int {
 
 // Diameter implements Topology.
 func (f *FlattenedButterfly2D) Diameter() HopCount { return HopCount{Local: 2} }
-
-// MaxValiantHops implements Topology: two concatenated minimal paths.
-func (f *FlattenedButterfly2D) MaxValiantHops() HopCount { return HopCount{Local: 4} }

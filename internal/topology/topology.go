@@ -52,11 +52,6 @@ type HopCount struct {
 	Global int
 }
 
-// Add returns the element-wise sum of two hop counts.
-func (h HopCount) Add(o HopCount) HopCount {
-	return HopCount{Local: h.Local + o.Local, Global: h.Global + o.Global}
-}
-
 // Total returns the total number of hops.
 func (h HopCount) Total() int { return h.Local + h.Global }
 
@@ -66,18 +61,6 @@ func (h HopCount) Of(k PortKind) int {
 		return h.Global
 	}
 	return h.Local
-}
-
-// Max returns the element-wise maximum of two hop counts.
-func (h HopCount) Max(o HopCount) HopCount {
-	m := h
-	if o.Local > m.Local {
-		m.Local = o.Local
-	}
-	if o.Global > m.Global {
-		m.Global = o.Global
-	}
-	return m
 }
 
 // Topology is the interface the simulator, routing algorithms and the FlexVC
@@ -122,10 +105,6 @@ type Topology interface {
 	NextMinimalPort(from, to packet.RouterID) int
 	// Diameter returns the worst-case minimal hop count, split by link kind.
 	Diameter() HopCount
-	// MaxValiantHops returns the worst-case hop count of a Valiant path
-	// (minimal to a random intermediate router, then minimal to the
-	// destination), split by link kind.
-	MaxValiantHops() HopCount
 }
 
 // Validate runs structural consistency checks on a topology and returns the

@@ -269,13 +269,6 @@ func TestDragonflyMinimalWithinDiameter(t *testing.T) {
 // TestHopCountHelpers covers the small arithmetic helpers.
 func TestHopCountHelpers(t *testing.T) {
 	a := HopCount{Local: 2, Global: 1}
-	b := HopCount{Local: 1, Global: 3}
-	if a.Add(b) != (HopCount{Local: 3, Global: 4}) {
-		t.Error("Add broken")
-	}
-	if a.Max(b) != (HopCount{Local: 2, Global: 3}) {
-		t.Error("Max broken")
-	}
 	if a.Total() != 3 || a.Of(Local) != 2 || a.Of(Global) != 1 {
 		t.Error("Total/Of broken")
 	}
