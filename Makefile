@@ -22,8 +22,9 @@ lint:
 		else echo "staticcheck not installed; skipping (CI runs it)"; fi
 
 # CPU and heap profiles of the saturated medium replication the repository
-# benchmark gates as medium-pb-sat-1core (BenchmarkReplicationPBSat), for
-# finding where a replication's time goes. A developer target: time claims go
+# benchmark gates as medium-pb-sat-1core (BenchmarkReplicationPBSat) and of
+# building its network (BenchmarkNetworkNew, what setup_s times), for finding
+# where a replication's time goes. A developer target: time claims go
 # through bench/run.sh, not through this. The test binary is kept next to the
 # profiles because `go tool pprof` resolves symbols against it.
 PROFILE_DIR ?= bench-profiles
@@ -33,6 +34,10 @@ bench-profile:
 		-cpuprofile $(PROFILE_DIR)/pbsat-cpu.pprof \
 		-memprofile $(PROFILE_DIR)/pbsat-mem.pprof \
 		-o $(PROFILE_DIR)/sim.test ./internal/sim | tee $(PROFILE_DIR)/pbsat-bench.txt
+	$(GO) test -run xxx -bench 'NetworkNew' -benchtime 200x -benchmem \
+		-cpuprofile $(PROFILE_DIR)/new-cpu.pprof \
+		-memprofile $(PROFILE_DIR)/new-mem.pprof \
+		-o $(PROFILE_DIR)/sim.test ./internal/sim | tee $(PROFILE_DIR)/new-bench.txt
 
 # bench/ is a module of its own that the root `go test ./...` cannot reach;
 # bench/api_test.go is the compile-time list of every program identifier the
@@ -44,15 +49,16 @@ bench-contract:
 ci: lint test race bench-contract check-smoke specs-smoke campaign-smoke resume-smoke scenario-smoke
 
 # The fuzz targets' seed corpora, then a short fuzzing session of each (about
-# 100s; CI's fuzz job, kept out of `ci` for its length). A failing input is
+# 120s; CI's fuzz job, kept out of `ci` for its length). A failing input is
 # written under the package's testdata/fuzz/ for `go test` to replay.
 fuzz-smoke:
-	$(GO) test -run Fuzz ./internal/topology ./internal/routing ./internal/campaign
+	$(GO) test -run Fuzz ./internal/topology ./internal/routing ./internal/campaign ./internal/prng
 	$(GO) test -fuzz FuzzDragonflyIDs -fuzztime 20s -run xxx ./internal/topology
 	$(GO) test -fuzz FuzzFlattenedButterflyIDs -fuzztime 20s -run xxx ./internal/topology
 	$(GO) test -fuzz FuzzPathValidity -fuzztime 20s -run xxx ./internal/routing
 	$(GO) test -fuzz FuzzVCActivity -fuzztime 20s -run xxx ./internal/router
 	$(GO) test -fuzz FuzzCampaignParse -fuzztime 20s -run xxx ./internal/campaign
+	$(GO) test -fuzz FuzzSeedMatchesMathRand -fuzztime 20s -run xxx ./internal/prng
 
 # The PR-time reproducibility gate: verify every recorded experiment in
 # experiments/manifest.json. Digests of the committed exports and reports are

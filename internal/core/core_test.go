@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -243,6 +244,48 @@ func TestSelectionFunctions(t *testing.T) {
 	}
 	if _, err := ParseSelectionFn("bogus"); err == nil {
 		t.Error("expected error for unknown selection function")
+	}
+}
+
+// TestRandomVCDrawsLikeAList: RandomVC makes one Intn draw over the eligible
+// VCs and returns the drawn one, as indexing a list of them would, so the
+// stream and the choice stay what they were when it built that list.
+func TestRandomVCDrawsLikeAList(t *testing.T) {
+	gen := rand.New(rand.NewSource(5))
+	got, want := rand.New(rand.NewSource(9)), rand.New(rand.NewSource(9))
+	for i := 0; i < 2000; i++ {
+		cands := make([]VCCandidate, gen.Intn(6))
+		var eligible []int
+		for j := range cands {
+			cands[j] = VCCandidate{VC: j, Free: gen.Intn(24)}
+			if cands[j].Free >= 8 {
+				eligible = append(eligible, j)
+			}
+		}
+		vc, ok := RandomVC.Select(cands, 8, got)
+		if len(eligible) == 0 {
+			if ok {
+				t.Fatalf("case %d: picked %d with nothing eligible", i, vc)
+			}
+			continue
+		}
+		if w := eligible[want.Intn(len(eligible))]; !ok || vc != w {
+			t.Fatalf("case %d %v: picked (%d, %v), the list pick is %d", i, cands, vc, ok, w)
+		}
+	}
+	if got.Int63() != want.Int63() {
+		t.Error("RandomVC drew a different number of values than the list pick")
+	}
+}
+
+// TestSelectAllocs pins every selection function at zero allocations.
+func TestSelectAllocs(t *testing.T) {
+	cands := []VCCandidate{{VC: 0, Free: 8}, {VC: 1, Free: 16}, {VC: 2, Free: 4}, {VC: 3, Free: 16}}
+	rng := rand.New(rand.NewSource(1))
+	for _, fn := range SelectionFns {
+		if a := testing.AllocsPerRun(100, func() { fn.Select(cands, 8, rng) }); a != 0 {
+			t.Errorf("%v: Select allocates %v times, want 0", fn, a)
+		}
 	}
 }
 

@@ -91,19 +91,30 @@ func (f SelectionFn) Select(candidates []VCCandidate, size int, rng randSource) 
 		}
 		return -1, false
 	case RandomVC:
-		eligible := make([]int, 0, len(candidates))
+		// Count the eligible VCs, draw one index, then walk to it: no list
+		// of them is built.
+		eligible := 0
 		for _, c := range candidates {
 			if c.Free >= size {
-				eligible = append(eligible, c.VC)
+				eligible++
 			}
 		}
-		if len(eligible) == 0 {
+		if eligible == 0 {
 			return -1, false
 		}
-		if rng == nil {
-			return eligible[0], true
+		pick := 0
+		if rng != nil {
+			pick = rng.Intn(eligible)
 		}
-		return eligible[rng.Intn(len(eligible))], true
+		for _, c := range candidates {
+			if c.Free >= size {
+				if pick == 0 {
+					return c.VC, true
+				}
+				pick--
+			}
+		}
+		return -1, false // unreachable: pick < eligible
 	default:
 		return -1, false
 	}

@@ -21,6 +21,7 @@ import (
 	"flexvc/internal/core"
 	"flexvc/internal/minheap"
 	"flexvc/internal/packet"
+	"flexvc/internal/prng"
 	"flexvc/internal/routing"
 	"flexvc/internal/topology"
 )
@@ -1091,22 +1092,22 @@ func (r *Router) transmitPort(now int64, p int) {
 }
 
 // lazySource is the router's PRNG source, seeded on the first draw: the real
-// source is 4.9 KB and takes some 1 900 steps to seed, and a router under MIN
-// routing with a deterministic VC selection never draws. Once seeded it is the
-// source rand.NewSource(seed) would have been, so streams are unchanged. Seed
-// (Rebuild reseeds through it) keeps the built source and reseeds it in place
-// on the next draw, which allocates nothing and draws what a fresh source
-// would.
+// source is a 4.9 KB register, and a router under MIN routing with a
+// deterministic VC selection never draws. Once seeded it is the source
+// rand.NewSource(seed) would have been (prng.Source draws the same stream),
+// so streams are unchanged. Seed (Rebuild reseeds through it) keeps the built
+// source and reseeds it in place on the next draw, which allocates nothing
+// and draws what a fresh source would.
 type lazySource struct {
 	seed   int64
-	src    rand.Source64
+	src    *prng.Source
 	seeded bool
 }
 
-func (s *lazySource) real() rand.Source64 {
+func (s *lazySource) real() *prng.Source {
 	if !s.seeded {
 		if s.src == nil {
-			s.src = rand.NewSource(s.seed).(rand.Source64)
+			s.src = prng.New(s.seed)
 		} else {
 			s.src.Seed(s.seed)
 		}

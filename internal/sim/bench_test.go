@@ -98,13 +98,11 @@ func BenchmarkInjectLowLoad(b *testing.B) {
 	b.ReportMetric(float64(n.generated)/float64(b.N), "emissions/cycle")
 }
 
-// BenchmarkReplicationPBSat runs the replication the repository benchmark
-// gates as medium-pb-sat-1core (bench/workloads/medium-pb-sat.campaign.json:
-// PB, per-port sensing, FlexVC-minCred 4/2+2/1, reactive ADV at 0.35, 400+1200
-// cycles) under `go test`, so it can be profiled with -cpuprofile. It reports
-// the allocator's work counters per replication beside the time; they are
-// simulated-domain counts and repeat exactly.
-func BenchmarkReplicationPBSat(b *testing.B) {
+// pbSatConfig is the replication the repository benchmark gates as
+// medium-pb-sat-1core (bench/workloads/medium-pb-sat.campaign.json: PB,
+// per-port sensing, FlexVC-minCred 4/2+2/1, reactive ADV at 0.35, 400+1200
+// cycles).
+func pbSatConfig() config.Config {
 	cfg := config.Medium()
 	cfg.Traffic = config.TrafficAdversarial
 	cfg.Routing = routing.PB
@@ -113,6 +111,28 @@ func BenchmarkReplicationPBSat(b *testing.B) {
 	cfg.Scheme = core.Scheme{Policy: core.FlexVC, VCs: core.TwoClass(4, 2, 2, 1), Selection: core.JSQ, MinCred: true}
 	cfg.Load = 0.35
 	cfg.WarmupCycles, cfg.MeasureCycles = 400, 1200
+	return cfg
+}
+
+// BenchmarkNetworkNew builds the medium-pb-sat-1core network from nothing,
+// the sim.New that the benchmark's setup_s times, so set-up can be profiled
+// under `go test`.
+func BenchmarkNetworkNew(b *testing.B) {
+	cfg := pbSatConfig()
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := New(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkReplicationPBSat runs the medium-pb-sat-1core replication
+// (pbSatConfig) under `go test`, so it can be profiled with -cpuprofile. It
+// reports the allocator's work counters per replication beside the time; they
+// are simulated-domain counts and repeat exactly.
+func BenchmarkReplicationPBSat(b *testing.B) {
+	cfg := pbSatConfig()
 	var n *Network
 	for i := 0; i < b.N; i++ {
 		var err error

@@ -14,6 +14,7 @@ import (
 	"math/rand"
 
 	"flexvc/internal/packet"
+	"flexvc/internal/prng"
 	"flexvc/internal/topology"
 )
 
@@ -136,9 +137,9 @@ func (p Params) rateAt(now int64) float64 {
 // Sources is a recyclable list of PRNG streams. Generators draw their
 // per-node streams from Params.Sources through nodeRNG, which reseeds a
 // recycled rand.Rand in place — Seed allocates nothing, where a fresh source
-// is a 4.9 KB state — and a reseeded rand.Rand is bit-identical to
-// rand.New(rand.NewSource(seed)). A nil *Sources makes nodeRNG allocate
-// fresh. The zero value is ready to use.
+// is a 4.9 KB state. Every stream is a prng.Source, so fresh or reseeded it
+// is bit-identical to rand.New(rand.NewSource(seed)). A nil *Sources makes
+// nodeRNG allocate fresh. The zero value is ready to use.
 type Sources struct {
 	rngs []*rand.Rand
 	used int
@@ -158,10 +159,10 @@ func (s *Sources) nodeRNG(seed int64, node packet.NodeID) *rand.Rand {
 	z *= 0xBF58476D1CE4E5B9
 	z ^= z >> 27
 	if s == nil {
-		return rand.New(rand.NewSource(int64(z)))
+		return rand.New(prng.New(int64(z)))
 	}
 	if s.used == len(s.rngs) {
-		s.rngs = append(s.rngs, rand.New(rand.NewSource(int64(z))))
+		s.rngs = append(s.rngs, rand.New(prng.New(int64(z))))
 	} else {
 		s.rngs[s.used].Seed(int64(z))
 	}
