@@ -22,9 +22,10 @@ lint:
 		else echo "staticcheck not installed; skipping (CI runs it)"; fi
 
 # CPU and heap profiles of the saturated medium replication the repository
-# benchmark gates as medium-pb-sat-1core (BenchmarkReplicationPBSat) and of
-# building its network (BenchmarkNetworkNew, what setup_s times), for finding
-# where a replication's time goes. A developer target: time claims go
+# benchmark gates as medium-pb-sat-1core (BenchmarkReplicationPBSat), of
+# building its network (BenchmarkNetworkNew, what setup_s times) and of
+# building one small Figure 5 network (BenchmarkNetworkNewSmall, what the
+# sweep pays per replication), for finding where a replication's time goes. A developer target: time claims go
 # through bench/run.sh, not through this. The test binary is kept next to the
 # profiles because `go tool pprof` resolves symbols against it.
 PROFILE_DIR ?= bench-profiles
@@ -34,10 +35,14 @@ bench-profile:
 		-cpuprofile $(PROFILE_DIR)/pbsat-cpu.pprof \
 		-memprofile $(PROFILE_DIR)/pbsat-mem.pprof \
 		-o $(PROFILE_DIR)/sim.test ./internal/sim | tee $(PROFILE_DIR)/pbsat-bench.txt
-	$(GO) test -run xxx -bench 'NetworkNew' -benchtime 200x -benchmem \
+	$(GO) test -run xxx -bench 'NetworkNew$$' -benchtime 200x -benchmem \
 		-cpuprofile $(PROFILE_DIR)/new-cpu.pprof \
 		-memprofile $(PROFILE_DIR)/new-mem.pprof \
 		-o $(PROFILE_DIR)/sim.test ./internal/sim | tee $(PROFILE_DIR)/new-bench.txt
+	$(GO) test -run xxx -bench 'NetworkNewSmall' -benchtime 1000x -benchmem \
+		-cpuprofile $(PROFILE_DIR)/new-small-cpu.pprof \
+		-memprofile $(PROFILE_DIR)/new-small-mem.pprof \
+		-o $(PROFILE_DIR)/sim.test ./internal/sim | tee $(PROFILE_DIR)/new-small-bench.txt
 
 # bench/ is a module of its own that the root `go test ./...` cannot reach;
 # bench/api_test.go is the compile-time list of every program identifier the

@@ -156,12 +156,12 @@ type Config struct {
 	Scenario *scenario.Scenario
 
 	// --- Precomputed route tables ---
-	// RouteTableBytes is the memory gate for the precomputed per-pair route
-	// tables (see topology.Precomputer): 0 selects
-	// topology.DefaultTableBudget, a positive value sets the budget in bytes,
-	// and a negative value disables precomputation entirely (every routing
-	// query is computed on the fly). Table-backed and on-the-fly routing are
-	// bit-identical; the gate only trades memory for speed.
+	// RouteTableBytes switches the precomputed route tables (see
+	// topology.Precomputer): a negative value disables them, so every routing
+	// query is computed on the fly; any other value builds them and is
+	// otherwise ignored. The tables are linear in the network's size (per-port
+	// neighbours and the Dragonfly group links), and table-backed and
+	// on-the-fly routing are bit-identical.
 	RouteTableBytes int
 
 	// --- Execution (not part of the experiment identity) ---

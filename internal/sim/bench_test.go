@@ -127,6 +127,23 @@ func BenchmarkNetworkNew(b *testing.B) {
 	}
 }
 
+// BenchmarkNetworkNewSmall builds one Figure 5(c) point at the small scale
+// (FlexVC 8/4, ADV traffic under VAL routing): the sim.New that the
+// sweep-fig5-small-allcores benchmark pays once per replication.
+func BenchmarkNetworkNewSmall(b *testing.B) {
+	cfg := config.Small()
+	cfg.Traffic = config.TrafficAdversarial
+	cfg.Routing = routing.VAL
+	cfg.Scheme = core.Scheme{Policy: core.FlexVC, VCs: core.SingleClass(8, 4), Selection: core.JSQ}
+	cfg.Load = 0.3
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := New(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkReplicationPBSat runs the medium-pb-sat-1core replication
 // (pbSatConfig) under `go test`, so it can be profiled with -cpuprofile. It
 // reports the allocator's work counters per replication beside the time; they

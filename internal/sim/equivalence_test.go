@@ -76,7 +76,7 @@ func TestTableBackedRoutingEquivalence(t *testing.T) {
 		v := v
 		t.Run(v.name, func(t *testing.T) {
 			tabled := v.cfg
-			tabled.RouteTableBytes = 0 // default budget: tables on
+			tabled.RouteTableBytes = 0 // tables on
 			plain := v.cfg
 			plain.RouteTableBytes = -1 // disabled: on-the-fly
 

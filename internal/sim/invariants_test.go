@@ -206,9 +206,25 @@ func TestDrainOpportunisticValiant(t *testing.T) {
 	}
 }
 
+// TestDrainReactive checks that request-reply traffic drains once the
+// request sources stop: every reply owed for a request still in flight is
+// generated, injected and delivered, at moderate load and at saturation.
+func TestDrainReactive(t *testing.T) {
+	for _, rt := range []routing.Kind{routing.MIN, routing.VAL} {
+		for _, load := range []float64{0.4, 1.0} {
+			cfg := config.Small()
+			cfg.Reactive = true
+			cfg.Routing = rt
+			cfg.Scheme = core.Scheme{Policy: core.FlexVC, VCs: core.TwoClass(4, 2, 2, 1), Selection: core.JSQ}
+			cfg.Load = load
+			drainAfterLoad(t, cfg, 2000, 6000)
+		}
+	}
+}
+
 // drainAfterLoad runs cfg for loadCycles, silences the sources and runs
 // silentCycles more, after which nothing may be in flight, resident in a
-// router or pending in the event wheel.
+// router, pending in the event wheel or owed as a reply.
 func drainAfterLoad(t *testing.T, cfg config.Config, loadCycles, silentCycles int64) {
 	t.Helper()
 	n, err := New(cfg)
@@ -216,19 +232,7 @@ func drainAfterLoad(t *testing.T, cfg config.Config, loadCycles, silentCycles in
 		t.Fatal(err)
 	}
 	n.RunCycles(loadCycles)
-	// Silence the sources by swapping in a zero-load generator.
-	cfg0 := cfg
-	cfg0.Load = 0
-	silent, err := New(cfg0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n.gen = silent.gen
-	n.armGenerators(n.now)
-	for i := range n.nodes {
-		n.nodes[i].requests.reset()
-		n.nodes[i].replies.reset()
-	}
+	n.silenceSources()
 	n.RunCycles(silentCycles)
 	if n.InFlight() != 0 {
 		t.Fatalf("load %.1f: %d packets still in flight after drain", cfg.Load, n.InFlight())
@@ -238,6 +242,9 @@ func drainAfterLoad(t *testing.T, cfg config.Config, loadCycles, silentCycles in
 	}
 	if n.wheel.pending() != 0 {
 		t.Fatalf("load %.1f: %d events still pending after drain", cfg.Load, n.wheel.pending())
+	}
+	if q := pendingAtSources(n); q != 0 {
+		t.Fatalf("load %.1f: %d packets still queued at the NICs after drain", cfg.Load, q)
 	}
 }
 

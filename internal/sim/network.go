@@ -96,12 +96,9 @@ func newNetwork(cfg config.Config, sc *scratch) (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Precompute the route tables. PrecomputeTables follows the
-	// cfg.RouteTableBytes convention (negative disables, 0 selects
-	// topology.DefaultTableBudget): the per-pair tables are memory-gated, so
-	// above the budget the topology transparently falls back to on-the-fly
-	// computation — "paper"-scale networks stay within memory while small
-	// and medium instances answer every routing query from flat arrays.
+	// Precompute the per-port route tables (cfg.RouteTableBytes < 0 disables
+	// them). They are linear in the network's size; the pair queries
+	// (minimal port, hops, path kinds) are answered in closed form.
 	if pc, ok := topo.(topology.Precomputer); ok {
 		pc.PrecomputeTables(cfg.RouteTableBytes)
 	}

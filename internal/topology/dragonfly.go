@@ -212,9 +212,6 @@ func (d *Dragonfly) Neighbor(r packet.RouterID, p int) (packet.RouterID, int) {
 // distance is shorter (two global hops through a third group), but such
 // paths are not used by MIN routing and are treated as non-minimal.
 func (d *Dragonfly) MinimalHops(from, to packet.RouterID) HopCount {
-	if t := d.tables; t != nil && t.minHops != nil {
-		return unpackHops(t.minHops[int(from)*t.n+int(to)])
-	}
 	if from == to {
 		return HopCount{}
 	}
@@ -237,9 +234,6 @@ func (d *Dragonfly) MinimalHops(from, to packet.RouterID) HopCount {
 
 // NextMinimalPort implements Topology.
 func (d *Dragonfly) NextMinimalPort(from, to packet.RouterID) int {
-	if t := d.tables; t != nil && t.minPort != nil {
-		return int(t.minPort[int(from)*t.n+int(to)])
-	}
 	if from == to {
 		return -1
 	}
@@ -272,7 +266,7 @@ func (d *Dragonfly) Diameter() HopCount {
 // Source-adaptive routing (Piggyback) uses this to look up the remotely
 // sensed saturation state of the minimal global link.
 func (d *Dragonfly) MinimalGlobalLink(fromGroup, toGroup int) (router packet.RouterID, port int, ok bool) {
-	if t := d.tables; t != nil && t.glRouter != nil {
+	if t := d.tables; t != nil {
 		i := fromGroup*d.numGroups + toGroup
 		return packet.RouterID(t.glRouter[i]), int(t.glPort[i]), fromGroup != toGroup
 	}

@@ -154,9 +154,6 @@ func (f *FlattenedButterfly2D) Neighbor(r packet.RouterID, p int) (packet.Router
 // MinimalHops implements Topology. Minimal paths correct the row and the
 // column, in either order: 0, 1 or 2 hops.
 func (f *FlattenedButterfly2D) MinimalHops(from, to packet.RouterID) HopCount {
-	if t := f.tables; t != nil && t.minHops != nil {
-		return unpackHops(t.minHops[int(from)*t.n+int(to)])
-	}
 	fr, fc := f.RowCol(from)
 	tr, tc := f.RowCol(to)
 	n := 0
@@ -173,9 +170,6 @@ func (f *FlattenedButterfly2D) MinimalHops(from, to packet.RouterID) HopCount {
 // is corrected first (a deterministic but arbitrary choice; adaptive variants
 // may override it).
 func (f *FlattenedButterfly2D) NextMinimalPort(from, to packet.RouterID) int {
-	if t := f.tables; t != nil && t.minPort != nil {
-		return int(t.minPort[int(from)*t.n+int(to)])
-	}
 	fr, fc := f.RowCol(from)
 	tr, tc := f.RowCol(to)
 	switch {

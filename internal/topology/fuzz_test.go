@@ -89,6 +89,38 @@ func fuzzCheckTopology(t *testing.T, topo Topology, nodeSel uint32, portSel uint
 	}
 }
 
+// fuzzCompareTables checks every table answer of a precomputed instance
+// for the probe router against the on-the-fly instance: the neighbour of
+// each link port and, on a Dragonfly, the minimal global link from the
+// router's group to every group.
+func fuzzCompareTables(t *testing.T, plain, fast Topology, nodeSel uint32) {
+	t.Helper()
+	r := plain.RouterOfNode(packet.NodeID(int(nodeSel) % plain.NumNodes()))
+	for p := 0; p < plain.Radix(); p++ {
+		if plain.PortKind(r, p) == Terminal {
+			continue
+		}
+		gr, gp := fast.Neighbor(r, p)
+		wr, wp := plain.Neighbor(r, p)
+		if gr != wr || gp != wp {
+			t.Fatalf("Neighbor(%d,%d) = (%d,%d), want (%d,%d)", r, p, gr, gp, wr, wp)
+		}
+	}
+	pd, ok := plain.(*Dragonfly)
+	if !ok {
+		return
+	}
+	fd := fast.(*Dragonfly)
+	fg := pd.GroupOf(r)
+	for tg := 0; tg < pd.NumGroups(); tg++ {
+		gr, gp, gok := fd.MinimalGlobalLink(fg, tg)
+		wr, wp, wok := pd.MinimalGlobalLink(fg, tg)
+		if gr != wr || gp != wp || gok != wok {
+			t.Fatalf("MinimalGlobalLink(%d,%d) = (%d,%d,%v), want (%d,%d,%v)", fg, tg, gr, gp, gok, wr, wp, wok)
+		}
+	}
+}
+
 // FuzzDragonflyIDs fuzzes the Dragonfly coordinate arithmetic: group/position
 // round trips, node/port round trips, link symmetry and minimal-path
 // validity, with and without precomputed tables (both must agree).
@@ -117,6 +149,7 @@ func FuzzDragonflyIDs(f *testing.F) {
 		}
 		fast.PrecomputeTables(0)
 		fuzzCheckTopology(t, fast, nodeSel, portSel)
+		fuzzCompareTables(t, plain, fast, nodeSel)
 	})
 }
 
@@ -144,5 +177,6 @@ func FuzzFlattenedButterflyIDs(f *testing.F) {
 		}
 		fast.PrecomputeTables(0)
 		fuzzCheckTopology(t, fast, nodeSel, portSel)
+		fuzzCompareTables(t, plain, fast, nodeSel)
 	})
 }

@@ -87,11 +87,9 @@ func MinimalPathSeq(t Topology, from, to packet.RouterID) PathSeq {
 	return s
 }
 
-// dragonflyMinimalSeq builds the l-g-l style sequence without walking links.
+// MinimalPathSeq builds the Dragonfly's l-g-l style sequence without
+// walking links.
 func (d *Dragonfly) MinimalPathSeq(from, to packet.RouterID) PathSeq {
-	if t := d.tables; t != nil && t.minSeq != nil {
-		return t.minSeq[int(from)*t.n+int(to)]
-	}
 	var s PathSeq
 	if from == to {
 		return s
@@ -116,11 +114,8 @@ func (d *Dragonfly) MinimalPathSeq(from, to packet.RouterID) PathSeq {
 // MinimalPathSeq builds the flat (all-Local) sequence of a flattened
 // butterfly minimal path.
 func (f *FlattenedButterfly2D) MinimalPathSeq(from, to packet.RouterID) PathSeq {
-	if t := f.tables; t != nil && t.minSeq != nil {
-		return t.minSeq[int(from)*t.n+int(to)]
-	}
 	var s PathSeq
-	for i := 0; i < f.MinimalHops(from, to).Local; i++ {
+	for i, n := 0, f.MinimalHops(from, to).Local; i < n; i++ {
 		s.Push(Local)
 	}
 	return s

@@ -2,72 +2,45 @@ package topology
 
 import "flexvc/internal/packet"
 
-// This file implements the precomputed routing-table subsystem: at network
-// construction, the answers to the routing queries on the forwarding hot path
-// (NextMinimalPort, MinimalHops, MinimalPathSeq, Neighbor, and for the
-// Dragonfly MinimalGlobalLink) are computed once into flat arrays indexed by
-// router ID, so the per-packet cost becomes a single table load instead of a
-// chain of divisions and branches.
+// This file implements the precomputed routing tables: at network
+// construction, the link answers the forwarding hot path asks for at every
+// hop (Neighbor, and for the Dragonfly MinimalGlobalLink) are computed once
+// into flat arrays, so the per-packet cost becomes a single table load
+// instead of a chain of divisions and branches.
 //
-// Tables come in two size classes:
-//
-//   - Per-port tables (link neighbors) are O(routers x radix) and always
-//     built when precomputation is enabled: even at the paper's full scale
-//     they are a few hundred kilobytes.
-//   - Per-pair tables (minimal port, hop counts, path-kind sequence) are
-//     O(routers^2) and memory-gated: they are only built when their estimated
-//     size fits the configured budget, and every query transparently falls
-//     back to the on-the-fly computation otherwise. This keeps "paper"-scale
-//     networks (2,064 routers, ~50 MB of pair tables) usable on the default
-//     budget while small and medium instances get the full speedup.
+// Only tables linear in the network's size are built: the per-port neighbour
+// table is O(routers x radix) and the Dragonfly group-link table O(groups^2),
+// a few hundred kilobytes even at the paper's full scale. The pair queries
+// (NextMinimalPort, MinimalHops, MinimalPathSeq) are always answered by
+// their closed forms: an O(routers^2) table of them would cost a third of a
+// medium network's construction and miss the cache, for no cycle-loop
+// gain.
 //
 // Correctness contract: a table answer must be bit-identical to the on-the-fly
 // answer. The builder guarantees this by construction (it fills the tables by
 // calling the very methods it later shortcuts, before installing them), and
 // the equivalence tests in routetable_test.go verify it query by query.
 
-// DefaultTableBudget is the default memory gate for the per-pair route tables,
-// in bytes. It comfortably admits the "small" and "medium" experiment scales
-// and rejects the full paper-scale system, whose pair tables would cost tens
-// of megabytes per replication (replications each own their topology, so the
-// cost would be multiplied by the worker budget).
-const DefaultTableBudget = 16 << 20
-
-// pairEntryBytes is the estimated per-(src,dst) table cost: 2 bytes of
-// minimal port, 1 packed byte of hop counts and one packed PathSeq.
-const pairEntryBytes = 2 + 1 + MaxPathLen + 1
-
 // Precomputer is implemented by topologies that can precompute their routing
-// tables. PrecomputeTables follows the config.RouteTableBytes convention
-// verbatim: a negative budget disables precomputation entirely (any
-// previously installed tables are removed), 0 selects DefaultTableBudget,
-// and a positive value is the budget in bytes for the per-pair tables (the
-// small per-port tables are always built when precomputation is enabled).
-// It reports whether the per-pair tables were installed. The simulator calls
-// it once per network construction.
+// tables. PrecomputeTables follows the config.RouteTableBytes convention: a
+// negative value disables precomputation entirely (any previously installed
+// tables are removed) and any other value builds the tables. It reports
+// whether tables were installed. The simulator calls it once per network
+// construction.
 type Precomputer interface {
-	PrecomputeTables(budgetBytes int) bool
+	PrecomputeTables(routeTableBytes int) bool
 }
 
 // routeTables holds the precomputed answers for one topology instance. A nil
-// *routeTables (or a nil pair-table slice inside it) means "compute on the
-// fly"; methods must check before indexing.
+// *routeTables means "compute on the fly"; methods must check before
+// indexing.
 type routeTables struct {
-	n     int // routers
 	radix int
 
 	// Per-port tables, indexed [router*radix + port]. nbrRouter is -1 for
 	// terminal ports (the fast paths only consult them for link ports).
 	nbrRouter []int32
 	nbrPort   []int16
-
-	// Per-pair tables, indexed [from*n + to]; nil when the memory gate
-	// rejected them. minPort is -1 on the diagonal (from == to). minHops
-	// packs the local count in the low nibble and the global count in the
-	// high nibble. minSeq stores the full minimal path-kind sequence.
-	minPort []int16
-	minHops []uint8
-	minSeq  []PathSeq
 
 	// Dragonfly group-link table, indexed [fromGroup*groups + toGroup]:
 	// the router owning the minimal global link between two groups and its
@@ -77,33 +50,13 @@ type routeTables struct {
 	glPort   []int16
 }
 
-// pairTablesFit reports whether the per-pair tables of an n-router topology
-// fit the byte budget.
-func pairTablesFit(n, budgetBytes int) bool {
-	if budgetBytes <= 0 {
-		budgetBytes = DefaultTableBudget
-	}
-	return n*n <= budgetBytes/pairEntryBytes
-}
-
-// packHops packs a minimal-path hop count into one byte. Minimal paths of the
-// supported topologies have at most MaxPathLen hops per kind, far below the
-// nibble limit of 15.
-func packHops(h HopCount) uint8 {
-	return uint8(h.Local) | uint8(h.Global)<<4
-}
-
-// unpackHops is the inverse of packHops.
-func unpackHops(b uint8) HopCount {
-	return HopCount{Local: int(b & 0xF), Global: int(b >> 4)}
-}
-
-// buildRouteTables fills the tables for a topology by querying its on-the-fly
-// methods. It must be called before the tables are installed on the topology
-// (the topology's methods shortcut through the installed tables).
-func buildRouteTables(t Topology, budgetBytes int) *routeTables {
+// buildRouteTables fills the per-port tables for a topology by querying its
+// on-the-fly methods. It must be called before the tables are installed on
+// the topology (the topology's methods shortcut through the installed
+// tables).
+func buildRouteTables(t Topology) *routeTables {
 	n, radix := t.NumRouters(), t.Radix()
-	rt := &routeTables{n: n, radix: radix}
+	rt := &routeTables{radix: radix}
 
 	rt.nbrRouter = make([]int32, n*radix)
 	rt.nbrPort = make([]int16, n*radix)
@@ -121,22 +74,6 @@ func buildRouteTables(t Topology, budgetBytes int) *routeTables {
 			rt.nbrPort[i] = int16(np)
 		}
 	}
-
-	if !pairTablesFit(n, budgetBytes) {
-		return rt
-	}
-	rt.minPort = make([]int16, n*n)
-	rt.minHops = make([]uint8, n*n)
-	rt.minSeq = make([]PathSeq, n*n)
-	for from := 0; from < n; from++ {
-		f := packet.RouterID(from)
-		row := from * n
-		for to := 0; to < n; to++ {
-			rt.minPort[row+to] = int16(t.NextMinimalPort(f, packet.RouterID(to)))
-			rt.minHops[row+to] = packHops(t.MinimalHops(f, packet.RouterID(to)))
-			rt.minSeq[row+to] = MinimalSeq(t, f, packet.RouterID(to))
-		}
-	}
 	return rt
 }
 
@@ -147,14 +84,14 @@ func (rt *routeTables) neighbor(r packet.RouterID, p int) (packet.RouterID, int)
 }
 
 // PrecomputeTables implements Precomputer for the Dragonfly. In addition to
-// the generic tables it builds the group-to-group minimal global link table
-// used by the Piggyback congestion lookups (O(groups^2), always built).
-func (d *Dragonfly) PrecomputeTables(budgetBytes int) bool {
+// the per-port tables it builds the group-to-group minimal global link table
+// used by the Piggyback congestion lookups (O(groups^2)).
+func (d *Dragonfly) PrecomputeTables(routeTableBytes int) bool {
 	d.tables = nil // compute on the fly while building (and stay nil if disabled)
-	if budgetBytes < 0 {
+	if routeTableBytes < 0 {
 		return false
 	}
-	rt := buildRouteTables(d, budgetBytes)
+	rt := buildRouteTables(d)
 
 	g := d.numGroups
 	rt.glRouter = make([]int32, g*g)
@@ -173,16 +110,15 @@ func (d *Dragonfly) PrecomputeTables(budgetBytes int) bool {
 		}
 	}
 	d.tables = rt
-	return rt.minPort != nil
+	return true
 }
 
 // PrecomputeTables implements Precomputer for the flattened butterfly.
-func (f *FlattenedButterfly2D) PrecomputeTables(budgetBytes int) bool {
+func (f *FlattenedButterfly2D) PrecomputeTables(routeTableBytes int) bool {
 	f.tables = nil // compute on the fly while building (and stay nil if disabled)
-	if budgetBytes < 0 {
+	if routeTableBytes < 0 {
 		return false
 	}
-	rt := buildRouteTables(f, budgetBytes)
-	f.tables = rt
-	return rt.minPort != nil
+	f.tables = buildRouteTables(f)
+	return true
 }

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"flexvc/internal/packet"
@@ -13,7 +14,6 @@ import (
 func tableTopologies(t *testing.T) []struct {
 	name         string
 	plain, fast  Topology
-	wantPair     bool
 	groupedPlain *Dragonfly
 	groupedFast  *Dragonfly
 } {
@@ -21,11 +21,10 @@ func tableTopologies(t *testing.T) []struct {
 	var out []struct {
 		name         string
 		plain, fast  Topology
-		wantPair     bool
 		groupedPlain *Dragonfly
 		groupedFast  *Dragonfly
 	}
-	dfly := func(name string, p, a, h, budget int, wantPair bool) {
+	dfly := func(name string, p, a, h int) {
 		plain, err := NewDragonfly(p, a, h)
 		if err != nil {
 			t.Fatal(err)
@@ -34,18 +33,15 @@ func tableTopologies(t *testing.T) []struct {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := fast.PrecomputeTables(budget); got != wantPair {
-			t.Fatalf("%s: PrecomputeTables(%d) = %v, want %v", name, budget, got, wantPair)
-		}
+		fast.PrecomputeTables(0)
 		out = append(out, struct {
 			name         string
 			plain, fast  Topology
-			wantPair     bool
 			groupedPlain *Dragonfly
 			groupedFast  *Dragonfly
-		}{name, plain, fast, wantPair, plain, fast})
+		}{name, plain, fast, plain, fast})
 	}
-	fbfly := func(name string, k, p, budget int, wantPair bool) {
+	fbfly := func(name string, k, p int) {
 		plain, err := NewFlattenedButterfly2D(k, p)
 		if err != nil {
 			t.Fatal(err)
@@ -54,27 +50,20 @@ func tableTopologies(t *testing.T) []struct {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := fast.PrecomputeTables(budget); got != wantPair {
-			t.Fatalf("%s: PrecomputeTables(%d) = %v, want %v", name, budget, got, wantPair)
-		}
+		fast.PrecomputeTables(0)
 		out = append(out, struct {
 			name         string
 			plain, fast  Topology
-			wantPair     bool
 			groupedPlain *Dragonfly
 			groupedFast  *Dragonfly
-		}{name, plain, fast, wantPair, nil, nil})
+		}{name, plain, fast, nil, nil})
 	}
 
-	dfly("dragonfly-tiny", 1, 2, 1, 0, true)
-	dfly("dragonfly-small", 2, 4, 2, 0, true)
-	dfly("dragonfly-medium", 4, 8, 4, 0, true)
-	// Gated: a 1-byte budget rejects the pair tables, so only the per-port
-	// tables are active and pair queries fall back to the on-the-fly path.
-	dfly("dragonfly-small-gated", 2, 4, 2, 1, false)
-	fbfly("fbfly-4x4", 4, 2, 0, true)
-	fbfly("fbfly-8x8", 8, 8, 0, true)
-	fbfly("fbfly-gated", 4, 2, 1, false)
+	dfly("dragonfly-tiny", 1, 2, 1)
+	dfly("dragonfly-small", 2, 4, 2)
+	dfly("dragonfly-medium", 4, 8, 4)
+	fbfly("fbfly-4x4", 4, 2)
+	fbfly("fbfly-8x8", 8, 8)
 	return out
 }
 
@@ -156,47 +145,50 @@ func TestRouteTableEquivalence(t *testing.T) {
 	}
 }
 
-// TestRouteTableMemoryGate pins the gate arithmetic: the paper-scale
-// Dragonfly must be rejected by the default budget while small and medium
-// scales are admitted, and re-running PrecomputeTables with a different
-// budget installs or removes the pair tables accordingly.
-func TestRouteTableMemoryGate(t *testing.T) {
-	paper, err := NewBalancedDragonfly(8) // 2,064 routers
-	if err != nil {
-		t.Fatal(err)
-	}
-	if paper.PrecomputeTables(0) {
-		t.Fatalf("paper-scale pair tables (%d routers) must not fit the default budget", paper.NumRouters())
-	}
-	if paper.tables == nil || paper.tables.nbrRouter == nil {
-		t.Fatal("per-port tables must be built even when the pair tables are gated")
-	}
-	// A budget large enough for the pair tables admits them.
-	need := paper.NumRouters() * paper.NumRouters() * pairEntryBytes
-	if !paper.PrecomputeTables(need) {
-		t.Fatalf("budget of %d bytes should admit the pair tables", need)
-	}
-	// A negative budget disables precomputation entirely (the
-	// config.RouteTableBytes convention), removing installed tables.
-	if paper.PrecomputeTables(-1) {
-		t.Fatal("negative budget must not install pair tables")
-	}
-	if paper.tables != nil {
-		t.Fatal("negative budget must remove previously installed tables")
-	}
+// TestRouteTableFootprint pins what precomputation costs: at every
+// Dragonfly scale, the bytes PrecomputeTables allocates stay within the
+// per-port neighbour table plus the group-link table, both linear in the
+// network's size, so no O(routers^2) table can come back unnoticed (at
+// medium one would be tens of times larger). Any value but a negative one
+// installs the tables; a negative one removes them.
+func TestRouteTableFootprint(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		p, a, h int
+	}{
+		{"tiny", 1, 2, 1},
+		{"small", 2, 4, 2},
+		{"medium", 4, 8, 4},
+		{"paper", 8, 16, 8},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d, err := NewDragonfly(tc.p, tc.a, tc.h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// int32 router plus int16 port per entry; an eighth for size-class
+			// rounding and a little for the table header.
+			entries := d.NumRouters()*d.Radix() + d.NumGroups()*d.NumGroups()
+			limit := uint64(entries*6)*9/8 + 256
 
-	small, err := NewDragonfly(2, 4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !small.PrecomputeTables(0) {
-		t.Fatal("small-scale pair tables must fit the default budget")
-	}
-	medium, err := NewDragonfly(4, 8, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !medium.PrecomputeTables(0) {
-		t.Fatal("medium-scale pair tables must fit the default budget")
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			installed := d.PrecomputeTables(0)
+			runtime.ReadMemStats(&after)
+			if !installed || d.tables == nil {
+				t.Fatal("PrecomputeTables(0) must install the tables")
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+				t.Fatalf("PrecomputeTables allocated %d bytes, over the %d of the per-port and group-link tables (%d routers, %d groups)",
+					got, limit, d.NumRouters(), d.NumGroups())
+			}
+
+			if !d.PrecomputeTables(1) || d.tables == nil {
+				t.Fatal("a positive value must install the tables")
+			}
+			if d.PrecomputeTables(-1) || d.tables != nil {
+				t.Fatal("a negative value must remove the installed tables")
+			}
+		})
 	}
 }
