@@ -25,8 +25,10 @@ lint:
 # benchmark gates as medium-pb-sat-1core (BenchmarkReplicationPBSat), of
 # building its network (BenchmarkNetworkNew, what setup_s times) and of
 # building one small Figure 5 network (BenchmarkNetworkNewSmall, what the
-# sweep pays per replication), for finding where a replication's time goes. A developer target: time claims go
-# through bench/run.sh, not through this. The test binary is kept next to the
+# sweep pays per replication), and the heap profile of one small replication
+# far past saturation (BenchmarkReplicationBacklogSmall, where the NIC
+# backlog dominates), for finding where a replication's time and memory go.
+# A developer target: time claims go through bench/run.sh, not through this. The test binary is kept next to the
 # profiles because `go tool pprof` resolves symbols against it.
 PROFILE_DIR ?= bench-profiles
 bench-profile:
@@ -43,6 +45,9 @@ bench-profile:
 		-cpuprofile $(PROFILE_DIR)/new-small-cpu.pprof \
 		-memprofile $(PROFILE_DIR)/new-small-mem.pprof \
 		-o $(PROFILE_DIR)/sim.test ./internal/sim | tee $(PROFILE_DIR)/new-small-bench.txt
+	$(GO) test -run xxx -bench 'ReplicationBacklogSmall' -benchtime 3x -benchmem \
+		-memprofile $(PROFILE_DIR)/backlog-mem.pprof \
+		-o $(PROFILE_DIR)/sim.test ./internal/sim | tee $(PROFILE_DIR)/backlog-bench.txt
 
 # bench/ is a module of its own that the root `go test ./...` cannot reach;
 # bench/api_test.go is the compile-time list of every program identifier the

@@ -93,9 +93,12 @@ const (
 // lifetime. It packs into 32 bytes so two headers share a cache line in the
 // store's header array.
 type Header struct {
-	// ID is a unique, monotonically increasing identifier. The store may
-	// reissue a Ref for a new packet; the ID distinguishes the generations
-	// (allocator plan caches key on Ref AND ID).
+	// ID is a unique identifier, for debugging: the store may reissue a Ref
+	// for a new packet, and the ID tells the two apart. The allocating
+	// caller assigns it when the packet gets its slot: the simulator numbers
+	// requests as it injects them, a reactive generator numbers its replies
+	// (with the top bit set), and a generator's Generate uses its own
+	// sequence. Nothing orders on it.
 	ID uint64
 	// Src and Dst are the endpoints of this packet.
 	Src, Dst NodeID

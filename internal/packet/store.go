@@ -31,10 +31,11 @@ const NilRef Ref = ^Ref(0)
 // owns exactly one.
 //
 // Refs are only valid between Alloc and Free of their slot. The store can
-// reissue a Ref immediately after Free; long-lived caches must therefore key
-// on (Ref, ID) — see router's plan cache. Pointers returned by Hdr, Route and
-// Times stay valid until the slot is freed or the store is Reset: pages never
-// move.
+// reissue a Ref immediately after Free, so no cache may outlive the packet it
+// was built for: the router's plan cache is valid while its VC's planCur bit
+// is set, which noteDequeue clears when the head leaves and SetEnv clears
+// for a new network. Pointers returned by Hdr, Route and Times stay valid
+// until the slot is freed or the store is Reset: pages never move.
 type Store struct {
 	pages []*page
 	// slots is the number of slots ever handed out since the last Reset;
@@ -51,12 +52,15 @@ type Store struct {
 
 	// poison, when set, makes every accessor check slot liveness, so a
 	// use-after-free panics instead of silently reading recycled state.
-	// Enabled only by tests — the flag check is the hot path's whole cost
-	// when disabled.
-	poison bool
+	// Enabled only by tests — the nil check is the hot path's whole cost
+	// when disabled, and a plain run's pages carry no liveness bytes.
+	poison *poisonState
 }
 
-// pageBits sets the page size: 1024 slots, 89 KiB per page.
+// poisonState is what poison mode keeps: the allocated slots, flagged by Ref.
+type poisonState struct{ live []bool }
+
+// pageBits sets the page size: 1024 slots, 88 KiB per page.
 const (
 	pageBits = 10
 	pageSize = 1 << pageBits
@@ -69,8 +73,6 @@ type page struct {
 	route   [pageSize]RouteState
 	times   [pageSize]Times
 	replyTo [pageSize]Ref
-	// live is maintained in poison mode only.
-	live [pageSize]bool
 }
 
 // NewStore returns an empty store whose page table has room for 64 pages
@@ -109,8 +111,12 @@ func (s *Store) Alloc(id uint64, src, dst NodeID, size int, class Class, genTime
 	p.times[i] = Times{Gen: genTime}
 	p.route[i].Reset()
 	p.replyTo[i] = NilRef
-	if s.poison {
-		p.live[i] = true
+	if ps := s.poison; ps != nil {
+		if int(ref) < len(ps.live) {
+			ps.live[ref] = true
+		} else {
+			ps.live = append(ps.live, true)
+		}
 	}
 	return ref
 }
@@ -124,9 +130,9 @@ func (s *Store) Free(ref Ref) {
 		return
 	}
 	p, i := s.at(ref)
-	if s.poison {
+	if s.poison != nil {
 		s.check(ref)
-		p.live[i] = false
+		s.poison.live[ref] = false
 		// Poison the slot: impossible values that fail fast if consumed.
 		p.hdr[i] = Header{ID: ^uint64(0), Src: InvalidNode, Dst: InvalidNode,
 			SrcRouter: InvalidRouter, DstRouter: InvalidRouter, Size: -1}
@@ -141,7 +147,7 @@ func (s *Store) Free(ref Ref) {
 // Hdr returns the header of a live packet. The pointer stays valid until the
 // slot is freed or the store is Reset.
 func (s *Store) Hdr(ref Ref) *Header {
-	if s.poison {
+	if s.poison != nil {
 		s.check(ref)
 	}
 	p, i := s.at(ref)
@@ -151,7 +157,7 @@ func (s *Store) Hdr(ref Ref) *Header {
 // Route returns the mutable routing state of a live packet. The pointer stays
 // valid until the slot is freed or the store is Reset.
 func (s *Store) Route(ref Ref) *RouteState {
-	if s.poison {
+	if s.poison != nil {
 		s.check(ref)
 	}
 	p, i := s.at(ref)
@@ -161,7 +167,7 @@ func (s *Store) Route(ref Ref) *RouteState {
 // Times returns the lifecycle timestamps of a live packet. The pointer stays
 // valid until the slot is freed or the store is Reset.
 func (s *Store) Times(ref Ref) *Times {
-	if s.poison {
+	if s.poison != nil {
 		s.check(ref)
 	}
 	p, i := s.at(ref)
@@ -170,7 +176,7 @@ func (s *Store) Times(ref Ref) *Times {
 
 // ReplyTo returns the request this reply retains, or NilRef.
 func (s *Store) ReplyTo(ref Ref) Ref {
-	if s.poison {
+	if s.poison != nil {
 		s.check(ref)
 	}
 	p, i := s.at(ref)
@@ -179,7 +185,7 @@ func (s *Store) ReplyTo(ref Ref) Ref {
 
 // SetReplyTo links a reply to the request it retains.
 func (s *Store) SetReplyTo(ref, req Ref) {
-	if s.poison {
+	if s.poison != nil {
 		s.check(ref)
 	}
 	p, i := s.at(ref)
@@ -217,6 +223,9 @@ func (s *Store) Stats() (news, reuses int64) { return s.news, s.reuses }
 func (s *Store) Reset() {
 	s.slots, s.nfree = 0, 0
 	s.news, s.reuses = 0, 0
+	if s.poison != nil {
+		s.poison.live = s.poison.live[:0]
+	}
 }
 
 // EnablePoison turns on use-after-free detection: every accessor panics on a
@@ -226,15 +235,13 @@ func (s *Store) EnablePoison() {
 	if s.slots != 0 {
 		panic("packet: EnablePoison after Alloc")
 	}
-	s.poison = true
+	s.poison = new(poisonState)
 }
 
 // check panics on a dangling Ref (poison mode only).
 func (s *Store) check(ref Ref) {
-	if int(ref) < s.slots {
-		if p, i := s.at(ref); p.live[i] {
-			return
-		}
+	if int(ref) < s.slots && s.poison.live[ref] {
+		return
 	}
 	panic(fmt.Sprintf("packet: use of dead ref %d (slots=%d)", ref, s.slots))
 }

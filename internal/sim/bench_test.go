@@ -88,7 +88,7 @@ func BenchmarkInjectLowLoad(b *testing.B) {
 		for _, node := range n.pendingNodes {
 			ns := &n.nodes[node]
 			for !ns.requests.empty() {
-				n.store.Free(ns.requests.pop())
+				n.pending.free(ns.requests.pop())
 			}
 			ns.queued = false
 		}
@@ -169,4 +169,25 @@ func BenchmarkReplicationPBSat(b *testing.B) {
 	b.ReportMetric(float64(w.Sends), "sends/op")
 	b.ReportMetric(float64(n.lookaheads), "lookaheads/op")
 	b.ReportMetric(float64(n.generated), "emissions/op")
+}
+
+// BenchmarkReplicationBacklogSmall runs one full small replication far past
+// saturation (backlogConfig: UN/MIN, Baseline 2/1 at offered load 1.0), where
+// most generated requests wait at their NICs. Beside B/op it reports the
+// packet store's live slots at the end and its peak, and the peak NIC
+// backlog; only the packets in the network hold store slots.
+func BenchmarkReplicationBacklogSmall(b *testing.B) {
+	cfg := backlogConfig(false)
+	var n *Network
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if n, err = New(cfg); err != nil {
+			b.Fatal(err)
+		}
+		n.Run()
+	}
+	b.ReportMetric(float64(n.store.InUse()), "store-slots/op")
+	b.ReportMetric(float64(n.store.Slots()), "peak-live-slots/op")
+	b.ReportMetric(float64(n.pending.slots), "peak-backlog/op")
 }

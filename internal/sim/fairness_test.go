@@ -28,9 +28,9 @@ func TestInjectFairness(t *testing.T) {
 	ns := &n.nodes[node]
 	var id uint64
 
-	mkpkt := func(class packet.Class) packet.Ref {
+	mkreply := func() packet.Ref {
 		id++
-		ref := n.store.Alloc(id, node, dst, cfg.PacketSize, class, n.now)
+		ref := n.store.Alloc(id, node, dst, cfg.PacketSize, packet.Reply, n.now)
 		hdr := n.store.Hdr(ref)
 		hdr.SrcRouter = n.topo.RouterOfNode(node)
 		hdr.DstRouter = n.topo.RouterOfNode(dst)
@@ -40,16 +40,15 @@ func TestInjectFairness(t *testing.T) {
 	// Seed a deep backlog of requests and keep the reply queue non-empty
 	// forever (the starvation scenario).
 	for i := 0; i < 4; i++ {
-		ns.requests.push(mkpkt(packet.Request))
+		n.queueRequest(node, dst)
 	}
-	n.queueNode(node)
 
 	injected := make([]packet.Class, 0, 8)
 	seen := n.collector.TotalGenerated() // unused; keeps the collector warm
 	_ = seen
 	for cycle := 0; len(injected) < 8 && cycle < 10000; cycle++ {
 		if ns.replies.len() < 2 {
-			ns.replies.push(mkpkt(packet.Reply))
+			ns.replies.push(mkreply())
 		}
 		before := ns.requests.len() + ns.replies.len()
 		n.Step()
@@ -60,7 +59,7 @@ func TestInjectFairness(t *testing.T) {
 		}
 		// Refill requests so both queues stay busy.
 		if ns.requests.len() < 2 {
-			ns.requests.push(mkpkt(packet.Request))
+			n.queueRequest(node, dst)
 		}
 	}
 

@@ -14,22 +14,19 @@ import (
 // generator to emit.
 type emitRecorder struct {
 	traffic.Generator
-	store *packet.Store
-	got   []generatedPacket
+	got []generatedPacket
 }
 
 type generatedPacket struct {
 	cycle int64
 	node  packet.NodeID
 	dst   packet.NodeID
-	id    uint64
 }
 
-func (g *emitRecorder) Emit(now int64, node packet.NodeID) packet.Ref {
-	ref := g.Generator.Emit(now, node)
-	h := g.store.Hdr(ref)
-	g.got = append(g.got, generatedPacket{now, node, h.Dst, h.ID})
-	return ref
+func (g *emitRecorder) Emit(now int64, node packet.NodeID) packet.NodeID {
+	dst := g.Generator.Emit(now, node)
+	g.got = append(g.got, generatedPacket{now, node, dst})
+	return dst
 }
 
 // TestInjectSchedulesWhatPollingGenerates checks the NIC model's generator
@@ -63,7 +60,7 @@ func TestInjectSchedulesWhatPollingGenerates(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rec := &emitRecorder{Generator: n.gen, store: n.store}
+			rec := &emitRecorder{Generator: n.gen}
 			n.gen = rec
 			n.RunCycles(cycles)
 
@@ -78,7 +75,7 @@ func TestInjectSchedulesWhatPollingGenerates(t *testing.T) {
 				for node := 0; node < len(n.nodes); node++ {
 					if ref := twin.Generate(now, packet.NodeID(node)); ref != packet.NilRef {
 						h := store.Hdr(ref)
-						want = append(want, generatedPacket{now, packet.NodeID(node), h.Dst, h.ID})
+						want = append(want, generatedPacket{now, packet.NodeID(node), h.Dst})
 						store.Free(ref)
 					}
 				}

@@ -165,9 +165,14 @@ func TestConservation(t *testing.T) {
 	if resident > inFlight {
 		t.Fatalf("resident packets (%d) exceed in-flight count (%d)", resident, inFlight)
 	}
-	if n.Collector().TotalDelivered()+inFlight != n.Collector().TotalGenerated()-pendingAtSources(n) {
-		t.Logf("generated=%d delivered=%d inflight=%d (difference is NIC-queued traffic)",
-			n.Collector().TotalGenerated(), n.Collector().TotalDelivered(), inFlight)
+	// Every generated packet is delivered, in flight or waiting at its NIC,
+	// and only the packets in flight hold store slots.
+	queued := pendingAtSources(n)
+	if gen, del := n.Collector().TotalGenerated(), n.Collector().TotalDelivered(); del+inFlight+queued != gen {
+		t.Fatalf("generated=%d, but delivered=%d + in flight=%d + queued at the NICs=%d", gen, del, inFlight, queued)
+	}
+	if used := int64(n.store.InUse()); used != inFlight {
+		t.Fatalf("%d store slots in use for %d packets in flight", used, inFlight)
 	}
 	if inFlight < 0 {
 		t.Fatal("negative in-flight count")
@@ -224,7 +229,8 @@ func TestDrainReactive(t *testing.T) {
 
 // drainAfterLoad runs cfg for loadCycles, silences the sources and runs
 // silentCycles more, after which nothing may be in flight, resident in a
-// router, pending in the event wheel or owed as a reply.
+// router, pending in the event wheel or owed as a reply, and neither the
+// packet store nor the NICs' pending slab may hold a record.
 func drainAfterLoad(t *testing.T, cfg config.Config, loadCycles, silentCycles int64) {
 	t.Helper()
 	n, err := New(cfg)
@@ -245,6 +251,9 @@ func drainAfterLoad(t *testing.T, cfg config.Config, loadCycles, silentCycles in
 	}
 	if q := pendingAtSources(n); q != 0 {
 		t.Fatalf("load %.1f: %d packets still queued at the NICs after drain", cfg.Load, q)
+	}
+	if used, pend := n.store.InUse(), n.pending.inUse(); used != 0 || pend != 0 {
+		t.Fatalf("load %.1f: %d store slots and %d pending records still held after drain", cfg.Load, used, pend)
 	}
 }
 

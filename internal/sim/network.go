@@ -10,7 +10,6 @@ import (
 
 	"flexvc/internal/buffer"
 	"flexvc/internal/config"
-	"flexvc/internal/core"
 	"flexvc/internal/minheap"
 	"flexvc/internal/packet"
 	"flexvc/internal/router"
@@ -21,13 +20,14 @@ import (
 )
 
 // nodeState is the per-node NIC model: an unbounded source queue for new
-// requests, a queue for the replies the node owes (the consumption
-// assumption: nodes always sink requests and buffer the replies they owe),
-// and the pacing of the injection link at one phit per cycle. When both
-// queues hold packets the classes alternate so neither starves the other.
+// requests (records in the network's pending slab, not yet packets), a queue
+// for the replies the node owes (the consumption assumption: nodes always
+// sink requests and buffer the replies they owe), and the pacing of the
+// injection link at one phit per cycle. When both queues hold packets the
+// classes alternate so neither starves the other.
 type nodeState struct {
-	requests   pktFIFO
-	replies    pktFIFO
+	requests   fifo[pendRef]
+	replies    fifo[packet.Ref]
 	nextInject int64
 	// lastWasReply records the class of the last injected packet, for the
 	// round-robin tie-break between the two queues.
@@ -41,7 +41,6 @@ type Network struct {
 	cfg  config.Config
 	topo topology.Topology
 
-	scheme  core.Scheme
 	alg     routing.Algorithm
 	pb      *routing.PBManager
 	gen     traffic.Generator
@@ -50,6 +49,12 @@ type Network struct {
 	// store is the SoA packet arena every packet of the replication lives in;
 	// routers, buffers and generators exchange packet.Refs into it.
 	store *packet.Store
+	// pending holds the requests waiting at the NICs. It comes from the
+	// scratch set, or is allocated by the first request of a network built
+	// without one, so sim.New allocates nothing for it.
+	pending *pendingSlab
+	// requestIDs numbers the requests as they are injected (Header.ID).
+	requestIDs uint64
 
 	// activeRouter flags routers holding packets; Step skips the others.
 	activeRouter []bool
@@ -78,6 +83,10 @@ type Network struct {
 	// lookaheads counts generator look-ahead calls (an exact, repeatable
 	// count, published with the allocator work when a replication ends).
 	lookaheads int64
+	// injectTries counts tryInject calls and injectNoVC those that found no
+	// injection VC with room for the packet. Plain counts for tests, in no
+	// export.
+	injectTries, injectNoVC int64
 }
 
 // New builds a network from a configuration. The configuration is validated
@@ -102,9 +111,9 @@ func newNetwork(cfg config.Config, sc *scratch) (*Network, error) {
 	if pc, ok := topo.(topology.Precomputer); ok {
 		pc.PrecomputeTables(cfg.RouteTableBytes)
 	}
-	n := &Network{cfg: cfg, topo: topo, scheme: cfg.Scheme}
+	n := &Network{cfg: cfg, topo: topo}
 	if sc != nil {
-		n.store = sc.store
+		n.store, n.pending = sc.store, &sc.pending
 	} else {
 		n.store = packet.NewStore()
 	}

@@ -8,7 +8,7 @@ import (
 
 // scratch is the recyclable per-replication memory of one network instance:
 // the SoA packet store, the traffic generators' per-node PRNG streams, the
-// NIC queues, the event wheel's slots and the routers (with their buffers, VC
+// NIC queues and their pending requests, the event wheel's slots and the routers (with their buffers, VC
 // rings and PRNG states). A sweep runs dozens to thousands of replications,
 // each of which would otherwise grow these structures from nothing: every
 // RunReplications worker owns one set, builds each of its networks in it and
@@ -16,6 +16,7 @@ import (
 // per worker, not once per replication.
 type scratch struct {
 	store   *packet.Store
+	pending pendingSlab
 	sources traffic.Sources
 	// nodes and slots are the last network's NIC queues and wheel slots;
 	// newNetwork reuses them when the node count and wheel horizon match.
@@ -35,6 +36,7 @@ func newScratch() *scratch { return &scratch{store: packet.NewStore()} }
 // invalidated here.
 func (sc *scratch) reclaim() {
 	sc.store.Reset()
+	sc.pending.reset()
 	sc.sources.Rewind()
 	for i := range sc.nodes {
 		q := &sc.nodes[i]

@@ -5,20 +5,21 @@ import (
 	"time"
 
 	"flexvc/internal/packet"
+	"flexvc/internal/traffic"
 )
 
-// pktFIFO is an unbounded NIC queue of packet refs with an explicit head
-// index, so popping the front neither reallocates nor abandons backing
-// storage: once drained, the slice is rewound and its capacity reused.
-type pktFIFO struct {
-	items []packet.Ref
+// fifo is an unbounded NIC queue with an explicit head index, so popping the
+// front neither reallocates nor abandons backing storage: once drained, the
+// slice is rewound and its capacity reused.
+type fifo[T any] struct {
+	items []T
 	head  int
 }
 
-func (q *pktFIFO) len() int    { return len(q.items) - q.head }
-func (q *pktFIFO) empty() bool { return q.head >= len(q.items) }
+func (q *fifo[T]) len() int    { return len(q.items) - q.head }
+func (q *fifo[T]) empty() bool { return q.head >= len(q.items) }
 
-func (q *pktFIFO) push(p packet.Ref) {
+func (q *fifo[T]) push(p T) {
 	if q.head > 0 && q.head >= len(q.items)-q.head {
 		// The dead prefix is at least as large as the live tail: compact so
 		// a queue that never fully drains cannot grow its backing array
@@ -30,9 +31,9 @@ func (q *pktFIFO) push(p packet.Ref) {
 	q.items = append(q.items, p)
 }
 
-func (q *pktFIFO) peek() packet.Ref { return q.items[q.head] }
+func (q *fifo[T]) peek() T { return q.items[q.head] }
 
-func (q *pktFIFO) pop() packet.Ref {
+func (q *fifo[T]) pop() T {
 	p := q.items[q.head]
 	q.head++
 	if q.head == len(q.items) {
@@ -42,7 +43,7 @@ func (q *pktFIFO) pop() packet.Ref {
 	return p
 }
 
-func (q *pktFIFO) reset() { q.items = q.items[:0]; q.head = 0 }
+func (q *fifo[T]) reset() { q.items = q.items[:0]; q.head = 0 }
 
 // Step advances the network by one cycle:
 //
@@ -201,14 +202,13 @@ func (n *Network) armGenerators(from int64) {
 	}
 }
 
-// generate moves the packets the nodes offer this cycle into their NIC request
-// queues. Traffic generation is scheduled, not polled: genDue holds, per node,
-// the next cycle its generator needs a visit — the cycle it emits a packet,
-// found by running its source ahead of the clock, or the cycle a look-ahead
-// window ended without one. Due nodes pop in ascending node order, so packets
-// are built (IDs, store slots) in the order polling every node every cycle
-// built them; the draws in between belong to per-node streams and do not care
-// when they are made.
+// generate moves the requests the nodes offer this cycle into their NIC
+// request queues. Traffic generation is scheduled, not polled: genDue holds,
+// per node, the next cycle its generator needs a visit — the cycle it emits a
+// request, found by running its source ahead of the clock, or the cycle a
+// look-ahead window ended without one. Due nodes pop in ascending node order,
+// so Emit runs in the order polling every node every cycle ran it; the draws
+// in between belong to per-node streams and do not care when they are made.
 func (n *Network) generate() {
 	for len(n.genDue) > 0 {
 		key := n.genDue[0]
@@ -224,8 +224,7 @@ func (n *Network) generate() {
 		if key&1 != 0 {
 			n.generated++
 			n.collector.Generated()
-			n.nodes[node].requests.push(n.gen.Emit(n.now, node))
-			n.queueNode(node)
+			n.queueRequest(node, n.gen.Emit(n.now, node))
 			from++
 		}
 		n.lookaheads++
@@ -237,7 +236,16 @@ func (n *Network) generate() {
 	}
 }
 
-// inject runs the NIC model: new packets join their nodes' queues, then the
+// queueRequest queues a request node generated this cycle toward dst.
+func (n *Network) queueRequest(node, dst packet.NodeID) {
+	if n.pending == nil {
+		n.pending = new(pendingSlab)
+	}
+	n.nodes[node].requests.push(n.pending.alloc(n.now, dst))
+	n.queueNode(node)
+}
+
+// inject runs the NIC model: new requests join their nodes' queues, then the
 // injection attempt — queue arbitration, JSQ over the injection VCs, credit
 // reservation — runs for the nodes that actually hold queued work.
 func (n *Network) inject() {
@@ -263,25 +271,16 @@ func (n *Network) inject() {
 // classes alternate (round-robin): replies must keep draining (the
 // consumption assumption that breaks protocol deadlock needs the NIC to
 // absorb them), but a continuous reply stream must not starve locally
-// generated requests forever either.
+// generated requests forever either. A request gets its store slot only
+// here, once an injection VC has been reserved for it.
 func (n *Network) tryInject(node packet.NodeID, ns *nodeState) {
-	var queue *pktFIFO
-	switch {
-	case !ns.replies.empty() && !ns.requests.empty():
-		if ns.lastWasReply {
-			queue = &ns.requests
-		} else {
-			queue = &ns.replies
-		}
-	case !ns.replies.empty():
-		queue = &ns.replies
-	default:
-		queue = &ns.requests
+	n.injectTries++
+	reply := !ns.replies.empty() && (ns.requests.empty() || !ns.lastWasReply)
+	size, kind := n.cfg.PacketSize, packet.Minimal
+	if reply {
+		ref := ns.replies.peek()
+		size, kind = int(n.store.Hdr(ref).Size), n.store.Route(ref).Kind
 	}
-	ref := queue.peek()
-	hdr := n.store.Hdr(ref)
-	size := int(hdr.Size)
-	kind := n.store.Route(ref).Kind
 	rtr := n.topo.RouterOfNode(node)
 	port := n.topo.TerminalPort(rtr, node)
 	buf := n.routers[rtr].Input(port)
@@ -294,10 +293,21 @@ func (n *Network) tryInject(node packet.NodeID, ns *nodeState) {
 		}
 	}
 	if bestVC < 0 {
+		n.injectNoVC++
 		return
 	}
 	if !buf.Reserve(bestVC, size, kind) {
 		return
+	}
+	var ref packet.Ref
+	if reply {
+		ref = ns.replies.pop()
+	} else {
+		pr := ns.requests.pop()
+		req := n.pending.at(pr)
+		n.requestIDs++
+		ref = traffic.NewRequest(n.store, n.topo, n.requestIDs, node, req.dst, size, req.gen)
+		n.pending.free(pr)
 	}
 	ready := n.now + int64(n.cfg.InjectionLatency+n.cfg.RouterPipeline)
 	n.routers[rtr].EnqueueArrival(port, bestVC, ref, ready, kind)
@@ -306,8 +316,7 @@ func (n *Network) tryInject(node packet.NodeID, ns *nodeState) {
 	n.collector.Injected()
 	n.inFlight++
 	ns.nextInject = n.now + int64(size)
-	ns.lastWasReply = hdr.Class == packet.Reply
-	queue.pop()
+	ns.lastWasReply = reply
 }
 
 // ResidentPackets returns the number of packets currently stored in router

@@ -50,19 +50,13 @@ func (g *Bernoulli) NextEmission(node packet.NodeID, from, limit int64) (int64, 
 }
 
 // Emit implements Generator: the destination is the node stream's next draw.
-func (g *Bernoulli) Emit(now int64, node packet.NodeID) packet.Ref {
-	dst := g.dest(g.rngs[node], node)
-	ref := g.params.Store.Alloc(g.ids.alloc(), node, dst, g.params.PacketSize, packet.Request, now)
-	fillEndpoints(g.params.Topo, g.params.Store.Hdr(ref))
-	return ref
+func (g *Bernoulli) Emit(_ int64, node packet.NodeID) packet.NodeID {
+	return g.dest(g.rngs[node], node)
 }
 
 // Generate implements Generator.
 func (g *Bernoulli) Generate(now int64, node packet.NodeID) packet.Ref {
-	if _, ok := g.NextEmission(node, now, now+1); !ok {
-		return packet.NilRef
-	}
-	return g.Emit(now, node)
+	return poll(g, &g.params, &g.ids, now, node)
 }
 
 // Delivered implements Generator (no reaction for open-loop patterns).
@@ -176,23 +170,18 @@ func (g *Bursty) NextEmission(node packet.NodeID, from, limit int64) (int64, boo
 
 // Emit implements Generator: the burst's next packet, and the draw that may
 // end the burst with it.
-func (g *Bursty) Emit(now int64, node packet.NodeID) packet.Ref {
+func (g *Bursty) Emit(now int64, node packet.NodeID) packet.NodeID {
 	st := &g.state[node]
-	ref := g.params.Store.Alloc(g.ids.alloc(), node, st.dst, g.params.PacketSize, packet.Request, now)
-	fillEndpoints(g.params.Topo, g.params.Store.Hdr(ref))
 	st.nextStart = now + int64(g.params.PacketSize)
 	if g.rngs[node].Float64() < g.pEnd {
 		st.on = false
 	}
-	return ref
+	return st.dst
 }
 
 // Generate implements Generator.
 func (g *Bursty) Generate(now int64, node packet.NodeID) packet.Ref {
-	if _, ok := g.NextEmission(node, now, now+1); !ok {
-		return packet.NilRef
-	}
-	return g.Emit(now, node)
+	return poll(g, &g.params, &g.ids, now, node)
 }
 
 // Delivered implements Generator.
@@ -232,7 +221,9 @@ func (g *Reactive) NextEmission(node packet.NodeID, from, limit int64) (int64, b
 }
 
 // Emit implements Generator.
-func (g *Reactive) Emit(now int64, node packet.NodeID) packet.Ref { return g.base.Emit(now, node) }
+func (g *Reactive) Emit(now int64, node packet.NodeID) packet.NodeID {
+	return g.base.Emit(now, node)
+}
 
 // Generate implements Generator.
 func (g *Reactive) Generate(now int64, node packet.NodeID) packet.Ref {

@@ -7,26 +7,26 @@ import (
 	"flexvc/internal/packet"
 )
 
-// emission is one generated packet as the simulator sees it.
+// emission is one generated packet as the simulator sees it. IDs are the
+// allocating caller's, not the stream's, so they are left out.
 type emission struct {
 	cycle int64
 	node  packet.NodeID
 	dst   packet.NodeID
-	id    uint64
 	ref   packet.Ref
 	reply packet.Ref // the reply owed for it (reactive generators), else NilRef
 }
 
 // record notes a new packet and at once delivers it, so a reactive generator
 // allocates its reply from the same store in between the requests. Every
-// third packet is freed: store slots recycle, and a ref only matches if the
+// third slot is freed: store slots recycle, and a ref only matches if the
 // allocation order does.
 func record(st *packet.Store, g Generator, now int64, node packet.NodeID, ref packet.Ref) emission {
 	h := st.Hdr(ref)
-	e := emission{cycle: now, node: node, dst: h.Dst, id: h.ID, ref: ref}
+	e := emission{cycle: now, node: node, dst: h.Dst, ref: ref}
 	g.Delivered(now, ref)
 	e.reply = g.PendingReplies(h.Dst)
-	if e.id%3 == 0 && e.reply == packet.NilRef {
+	if ref%3 == 0 && e.reply == packet.NilRef {
 		st.Free(ref)
 	}
 	return e
@@ -48,8 +48,12 @@ func polledStream(st *packet.Store, g Generator, nodes int, from, to int64) []em
 // scheduledStream drives a generator the way the simulator does: every node
 // has a due cycle at which it either emits or resumes its look-ahead, and due
 // nodes are served in ascending node order. The last window is cut at
-// `cycles`, so afterwards every node's source stands exactly there.
-func scheduledStream(st *packet.Store, g Generator, nodes int, cycles, window int64) []emission {
+// `cycles`, so afterwards every node's source stands exactly there. Each
+// emitted request is allocated at once, so a reactive generator's reply slots
+// interleave with the requests' as they do under polling.
+func scheduledStream(g Generator, p Params, cycles, window int64) []emission {
+	st, nodes := p.Store, p.Topo.NumNodes()
+	var id uint64
 	due := make([]int64, nodes)
 	emits := make([]bool, nodes)
 	var out []emission
@@ -59,7 +63,9 @@ func scheduledStream(st *packet.Store, g Generator, nodes int, cycles, window in
 			for due[n] == now {
 				from := now
 				if emits[n] {
-					out = append(out, record(st, g, now, node, g.Emit(now, node)))
+					id++
+					ref := NewRequest(st, p.Topo, id, node, g.Emit(now, node), p.PacketSize, now)
+					out = append(out, record(st, g, now, node, ref))
 					from++
 				}
 				limit := min(from+window, cycles)
@@ -102,7 +108,7 @@ func TestLookaheadMatchesPolling(t *testing.T) {
 	patterns := []string{NameUniform, NameAdversarial, NameBursty, NameTranspose, NameBitReverse, NameShuffle, NameGroupHotspot}
 	for _, pattern := range patterns {
 		for _, v := range variants {
-			build := func() (Generator, *packet.Store) {
+			build := func() (Generator, Params) {
 				p := params(t, v.load)
 				if v.mut != nil {
 					v.mut(&p)
@@ -111,7 +117,7 @@ func TestLookaheadMatchesPolling(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				return g, p.Store
+				return g, p
 			}
 			checkLookahead(t, pattern+" "+v.name, build, cycles, tail)
 		}
@@ -142,7 +148,7 @@ func TestLookaheadCrossesPhases(t *testing.T) {
 				total += ph.Cycles
 			}
 			for _, reactive := range []bool{false, true} {
-				build := func() (Generator, *packet.Store) {
+				build := func() (Generator, Params) {
 					p := params(t, 0)
 					var g Generator
 					g, err := NewSwitchable(p, phases)
@@ -152,7 +158,7 @@ func TestLookaheadCrossesPhases(t *testing.T) {
 					if reactive {
 						g = NewReactive(g, p)
 					}
-					return g, p.Store
+					return g, p
 				}
 				// Past the last boundary too: the last phase keeps running.
 				name := fmt.Sprintf("first phase %d cycles, reactive %v", first, reactive)
@@ -164,7 +170,7 @@ func TestLookaheadCrossesPhases(t *testing.T) {
 
 var lookaheadWindows = []int64{1, 2, 7, 64}
 
-func checkLookahead(t *testing.T, name string, build func() (Generator, *packet.Store), cycles, tail int64) {
+func checkLookahead(t *testing.T, name string, build func() (Generator, Params), cycles, tail int64) {
 	t.Helper()
 	for _, window := range lookaheadWindows {
 		checkLookaheadWindow(t, name, build, cycles, tail, window)
@@ -175,13 +181,14 @@ func checkLookahead(t *testing.T, name string, build func() (Generator, *packet.
 // over [0, cycles), then polls both over the next `tail` cycles: the streams
 // only agree there if every node's PRNG and source state ended up where
 // polling left them.
-func checkLookaheadWindow(t *testing.T, name string, build func() (Generator, *packet.Store), cycles, tail, window int64) {
+func checkLookaheadWindow(t *testing.T, name string, build func() (Generator, Params), cycles, tail, window int64) {
 	t.Helper()
-	polled, polledStore := build()
-	sched, schedStore := build()
+	polled, pp := build()
+	sched, sp := build()
+	polledStore, schedStore := pp.Store, sp.Store
 	nodes := testTopo(t).NumNodes()
 	want := polledStream(polledStore, polled, nodes, 0, cycles)
-	got := scheduledStream(schedStore, sched, nodes, cycles, window)
+	got := scheduledStream(sched, sp, cycles, window)
 	if err := sameEmissions(got, want); err != nil {
 		t.Fatalf("%s, window %d: %v", name, window, err)
 	}
@@ -219,7 +226,7 @@ func TestLookaheadStreamsNotVacuous(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out := scheduledStream(p.Store, g, p.Topo.NumNodes(), 400, 7)
+		out := scheduledStream(g, p, 400, 7)
 		if (len(out) > 0) != tc.some {
 			t.Errorf("load %g: %d packets", tc.load, len(out))
 		}

@@ -45,7 +45,7 @@ type PhaseSpec struct {
 // so this only matters to callers that run longer on purpose).
 type Switchable struct {
 	phases []switchPhase
-	store  *packet.Store
+	params Params
 	ids    idAllocator
 }
 
@@ -69,7 +69,7 @@ func NewSwitchable(params Params, phases []PhaseSpec) (*Switchable, error) {
 	if len(phases) == 0 {
 		return nil, fmt.Errorf("traffic: switchable needs at least one phase")
 	}
-	s := &Switchable{phases: make([]switchPhase, 0, len(phases)), store: params.Store}
+	s := &Switchable{phases: make([]switchPhase, 0, len(phases)), params: params}
 	var until int64
 	for i, ph := range phases {
 		if ph.Cycles <= 0 {
@@ -146,21 +146,15 @@ func (s *Switchable) phaseAt(now int64) int {
 	return i
 }
 
-// Emit implements Generator: it delegates to the phase covering `now`. Packet
-// IDs are re-allocated from one shared counter so they stay unique across
-// phases.
-func (s *Switchable) Emit(now int64, node packet.NodeID) packet.Ref {
-	ref := s.phases[s.phaseAt(now)].gen.Emit(now, node)
-	s.store.Hdr(ref).ID = s.ids.alloc()
-	return ref
+// Emit implements Generator: it delegates to the phase covering `now`.
+func (s *Switchable) Emit(now int64, node packet.NodeID) packet.NodeID {
+	return s.phases[s.phaseAt(now)].gen.Emit(now, node)
 }
 
-// Generate implements Generator.
+// Generate implements Generator. Its requests take IDs from the Switchable's
+// own sequence, so they stay unique across phases.
 func (s *Switchable) Generate(now int64, node packet.NodeID) packet.Ref {
-	if _, ok := s.NextEmission(node, now, now+1); !ok {
-		return packet.NilRef
-	}
-	return s.Emit(now, node)
+	return poll(s, &s.params, &s.ids, now, node)
 }
 
 // Delivered implements Generator (all base phases are open-loop no-ops).

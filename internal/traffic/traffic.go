@@ -18,16 +18,18 @@ import (
 	"flexvc/internal/topology"
 )
 
-// Generator produces the packets a node offers to the network. Packets live
-// in the Params.Store arena; generators hand out Refs, never pointers.
+// Generator decides what the nodes offer to the network: when each node
+// generates a request and where it sends it. Packets live in the Params.Store
+// arena, but a generated request needs no slot until it is injected, so the
+// generators leave allocation to their caller (see NewRequest); only Generate
+// and the replies of reactive patterns allocate.
 //
 // A node's source is a function of its own PRNG stream and the cycle alone, so
 // it can be run ahead of the simulated clock: NextEmission finds the next cycle
-// the node emits a packet, consuming exactly the draws polling the node every
-// cycle would, and Emit — called when the clock reaches that cycle — builds
-// the packet. Everything packets share (IDs, store slots) is touched by Emit
-// only, so the packet stream depends on the (cycle, node) order of the Emit
-// calls and on nothing the look-ahead did.
+// the node emits a request, consuming exactly the draws polling the node every
+// cycle would, and Emit — called when the clock reaches that cycle — draws its
+// destination. The request stream therefore depends on the (cycle, node) order
+// of the Emit calls and on nothing the look-ahead did.
 type Generator interface {
 	// Name identifies the pattern.
 	Name() string
@@ -38,12 +40,14 @@ type Generator interface {
 	// window has been consumed and the node resumes at limit — not past it:
 	// cycle limit itself has not been drawn for.
 	NextEmission(node packet.NodeID, from, limit int64) (cycle int64, ok bool)
-	// Emit builds the packet NextEmission announced for cycle now: a freshly
-	// allocated packet with its endpoints, size, class and generation time
-	// filled in. Calls must come in ascending (cycle, node) order.
-	Emit(now int64, node packet.NodeID) packet.Ref
+	// Emit returns the destination of the request NextEmission announced for
+	// cycle now; its source is node, its size Params.PacketSize and its
+	// generation time now. Calls must come in ascending (cycle, node) order.
+	Emit(now int64, node packet.NodeID) packet.NodeID
 	// Generate polls one node for one cycle: the one-cycle window of
-	// NextEmission and Emit. It returns the new packet or NilRef.
+	// NextEmission and Emit, with the request allocated from Params.Store
+	// under the generator's own ID sequence. It returns the new packet or
+	// NilRef.
 	Generate(now int64, node packet.NodeID) packet.Ref
 	// Delivered notifies the generator that a packet reached its
 	// destination (reactive patterns respond by scheduling a reply).
@@ -84,9 +88,9 @@ type Params struct {
 	// HotspotGroup is the group concentrated on by group-hotspot traffic (a
 	// router index on flat topologies).
 	HotspotGroup int
-	// Store is the packet arena new packets are allocated from. The network
-	// owns it; freed slots recycle so steady-state generation allocates
-	// nothing per packet.
+	// Store is the packet arena Generate and reactive replies allocate from.
+	// The network owns it; freed slots recycle so steady-state generation
+	// allocates nothing per packet.
 	Store *packet.Store
 	// Sources, when non-nil, supplies the per-node PRNG streams from a
 	// recycled list instead of fresh allocations (see Sources).
@@ -221,6 +225,23 @@ func adversarialDestination(topo topology.Topology) destinationFn {
 func fillEndpoints(topo topology.Topology, h *packet.Header) {
 	h.SrcRouter = topo.RouterOfNode(h.Src)
 	h.DstRouter = topo.RouterOfNode(h.Dst)
+}
+
+// NewRequest allocates the request src generated at cycle gen toward dst,
+// with its endpoint routers filled in. The caller picks the ID.
+func NewRequest(store *packet.Store, topo topology.Topology, id uint64, src, dst packet.NodeID, size int, gen int64) packet.Ref {
+	ref := store.Alloc(id, src, dst, size, packet.Request, gen)
+	fillEndpoints(topo, store.Hdr(ref))
+	return ref
+}
+
+// poll is every generator's Generate: the one-cycle window of NextEmission,
+// then Emit, with the request allocated under the next of ids.
+func poll(g Generator, p *Params, ids *idAllocator, now int64, node packet.NodeID) packet.Ref {
+	if _, ok := g.NextEmission(node, now, now+1); !ok {
+		return packet.NilRef
+	}
+	return NewRequest(p.Store, p.Topo, ids.alloc(), node, g.Emit(now, node), p.PacketSize, now)
 }
 
 // Kind names the implemented patterns.
