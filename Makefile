@@ -25,9 +25,12 @@ lint:
 # benchmark gates as medium-pb-sat-1core (BenchmarkReplicationPBSat), of
 # building its network (BenchmarkNetworkNew, what setup_s times) and of
 # building one small Figure 5 network (BenchmarkNetworkNewSmall, what the
-# sweep pays per replication), and the heap profile of one small replication
-# far past saturation (BenchmarkReplicationBacklogSmall, where the NIC
-# backlog dominates), for finding where a replication's time and memory go.
+# sweep pays per replication), the heap profile of one small replication far
+# past saturation (BenchmarkReplicationBacklogSmall) and, sampling every
+# allocation, that of the sweep the benchmark gates as
+# sweep-fig5-small-allcores (BenchmarkCampaignFig5Bench, one campaign.Run of
+# bench/workloads/fig5-bench.campaign.json: DESIGN.md's sweep allocation
+# table), for finding where a replication's and a sweep's time and memory go.
 # A developer target: time claims go through bench/run.sh, not through this. The test binary is kept next to the
 # profiles because `go tool pprof` resolves symbols against it.
 PROFILE_DIR ?= bench-profiles
@@ -48,6 +51,9 @@ bench-profile:
 	$(GO) test -run xxx -bench 'ReplicationBacklogSmall' -benchtime 3x -benchmem \
 		-memprofile $(PROFILE_DIR)/backlog-mem.pprof \
 		-o $(PROFILE_DIR)/sim.test ./internal/sim | tee $(PROFILE_DIR)/backlog-bench.txt
+	$(GO) test -run xxx -bench 'CampaignFig5Bench' -benchtime 1x -benchmem -memprofilerate 1 \
+		-memprofile $(PROFILE_DIR)/fig5-bench-mem.pprof \
+		-o $(PROFILE_DIR)/campaign.test ./internal/campaign | tee $(PROFILE_DIR)/fig5-bench-bench.txt
 
 # bench/ is a module of its own that the root `go test ./...` cannot reach;
 # bench/api_test.go is the compile-time list of every program identifier the

@@ -71,8 +71,9 @@ func BenchmarkInject(b *testing.B) {
 // BenchmarkInjectLowLoad is the NIC model at the load where the generators
 // dominate it: UN at 0.02 on the Medium network (1 056 nodes, one packet per
 // node every 400 cycles). It times the generator schedule alone — per cycle, a
-// glance at the heap and the few nodes that are due — and discards the packets
-// instead of injecting them, so the routers stay empty however long it runs.
+// glance at the heap and the few nodes that are due — and discards each
+// request as if it had been injected, pulling the node's next one, so the
+// routers stay empty however long it runs.
 func BenchmarkInjectLowLoad(b *testing.B) {
 	cfg := config.Medium()
 	cfg.Load = 0.02
@@ -84,15 +85,15 @@ func BenchmarkInjectLowLoad(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n.generate()
-		n.now++
 		for _, node := range n.pendingNodes {
 			ns := &n.nodes[node]
-			for !ns.requests.empty() {
-				n.pending.free(ns.requests.pop())
+			ns.hasReq, ns.queued = false, false
+			if next, ok := n.lookAhead(node, ns.reqGen+1); ok {
+				n.genDue.Push(next)
 			}
-			ns.queued = false
 		}
 		n.pendingNodes = n.pendingNodes[:0]
+		n.now++
 	}
 	b.ReportMetric(float64(n.lookaheads)/float64(b.N), "lookaheads/cycle")
 	b.ReportMetric(float64(n.generated)/float64(b.N), "emissions/cycle")
@@ -173,9 +174,9 @@ func BenchmarkReplicationPBSat(b *testing.B) {
 
 // BenchmarkReplicationBacklogSmall runs one full small replication far past
 // saturation (backlogConfig: UN/MIN, Baseline 2/1 at offered load 1.0), where
-// most generated requests wait at their NICs. Beside B/op it reports the
-// packet store's live slots at the end and its peak, and the peak NIC
-// backlog; only the packets in the network hold store slots.
+// most of the offered requests are still unread at their sources. Beside B/op
+// it reports the packet store's live slots at the end and its peak; only the
+// packets in the network hold store slots.
 func BenchmarkReplicationBacklogSmall(b *testing.B) {
 	cfg := backlogConfig(false)
 	var n *Network
@@ -189,5 +190,4 @@ func BenchmarkReplicationBacklogSmall(b *testing.B) {
 	}
 	b.ReportMetric(float64(n.store.InUse()), "store-slots/op")
 	b.ReportMetric(float64(n.store.Slots()), "peak-live-slots/op")
-	b.ReportMetric(float64(n.pending.slots), "peak-backlog/op")
 }

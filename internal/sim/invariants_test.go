@@ -165,8 +165,8 @@ func TestConservation(t *testing.T) {
 	if resident > inFlight {
 		t.Fatalf("resident packets (%d) exceed in-flight count (%d)", resident, inFlight)
 	}
-	// Every generated packet is delivered, in flight or waiting at its NIC,
-	// and only the packets in flight hold store slots.
+	// Every request a NIC has taken from its source is delivered, in flight
+	// or waiting at the NIC, and only the packets in flight hold store slots.
 	queued := pendingAtSources(n)
 	if gen, del := n.Collector().TotalGenerated(), n.Collector().TotalDelivered(); del+inFlight+queued != gen {
 		t.Fatalf("generated=%d, but delivered=%d + in flight=%d + queued at the NICs=%d", gen, del, inFlight, queued)
@@ -179,11 +179,16 @@ func TestConservation(t *testing.T) {
 	}
 }
 
-// pendingAtSources counts packets generated but not yet injected.
+// pendingAtSources counts the packets waiting at the NICs: the requests the
+// nodes have taken from their sources and not injected, and the replies they
+// owe.
 func pendingAtSources(n *Network) int64 {
 	var total int64
 	for i := range n.nodes {
-		total += int64(n.nodes[i].requests.len() + n.nodes[i].replies.len())
+		total += int64(n.nodes[i].replies.len())
+		if n.nodes[i].hasReq {
+			total++
+		}
 	}
 	return total
 }
@@ -229,8 +234,8 @@ func TestDrainReactive(t *testing.T) {
 
 // drainAfterLoad runs cfg for loadCycles, silences the sources and runs
 // silentCycles more, after which nothing may be in flight, resident in a
-// router, pending in the event wheel or owed as a reply, and neither the
-// packet store nor the NICs' pending slab may hold a record.
+// router, pending in the event wheel, waiting at a NIC or owed as a reply,
+// and the packet store may hold no slot.
 func drainAfterLoad(t *testing.T, cfg config.Config, loadCycles, silentCycles int64) {
 	t.Helper()
 	n, err := New(cfg)
@@ -252,8 +257,8 @@ func drainAfterLoad(t *testing.T, cfg config.Config, loadCycles, silentCycles in
 	if q := pendingAtSources(n); q != 0 {
 		t.Fatalf("load %.1f: %d packets still queued at the NICs after drain", cfg.Load, q)
 	}
-	if used, pend := n.store.InUse(), n.pending.inUse(); used != 0 || pend != 0 {
-		t.Fatalf("load %.1f: %d store slots and %d pending records still held after drain", cfg.Load, used, pend)
+	if used := n.store.InUse(); used != 0 {
+		t.Fatalf("load %.1f: %d store slots still held after drain", cfg.Load, used)
 	}
 }
 

@@ -28,8 +28,11 @@ const (
 	// for a configuration and seed.
 	MetricAllocatorWork = "flexvc_router_allocator_work_total"
 	// MetricGeneratorWork is what the NIC model asked of the traffic
-	// generators, labeled kind="lookaheads"|"emissions": look-ahead calls
-	// and packets built. Simulated-domain, like the allocator work.
+	// generators, labeled kind="lookaheads"|"emissions": look-ahead calls,
+	// and requests the NICs have taken from their sources (the
+	// stats.Collector's TotalGenerated). A NIC takes a request when it has
+	// none waiting, so past saturation emissions trail what the sources have
+	// offered. Simulated-domain, like the allocator work.
 	MetricGeneratorWork = "flexvc_sim_generator_work_total"
 )
 

@@ -19,18 +19,25 @@ import (
 	"flexvc/internal/traffic"
 )
 
-// nodeState is the per-node NIC model: an unbounded source queue for new
-// requests (records in the network's pending slab, not yet packets), a queue
-// for the replies the node owes (the consumption assumption: nodes always
-// sink requests and buffer the replies they owe), and the pacing of the
-// injection link at one phit per cycle. When both queues hold packets the
+// nodeState is the per-node NIC model: the one request the node's source has
+// emitted and the NIC has not injected yet (its generation cycle and
+// destination, not yet a packet: the rest of the node's backlog is its
+// source's unread output, pulled one request per injection), a queue for the
+// replies the node owes (the consumption assumption: nodes always sink
+// requests and buffer the replies they owe), and the pacing of the injection
+// link at one phit per cycle. When a request waits beside queued replies the
 // classes alternate so neither starves the other.
 type nodeState struct {
-	requests   fifo[pendRef]
 	replies    fifo[packet.Ref]
 	nextInject int64
+	// reqGen and reqDst are the waiting request's generation cycle and
+	// destination when hasReq is set. While it is, the node's source is off
+	// Network.genDue.
+	reqGen int64
+	reqDst packet.NodeID
+	hasReq bool
 	// lastWasReply records the class of the last injected packet, for the
-	// round-robin tie-break between the two queues.
+	// round-robin tie-break between requests and replies.
 	lastWasReply bool
 	// queued marks membership in Network.pendingNodes.
 	queued bool
@@ -49,10 +56,6 @@ type Network struct {
 	// store is the SoA packet arena every packet of the replication lives in;
 	// routers, buffers and generators exchange packet.Refs into it.
 	store *packet.Store
-	// pending holds the requests waiting at the NICs. It comes from the
-	// scratch set, or is allocated by the first request of a network built
-	// without one, so sim.New allocates nothing for it.
-	pending *pendingSlab
 	// requestIDs numbers the requests as they are injected (Header.ID).
 	requestIDs uint64
 
@@ -67,8 +70,9 @@ type Network struct {
 	// does not arbitrate at every node every cycle. Order is irrelevant:
 	// injection at a node only touches that node's own terminal port.
 	pendingNodes []packet.NodeID
-	// genDue schedules the traffic generators: one key per node, the next
-	// cycle its source emits or its look-ahead resumes (see inject).
+	// genDue schedules the traffic generators: one key per node that holds
+	// no waiting request, the next cycle its source emits or its look-ahead
+	// resumes (see generate).
 	genDue    minheap.Heap
 	wheel     eventWheel
 	collector *stats.Collector
@@ -94,7 +98,7 @@ type Network struct {
 func New(cfg config.Config) (*Network, error) { return newNetwork(cfg, nil) }
 
 // newNetwork builds a network, optionally drawing its packet store, PRNG
-// streams, NIC queues, wheel slots and routers from a recycled scratch set
+// streams, NIC states, wheel slots and routers from a recycled scratch set
 // (see scratch.go). RunReplications' workers pass their own set; New passes
 // nil and allocates fresh.
 func newNetwork(cfg config.Config, sc *scratch) (*Network, error) {
@@ -113,7 +117,7 @@ func newNetwork(cfg config.Config, sc *scratch) (*Network, error) {
 	}
 	n := &Network{cfg: cfg, topo: topo}
 	if sc != nil {
-		n.store, n.pending = sc.store, &sc.pending
+		n.store = sc.store
 	} else {
 		n.store = packet.NewStore()
 	}

@@ -8,7 +8,7 @@ import (
 
 // scratch is the recyclable per-replication memory of one network instance:
 // the SoA packet store, the traffic generators' per-node PRNG streams, the
-// NIC queues and their pending requests, the event wheel's slots and the routers (with their buffers, VC
+// NIC states, the event wheel's slots and the routers (with their buffers, VC
 // rings and PRNG states). A sweep runs dozens to thousands of replications,
 // each of which would otherwise grow these structures from nothing: every
 // RunReplications worker owns one set, builds each of its networks in it and
@@ -16,9 +16,8 @@ import (
 // per worker, not once per replication.
 type scratch struct {
 	store   *packet.Store
-	pending pendingSlab
 	sources traffic.Sources
-	// nodes and slots are the last network's NIC queues and wheel slots;
+	// nodes and slots are the last network's NIC states and wheel slots;
 	// newNetwork reuses them when the node count and wheel horizon match.
 	nodes []nodeState
 	slots [][]event
@@ -36,13 +35,11 @@ func newScratch() *scratch { return &scratch{store: packet.NewStore()} }
 // invalidated here.
 func (sc *scratch) reclaim() {
 	sc.store.Reset()
-	sc.pending.reset()
 	sc.sources.Rewind()
 	for i := range sc.nodes {
 		q := &sc.nodes[i]
-		q.requests.reset()
 		q.replies.reset()
-		*q = nodeState{requests: q.requests, replies: q.replies}
+		*q = nodeState{replies: q.replies}
 	}
 	// Credit events carry *buffer.InputBuffer pointers: clear every slot
 	// over its full capacity so a kept set pins no dead network.

@@ -114,8 +114,9 @@ func (n *Network) stepRouters() {
 // leaves it with no resident packets.
 func (n *Network) markRouterActive(r packet.RouterID) { n.activeRouter[r] = true }
 
-// queueNode flags a node as holding NIC work (queued requests or replies), so
-// the injection pass visits it. The flag is cleared once both queues drain.
+// queueNode flags a node as holding NIC work (a waiting request or queued
+// replies), so the injection pass visits it. The flag is cleared once both
+// are gone.
 func (n *Network) queueNode(node packet.NodeID) {
 	if !n.nodes[node].queued {
 		n.nodes[node].queued = true
@@ -202,13 +203,14 @@ func (n *Network) armGenerators(from int64) {
 	}
 }
 
-// generate moves the requests the nodes offer this cycle into their NIC
-// request queues. Traffic generation is scheduled, not polled: genDue holds,
-// per node, the next cycle its generator needs a visit — the cycle it emits a
-// request, found by running its source ahead of the clock, or the cycle a
-// look-ahead window ended without one. Due nodes pop in ascending node order,
-// so Emit runs in the order polling every node every cycle ran it; the draws
-// in between belong to per-node streams and do not care when they are made.
+// generate hands the nodes that hold no request the requests their sources
+// emit this cycle. Traffic generation is scheduled, not polled: genDue holds,
+// per such node, the next cycle its generator needs a visit — the cycle it
+// emits a request, found by running its source ahead of the clock, or the
+// cycle a look-ahead window ended without one. A node that holds a request is
+// off the heap: tryInject pulls its next request when it injects this one.
+// Each node's draws come from its own stream, so the order nodes are visited
+// in does not matter.
 func (n *Network) generate() {
 	for len(n.genDue) > 0 {
 		key := n.genDue[0]
@@ -220,40 +222,55 @@ func (n *Network) generate() {
 			panic(fmt.Sprintf("sim: generator visit due at cycle %d was skipped (now %d)", due, n.now))
 		}
 		node := packet.NodeID(key >> 1 & (1<<genNodeBits - 1))
-		from := n.now
 		if key&1 != 0 {
-			n.generated++
-			n.collector.Generated()
-			n.queueRequest(node, n.gen.Emit(n.now, node))
-			from++
-		}
-		n.lookaheads++
-		if c, ok := n.gen.NextEmission(node, from, from+genWindow); ok {
-			n.genDue.ReplaceMin(genKey(c, node, true))
+			n.genDue.Pop()
+			n.emit(node, n.now)
+		} else if next, ok := n.lookAhead(node, n.now); ok {
+			n.genDue.ReplaceMin(next)
 		} else {
-			n.genDue.ReplaceMin(genKey(from+genWindow, node, false))
+			n.genDue.Pop()
 		}
 	}
 }
 
-// queueRequest queues a request node generated this cycle toward dst.
-func (n *Network) queueRequest(node, dst packet.NodeID) {
-	if n.pending == nil {
-		n.pending = new(pendingSlab)
+// lookAhead runs node's source from cycle `from` to genWindow cycles past the
+// clock. An emission at or before the clock becomes the node's waiting
+// request (ok false); otherwise it returns the node's genDue key: the cycle
+// of the emission it found, or the cycle the window ends.
+func (n *Network) lookAhead(node packet.NodeID, from int64) (key int64, ok bool) {
+	n.lookaheads++
+	limit := n.now + genWindow
+	c, emits := n.gen.NextEmission(node, from, limit)
+	switch {
+	case !emits:
+		return genKey(limit, node, false), true
+	case c > n.now:
+		return genKey(c, node, true), true
 	}
-	n.nodes[node].requests.push(n.pending.alloc(n.now, dst))
+	n.emit(node, c)
+	return 0, false
+}
+
+// emit makes the request node's source emits at cycle c the node's waiting
+// request.
+func (n *Network) emit(node packet.NodeID, c int64) {
+	ns := &n.nodes[node]
+	ns.reqGen, ns.reqDst, ns.hasReq = c, n.gen.Emit(c, node), true
+	n.generated++
+	n.collector.Generated()
 	n.queueNode(node)
 }
 
-// inject runs the NIC model: new requests join their nodes' queues, then the
-// injection attempt — queue arbitration, JSQ over the injection VCs, credit
-// reservation — runs for the nodes that actually hold queued work.
+// inject runs the NIC model: sources due this cycle hand their nodes a
+// request, then the injection attempt — class arbitration, JSQ over the
+// injection VCs, credit reservation — runs for the nodes that actually hold
+// work.
 func (n *Network) inject() {
 	n.generate()
 	live := n.pendingNodes[:0]
 	for _, node := range n.pendingNodes {
 		ns := &n.nodes[node]
-		if ns.requests.empty() && ns.replies.empty() {
+		if !ns.hasReq && ns.replies.empty() {
 			ns.queued = false
 			continue
 		}
@@ -266,16 +283,19 @@ func (n *Network) inject() {
 	n.pendingNodes = live
 }
 
-// tryInject moves at most one packet from a node's NIC queues into the source
-// router's injection buffers. When both requests and replies are queued the
+// tryInject moves at most one packet from a node's NIC into the source
+// router's injection buffers. When a request waits beside queued replies the
 // classes alternate (round-robin): replies must keep draining (the
 // consumption assumption that breaks protocol deadlock needs the NIC to
 // absorb them), but a continuous reply stream must not starve locally
 // generated requests forever either. A request gets its store slot only
-// here, once an injection VC has been reserved for it.
+// here, once an injection VC has been reserved for it; the node then looks
+// ahead in its source from the cycle after the request's generation, taking
+// the next request at once if it was emitted by now, and otherwise goes back
+// on genDue.
 func (n *Network) tryInject(node packet.NodeID, ns *nodeState) {
 	n.injectTries++
-	reply := !ns.replies.empty() && (ns.requests.empty() || !ns.lastWasReply)
+	reply := !ns.replies.empty() && (!ns.hasReq || !ns.lastWasReply)
 	size, kind := n.cfg.PacketSize, packet.Minimal
 	if reply {
 		ref := ns.replies.peek()
@@ -303,11 +323,12 @@ func (n *Network) tryInject(node packet.NodeID, ns *nodeState) {
 	if reply {
 		ref = ns.replies.pop()
 	} else {
-		pr := ns.requests.pop()
-		req := n.pending.at(pr)
 		n.requestIDs++
-		ref = traffic.NewRequest(n.store, n.topo, n.requestIDs, node, req.dst, size, req.gen)
-		n.pending.free(pr)
+		ref = traffic.NewRequest(n.store, n.topo, n.requestIDs, node, ns.reqDst, size, ns.reqGen)
+		ns.hasReq = false
+		if next, ok := n.lookAhead(node, ns.reqGen+1); ok {
+			n.genDue.Push(next)
+		}
 	}
 	ready := n.now + int64(n.cfg.InjectionLatency+n.cfg.RouterPipeline)
 	n.routers[rtr].EnqueueArrival(port, bestVC, ref, ready, kind)

@@ -67,7 +67,9 @@ func (c *Collector) EnableTimeSeries(window, total int64, marks []PhaseMark) err
 	return nil
 }
 
-// Generated records a packet generated by a source.
+// Generated records a request generated by a source. The simulator records
+// it when the request's NIC takes it from the source, so past saturation the
+// count trails what the sources have offered.
 func (c *Collector) Generated() { c.generated++ }
 
 // Injected records a packet entering its source router.
@@ -113,7 +115,8 @@ func (c *Collector) LastDeliveryCycle() int64 { return c.lastDeliveredAt }
 // the simulation (any window).
 func (c *Collector) TotalDelivered() int64 { return c.deliveredTotal }
 
-// TotalGenerated returns the number of packets generated since the start.
+// TotalGenerated returns the number of requests recorded by Generated since
+// the start.
 func (c *Collector) TotalGenerated() int64 { return c.generated }
 
 // Result is the summary of one simulation run. The JSON tags define the

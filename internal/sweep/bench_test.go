@@ -12,7 +12,7 @@ import (
 // tiny replications through the section runner (no results store) and the
 // simulator, on one worker. Allocation counts are deterministic, so any increase is a real
 // one; lower the pin together with the change that earns it.
-const smokeSweepAllocs = 948
+const smokeSweepAllocs = 816
 
 // runSmokeSweep runs one tiny load sweep end to end: two variants x loads
 // 0.3/0.7 x 2 replications, 200 warm-up and 800 measured cycles.

@@ -27,9 +27,10 @@ import (
 // A node's source is a function of its own PRNG stream and the cycle alone, so
 // it can be run ahead of the simulated clock: NextEmission finds the next cycle
 // the node emits a request, consuming exactly the draws polling the node every
-// cycle would, and Emit — called when the clock reaches that cycle — draws its
-// destination. The request stream therefore depends on the (cycle, node) order
-// of the Emit calls and on nothing the look-ahead did.
+// cycle would, and Emit — called with that cycle, when the clock reaches it or
+// later — draws its destination. A node's request stream therefore depends on
+// its own sequence of calls alone: not on when they are made, nor on how they
+// interleave with other nodes' calls.
 type Generator interface {
 	// Name identifies the pattern.
 	Name() string
@@ -41,9 +42,10 @@ type Generator interface {
 	// cycle limit itself has not been drawn for.
 	NextEmission(node packet.NodeID, from, limit int64) (cycle int64, ok bool)
 	// Emit returns the destination of the request NextEmission announced for
-	// cycle now; its source is node, its size Params.PacketSize and its
-	// generation time now. Calls must come in ascending (cycle, node) order.
-	Emit(now int64, node packet.NodeID) packet.NodeID
+	// cycle; its source is node, its size Params.PacketSize and its
+	// generation time cycle. A node's calls come in ascending cycle order, each
+	// after the NextEmission call that announced it and before the next one.
+	Emit(cycle int64, node packet.NodeID) packet.NodeID
 	// Generate polls one node for one cycle: the one-cycle window of
 	// NextEmission and Emit, with the request allocated from Params.Store
 	// under the generator's own ID sequence. It returns the new packet or
