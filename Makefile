@@ -93,10 +93,14 @@ check-smoke:
 # The metered re-runs double as a live zero-impact check (byte-compare with a
 # registry attached), and the snapshot is uploaded as a nightly artifact so
 # phase/checkpoint profiles are trackable across runs without re-simulating.
+# Then the drain sweep at small scale (about 30s): every spec variant at
+# loads 0.4 and 1.0 must drain once its sources fall silent, except fig10's
+# DAMQ with no private space, the paper's known deadlock.
 RESULTS_DIR_CHECK ?= results/check
 check-full:
 	$(GO) run ./cmd/figures check -work $(RESULTS_DIR_CHECK) \
 		-metrics-out $(RESULTS_DIR_CHECK)/metrics.json -v all
+	$(GO) test ./internal/sim -run TestDrainSweep -count=1 -drain-scale small
 
 # A quick end-to-end scenario run through flexvcsim (CI gate, under a second
 # once built): selects the PB variant of the embedded transient campaign's

@@ -40,26 +40,26 @@ func (c RouteClass) String() string {
 // the input to route classification (Tables I-IV) and is also used by tests
 // to cross-check the per-hop AllowedVCs decisions.
 type ReferencePath struct {
-	// Kinds is the link kind of every hop, in order.
-	Kinds []topology.PortKind
+	// Kinds is the link kind of every hop, in order: ReferenceSeq.
+	Kinds topology.PathSeq
 	// EscapeAfter[i] is the worst-case minimal path (per link kind) from
 	// the router reached after hop i to the final destination.
 	EscapeAfter []topology.HopCount
 }
 
 // Hops returns the hop count of the reference path, per link kind.
-func (r ReferencePath) Hops() topology.HopCount { return countKinds(r.Kinds) }
+func (r ReferencePath) Hops() topology.HopCount { return r.Kinds.Counts() }
 
 // Len returns the number of hops.
-func (r ReferencePath) Len() int { return len(r.Kinds) }
+func (r ReferencePath) Len() int { return r.Kinds.Len() }
 
 // Classify determines whether a route described by ref is safe, opportunistic
 // or forbidden for packets of the given class under configuration cfg, using
 // the FlexVC rules. The baseline policy only supports safe routes, so a
 // Baseline scheme should treat anything below Safe as unusable (Admit does).
 func Classify(cfg VCConfig, class packet.Class, ref ReferencePath) RouteClass {
-	if len(ref.Kinds) != len(ref.EscapeAfter) {
-		panic(fmt.Sprintf("core: reference path with %d hops but %d escapes", len(ref.Kinds), len(ref.EscapeAfter)))
+	if ref.Len() != len(ref.EscapeAfter) {
+		panic(fmt.Sprintf("core: reference path with %d hops but %d escapes", ref.Len(), len(ref.EscapeAfter)))
 	}
 	// Safe: the whole path fits in the class's own subsequence.
 	if cfg.subsequence(class).AtLeast(FromHopCount(ref.Hops())) {
@@ -70,9 +70,9 @@ func Classify(cfg VCConfig, class packet.Class, ref ReferencePath) RouteClass {
 	// class may use. Opportunistic hops keep no order among themselves, so
 	// VC 0 is always a candidate.
 	top := SubpathVCs{Local: cfg.ClassTop(class, topology.Local), Global: cfg.ClassTop(class, topology.Global)}
-	for i, kind := range ref.Kinds {
-		need := FromHopCount(ref.EscapeAfter[i])
-		if kind == topology.Global {
+	for i, need := range ref.EscapeAfter {
+		need := FromHopCount(need)
+		if ref.Kinds.At(i) == topology.Global {
 			need.Global++
 		} else {
 			need.Local++
@@ -158,83 +158,63 @@ func (m RoutingMode) String() string {
 var RoutingModes = []RoutingMode{ModeMIN, ModeVAL, ModePAR}
 
 // Reference builds the worst-case reference path of a routing mode on a
-// topology, including the worst-case escape after every hop.
-//
-// For topologies without link-type restrictions (all links Local, e.g. the
-// generic diameter-2 network) the reference path is simply `diameter` local
-// hops for MIN, twice that for VAL and one extra hop for PAR, and the escape
-// after every hop is bounded by the diameter (or less near the destination).
-//
-// For the Dragonfly, minimal paths follow l-g-l and Valiant paths
-// l-g-l-l-g-l; escapes are bounded by the l-g-l minimal path until the
-// destination group is reached.
+// topology, ReferenceSeq, with the worst-case escape after every hop: the
+// escape after hop i is the minimal path from that point, which in the worst
+// case is the full diameter until the final minimal-path suffix begins, and
+// the remaining suffix afterwards.
 func Reference(topo topology.Topology, mode RoutingMode) ReferencePath {
 	diam := topo.Diameter()
-	switch mode {
-	case ModeMIN:
-		return buildReference(minimalKinds(diam), diam)
-	case ModeVAL:
-		kinds := append(minimalKinds(diam), minimalKinds(diam)...)
-		return buildReference(kinds, diam)
-	default: // ModePAR: one extra minimal (local) hop before the Valiant path.
-		kinds := make([]topology.PortKind, 0, 1+2*diam.Total())
-		kinds = append(kinds, topology.Local)
-		kinds = append(kinds, minimalKinds(diam)...)
-		kinds = append(kinds, minimalKinds(diam)...)
-		return buildReference(kinds, diam)
-	}
-}
-
-// minimalKinds expands a diameter hop count into the canonical ordered kind
-// sequence of a minimal path. Hierarchical networks interleave local and
-// global hops as l...-g-l... (one local hop before each global hop, remaining
-// local hops at the end), which matches l-g-l for the Dragonfly and plain
-// l-l for flat diameter-2 networks.
-func minimalKinds(diam topology.HopCount) []topology.PortKind {
-	kinds := make([]topology.PortKind, 0, diam.Total())
-	local := diam.Local
-	for g := 0; g < diam.Global; g++ {
-		if local > 0 {
-			kinds = append(kinds, topology.Local)
-			local--
-		}
-		kinds = append(kinds, topology.Global)
-	}
-	for ; local > 0; local-- {
-		kinds = append(kinds, topology.Local)
-	}
-	return kinds
-}
-
-// buildReference computes worst-case escapes for every hop of a kind
-// sequence: the escape after hop i is the minimal path from that point, which
-// in the worst case is the full diameter until the final minimal-path suffix
-// begins, and the remaining suffix afterwards.
-func buildReference(kinds []topology.PortKind, diam topology.HopCount) ReferencePath {
-	n := len(kinds)
+	kinds := ReferenceSeq(topo, mode)
+	n := kinds.Len()
 	escapes := make([]topology.HopCount, n)
 	// The last diam.Total() hops of the path are the final approach: after
 	// hop i in that suffix, the remaining suffix is exactly the escape.
 	suffixStart := n - min(diam.Total(), n)
-	for i := 0; i < n; i++ {
+	var rest topology.HopCount
+	for i := n - 1; i >= 0; i-- {
+		escapes[i] = diam
 		if i >= suffixStart {
-			escapes[i] = countKinds(kinds[i+1:])
+			escapes[i] = rest
+		}
+		if kinds.At(i) == topology.Global {
+			rest.Global++
 		} else {
-			escapes[i] = diam
+			rest.Local++
 		}
 	}
 	return ReferencePath{Kinds: kinds, EscapeAfter: escapes}
 }
 
-// countKinds tallies a kind sequence into a hop count.
-func countKinds(kinds []topology.PortKind) topology.HopCount {
-	var hc topology.HopCount
-	for _, k := range kinds {
-		if k == topology.Global {
-			hc.Global++
-		} else {
-			hc.Local++
+// ReferenceSeq is the kind sequence of a routing mode's reference path on a
+// topology: one minimal path spanning the diameter for MIN, two for VAL, and
+// for PAR one extra (local) hop before the two. A minimal path interleaves
+// local and global hops as l...-g-l... (one local hop before each global hop,
+// the remaining local hops at the end): l-g-l for the Dragonfly, l-l for the
+// flat diameter-2 networks. The sequence is a value built on the stack, so
+// the forwarding path derives it per hop: a baseline hop's VC is its slot in
+// it (routing.PlanHop), and Tables I-IV and Admit classify it.
+func ReferenceSeq(topo topology.Topology, mode RoutingMode) topology.PathSeq {
+	diam := topo.Diameter()
+	var s topology.PathSeq
+	legs := 1
+	if mode != ModeMIN {
+		legs = 2
+	}
+	if mode == ModePAR {
+		s.Push(topology.Local)
+	}
+	for range legs {
+		local := diam.Local
+		for range diam.Global {
+			if local > 0 {
+				s.Push(topology.Local)
+				local--
+			}
+			s.Push(topology.Global)
+		}
+		for ; local > 0; local-- {
+			s.Push(topology.Local)
 		}
 	}
-	return hc
+	return s
 }

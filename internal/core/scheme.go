@@ -50,9 +50,10 @@ type HopContext struct {
 	// packet's route, per link kind: how many reference slots of each kind
 	// precede it (e.g. the destination-group local hop of a Dragonfly
 	// minimal path is local position 1 even when the source-group hop was
-	// skipped). The baseline fixed-order policy uses it directly as the VC
-	// index; it is computed by the routing layer, which knows the path
-	// semantics (see routing.PlanHop).
+	// skipped), or -1 when the route has no slot left for the hop. The
+	// baseline fixed-order policy uses it directly as the VC index; it is
+	// computed by the routing layer from the packet's route cursor (see
+	// routing.PlanHop).
 	RefPosition topology.HopCount
 	// PlannedAfter is the hop-kind sequence remaining on the packet's
 	// currently planned route after this hop is taken.

@@ -120,9 +120,8 @@ type Times struct {
 }
 
 // RouteState is the per-packet state routers use and update while forwarding.
-// It is the hot mutable array of the store; hop counters are int32 (hop
-// counts are bounded by the topology diameter, far below 2^31) so the whole
-// record stays within 28 bytes.
+// It is the hot mutable array of the store, so its fields are narrow and the
+// whole record is 16 bytes.
 type RouteState struct {
 	// Kind records whether the packet is currently routed minimally or
 	// non-minimally.
@@ -133,16 +132,14 @@ type RouteState struct {
 	// AdaptiveDecided is set once a source- or in-transit-adaptive decision
 	// has been made, so it is not re-evaluated.
 	AdaptiveDecided bool
+	// RefSlot is the route cursor: the slot, in the reference path of the
+	// network's routing mode (core.ReferenceSeq), of the last hop taken, or
+	// -1 before the first hop. routing.TakeHop advances it; the baseline VC
+	// of the next hop is the slot that hop takes after it.
+	RefSlot int8
 	// Intermediate is the Valiant intermediate router (valid when Kind is
 	// Nonminimal).
 	Intermediate RouterID
-	// LocalHops and GlobalHops count hops of each link type already taken.
-	LocalHops, GlobalHops int32
-	// DivertPrefixLocal records how many local hops the packet had taken
-	// when an in-transit adaptive mechanism (PAR) diverted it to a Valiant
-	// path; the baseline VC position of subsequent local hops is shifted by
-	// it so the fixed-order assignment stays strictly increasing.
-	DivertPrefixLocal int32
 	// Hops is the total number of router-to-router hops taken.
 	Hops int32
 	// InputVC is the VC index (within the input port) the packet currently
@@ -155,6 +152,7 @@ func (rs *RouteState) Reset() {
 	*rs = RouteState{
 		Kind:         Minimal,
 		Phase:        PhaseToDestination,
+		RefSlot:      -1,
 		Intermediate: InvalidRouter,
 		InputVC:      -1,
 	}

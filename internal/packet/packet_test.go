@@ -163,14 +163,14 @@ func TestRouteStateReset(t *testing.T) {
 	r.Kind = Nonminimal
 	r.Phase = PhaseToIntermediate
 	r.Intermediate = 7
-	r.LocalHops = 3
-	r.GlobalHops = 2
+	r.RefSlot = 3
+	r.Hops = 2
 	r.InputVC = 4
 	r.AdaptiveDecided = true
 	r.Reset()
 	if r.Kind != Minimal || r.Phase != PhaseToDestination ||
-		r.Intermediate != InvalidRouter || r.LocalHops != 0 ||
-		r.GlobalHops != 0 || r.InputVC != -1 || r.AdaptiveDecided {
+		r.Intermediate != InvalidRouter || r.RefSlot != -1 ||
+		r.Hops != 0 || r.InputVC != -1 || r.AdaptiveDecided {
 		t.Fatalf("Reset left state behind: %+v", *r)
 	}
 }

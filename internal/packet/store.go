@@ -60,7 +60,7 @@ type Store struct {
 // poisonState is what poison mode keeps: the allocated slots, flagged by Ref.
 type poisonState struct{ live []bool }
 
-// pageBits sets the page size: 1024 slots, 88 KiB per page.
+// pageBits sets the page size: 1024 slots, 76 KiB per page.
 const (
 	pageBits = 10
 	pageSize = 1 << pageBits
@@ -136,7 +136,7 @@ func (s *Store) Free(ref Ref) {
 		// Poison the slot: impossible values that fail fast if consumed.
 		p.hdr[i] = Header{ID: ^uint64(0), Src: InvalidNode, Dst: InvalidNode,
 			SrcRouter: InvalidRouter, DstRouter: InvalidRouter, Size: -1}
-		p.route[i] = RouteState{Intermediate: InvalidRouter, InputVC: -2, Hops: -1}
+		p.route[i] = RouteState{RefSlot: -2, Intermediate: InvalidRouter, InputVC: -2, Hops: -1}
 		p.times[i] = Times{Gen: -1, Inject: -1, Recv: -1}
 	}
 	p.replyTo[i] = s.freeHead

@@ -174,7 +174,9 @@ func (s *Store) Put(rec Record, wall time.Duration) error {
 	if err := rec.Validate(); err != nil {
 		return err
 	}
-	b, err := json.MarshalIndent(rec, "", "  ")
+	// Compact: Open parses the records and nothing reads their layout, and
+	// indenting would allocate a second copy of every record.
+	b, err := json.Marshal(rec)
 	if err != nil {
 		return err
 	}

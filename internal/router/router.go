@@ -914,7 +914,7 @@ func planWaits(plan *vcPlan) waitKeys { return waitKeys{plan.planned.key, plan.e
 func (r *Router) buildPlan(p int, ref packet.Ref, hdr *packet.Header, plan *vcPlan) {
 	rt := r.store.Route(ref)
 	dec := r.alg.Route(r.id, hdr, rt, r.rng)
-	hop := routing.PlanHop(r.mgr, r.topo, r.id, p, dec.OutPort, hdr, rt)
+	hop := routing.PlanHop(r.mgr, r.topo, r.alg.Kind().Mode(), r.id, p, dec.OutPort, hdr, rt)
 	*plan = vcPlan{
 		ref:     ref,
 		size:    int32(hdr.Size),
@@ -1001,7 +1001,7 @@ func (r *Router) grant(now int64, req request) {
 	if req.outKind != topology.Terminal && !r.down[req.key].Reserve(req.destVC, size, rt.Kind) {
 		panic(fmt.Sprintf("router %d: downstream VC %d of port %d lost its credits between check and grant", r.id, req.destVC, req.key))
 	}
-	routing.TakeHop(rt, req.outKind, req.destVC, req.revert)
+	routing.TakeHop(r.topo, r.alg.Kind().Mode(), rt, req.outKind, req.destVC, req.revert)
 	r.stage[req.key].Push(ref, size, req.destVC, rt.Kind, now+transfer)
 	r.noteStaged(r.keyPort(req.key))
 }

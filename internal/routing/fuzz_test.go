@@ -25,7 +25,9 @@ import (
 // the destination node, which is PlanHop's escape when that differs from the
 // planned port and the planned hop itself otherwise. At the destination
 // router that port is ejection, so a detour passing through its destination
-// escapes by ejecting.
+// escapes by ejecting. Under the baseline, the reference slots of the hops
+// taken (baselineSlot) must strictly increase: the fixed order's deadlock
+// freedom.
 func FuzzPathValidity(f *testing.F) {
 	f.Add(uint8(1), uint32(0), uint32(1), int64(1), uint8(0))
 	f.Add(uint8(2), uint32(3), uint32(29), int64(42), uint8(1))
@@ -59,9 +61,10 @@ func TestPathValidityReachesEscapes(t *testing.T) {
 // pair of the tiny Dragonfly under every arrangement of up to 5/2 VCs per
 // class, one class and two, that core.Admit admits, under both policies, for
 // MIN, VAL and PAR with a probe that always diverts and one that never does:
-// every walk must reach ejection, with a VC on every baseline hop and a VC or
-// an escape on every FlexVC hop. A baseline reply subsequence too short for
-// the Valiant path (4/2+2/1) strands its replies, so admitting it fails here.
+// every walk must reach ejection, with a VC on every baseline hop, baseline
+// slots strictly increasing, and a VC or an escape on every FlexVC hop. A
+// baseline reply subsequence too short for the Valiant path (4/2+2/1) strands
+// its replies, so admitting it fails here.
 func TestAdmittedArrangementsReachDestination(t *testing.T) {
 	topo, err := topology.NewDragonfly(1, 2, 1)
 	if err != nil {
@@ -199,6 +202,8 @@ func walkPath(t *testing.T, topo *topology.Dragonfly, alg Algorithm, mgr *core.M
 
 	rng := rand.New(rand.NewSource(seed))
 	pick := rand.New(rand.NewSource(^seed))
+	mode := alg.Kind().Mode()
+	lastSlot := -1
 	cur, inPort := src, topo.TerminalPort(src, srcNode) // the packet starts in an injection queue
 	for hop := 0; ; hop++ {
 		if hop > ref.Len() {
@@ -221,7 +226,7 @@ func walkPath(t *testing.T, topo *topology.Dragonfly, alg Algorithm, mgr *core.M
 			t.Fatalf("%v ejected through port %d of router %d, destination node %d sits on router %d", alg.Kind(), port, cur, dstNode, dst)
 		}
 
-		h := PlanHop(mgr, topo, cur, inPort, port, &pkt.Header, &pkt.Route)
+		h := PlanHop(mgr, topo, mode, cur, inPort, port, &pkt.Header, &pkt.Route)
 		if mustPlan && h.VCs.Empty() {
 			t.Fatalf("%v %s %s %s: empty range at hop %d of %d->%d (hop %+v, route %+v)",
 				alg.Kind(), s.Policy, vcs, class, hop, src, dst, h, pkt.Route)
@@ -264,9 +269,34 @@ func walkPath(t *testing.T, topo *topology.Dragonfly, alg Algorithm, mgr *core.M
 			}
 			return
 		}
-		TakeHop(&pkt.Route, kind, vcRange.Lo+pick.Intn(vcRange.Hi-vcRange.Lo+1), revert)
+		vc := vcRange.Lo + pick.Intn(vcRange.Hi-vcRange.Lo+1)
+		if s.Policy == core.Baseline {
+			slot := baselineSlot(ref.Kinds, kind, vc-vcs.ClassOffset(class, kind))
+			if slot <= lastSlot || slot >= ref.Len() {
+				t.Fatalf("%v %s %s %s route %d->%d (mid %d): hop %d %s VC %d is reference slot %d after slot %d",
+					alg.Kind(), s.Policy, vcs, class, src, dst, pkt.Route.Intermediate, hop, kind, vc, slot, lastSlot)
+			}
+			lastSlot = slot
+		}
+		TakeHop(topo, mode, &pkt.Route, kind, vc, revert)
 		cur, inPort = topo.Neighbor(cur, port)
 	}
+}
+
+// baselineSlot is the slot of the reference path a baseline hop occupies:
+// the index-th slot of its kind, or the path's length when there is none.
+// It reads the VC the hop was given, not the route cursor, so the walks check
+// the rule rather than restate it.
+func baselineSlot(ref topology.PathSeq, kind topology.PortKind, index int) int {
+	for i := range ref.Len() {
+		if ref.At(i) == kind {
+			if index == 0 {
+				return i
+			}
+			index--
+		}
+	}
+	return ref.Len()
 }
 
 // fullProbe reports full buffers everywhere, so PAR always diverts.

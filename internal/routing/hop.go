@@ -30,16 +30,17 @@ type Hop struct {
 // PlanHop is the hop rule: the VCs the scheme behind mgr allows a packet at
 // router cur, sitting in input port inPort, when it leaves through outPort (a
 // link port, or a terminal port to eject), and the escape fallback of the
-// paper's opportunistic-routing rule. It reads only the topology, the
-// manager, the header and the route state, so the router, the fuzzers and
-// any checker of the channel graph ask the same question the same way.
-func PlanHop(mgr *core.Manager, topo topology.Topology, cur packet.RouterID, inPort, outPort int, hdr *packet.Header, rt *packet.RouteState) Hop {
+// paper's opportunistic-routing rule. mode is the network's routing mode,
+// whose reference path numbers baseline hops. It reads only the topology, the
+// manager, the header and the route state, so the router, the fuzzers and any
+// checker of the channel graph ask the same question the same way.
+func PlanHop(mgr *core.Manager, topo topology.Topology, mode core.RoutingMode, cur packet.RouterID, inPort, outPort int, hdr *packet.Header, rt *packet.RouteState) Hop {
 	h := Hop{EscPort: -1}
-	h.Kind, h.VCs = hopRange(mgr, topo, cur, inPort, outPort, hdr, rt, false)
+	h.Kind, h.VCs = hopRange(mgr, topo, mode, cur, inPort, outPort, hdr, rt, false)
 	if !h.VCs.Safe && detouring(rt) {
 		if esc := minimalPort(topo, cur, hdr); esc != outPort {
 			h.EscPort = esc
-			h.EscKind, h.EscVCs = hopRange(mgr, topo, cur, inPort, esc, hdr, rt, true)
+			h.EscKind, h.EscVCs = hopRange(mgr, topo, mode, cur, inPort, esc, hdr, rt, true)
 		}
 	}
 	return h
@@ -49,21 +50,18 @@ func PlanHop(mgr *core.Manager, topo topology.Topology, cur packet.RouterID, inP
 // VC vc of the input port at the far end of a kind link, or leaves the
 // network when kind is Terminal. With revert set the hop was the escape of an
 // opportunistic Valiant continuation, and the packet heads straight to its
-// destination from here on.
-func TakeHop(rt *packet.RouteState, kind topology.PortKind, vc int, revert bool) {
+// destination from here on. The route cursor moves to the reference slot the
+// hop took (refSlot).
+func TakeHop(topo topology.Topology, mode core.RoutingMode, rt *packet.RouteState, kind topology.PortKind, vc int, revert bool) {
 	if revert {
 		rt.Phase = packet.PhaseToDestination
 	}
 	if kind == topology.Terminal {
 		return
 	}
+	slot, _ := refSlot(topo, mode, rt, kind, false)
+	rt.RefSlot = int8(slot)
 	rt.InputVC = int32(vc)
-	switch kind {
-	case topology.Local:
-		rt.LocalHops++
-	case topology.Global:
-		rt.GlobalHops++
-	}
 	rt.Hops++
 }
 
@@ -77,7 +75,7 @@ func detouring(rt *packet.RouteState) bool {
 // hopRange asks the manager for the VC range of the hop through outPort. With
 // revert set the hop is the escape: the packet's planned path after it is its
 // minimal path. Ejection ends every path, so it is always safe.
-func hopRange(mgr *core.Manager, topo topology.Topology, cur packet.RouterID, inPort, outPort int, hdr *packet.Header, rt *packet.RouteState, revert bool) (topology.PortKind, core.VCRange) {
+func hopRange(mgr *core.Manager, topo topology.Topology, mode core.RoutingMode, cur packet.RouterID, inPort, outPort int, hdr *packet.Header, rt *packet.RouteState, revert bool) (topology.PortKind, core.VCRange) {
 	kind := topo.PortKind(cur, outPort)
 	if kind == topology.Terminal {
 		return kind, core.VCRange{Safe: true}
@@ -88,43 +86,46 @@ func hopRange(mgr *core.Manager, topo topology.Topology, cur packet.RouterID, in
 	if !revert && detouring(rt) {
 		planned = topology.MinimalSeq(topo, next, rt.Intermediate).Concat(topology.MinimalSeq(topo, rt.Intermediate, hdr.DstRouter))
 	}
+	_, pos := refSlot(topo, mode, rt, kind, revert)
 	return kind, mgr.AllowedVCs(core.HopContext{
 		Class:        hdr.Class,
 		Kind:         kind,
 		InputKind:    topo.PortKind(cur, inPort),
 		InputVC:      int(rt.InputVC),
-		RefPosition:  baselinePosition(topo, rt),
+		RefPosition:  pos,
 		PlannedAfter: planned,
 		EscapeAfter:  escape,
 	})
 }
 
-// baselinePosition returns the position of the packet's next hop within the
-// reference path of its route, per link kind — the input the baseline
-// (fixed-order) VC assignment needs. Positions follow the paper's notation:
-//
-//   - Dragonfly minimal paths l0-g1-l2: the local position is 0 in the source
-//     group and 1 in the destination group (i.e. the number of global hops
-//     already taken), and the global position is the number of global hops
-//     taken. Skipped hops keep the positions of the remaining hops.
-//   - Dragonfly Valiant paths l0-g1-l2-l3-g4-l5: local hops taken after the
-//     Valiant intermediate router has been passed shift one extra position.
-//   - PAR-diverted packets shift local positions by the local hops taken
-//     before the diversion (the l0-l1-g2-... reference).
-//   - Flat topologies (all links Local, no skippable hops that could break
-//     the order) simply use the number of hops of that kind already taken.
-func baselinePosition(topo topology.Topology, rt *packet.RouteState) topology.HopCount {
-	if _, hierarchical := topo.(*topology.Dragonfly); !hierarchical {
-		return topology.HopCount{Local: int(rt.LocalHops), Global: int(rt.GlobalHops)}
+// refSlot is the one numbering of a packet's hops, the paper's l0-g1-l2
+// notation: the slot the packet's next hop, of the given kind, takes in the
+// reference path of mode (core.ReferenceSeq), and its position there — how
+// many slots of each kind precede the slot, the baseline's VC index. The hop
+// takes the first slot of its kind after the route cursor; a Valiant packet
+// past its intermediate (or taking the escape, revert) is on its second leg,
+// the last diameter's worth of slots, and searches no earlier than that. A
+// shorter route skips slots and keeps the positions of the hops it takes, so
+// the baseline's VCs follow the reference order and cannot form a cycle. When
+// no slot is left the slot is the path's length and the position -1, which
+// the baseline forbids.
+func refSlot(topo topology.Topology, mode core.RoutingMode, rt *packet.RouteState, kind topology.PortKind, revert bool) (int, topology.HopCount) {
+	ref := core.ReferenceSeq(topo, mode)
+	from := int(rt.RefSlot) + 1
+	if rt.Kind == packet.Nonminimal && (revert || rt.Phase == packet.PhaseToDestination) {
+		from = max(from, ref.Len()-topo.Diameter().Total())
 	}
-	pos := topology.HopCount{Local: int(rt.GlobalHops), Global: int(rt.GlobalHops)}
-	if rt.Kind == packet.Nonminimal {
-		if rt.Phase == packet.PhaseToDestination {
+	var pos topology.HopCount
+	for i := range ref.Len() {
+		k := ref.At(i)
+		if i >= from && k == kind {
+			return i, pos
+		}
+		if k == topology.Global {
+			pos.Global++
+		} else {
 			pos.Local++
 		}
-		if rt.DivertPrefixLocal > 0 {
-			pos.Local += int(rt.DivertPrefixLocal)
-		}
 	}
-	return pos
+	return ref.Len(), topology.HopCount{Local: -1, Global: -1}
 }

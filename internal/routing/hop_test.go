@@ -44,10 +44,11 @@ func specArrangements(t *testing.T) []core.VCConfig {
 // a downstream buffer with PlanHop's ranges unclipped: over every router,
 // input port and VC, output link, class and destination of the tiny Dragonfly
 // and the 2×2 flattened butterfly, for a minimal route and for a Valiant
-// detour through every intermediate, a few hops into the route, under both
-// policies and every VC arrangement the embedded specs compile, the planned
-// range and the escape range lie in [0, TotalOf(kind)) — the VC count every
-// input port of that kind is built with.
+// detour through every intermediate, a few hops into the route (the route
+// cursor at slots -1, 1 and 3 of the Valiant reference), under both policies
+// and every VC arrangement the embedded specs compile, the planned range and
+// the escape range lie in [0, TotalOf(kind)) — the VC count every input port
+// of that kind is built with.
 func TestPlanHopRangesWithinPortVCs(t *testing.T) {
 	tiny, err := config.Tiny().BuildTopology()
 	if err != nil {
@@ -97,7 +98,7 @@ func checkHopRanges(t *testing.T, mgr *core.Manager, topo topology.Topology) (ra
 					for dst := packet.RouterID(0); dst < routers; dst++ {
 						hdr := packet.Header{Class: class, Dst: topo.NodeAt(dst, 0), DstRouter: dst}
 						for _, rt := range states {
-							h := routing.PlanHop(mgr, topo, cur, in, out, &hdr, &rt)
+							h := routing.PlanHop(mgr, topo, core.ModeVAL, cur, in, out, &hdr, &rt)
 							if h.Kind != topo.PortKind(cur, out) || !inside(h.Kind, h.VCs) {
 								t.Fatalf("%s on %s: router %d, port %d -> %d, %+v, %+v: planned %s range %+v outside [0, %d)",
 									mgr.Scheme(), topo.Name(), cur, in, out, hdr, rt, h.Kind, h.VCs, vcs.TotalOf(h.Kind))
@@ -137,7 +138,7 @@ func TestPlanHopEjection(t *testing.T) {
 			hdr := packet.Header{Dst: node, DstRouter: cur}
 			for in := 0; in < topo.Radix(); in++ {
 				for _, rt := range routeStates(topo, mgr.Scheme().VCs, cur, in) {
-					if h := routing.PlanHop(mgr, topo, cur, in, topo.TerminalPort(cur, node), &hdr, &rt); h != want {
+					if h := routing.PlanHop(mgr, topo, core.ModeVAL, cur, in, topo.TerminalPort(cur, node), &hdr, &rt); h != want {
 						t.Fatalf("%s: ejection at router %d from port %d, %+v: planned %+v, want %+v", policy, cur, in, rt, h, want)
 					}
 				}
@@ -170,7 +171,7 @@ func TestPlanHopDetourAtDestinationEjects(t *testing.T) {
 					continue
 				}
 				out := topo.NextMinimalPort(cur, rt.Intermediate)
-				h := routing.PlanHop(mgr, topo, cur, in, out, &hdr, &rt)
+				h := routing.PlanHop(mgr, topo, core.ModeVAL, cur, in, out, &hdr, &rt)
 				if h.VCs.Safe {
 					continue
 				}
@@ -191,7 +192,8 @@ func TestPlanHopDetourAtDestinationEjects(t *testing.T) {
 
 // routeStates returns the route states a packet in input port in of router
 // cur can hold: minimal or detouring through any intermediate, in any of the
-// port's VCs under vcs, a few hops into its route.
+// port's VCs under vcs, a few hops into its route (its cursor past 0, 2 or 4
+// reference slots).
 func routeStates(topo topology.Topology, vcs core.VCConfig, cur packet.RouterID, in int) []packet.RouteState {
 	inVCs := []int32{-1} // an injection queue
 	if kind := topo.PortKind(cur, in); kind != topology.Terminal {
@@ -207,7 +209,7 @@ func routeStates(topo topology.Topology, vcs core.VCConfig, cur packet.RouterID,
 				var rt packet.RouteState
 				rt.Reset()
 				rt.InputVC = vc
-				rt.LocalHops, rt.GlobalHops, rt.Hops = hops, hops, 2*hops
+				rt.RefSlot, rt.Hops = int8(2*hops-1), hops
 				if mid >= 0 {
 					rt.Kind, rt.Phase, rt.Intermediate = packet.Nonminimal, packet.PhaseToIntermediate, mid
 				}

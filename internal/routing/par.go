@@ -52,7 +52,6 @@ func (p *Progressive) Route(cur packet.RouterID, hdr *packet.Header, rt *packet.
 			rt.Kind = packet.Nonminimal
 			rt.Phase = packet.PhaseToIntermediate
 			rt.Intermediate = RandomIntermediate(p.topo, rng)
-			rt.DivertPrefixLocal = rt.LocalHops
 		case rt.Hops >= 1:
 			// Already took an in-group hop without diverting: commit to MIN
 			// rather than wandering inside the source group.

@@ -1,7 +1,9 @@
 package routing
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"flexvc/internal/core"
@@ -60,7 +62,7 @@ func walk(t *testing.T, topo topology.Topology, alg Algorithm, pkt *testPkt, rng
 			return kinds
 		}
 		kinds = append(kinds, kind)
-		TakeHop(&pkt.Route, kind, 0, false)
+		TakeHop(topo, alg.Kind().Mode(), &pkt.Route, kind, 0, false)
 		cur, _ = topo.Neighbor(cur, dec.OutPort)
 	}
 }
@@ -138,50 +140,107 @@ func TestValiantRouteShape(t *testing.T) {
 	}
 }
 
-// TestBaselinePositionDragonfly checks the positional VC indices used by the
-// baseline policy for minimal and Valiant packets.
+// TestBaselinePositionDragonfly walks Valiant, PAR and PB routes under the
+// baseline and checks the VC of every hop: its slot in the reference path
+// (l0-g1-l2-l3-g4-l5 for VAL and PB under 4/2, l0-l1-g2-l3-l4-g5-l6 for PAR
+// under 5/2), numbered per link kind. A second leg always starts at l3 (l4
+// for PAR), whatever the first leg skipped, so a Valiant intermediate in the
+// source group, or the source router itself, keeps the order.
 func TestBaselinePositionDragonfly(t *testing.T) {
 	topo := testDF(t)
-	pkt := newPacket(topo, 0, packet.NodeID(topo.NumNodes()-1))
+	shape := func(from, to packet.RouterID) string {
+		seq := topology.MinimalSeq(topo, from, to)
+		var b strings.Builder
+		for i := range seq.Len() {
+			b.WriteString(seq.At(i).String()[:1])
+		}
+		return b.String()
+	}
+	find := func(what string, pred func(r packet.RouterID) bool) packet.RouterID {
+		for r := range packet.RouterID(topo.NumRouters()) {
+			if pred(r) {
+				return r
+			}
+		}
+		t.Fatalf("no router is %s", what)
+		return 0
+	}
+	src := packet.RouterID(0)
+	srcGroup := topo.GroupOf(src)
+	dst := find("a full l-g-l path away", func(r packet.RouterID) bool { return shape(src, r) == "lgl" })
+	dstGroup := topo.GroupOf(dst)
+	third := func(from packet.RouterID) packet.RouterID {
+		return find("in a third group", func(r packet.RouterID) bool {
+			g := topo.GroupOf(r)
+			return g != srcGroup && g != dstGroup && shape(from, r) == "lgl" && shape(r, dst) == "lgl"
+		})
+	}
+	gateway, _ := topo.Neighbor(src, topo.NextMinimalPort(src, dst))
 
-	// Minimal packet in its source group.
-	pkt.Route.Kind = packet.Minimal
-	if pos := baselinePosition(topo, &pkt.Route); pos.Local != 0 || pos.Global != 0 {
-		t.Errorf("source-group minimal position = %+v", pos)
+	val := NewValiant(topo)
+	cases := []struct {
+		name string
+		alg  Algorithm
+		mid  packet.RouterID // the Valiant intermediate, -1 for a minimal packet
+		want string
+	}{
+		{"intermediate is the source router", val, src, "L2 G1 L3"},
+		{"intermediate in the source group", val, find("in the source group", func(r packet.RouterID) bool {
+			return r != src && topo.GroupOf(r) == srcGroup && shape(r, dst) == "lgl"
+		}), "L0 L2 G1 L3"},
+		{"intermediate in a third group", val, third(src), "L0 G0 L1 L2 G1 L3"},
+		{"intermediate in the destination group", val, find("in the destination group", func(r packet.RouterID) bool {
+			return r != dst && topo.GroupOf(r) == dstGroup && shape(src, r) == "lgl"
+		}), "L0 G0 L1 L2"},
+		{"intermediate is the destination router", val, dst, "L0 G0 L1"},
+		{"PAR divert after 0 local hops", NewProgressive(topo, &fakeProbe{occ: map[[2]int]int{
+			{int(src), topo.NextMinimalPort(src, dst)}: 48}}, PARConfig{ThresholdPhits: 24}), third(src), "L0 G0 L2 L3 G1 L4"},
+		{"PAR divert after 1 local hop", NewProgressive(topo, &fakeProbe{occ: map[[2]int]int{
+			{int(gateway), topo.NextMinimalPort(gateway, dst)}: 48}}, PARConfig{ThresholdPhits: 24}), third(gateway), "L0 L1 G0 L2 L3 G1 L4"},
+		{"minimal PB packet", NewPiggyback(topo, &fakeProbe{}, NewPBManager(topo, &fakeProbe{}, DefaultPBConfig(8, 0), 1), DefaultPBConfig(8, 0)), -1, "L0 G0 L1"},
 	}
-	// After the global hop.
-	pkt.Route.GlobalHops = 1
-	if pos := baselinePosition(topo, &pkt.Route); pos.Local != 1 || pos.Global != 1 {
-		t.Errorf("dest-group minimal position = %+v", pos)
-	}
-	// Valiant packet, second phase in the intermediate group.
-	pkt.Route.Kind = packet.Nonminimal
-	pkt.Route.Phase = packet.PhaseToDestination
-	pkt.Route.GlobalHops = 1
-	if pos := baselinePosition(topo, &pkt.Route); pos.Local != 2 {
-		t.Errorf("post-intermediate Valiant local position = %+v", pos)
-	}
-	// Destination group of a Valiant path.
-	pkt.Route.GlobalHops = 2
-	if pos := baselinePosition(topo, &pkt.Route); pos.Local != 3 || pos.Global != 2 {
-		t.Errorf("dest-group Valiant position = %+v", pos)
-	}
-	// PAR-diverted packets shift by the pre-diversion local hops.
-	pkt.Route.GlobalHops = 0
-	pkt.Route.Phase = packet.PhaseToIntermediate
-	pkt.Route.DivertPrefixLocal = 1
-	if pos := baselinePosition(topo, &pkt.Route); pos.Local != 1 {
-		t.Errorf("PAR-diverted source-group position = %+v", pos)
-	}
-
-	// Flat topologies just count hops.
-	fb, _ := topology.NewFlattenedButterfly2D(3, 1)
-	fpkt := newPacket(fb, 0, 5)
-	fpkt.Route.LocalHops = 1
-	if pos := baselinePosition(fb, &fpkt.Route); pos.Local != 1 {
-		t.Errorf("flat position = %+v", pos)
+	for _, c := range cases {
+		vcs := core.SingleClass(4, 2)
+		if c.alg.Kind() == PAR {
+			vcs = core.SingleClass(5, 2)
+		}
+		mgr := core.NewManager(core.Scheme{Policy: core.Baseline, VCs: vcs, Selection: core.JSQ})
+		pkt := newPacket(topo, topo.NodeAt(src, 0), topo.NodeAt(dst, 0))
+		if c.alg.Kind() == VAL {
+			pkt.Route.AdaptiveDecided, pkt.Route.Kind, pkt.Route.Phase, pkt.Route.Intermediate = true, packet.Nonminimal, packet.PhaseToIntermediate, c.mid
+		}
+		rng := fixedRand(max(c.mid, 0))
+		mode := c.alg.Kind().Mode()
+		var got []string
+		cur, in := src, topo.TerminalPort(src, pkt.Src)
+		for len(got) <= core.Reference(topo, mode).Len() {
+			out := c.alg.Route(cur, &pkt.Header, &pkt.Route, rng).OutPort
+			h := PlanHop(mgr, topo, mode, cur, in, out, &pkt.Header, &pkt.Route)
+			if h.VCs.Empty() || h.VCs.Lo != h.VCs.Hi {
+				t.Fatalf("%s: hop %d planned %+v, want exactly one VC", c.name, len(got), h)
+			}
+			if h.Kind == topology.Terminal {
+				break
+			}
+			got = append(got, fmt.Sprintf("%s%d", strings.ToUpper(h.Kind.String()[:1]), h.VCs.Lo))
+			TakeHop(topo, mode, &pkt.Route, h.Kind, h.VCs.Lo, false)
+			cur, in = topo.Neighbor(cur, out)
+		}
+		if c.mid >= 0 && pkt.Route.Intermediate != c.mid {
+			t.Fatalf("%s: routed via %d, want %d", c.name, pkt.Route.Intermediate, c.mid)
+		}
+		if s := strings.Join(got, " "); s != c.want {
+			t.Errorf("%s (%d -> %d via %d): baseline VCs %s, want %s", c.name, src, dst, c.mid, s, c.want)
+		}
 	}
 }
+
+// fixedRand draws the same router every time, so a Valiant decision picks
+// the intermediate a test names.
+type fixedRand packet.RouterID
+
+func (r fixedRand) Intn(int) int     { return int(r) }
+func (r fixedRand) Float64() float64 { return 0 }
 
 // TestPBManagerSaturation checks the saturation marking rule against a fake
 // probe.
@@ -398,9 +457,6 @@ func TestProgressiveDiverts(t *testing.T) {
 	alg.Route(pkt2.SrcRouter, &pkt2.Header, &pkt2.Route, rng)
 	if pkt2.Route.Kind != packet.Nonminimal {
 		t.Fatal("PAR should divert when the minimal next hop is congested")
-	}
-	if pkt2.Route.DivertPrefixLocal != 0 {
-		t.Fatal("diversion at the source router has no local prefix")
 	}
 	if alg.Kind() != PAR || core.Reference(topo, alg.Kind().Mode()).Hops() != (topology.HopCount{Local: 5, Global: 2}) {
 		t.Error("PAR metadata broken")

@@ -235,30 +235,15 @@ func TestDrainReactive(t *testing.T) {
 // drainAfterLoad runs cfg for loadCycles, silences the sources and runs
 // silentCycles more, after which nothing may be in flight, resident in a
 // router, pending in the event wheel, waiting at a NIC or owed as a reply,
-// and the packet store may hold no slot.
+// and the packet store may hold no slot (DrainProbe).
 func drainAfterLoad(t *testing.T, cfg config.Config, loadCycles, silentCycles int64) {
 	t.Helper()
-	n, err := New(cfg)
+	left, err := DrainProbe(cfg, loadCycles, silentCycles)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.RunCycles(loadCycles)
-	n.silenceSources()
-	n.RunCycles(silentCycles)
-	if n.InFlight() != 0 {
-		t.Fatalf("load %.1f: %d packets still in flight after drain", cfg.Load, n.InFlight())
-	}
-	if n.ResidentPackets() != 0 {
-		t.Fatalf("load %.1f: %d packets still resident after drain", cfg.Load, n.ResidentPackets())
-	}
-	if n.wheel.pending() != 0 {
-		t.Fatalf("load %.1f: %d events still pending after drain", cfg.Load, n.wheel.pending())
-	}
-	if q := pendingAtSources(n); q != 0 {
-		t.Fatalf("load %.1f: %d packets still queued at the NICs after drain", cfg.Load, q)
-	}
-	if used := n.store.InUse(); used != 0 {
-		t.Fatalf("load %.1f: %d store slots still held after drain", cfg.Load, used)
+	if left != (DrainState{}) {
+		t.Fatalf("load %.1f: not drained: %+v", cfg.Load, left)
 	}
 }
 
